@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -91,14 +90,14 @@ def emit(records: Iterable[Dict], fieldnames: Sequence[str], args) -> None:
 
 def cmd_tree(args) -> int:
     p = _params(args)
-    records: List[Dict] = []
-    for n in range(1, args.rows + 1):
-        row = treemod.extended_row(n, p) if args.extended else treemod.build_row(n, p)
-        records.extend(treemod.node_records(row))
     if args.adjacency:
         with _open_out(args.out) as fh:
             fh.write(json.dumps(treemod.tree_adjacency(args.rows, p), indent=1) + "\n")
         return 0
+    rows = treemod.build_rows(args.rows, p)
+    if args.extended:
+        rows = [treemod.extend_row(row, p) for row in rows]
+    records = (rec for row in rows for rec in treemod.node_records(row))
     emit(records, ["level", "sigma", "p", "q", "value"], args)
     return 0
 
@@ -162,8 +161,7 @@ def cmd_trace(args) -> int:
         val = transfer.trace_power(q, signed=args.signed)
         rows.append(
             {"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag],
-             "method": "leaf trace pairs" + (" (signed)" if args.signed else ""),
-             "error_estimate": 1e-13 * abs(val)}
+             "method": "leaf trace pairs" + (" (signed)" if args.signed else "")}
         )
     return _json_records(args, rows)
 
@@ -174,7 +172,7 @@ def cmd_xi(args) -> int:
         q = transfer.TransferQuery(args.s, args.r, n)
         val = transfer.periodic_sum_xi(q)
         rows.append({"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag],
-                     "method": "closed leaf sum", "error_estimate": 1e-13 * abs(val)})
+                     "method": "closed leaf sum"})
     return _json_records(args, rows)
 
 
@@ -206,22 +204,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_thermo(args) -> int:
-    s_values = parse_values(args.s)
-    points = []
-
-    def work(s: float):
-        out = []
-        for n in range(2, args.n + 1):
-            out.append(thermo.thermo_point(args.r, s, n))
-        return out
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for chunk in pool.map(work, s_values):
-                points.extend(chunk)
-    else:
-        for s in s_values:
-            points.extend(work(s))
+    points = thermo.thermo_sweep(args.r, parse_values(args.s), args.n)
     records = [
         {"r": pt.r, "s": pt.s, "n": pt.n, "ZC": repr(pt.ZC), "Fn": repr(pt.Fn), "Mn": repr(pt.Mn)}
         for pt in points
@@ -231,16 +214,7 @@ def cmd_thermo(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    r_values = parse_values(args.r_grid)
-
-    def work(r: float) -> thermo.CriticalPoint:
-        return thermo.critical_line(Params.floating(r), tol=args.tol)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            pts = list(pool.map(work, r_values))
-    else:
-        pts = [work(r) for r in r_values]
+    pts = [thermo.critical_line(Params.floating(r), tol=args.tol) for r in parse_values(args.r_grid)]
     records = [
         {"r": pt.r, "s_cr": repr(pt.s_cr), "error": repr(pt.error), "method": pt.method}
         for pt in pts
@@ -254,8 +228,7 @@ def cmd_twisted(args) -> int:
     for n in range(1, args.n + 1):
         val = twisted.twisted_Z(n, args.s, args.m, Params.floating(args.r))
         rows.append({"r": args.r, "s": args.s, "m": args.m, "n": n,
-                     "value": [val.real, val.imag], "method": "tree-row sum",
-                     "error_estimate": 1e-13 * abs(val)})
+                     "value": [val.real, val.imag], "method": "tree-row sum"})
     return _json_records(args, rows)
 
 
@@ -282,7 +255,6 @@ def _add_common(sp, *, mode=True, fmt=True):
     if fmt:
         sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,26 @@ energy of a chain of k binary spins, the Fourier coefficients of p_k
 and q_k over the hypercube have a closed product form indexed by a
 polymer decomposition of the frequency word, and the induced spin
 interaction -Q_k^ is ferromagnetic for r in [0, 1].
+
+Every row in the package comes from one two-child kernel (_levels): a
+level has one column per word, and the next level holds A x in its
+first half and B x in its second, for fixed child matrices (A, B) over
+the active ring (float, Fraction or RhoPoly); in flip order the second
+half is written reversed.  With L = [[1, 0], [r, rho]],
+R = [[1, rho], [0, rho]] and SR = [[r-1, rho], [r, rho]]:
+
+    tree rows (p, q)    root (1, 2)         L, SR               flip
+    affine (s, t)       root (1, 0)         L, SR               flip
+    extended rows       root (1, 1)         R, SR               branch
+    (p, q, mu, nu)      root (1, 1, 1, 0)   R (+) [[1, r rho], [0, rho]],
+                                            SR (+) [[r-1, r rho], [1, rho]]
+    leaf matrices X     root L              rows of X times L, R
+
+((+) is the block-diagonal sum.)  A row of A equal to the same row of B
+is copied, not recomputed: the second rows of L and SR coincide, which
+is the symmetry q_k(sigma) = q_k(bar sigma).  The cumulative tables are
+no separate recursion: pc_{k+1} interleaves pc_k with p_k, and qc_{k+1}
+interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).
 """
 
 from __future__ import annotations
@@ -31,12 +51,102 @@ from .words import SpinWord
 EXACT_TABLE_CAP = 16
 FLOAT_TABLE_CAP = 26
 FOURIER_CAP = 24
+_CHUNK_LEVELS = 20
 
 
 def _check_cap(k: int, p: Params) -> None:
     cap = FLOAT_TABLE_CAP if p.mode == "float" else EXACT_TABLE_CAP
     if k > cap:
         raise ValueError(f"k={k} exceeds the {p.mode}-mode table cap {cap}")
+
+
+def _generators(params: Params):
+    """The child matrices L, R and SR over the ring of `params`, as row tuples."""
+    one, r, rho = params.one, params.r, params.rho
+    zero = one - one
+    return ((one, zero), (r, rho)), ((one, rho), (zero, rho)), ((r - one, rho), (r, rho))
+
+
+def _tree_stream(params: Params):
+    L, _R, SR = _generators(params)
+    return (params.one, 2 * params.one), (L, SR), True
+
+
+def _dtype(params: Params) -> type:
+    return float if params.mode == "float" else object
+
+
+def _combine(row, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum_j row[j] x[j], skipping zero terms and unit factors: this
+    spares exact mode its costliest no-ops and keeps float rows
+    bit-identical to the two-term recursions."""
+    terms = [(c, xj) for c, xj in zip(row, x) if c != 0]
+    for j, (c, xj) in enumerate(terms):
+        if c != 1:
+            xj = np.multiply(c, xj, out=scratch if j else out)
+        if j:
+            np.add(out, xj, out=out)
+        elif c == 1:
+            out[...] = xj
+
+
+def _step(x: np.ndarray, children, flip: bool) -> np.ndarray:
+    """The level below x: A x, then B x (reversed if `flip`)."""
+    n = x.shape[1]
+    out = np.empty((len(x), 2 * n), dtype=x.dtype)
+    first, second = out[:, :n], out[:, n:]
+    if flip:
+        second = second[:, ::-1]
+    scratch = np.empty(n, dtype=x.dtype)
+    for i, (a_row, b_row) in enumerate(zip(*children)):
+        _combine(a_row, x, first[i], scratch)
+        if b_row == a_row:
+            second[i] = first[i]  # equal rows give equal halves, up to the flip
+        else:
+            _combine(b_row, x, second[i], scratch)
+    return out
+
+
+def _levels(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
+    """Yield levels 0 .. depth of a stream as (dim, 2^j) arrays.
+
+    ``stream(params)`` gives (root, (A, B), flip).  The table cap of the
+    mode is checked before the first level.
+    """
+    _check_cap(depth, params)
+    root, children, flip = stream(params)
+    x = np.array(root, dtype=_dtype(params))[:, None]
+    yield x
+    for _ in range(depth):
+        x = _step(x, children, flip)
+        yield x
+
+
+def _blocks(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
+    """The columns of level `depth` in blocks of 2^_CHUNK_LEVELS or fewer.
+
+    Each column of level depth - _CHUNK_LEVELS seeds one block, built one
+    at a time; they permute the level's columns, so sums change only by rounding.
+    """
+    _check_cap(depth, params)
+    top = max(depth - _CHUNK_LEVELS, 0)
+    seeds = _last(_levels(stream, top, params))
+    _root, children, flip = stream(params)
+    for j in range(seeds.shape[1]):
+        x = seeds[:, j : j + 1]
+        for _ in range(depth - top):
+            x = _step(x, children, flip)
+        yield x
+
+
+def _last(levels: Iterator[np.ndarray]) -> np.ndarray:
+    for x in levels:
+        pass
+    return x
+
+
+def _table(k: int, p: np.ndarray, q: np.ndarray) -> "PQTable":
+    return PQTable(k, p, q) if p.dtype == float else PQTable(k, p.tolist(), q.tolist())
 
 
 @dataclass(frozen=True)
@@ -51,62 +161,16 @@ class PQTable:
     p: Sequence
     q: Sequence
 
-    def pq(self, sigma: SpinWord):
-        if sigma.k != self.k:
-            raise ValueError("word length does not match table level")
-        return self.p[sigma.index], self.q[sigma.index]
-
-    def value(self, sigma: SpinWord):
-        pv, qv = self.pq(sigma)
-        if isinstance(pv, Fraction) or isinstance(qv, Fraction):
-            return Fraction(pv, qv)
-        return pv / qv
-
 
 def pq_tables(k: int, params: Params) -> PQTable:
     """Tables of p_k, q_k over all of (Z/2Z)^k via the two-term recursions."""
-    _check_cap(k, params)
-    if params.mode == "float":
-        p, q = _pq_arrays_float(k, params.r_float)
-        return PQTable(k, p, q)
-    one = params.one
-    r, rho = params.r, params.rho
-    p: List = [one]
-    q: List = [one + one]
-    for _ in range(k):
-        pbar = p[::-1]
-        qbar = q[::-1]
-        upper_p = [rho * qbar[i] + (r - 1) * pbar[i] for i in range(len(p))]
-        lower_q = [rho * q[i] + r * p[i] for i in range(len(p))]
-        p = p + upper_p
-        q = lower_q + lower_q[::-1]
-    return PQTable(k, p, q)
-
-
-def _pq_arrays_float(k: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
-    rho = 2.0 - r
-    p = np.array([1.0])
-    q = np.array([2.0])
-    for _ in range(k):
-        upper_p = rho * q[::-1] + (r - 1.0) * p[::-1]
-        lower_q = rho * q + r * p
-        p = np.concatenate([p, upper_p])
-        q = np.concatenate([lower_q, lower_q[::-1]])
-    return p, q
+    return _table(k, *_last(_levels(_tree_stream, k, params)))
 
 
 def iter_pq_rows(k_max: int, r: float) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (k, p_k, q_k) float arrays for k = 0 .. k_max, reusing work."""
-    rho = 2.0 - r
-    p = np.array([1.0])
-    q = np.array([2.0])
-    yield 0, p, q
-    for k in range(k_max):
-        upper_p = rho * q[::-1] + (r - 1.0) * p[::-1]
-        lower_q = rho * q + r * p
-        p = np.concatenate([p, upper_p])
-        q = np.concatenate([lower_q, lower_q[::-1]])
-        yield k + 1, p, q
+    """Yield (k, p_k, q_k) float arrays for k = 0 .. k_max from one walk down the tree."""
+    for k, (p, q) in enumerate(_levels(_tree_stream, k_max, Params.floating(r))):
+        yield k, p, q
 
 
 def pc_qc_tables(k: int, params: Params) -> PQTable:
@@ -114,60 +178,25 @@ def pc_qc_tables(k: int, params: Params) -> PQTable:
 
     These start from pc_1 = (0, 1), qc_1 = (1, 2) and extend by
     appending a bit tau on the right: appending 0 leaves the entry
-    unchanged, appending 1 combines the entry with its complement,
-    weighted by rho^(k - m) where m is the position of the last 1.
-    They tie the full tree to single-level tables through
+    unchanged, appending 1 gives the tree entry of the shorter word,
 
         p_k(sigma) = pc_{k+1}(sigma, 1),   q_k(sigma) = qc_{k+1}(sigma, 1),
 
-    and the canonical partition function at level n is the plain sum of
-    qc_n(sigma)^(-s) over all n-bit words.
+    so pc_k(sigma 1 0^j) = p_{k-1-j}(sigma) is filled from one walk down
+    the tree rows.  The canonical partition function at level n is the
+    plain sum of qc_n(sigma)^(-s) over all n-bit words.
     """
     if k < 1:
         raise ValueError("cumulative tables start at k = 1")
     _check_cap(k, params)
-    if params.mode == "float":
-        pc, qc = _pc_qc_arrays_float(k, params.r_float)
-        return PQTable(k, pc, qc)
-    one = params.one
-    rho = params.rho
-    pc: List = [one - one, one]
-    qc: List = [one, one + one]
-    rmax = [0, 1]
-    for kk in range(1, k):
-        n = len(pc)
-        new_pc: List = [None] * (2 * n)
-        new_qc: List = [None] * (2 * n)
-        new_rmax = [0] * (2 * n)
-        for i in range(n):
-            j = n - 1 - i  # complement index
-            new_pc[2 * i] = pc[i]
-            new_qc[2 * i] = qc[i]
-            new_rmax[2 * i] = rmax[i]
-            wi = rho ** (kk - rmax[i])
-            wj = rho ** (kk - rmax[j])
-            new_qc[2 * i + 1] = wi * qc[i] + wj * qc[j]
-            new_pc[2 * i + 1] = wi * pc[i] + wj * (qc[j] - pc[j])
-            new_rmax[2 * i + 1] = kk + 1
-        pc, qc, rmax = new_pc, new_qc, new_rmax
-    return PQTable(k, pc, qc)
-
-
-def _pc_qc_arrays_float(k: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
-    rho = 2.0 - r
-    pc = np.array([0.0, 1.0])
-    qc = np.array([1.0, 2.0])
-    rmax = np.array([0, 1])
-    for kk in range(1, k):
-        rev = slice(None, None, -1)
-        wi = rho ** (kk - rmax).astype(float)
-        wj = wi[rev]
-        qc1 = wi * qc + wj * qc[rev]
-        pc1 = wi * pc + wj * (qc[rev] - pc[rev])
-        pc = np.stack([pc, pc1], axis=1).ravel()
-        qc = np.stack([qc, qc1], axis=1).ravel()
-        rmax = np.stack([rmax, np.full_like(rmax, kk + 1)], axis=1).ravel()
-    return pc, qc
+    pc = np.empty(1 << k, dtype=_dtype(params))
+    qc = np.empty_like(pc)
+    pc[0], qc[0] = params.one - params.one, params.one
+    for m, (p, q) in enumerate(_levels(_tree_stream, k - 1, params)):
+        j = k - 1 - m
+        pc[1 << j :: 2 << j] = p
+        qc[1 << j :: 2 << j] = q
+    return _table(k, pc, qc)
 
 
 def fourier_transform(values, k: int | None = None):

@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .rings import Params, balanced_sum
-from .spinchain import iter_pq_rows, pc_qc_tables, pq_tables
-from .transfer import extended_pairs, iterate_one, spectral_radius, TransferQuery
+from .spinchain import _levels, _tree_stream, pc_qc_tables, pq_tables
+from .transfer import _pair_stream, spectral_radius
 
 DIRECT_MAGNETIZATION_CAP = 22
 CRITICAL_R_CAP = 0.97
@@ -34,16 +35,14 @@ CRITICAL_R_CAP = 0.97
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Observables of one (r, s, n) parameter tuple."""
+    """Z^C_n, F_n and M_n at one (r, s, n) parameter tuple."""
 
     r: float
     s: float
     n: int
     ZC: float
-    ZG: float
     Fn: float
     Mn: float
-    lam: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,6 @@ class CriticalPoint:
 class CriticalCurve:
     samples: Sequence[CriticalPoint]
     tol: float
-
-    def values(self) -> List[Tuple[float, float]]:
-        return [(p.r, p.s_cr) for p in self.samples]
 
 
 def _require_integer_exponent(s, params: Params) -> int:
@@ -85,10 +81,26 @@ def grand_Z(k: int, s, params: Params):
         if params.mode == "exact":
             return Fraction(2**k) / Fraction(2) ** (s * (k + 1))
         return float(2.0**k * 2.0 ** (-s * (k + 1)))
-    table = pq_tables(k, params)
+    return _row_sum(pq_tables(k, params).q, s, params)
+
+
+def _row_sum(values, s, params: Params):
+    """sum of values^(-s): numpy's pairwise sum, or a balanced exact sum."""
     if params.mode == "float":
-        return float(np.sum(np.asarray(table.q) ** (-float(s))))
-    return balanced_sum([Fraction(1) / qv**s for qv in table.q], Fraction(0))
+        return float(np.sum(np.asarray(values) ** (-float(s))))
+    return balanced_sum([Fraction(1) / v**s for v in values], Fraction(0))
+
+
+def _grand_sums(k_max: int, s_values: Sequence, params: Params) -> List[List]:
+    """[Z^G_0(s), ..., Z^G_{k_max}(s)] for every s, from one walk down the rows."""
+    exponents = [_require_integer_exponent(s, params) for s in s_values]
+    if params.r == 0:
+        return [[grand_Z(k, s, params) for k in range(k_max + 1)] for s in exponents]
+    sums: List[List] = [[] for _ in exponents]
+    for _p, q in _levels(_tree_stream, k_max, params):
+        for row, s in zip(sums, exponents):
+            row.append(_row_sum(q, s, params))
+    return sums
 
 
 def canonical_Z(n: int, s, params: Params, method: str = "rows"):
@@ -105,53 +117,25 @@ def canonical_Z(n: int, s, params: Params, method: str = "rows"):
     if n < 1:
         raise ValueError("n must be >= 1")
     if method == "rows":
-        if params.mode == "float" and params.r != 0:
-            total = 1.0
-            for k, _p, q_arr in iter_pq_rows(n - 1, params.r_float):
-                total += float(np.sum(q_arr ** (-float(s))))
-            return total
-        return params_one_plus(params, [grand_Z(k, s, params) for k in range(n)])
+        (zg,) = _grand_sums(n - 1, [s], params)
+        return sum(zg, params.one)
     if method == "cumulative":
-        s_int = _require_integer_exponent(s, params)
-        table = pc_qc_tables(n, params)
-        if params.mode == "float":
-            return float(np.sum(np.asarray(table.q) ** (-float(s))))
-        return balanced_sum([Fraction(1) / qv**s_int for qv in table.q], Fraction(0))
+        s = _require_integer_exponent(s, params)
+        return _row_sum(pc_qc_tables(n, params).q, s, params)
     if method == "transfer":
         return _canonical_via_transfer(n, s, params)
     raise ValueError(f"unknown method {method!r}")
 
 
-def params_one_plus(params: Params, terms):
-    total = params.one if params.mode != "float" else 1.0
-    for t in terms:
-        total = total + t
-    return total
-
-
 def _canonical_via_transfer(n: int, s, params: Params):
-    """2 Z^C_n(s) = 1 + sum_{k=0}^{n} rho^(-k s/2) (P_{s/2}^k 1)(1)."""
-    if params.mode == "float":
-        r = params.r_float
-        u = s / 2.0
-        total = 2.0  # k = 0 term (P^0 1)(1) = 1 plus the leading 1
-        rho = 2.0 - r
-        for k in range(1, n + 1):
-            total += rho ** (-k * u) * iterate_one(1.0, TransferQuery(u, r, k)).real
-        return total / 2.0
-    s_int = _require_integer_exponent(s, params)
-    if s_int % 2 != 0:
+    """2 Z^C_n(s) = 1 + sum_{k=0}^{n} rho^(-k s/2) (P_{s/2}^k 1)(1), where
+    (P^k 1)(1) = 2 rho^(ks/2) sum over the k-th extended row of (p r + rho q)^(-s)."""
+    s = _require_integer_exponent(s, params)
+    if params.mode == "exact" and s % 2 != 0:
         raise ValueError("the exact transfer route needs an even integer s")
-    u = s_int // 2
-    rho = params.rho
-    total = 2 * params.one
-    for k in range(1, n + 1):
-        # (P^k 1)(1) = 2 rho^{ku} sum over the k-th extended row of (p r + rho q)^(-2u)
-        acc = balanced_sum(
-            [Fraction(1) / (p0 * params.r + rho * q0) ** (2 * u) for p0, q0 in extended_pairs(k, params)],
-            Fraction(0),
-        )
-        total += 2 * acc  # the rho^{ku} prefactors cancel
+    total = 2 * params.one  # the leading 1 plus the k = 0 term (P^0 1)(1) = 1
+    for p, q in _levels(_pair_stream, n - 1, params):  # the rho prefactors cancel
+        total += 2 * _row_sum(p * params.r + params.rho * q, s, params)
     return total / 2
 
 
@@ -171,7 +155,7 @@ def free_energy_limit(n: int, s: float, params: Params) -> Tuple[float, float]:
     """
     if n < 4:
         raise ValueError("n must be >= 4")
-    f = [free_energy(m, s, params) for m in (n - 2, n - 1, n)]
+    f = [pt.Fn for pt in thermo_sweep(params.r_float, [s], n)[-3:]]
     ext_prev = (n - 1) * f[1] - (n - 2) * f[0]
     ext = n * f[2] - (n - 1) * f[1]
     return ext, abs(ext - ext_prev)
@@ -199,11 +183,16 @@ def magnetization(n: int, s: float, params: Params, method: str = "direct") -> f
         spin_mean = (n - 2.0 * ones) / n
         return float(np.sum(spin_mean * weights) / np.sum(weights))
     if method == "identity":
-        zg = [grand_Z(m, s, p) for m in range(n)]
-        zc = 1.0 + sum(zg)
-        numer = 1.0 + sum((n - m - 2.0) / n * zg[m] for m in range(n))
-        return numer / zc
+        (zg,) = _grand_sums(n - 1, [s], p)
+        return _identity_magnetization(zg, n)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _identity_magnetization(zg: Sequence[float], n: int) -> float:
+    """M_n from the row sums Z^G_0 .. Z^G_{n-1}."""
+    zc = 1.0 + sum(zg)
+    numer = 1.0 + sum((n - m - 2.0) / n * zg[m] for m in range(n))
+    return numer / zc
 
 
 def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
@@ -265,7 +254,7 @@ def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[T
     eps = 0.4 * (1.0 - ratio)
     mu_plus = (1.0 + eps) / ratio
     mu_minus = (1.0 - eps) / ratio
-    zg = {k: grand_Z(k, s, p) for k in set(levels) | {n}}
+    (zg,) = _grand_sums(max([*levels, n]), [s], p)
     out = []
     for l in levels:
         lower = mu_plus ** (l - n) * zg[n]
@@ -274,12 +263,18 @@ def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[T
     return out
 
 
-def thermo_point(r: float, s: float, n: int, with_lambda: bool = False) -> ThermoPoint:
-    """Bundle of observables at one parameter tuple, for sweeps and export."""
-    p = Params.floating(r)
-    zc = canonical_Z(n, s, p)
-    zg = grand_Z(min(n - 1, 20), s, p) if n >= 1 else math.nan
-    fn = free_energy(n, s, p) if n >= 2 else math.nan
-    mn = magnetization(n, s, p, method="identity")
-    lam = spectral_radius(s / 2.0, r).value if (with_lambda and r < 1) else None
-    return ThermoPoint(r, s, n, float(zc), float(zg), fn, mn, lam)
+def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[ThermoPoint]:
+    """Z^C_n, F_n and M_n for every s in `s_values` and n = 2 .. n_max.
+
+    All three follow from the row sums Z^G_k, k < n_max, which one walk
+    down the tree rows yields for every s at once.  Points are ordered
+    by s, then by n.
+    """
+    points = []
+    for s, zg in zip(s_values, _grand_sums(n_max - 1, s_values, Params.floating(r))):
+        zc = list(accumulate(zg, initial=1.0))  # zc[n] = Z^C_n
+        points.extend(
+            ThermoPoint(r, s, n, zc[n], math.log(2.0 * zc[n - 1]) / n, _identity_magnetization(zg[:n], n))
+            for n in range(2, n_max + 1)
+        )
+    return points

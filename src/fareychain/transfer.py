@@ -11,9 +11,20 @@ to sums over tree leaves of the matrix-presentation traces (T_0, T_1).
 Every closed form here is paired with a brute-force branch-word oracle
 that sums over all 2^n inverse-branch compositions directly.
 
-All leaf folds stream over the index space in fixed-size blocks, so
-large n costs time but bounded memory; float reductions use numpy's
-pairwise summation (scalar accumulations use compensated sums).
+Every leaf sum reads one stream of the two-child kernel of
+:mod:`spinchain`, which takes a root to level n - 1 through two child
+matrices (L = [[1, 0], [r, rho]], R = [[1, rho], [0, rho]],
+SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
+
+    _pair_stream     extended rows (p, q)   root (1, 1)         R, SR
+    _quad_stream     (p, q, mu, nu)         root (1, 1, 1, 0)   R (+) [[1, r rho], [0, rho]],
+                                                                SR (+) [[r-1, r rho], [1, rho]]
+    _matrix_stream   leaf matrices X        root L              rows of X times L, R
+    _affine_stream   affine (s_k, t_k)      root (1, 0)         L, SR, second half reversed
+
+Rows longer than 2^20 are walked in blocks, so large n costs time but
+bounded memory; float reductions use numpy's pairwise summation (scalar
+accumulations use compensated sums).
 """
 
 from __future__ import annotations
@@ -27,11 +38,10 @@ import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import iter_pq_rows, pq_tables
+from .spinchain import _blocks, _generators, _last, _levels, iter_pq_rows, pq_tables
 
 BRUTE_CAP = 20
 LEAF_CAP = 26
-_CHUNK_LEVELS = 20
 
 
 @dataclass(frozen=True)
@@ -67,121 +77,56 @@ def _cpow(base, expo):
 
 
 # ---------------------------------------------------------------------------
-# Extended-row leaf streams
+# Leaf streams over the two-child kernel
 # ---------------------------------------------------------------------------
 
 
-def _pair_blocks(n: int, r: float) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stream the (p, q) pairs of the n-th extended row in blocks.
+def _blockdiag(A, B, zero):
+    return tuple(row + (zero,) * len(B) for row in A) + tuple((zero,) * len(A) + row for row in B)
 
-    The row is generated from the root pair (1, 1) by the two-child
-    step (p, q) -> (p + rho q, rho q) and ((r-1) p + rho q, r p + rho q);
-    n = 1 is the root itself.  Deep rows are walked depth-first with a
-    scalar prefix so that at most 2^_CHUNK_LEVELS pairs are in memory.
-    """
+
+def _pair_stream(params: Params):
+    _L, R, SR = _generators(params)
+    return (params.one, params.one), (R, SR), False
+
+
+def _quad_stream(params: Params):
+    one, r, rho = params.one, params.r, params.rho
+    zero = one - one
+    _L, R, SR = _generators(params)
+    A = _blockdiag(R, ((one, r * rho), (zero, rho)), zero)
+    B = _blockdiag(SR, ((r - one, r * rho), (one, rho)), zero)
+    return (one, one, one, zero), (A, B), False
+
+
+def _matrix_stream(params: Params):
+    # X = L M_1 ... M_{n-1} as (a, b, c, d); each row of X times L or R
+    L, R, _SR = _generators(params)
+    zero = params.one - params.one
+    Lt, Rt = tuple(zip(*L)), tuple(zip(*R))
+    return L[0] + L[1], (_blockdiag(Lt, Lt, zero), _blockdiag(Rt, Rt, zero)), False
+
+
+def _affine_stream(params: Params):
+    L, _R, SR = _generators(params)
+    return (params.one, params.one - params.one), (L, SR), True
+
+
+def _leaf_blocks(stream, n: int, r: float) -> Iterator[np.ndarray]:
+    """Row n of a float stream (depth n - 1) in bounded-memory blocks."""
     if n > LEAF_CAP:
         raise ValueError(f"n={n} exceeds the leaf-stream cap {LEAF_CAP}")
-    rho = 2.0 - r
-
-    def expand(p0: float, q0: float, levels: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        if levels <= _CHUNK_LEVELS:
-            p = np.array([p0])
-            q = np.array([q0])
-            for _ in range(levels):
-                pa = p + rho * q
-                qa = rho * q
-                pb = (r - 1.0) * p + rho * q
-                qb = r * p + rho * q
-                p = np.concatenate([pa, pb])
-                q = np.concatenate([qa, qb])
-            yield p, q
-        else:
-            yield from expand(p0 + rho * q0, rho * q0, levels - 1)
-            yield from expand((r - 1.0) * p0 + rho * q0, r * p0 + rho * q0, levels - 1)
-
-    yield from expand(1.0, 1.0, n - 1)
-
-
-def _quad_blocks(n: int, r: float) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Like :func:`_pair_blocks` but also carrying the (mu, nu) bookkeeping
-    needed to track where characters are evaluated; root carries (1, 0)."""
-    if n > LEAF_CAP:
-        raise ValueError(f"n={n} exceeds the leaf-stream cap {LEAF_CAP}")
-    rho = 2.0 - r
-
-    def expand(state, levels):
-        if levels <= _CHUNK_LEVELS:
-            p, q, mu, nu = (np.array([v]) for v in state)
-            for _ in range(levels):
-                pa, qa = p + rho * q, rho * q
-                mua, nua = mu + r * rho * nu, rho * nu
-                pb, qb = (r - 1.0) * p + rho * q, r * p + rho * q
-                mub, nub = (r - 1.0) * mu + r * rho * nu, mu + rho * nu
-                p = np.concatenate([pa, pb])
-                q = np.concatenate([qa, qb])
-                mu = np.concatenate([mua, mub])
-                nu = np.concatenate([nua, nub])
-            yield p, q, mu, nu
-        else:
-            p0, q0, m0, n0 = state
-            childA = (p0 + rho * q0, rho * q0, m0 + r * rho * n0, rho * n0)
-            childB = ((r - 1.0) * p0 + rho * q0, r * p0 + rho * q0,
-                      (r - 1.0) * m0 + r * rho * n0, m0 + rho * n0)
-            yield from expand(childA, levels - 1)
-            yield from expand(childB, levels - 1)
-
-    yield from expand((1.0, 1.0, 1.0, 0.0), n - 1)
+    return _blocks(stream, n - 1, Params.floating(r))
 
 
 def extended_pairs(n: int, params: Params) -> List[Tuple]:
     """The (p, q) pairs of the n-th extended row in the active ring.
 
-    Object-mode counterpart of :func:`_pair_blocks` for exact and
-    symbolic arithmetic (n = 1 is the root pair (1, 1)); used by the
-    exact transfer-identity routes and by cross-construction tests.
+    n = 1 is the root pair (1, 1); used by cross-construction checks
+    against the reflected tree rows.
     """
-    if n - 1 > 16:
-        raise ValueError("exact extended rows capped at n = 17")
-    one = params.one
-    r, rho = params.r, params.rho
-    pairs = [(one, one)]
-    for _ in range(n - 1):
-        nxt = []
-        for p0, q0 in pairs:
-            nxt.append((p0 + rho * q0, rho * q0))
-            nxt.append(((r - 1) * p0 + rho * q0, r * p0 + rho * q0))
-        pairs = nxt
-    return pairs
-
-
-def _matrix_blocks(n: int, r: float) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Stream the matrix entries (a, b, c, d) of X = L M_1 ... M_{n-1}
-    over all leaves of tree row n, in blocks."""
-    if n > LEAF_CAP:
-        raise ValueError(f"n={n} exceeds the leaf-stream cap {LEAF_CAP}")
-    rho = 2.0 - r
-
-    def expand(state, levels):
-        if levels <= _CHUNK_LEVELS:
-            a, b, c, d = (np.array([v]) for v in state)
-            for _ in range(levels):
-                aL, bL = a + b * (2.0 - rho), b * rho
-                cL, dL = c + d * (2.0 - rho), d * rho
-                aR, bR = a, (a + b) * rho
-                cR, dR = c, (c + d) * rho
-                a = np.concatenate([aL, aR])
-                b = np.concatenate([bL, bR])
-                c = np.concatenate([cL, cR])
-                d = np.concatenate([dL, dR])
-            yield a, b, c, d
-        else:
-            a0, b0, c0, d0 = state
-            left = (a0 + b0 * (2.0 - rho), b0 * rho, c0 + d0 * (2.0 - rho), d0 * rho)
-            right = (a0, (a0 + b0) * rho, c0, (c0 + d0) * rho)
-            yield from expand(left, levels - 1)
-            yield from expand(right, levels - 1)
-
-    yield from expand((1.0, 0.0, 2.0 - rho, rho), n - 1)
+    p, q = _last(_levels(_pair_stream, n - 1, params))
+    return list(zip(p.tolist(), q.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +172,7 @@ def iterate_one(x: float, q: TransferQuery) -> complex:
     (p r x + rho q)^(-2s)."""
     s = complex(q.s)
     total = 0.0 + 0.0j
-    for p_arr, q_arr in _pair_blocks(q.n, q.r):
+    for p_arr, q_arr in _leaf_blocks(_pair_stream, q.n, q.r):
         base = p_arr * (q.r * x) + q.rho * q_arr
         total += np.sum(_cpow(base, -2.0 * s))
     return 2.0 * _cpow(q.rho, q.n * s) * total
@@ -246,7 +191,7 @@ def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
         return iterate_one(x, q)
     total = 0.0 + 0.0j
     two_pi_m = 2.0j * math.pi * m
-    for p_arr, q_arr, mu, nu in _quad_blocks(q.n, q.r):
+    for p_arr, q_arr, mu, nu in _leaf_blocks(_quad_stream, q.n, q.r):
         den = p_arr * (q.r * x) + q.rho * q_arr
         n0 = mu * x + q.rho * nu
         n1 = den - n0
@@ -259,19 +204,10 @@ def affine_tables(k: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
     """The affine-coefficient tables (s_k, t_k) over k-bit words.
 
     s_0 = (1,), t_0 = (0,), extended by prepending a bit with the same
-    complement-flip pattern as the vertex recursions.  They describe
-    where the k+1-st iterate evaluates its argument away from x = 1.
+    complement-flip pattern as the tree rows.  They describe where the
+    k+1-st iterate evaluates its argument away from x = 1.
     """
-    s = np.array([1.0])
-    t = np.array([0.0])
-    rho = 2.0 - r
-    for _ in range(k):
-        s_rev, t_rev = s[::-1], t[::-1]
-        s_hi = (r - 1.0) * s_rev + rho * t_rev
-        t_lo = r * s + rho * t
-        t_hi = r * s_rev + rho * t_rev
-        s = np.concatenate([s, s_hi])
-        t = np.concatenate([t_lo, t_hi])
+    s, t = _last(_levels(_affine_stream, k, Params.floating(r)))
     return s, t
 
 
@@ -290,7 +226,7 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
             * f( (p_k(sigma) - u s_{k+1}(tau)) / (q_k(sigma) - u t_{k+1}(tau)) )
 
     times rho^((k+1)s).  At x = 1 this collapses to twice the plain
-    leaf sum of q_k^(-2s) f(p_k/q_k).  `f` is applied to numpy arrays.
+    leaf sum of q_k^(-2s) f(p_k/q_k).  `f` must accept numpy arrays.
     """
     if k + 1 > LEAF_CAP:
         raise ValueError("k exceeds the leaf cap")
@@ -306,16 +242,8 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
     for i in (0, 1):
         den = q_arr - u * t_pairs[:, i]
         args = (p_arr - u * s_pairs[:, i]) / den
-        total += np.sum(_cpow(den, -2.0 * s) * _apply(f, args))
+        total += np.sum(_cpow(den, -2.0 * s) * f(args))
     return _cpow(2.0 - r, (k + 1) * s) * total
-
-
-def _apply(f: Callable, arr: np.ndarray) -> np.ndarray:
-    try:
-        out = f(arr)
-        return np.asarray(out)
-    except Exception:
-        return np.array([f(v) for v in arr])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +268,7 @@ def trace_power(q: TransferQuery, signed: bool = False) -> complex:
     rho_n = q.rho**q.n
     pref = _cpow(q.rho, q.n * s)
     total = 0.0 + 0.0j
-    for a, b, c, d in _matrix_blocks(q.n, q.r):
+    for a, b, c, d in _leaf_blocks(_matrix_stream, q.n, q.r):
         T0 = a + d
         T1 = a * (q.r - 1.0) + b * q.r + c * (2.0 - q.r) + d * (1.0 - q.r)
         s0 = np.sqrt(T0 * T0 - 4.0 * rho_n)
@@ -366,7 +294,7 @@ def periodic_sum_xi(q: TransferQuery) -> complex:
     rho_n = q.rho**q.n
     pref = _cpow(4.0, s) * _cpow(q.rho, q.n * s)
     total = 0.0 + 0.0j
-    for a, b, c, d in _matrix_blocks(q.n, q.r):
+    for a, b, c, d in _leaf_blocks(_matrix_stream, q.n, q.r):
         T0 = a + d
         T1 = a * (q.r - 1.0) + b * q.r + c * (2.0 - q.r) + d * (1.0 - q.r)
         s0 = np.sqrt(np.maximum(T0 * T0 - 4.0 * rho_n, 0.0))
@@ -604,15 +532,11 @@ def _aitken(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(d2) > 1e-300, out, x[2:])
 
 
-def power_ratio_sequence(s: float, r: float, n_max: int) -> np.ndarray:
-    """Ratios a_{n+1}/a_n of a_n = (P^n 1)(1), computed from row sums."""
-    a = []
+def _power_sums(s: float, r: float, n_max: int) -> Iterator[float]:
+    """a_n = (P^n 1)(1) = 2 rho^(ns) sum_sigma q_{n-1}(sigma)^(-2s), n = 1 .. n_max."""
     rho = 2.0 - r
     for k, _p, q_arr in iter_pq_rows(n_max - 1, r):
-        n = k + 1
-        a.append(2.0 * rho ** (n * s) * float(np.sum(q_arr ** (-2.0 * s))))
-    a = np.array(a)
-    return a[1:] / a[:-1]
+        yield 2.0 * rho ** ((k + 1) * s) * float(np.sum(q_arr ** (-2.0 * s)))
 
 
 def collocation_spectrum(s: float, r: float, dim: int = 48) -> np.ndarray:
@@ -642,8 +566,8 @@ def spectral_radius(
 ) -> SpectralRadius:
     """Leading eigenvalue of P_{s,r} for real s, r < 1.
 
-    ``power``: Aitken-extrapolated power ratios of the exact leaf sums
-    a_n = (P^n 1)(1), returned with an honest error bar even if tol is
+    ``power``: Aitken-extrapolated ratios a_{n+1}/a_n of the exact leaf
+    sums a_n = (P^n 1)(1), returned with an honest error bar even if tol is
     not reached by n_cap.  ``collocation``: eigenvalue of the Chebyshev
     compression, error bar from a lower-dimension rerun.  ``auto``
     (default) runs the power ratios first; near r = 1 the subdominant
@@ -671,10 +595,15 @@ def spectral_radius(
 
 
 def _power_radius(s: float, r: float, tol: float, n_cap: int):
+    """Extrapolated ratios at n = 12, 16, ... up to n_cap, from one walk down the rows."""
     n = min(12, n_cap)
     est_prev: Optional[float] = None
-    while True:
-        seq = power_ratio_sequence(s, r, n)
+    a: List[float] = []
+    for a_n in _power_sums(s, r, n_cap):
+        a.append(a_n)
+        if len(a) < n:
+            continue
+        seq = np.array(a[1:]) / np.array(a[:-1])
         while len(seq) >= 5:
             nxt = _aitken(seq)
             if not np.all(np.isfinite(nxt)):

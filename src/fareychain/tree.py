@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from .maps import involution_pair
 from .rings import Params, RhoPoly
-from .spinchain import pq_tables
+from .spinchain import _levels, _tree_stream, pq_tables
 from .words import SpinWord, all_words
 
 # rho used only to order symbolic nodes; the order is the same for all
@@ -144,18 +144,25 @@ def build_row(n: int, params: Params) -> TreeRow:
     if n < 1:
         raise ValueError("rows start at n = 1")
     table = pq_tables(n - 1, params)
-    nodes = [
-        FareyNode(table.p[w.index], table.q[w.index], n, w)
-        for w in all_words(n - 1)
-    ]
-    return TreeRow(n, nodes)
+    return _tree_row(n, table.p, table.q)
+
+
+def build_rows(n: int, params: Params) -> List[TreeRow]:
+    """Rows 1 .. n of the tree, from one walk down the recursions."""
+    if n < 1:
+        return []
+    return [_tree_row(k + 1, p, q) for k, (p, q) in enumerate(_levels(_tree_stream, n - 1, params))]
+
+
+def _tree_row(n: int, p: Sequence, q: Sequence) -> TreeRow:
+    return TreeRow(n, [FareyNode(p[w.index], q[w.index], n, w) for w in all_words(n - 1)])
 
 
 def full_tree(n: int, params: Params) -> List[FareyNode]:
     """All vertices of T_n = endpoints plus rows 1..n, sorted in [0, 1]."""
     nodes = root_endpoints(params)
-    for m in range(1, n + 1):
-        nodes.extend(build_row(m, params).nodes)
+    for row in build_rows(n, params):
+        nodes.extend(row.nodes)
     nodes.sort(key=FareyNode.order_key)
     return nodes
 
@@ -229,12 +236,16 @@ def extended_row(n: int, params: Params) -> TreeRow:
     Stern-Brocot tree appear.  Nodes are ordered increasingly, the
     reflected half after the tree half.
     """
-    row = build_row(n, params)
+    return extend_row(build_row(n, params), params)
+
+
+def extend_row(row: TreeRow, params: Params) -> TreeRow:
+    """The tree row followed by its reflection, as in :func:`extended_row`."""
     reflected = []
     for node in reversed(row.nodes):
         p2, q2 = involution_pair(node.p, node.q, params)
-        reflected.append(FareyNode(p2, q2, n, node.path, reflected=True))
-    return TreeRow(n, list(row.nodes) + reflected)
+        reflected.append(FareyNode(p2, q2, row.level, node.path, reflected=True))
+    return TreeRow(row.level, list(row.nodes) + reflected)
 
 
 def node_records(row: TreeRow) -> List[dict]:
@@ -262,18 +273,18 @@ def tree_adjacency(n: int, params: Params) -> dict:
     """Rooted-tree JSON structure: nodes keyed by path word, parent links."""
     nodes = []
     edges = []
-    for level in range(1, n + 1):
-        for node in build_row(level, params).nodes:
+    for row in build_rows(n, params):
+        for node in row.nodes:
             sigma = "".join(map(str, node.path.to_bits()))
             nodes.append(
                 {
                     "id": sigma or "root",
-                    "level": level,
+                    "level": row.level,
                     "p": str(node.p),
                     "q": str(node.q),
                 }
             )
-            if level > 1:
+            if row.level > 1:
                 parent = sigma[:-1] or "root"
                 edges.append({"parent": parent, "child": sigma or "root", "bit": int(sigma[-1])})
     return {"nodes": nodes, "edges": edges}

@@ -118,7 +118,7 @@ def mu_twisted(m: int, q: int, method: str = "closed") -> int:
         q_red = q // g
         return euler_phi(q) // euler_phi(q_red) * moebius(q_red)
     if method == "direct":
-        units = _units(q)
+        units = _units_cached(q)
         phases = np.exp((2j * math.pi * (m % q if q > 1 else 0) / q) * units)
         total = complex(np.sum(phases))
         if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
@@ -135,13 +135,9 @@ def _units_cached(q: int) -> np.ndarray:
     return ks[np.gcd(ks, q) == 1].astype(float)
 
 
-def _units(q: int) -> np.ndarray:
-    return _units_cached(q)
-
-
 def unit_exponential_sums(q: int, ms: np.ndarray) -> np.ndarray:
     """sum over units p of e^(2 pi i m p / q) for all m in `ms` at once."""
-    u = _units(q)
+    u = _units_cached(q)
     angles = (2.0 * math.pi / q) * np.outer(np.mod(ms, q) if q > 1 else np.zeros_like(ms), u)
     return np.exp(1j * angles).sum(axis=1)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fareychain import spinchain
 from fareychain.cli import main, parse_values
 
 
@@ -121,11 +122,21 @@ def test_verify_suite_exit_code(capsys):
     assert "checks passed" in out
 
 
-def test_cap_violations_reported(capsys):
-    code = main(["tree", "--rows", "30", "--mode", "symbolic"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "cap" in err
+def test_cap_violations_reported(capsys, monkeypatch):
+    levels = []
+    step = spinchain._step
+
+    def counted_step(*args):
+        levels.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(spinchain, "_step", counted_step)
+    for rows in ("18", "30"):
+        code = main(["tree", "--rows", rows, "--mode", "symbolic"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cap" in err
+    assert not levels  # the cap fails before any level is built
 
 
 def test_missing_r_reported():
@@ -133,8 +144,12 @@ def test_missing_r_reported():
         main(["tree", "--rows", "3"])
 
 
-def test_threads_flag(capsys):
-    code, out = run(capsys, "phase", "--r-grid", "0:0.2:0.2", "--tol", "1e-3", "--threads", "2")
-    assert code == 0
-    rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
-    assert len(rows) == 2
+def test_leaf_records_carry_no_error_field(capsys):
+    for argv in (("trace", "--n", "3", "--s", "1", "--r", "0.5"),
+                 ("xi", "--n", "3", "--s", "1", "--r", "0.5"),
+                 ("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "0.5")):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        recs = [json.loads(l) for l in out.splitlines()[1:]]
+        assert len(recs) == 3
+        assert all("error_estimate" not in rec for rec in recs)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fareychain import spinchain
+from fareychain import spinchain, transfer
 from fareychain.rings import ONE, RHO, Params, RhoPoly
 from fareychain.words import SpinWord, all_words, bit_reverse_index
 
@@ -235,3 +235,25 @@ def test_caps_enforced():
         spinchain.pq_tables(17, SYM)
     with pytest.raises(ValueError):
         spinchain.fourier_transform(list(range(8)), 2)
+
+
+STREAMS = {
+    "tree rows": spinchain._tree_stream,
+    "affine": transfer._affine_stream,
+    "extended rows": transfer._pair_stream,
+    "quad": transfer._quad_stream,
+    "leaf matrices": transfer._matrix_stream,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_float_stream_equals_symbolic_stream(name, r):
+    stream = STREAMS[name]
+    rho = 2.0 - r
+    evaluate = np.vectorize(lambda v: float(v(rho)), otypes=[float])
+    floats = spinchain._levels(stream, 8, Params.floating(r))
+    polys = spinchain._levels(stream, 8, SYM)
+    for k, (fl, sym) in enumerate(zip(floats, polys)):
+        assert fl.shape == sym.shape == (fl.shape[0], 1 << k)
+        assert np.allclose(fl, evaluate(sym), rtol=1e-13, atol=0.0)

@@ -159,5 +159,13 @@ def test_direct_magnetization_cap():
 
 
 def test_thermo_point_bundle():
-    pt = thermo.thermo_point(0.5, 1.5, 10)
-    assert pt.ZC >= 1.0 and pt.ZG > 0 and pt.Fn >= 0 and -1 <= pt.Mn <= 1
+    s_values = [0.7, 1.5]
+    for r in (0.0, 0.5):
+        p = Params.floating(r)
+        pts = thermo.thermo_sweep(r, s_values, 10)
+        assert [(pt.s, pt.n) for pt in pts] == [(s, n) for s in s_values for n in range(2, 11)]
+        for pt in pts:
+            assert pt.r == r
+            assert pt.ZC == thermo.canonical_Z(pt.n, pt.s, p)
+            assert pt.Fn == thermo.free_energy(pt.n, pt.s, p)
+            assert pt.Mn == thermo.magnetization(pt.n, pt.s, p, "identity")

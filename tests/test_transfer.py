@@ -271,3 +271,24 @@ def test_query_validation():
         TransferQuery(1.0, 2.0, 1)
     with pytest.raises(ValueError):
         TransferQuery(1.0, 0.5, 0)
+
+
+def test_depth_first_blocks_match_whole_rows(monkeypatch):
+    from fareychain import spinchain
+
+    q = TransferQuery(1.3, 0.6, 9)
+    routes = {
+        "iterate_one": lambda: transfer.iterate_one(0.3, q),
+        "iterate_character": lambda: transfer.iterate_character(0.3, q, 2),
+        "trace_power": lambda: transfer.trace_power(q),
+        "periodic_sum_xi": lambda: transfer.periodic_sum_xi(q),
+    }
+    whole = {name: f() for name, f in routes.items()}
+    monkeypatch.setattr(spinchain, "_CHUNK_LEVELS", 3)  # level 8 in 32 blocks of 2^3
+    for name, f in routes.items():
+        assert abs(f() - whole[name]) <= 1e-13 * abs(whole[name]), name
+
+
+def test_general_iterate_needs_array_ready_f():
+    with pytest.raises(TypeError):
+        transfer.iterate_general(math.cos, 0.4, 1.0, 0.5, 3)
