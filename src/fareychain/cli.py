@@ -224,11 +224,9 @@ def cmd_phase(args) -> int:
 
 
 def cmd_twisted(args) -> int:
-    rows = []
-    for n in range(1, args.n + 1):
-        val = twisted.twisted_Z(n, args.s, args.m, Params.floating(args.r))
-        rows.append({"r": args.r, "s": args.s, "m": args.m, "n": n,
-                     "value": [val.real, val.imag], "method": "tree-row sum"})
+    values = twisted.twisted_sums(args.n, args.s, args.m, Params.floating(args.r))
+    rows = [{"r": args.r, "s": args.s, "m": args.m, "n": n, "value": [val.real, val.imag],
+             "method": "tree-row sum"} for n, val in enumerate(values, 1)]
     return _json_records(args, rows)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +43,8 @@ from .spinchain import _blocks, _generators, _last, _levels, iter_pq_rows, pq_ta
 
 BRUTE_CAP = 20
 LEAF_CAP = 26
+COLLOCATION_DIM = 48
+COLLOCATION_CHECK_DIM = 36  # the rerun whose difference is the error bar
 
 
 @dataclass(frozen=True)
@@ -167,15 +170,26 @@ def apply_bruteforce(f: Callable, x: float, q: TransferQuery, signed: bool = Fal
 # ---------------------------------------------------------------------------
 
 
+def _vertex_sum(level, x: float, s: complex, r: float, m: int) -> complex:
+    """The vertex terms of rho^(-ns) (P^n e_m)(x) summed over a block of the
+    n-th extended row: (p, q) columns for m = 0, (p, q, mu, nu) otherwise."""
+    rho = 2.0 - r
+    den = level[0] * (r * x) + rho * level[1]
+    if m == 0:
+        return 2.0 * np.sum(_cpow(den, -2.0 * s))
+    two_pi_m = 2.0j * math.pi * m
+    n0 = level[2] * x + rho * level[3]
+    phases = np.exp(two_pi_m * (n0 / den)) + np.exp(two_pi_m * ((den - n0) / den))
+    return np.sum(_cpow(den, -2.0 * s) * phases)
+
+
 def iterate_one(x: float, q: TransferQuery) -> complex:
     """(P^n 1)(x) = 2 rho^(ns) * sum over the n-th extended row of
     (p r x + rho q)^(-2s)."""
     s = complex(q.s)
-    total = 0.0 + 0.0j
-    for p_arr, q_arr in _leaf_blocks(_pair_stream, q.n, q.r):
-        base = p_arr * (q.r * x) + q.rho * q_arr
-        total += np.sum(_cpow(base, -2.0 * s))
-    return 2.0 * _cpow(q.rho, q.n * s) * total
+    blocks = _leaf_blocks(_pair_stream, q.n, q.r)
+    total = sum((_vertex_sum(block, x, s, q.r, 0) for block in blocks), 0j)
+    return _cpow(q.rho, q.n * s) * total
 
 
 def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
@@ -186,18 +200,23 @@ def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
     recursion; the vertex contributes [e_m(n_0/den) + e_m(n_1/den)] *
     den^(-2s).  m = 0 reduces to :func:`iterate_one`.
     """
-    s = complex(q.s)
     if m == 0:
         return iterate_one(x, q)
-    total = 0.0 + 0.0j
-    two_pi_m = 2.0j * math.pi * m
-    for p_arr, q_arr, mu, nu in _leaf_blocks(_quad_stream, q.n, q.r):
-        den = p_arr * (q.r * x) + q.rho * q_arr
-        n0 = mu * x + q.rho * nu
-        n1 = den - n0
-        phases = np.exp(two_pi_m * (n0 / den)) + np.exp(two_pi_m * (n1 / den))
-        total += np.sum(_cpow(den, -2.0 * s) * phases)
+    s = complex(q.s)
+    blocks = _leaf_blocks(_quad_stream, q.n, q.r)
+    total = sum((_vertex_sum(block, x, s, q.r, m) for block in blocks), 0j)
     return _cpow(q.rho, q.n * s) * total
+
+
+def _character_sums(x: float, s: complex, r: float, m: int, n_max: int) -> Iterator[complex]:
+    """rho^(-ns) (P^n e_m)(x) for n = 1 .. n_max, from one walk down the
+    extended rows (whole rows, so memory grows like 2^n_max)."""
+    if n_max > LEAF_CAP:
+        raise ValueError(f"n={n_max} exceeds the leaf-stream cap {LEAF_CAP}")
+    s = complex(s)
+    stream = _pair_stream if m == 0 else _quad_stream
+    for level in _levels(stream, n_max - 1, Params.floating(r)):
+        yield _vertex_sum(level, x, s, r, m)
 
 
 def affine_tables(k: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -457,10 +476,11 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
 
 def smallest_determinant_zero(s: float, r: float, N: int = 18) -> float:
     """Smallest positive zero of det(1 - z P_s); its inverse is the
-    leading eigenvalue.  Newton iteration on the truncated entire series."""
+    leading eigenvalue.  Newton iteration on the truncated entire series,
+    started from the inverse of the collocation eigenvalue."""
     d = fredholm_coefficients(s, r, N).real
     dp = d[1:] * np.arange(1, N + 1)
-    z = 1.0 / max(spectral_radius(s, r).value, 1e-12)
+    z = 1.0 / max(_collocation_lambda(s, r), 1e-12)
     for _ in range(80):
         f = float(np.polyval(d[::-1], z))
         fp = float(np.polyval(dp[::-1], z))
@@ -533,32 +553,60 @@ def _aitken(x: np.ndarray) -> np.ndarray:
 
 
 def _power_sums(s: float, r: float, n_max: int) -> Iterator[float]:
-    """a_n = (P^n 1)(1) = 2 rho^(ns) sum_sigma q_{n-1}(sigma)^(-2s), n = 1 .. n_max."""
+    """a_n = (P^n 1)(1) = 2 rho^(ns) sum_sigma q_{n-1}(sigma)^(-2s), n = 1 .. n_max.
+
+    Row k+1 of q is r p_k + rho q_k followed by its reverse (L and SR
+    share their second row), so a_{k+2} = 4 rho^((k+2)s) sum (r p_k +
+    rho q_k)^(-2s) comes from row k and row n_max - 1 is never built.
+    """
     rho = 2.0 - r
-    for k, _p, q_arr in iter_pq_rows(n_max - 1, r):
-        yield 2.0 * rho ** ((k + 1) * s) * float(np.sum(q_arr ** (-2.0 * s)))
+    yield 2.0 * rho**s * 2.0 ** (-2.0 * s)  # q_0 = 2
+    if n_max < 2:
+        return
+    for k, p, q in iter_pq_rows(n_max - 2, r):
+        yield 4.0 * rho ** ((k + 2) * s) * float(np.sum((r * p + rho * q) ** (-2.0 * s)))
 
 
-def collocation_spectrum(s: float, r: float, dim: int = 48) -> np.ndarray:
-    """Eigenvalues of the operator compressed to a Chebyshev grid.
+@lru_cache(maxsize=8)
+def _collocation_operator(r: float, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The s-independent parts of the Chebyshev compression of P_{s,r}.
 
-    The operator maps functions analytic on a disk containing [0, 1] to
-    themselves, so polynomial collocation converges geometrically in
-    the dimension; eigenvalues are returned sorted by modulus.
+    On the dim Chebyshev points x of [0, 1], P_{s,r} compresses to
+    diag(exp(s log w)) C with C = (V(Phi_0 x) + V(Phi_1 x)) V(x)^(-1) (V the
+    Chebyshev-Vandermonde matrix) and log w = log rho - 2 log(rho + r x);
+    returns (C, log w), read-only.
     """
     rho = 2.0 - r
     j = np.arange(dim)
     x = 0.5 * (1.0 - np.cos(np.pi * (j + 0.5) / dim))
     phi0 = x / (rho + r * x)
-    phi1 = 1.0 - phi0
-    w = rho**s / (rho + r * x) ** (2.0 * s)
 
     def chebvals(t: np.ndarray) -> np.ndarray:
         return np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1)
 
-    B = (w[:, None] * (chebvals(phi0) + chebvals(phi1))) @ np.linalg.inv(chebvals(x))
-    ev = np.linalg.eigvals(B)
+    C = (chebvals(phi0) + chebvals(1.0 - phi0)) @ np.linalg.inv(chebvals(x))
+    log_w = math.log(rho) - 2.0 * np.log(rho + r * x)
+    C.flags.writeable = log_w.flags.writeable = False
+    return C, log_w
+
+
+def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIM) -> np.ndarray:
+    """Eigenvalues of the operator compressed to a Chebyshev grid.
+
+    The operator maps functions analytic on a disk containing [0, 1] to
+    themselves, so polynomial collocation converges geometrically in
+    the dimension; eigenvalues are returned sorted by modulus.  The
+    s-independent matrix C is built once per (r, dim) and cached, so a
+    call costs one row scaling and one eigen-solve.
+    """
+    C, log_w = _collocation_operator(float(r), dim)
+    ev = np.linalg.eigvals(np.exp(s * log_w)[:, None] * C)
     return ev[np.argsort(-np.abs(ev))]
+
+
+def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIM) -> float:
+    """The leading (Perron) eigenvalue of the dim-point compression."""
+    return float(np.max(collocation_spectrum(s, r, dim).real))
 
 
 def spectral_radius(
@@ -567,13 +615,16 @@ def spectral_radius(
     """Leading eigenvalue of P_{s,r} for real s, r < 1.
 
     ``power``: Aitken-extrapolated ratios a_{n+1}/a_n of the exact leaf
-    sums a_n = (P^n 1)(1), returned with an honest error bar even if tol is
-    not reached by n_cap.  ``collocation``: eigenvalue of the Chebyshev
-    compression, error bar from a lower-dimension rerun.  ``auto``
-    (default) runs the power ratios first; near r = 1 the subdominant
-    eigenvalue ratio approaches 1 and the ratio sequence cannot reach
-    tight tolerances by n <= n_cap, so the estimate is then refined by
-    collocation and cross-checked against the power ratios.
+    sums a_n = (P^n 1)(1), n <= n_cap, read from tree rows 0 .. n - 2
+    (see :func:`_power_sums`), returned with an honest error bar even if
+    tol is not reached by n_cap; ``iterations`` is the last n used.
+    ``collocation``: Perron eigenvalue of the dim-48 Chebyshev compression
+    (:func:`collocation_spectrum`, whose s-independent matrix is cached
+    per r), error bar from the dim-36 rerun.  ``auto`` (default) runs the
+    power ratios first; near r = 1 the subdominant eigenvalue ratio
+    approaches 1 and the ratio sequence cannot reach tight tolerances by
+    n <= n_cap, so the estimate is then refined by collocation and
+    cross-checked against the power ratios.
     """
     if r >= 1:
         raise ValueError("spectral radius requires r < 1")
@@ -595,7 +646,12 @@ def spectral_radius(
 
 
 def _power_radius(s: float, r: float, tol: float, n_cap: int):
-    """Extrapolated ratios at n = 12, 16, ... up to n_cap, from one walk down the rows."""
+    """Extrapolated ratios at n = 12, 16, ... up to n_cap, from one walk down the rows.
+
+    Aitken's transform is applied again only while it shrinks the spread of
+    the last two terms: past that noise floor, repeated transforms settle
+    on a spurious limit with a spread far below their actual error.
+    """
     n = min(12, n_cap)
     est_prev: Optional[float] = None
     a: List[float] = []
@@ -604,13 +660,14 @@ def _power_radius(s: float, r: float, tol: float, n_cap: int):
         if len(a) < n:
             continue
         seq = np.array(a[1:]) / np.array(a[:-1])
+        err = abs(float(seq[-1] - seq[-2])) if len(seq) >= 2 else math.inf
         while len(seq) >= 5:
             nxt = _aitken(seq)
-            if not np.all(np.isfinite(nxt)):
+            spread = abs(float(nxt[-1] - nxt[-2]))
+            if not np.all(np.isfinite(nxt)) or spread >= err:
                 break
-            seq = nxt
+            seq, err = nxt, spread
         est = float(seq[-1])
-        err = abs(est - float(seq[-2])) if len(seq) >= 2 else math.inf
         if est_prev is not None:
             err = max(err, abs(est - est_prev) * 0.5)
         if err <= tol or n >= n_cap:
@@ -620,9 +677,9 @@ def _power_radius(s: float, r: float, tol: float, n_cap: int):
 
 
 def _collocation_radius(s: float, r: float) -> SpectralRadius:
-    lam = float(np.max(collocation_spectrum(s, r, dim=48).real))
-    lam_small = float(np.max(collocation_spectrum(s, r, dim=36).real))
-    return SpectralRadius(lam, max(abs(lam - lam_small), 1e-14), "collocation", 48)
+    lam = _collocation_lambda(s, r)
+    lam_small = _collocation_lambda(s, r, COLLOCATION_CHECK_DIM)
+    return SpectralRadius(lam, max(abs(lam - lam_small), 1e-14), "collocation", COLLOCATION_DIM)
 
 
 def involution_residual(s: float, r: float, grid: Optional[np.ndarray] = None, n: int = 16) -> float:

@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .rings import Params
 from .spinchain import iter_pq_rows
-from .transfer import TransferQuery, iterate_character
+from .transfer import _character_sums
 
 SIEVE_LIMIT = 1_000_000
 
@@ -174,28 +174,36 @@ def dirichlet_partial(m: int, s: float, Q: int) -> Tuple[float, float]:
     return total, tail
 
 
-def twisted_Z(n: int, s: float, m: int, params: Params, method: str = "rows") -> complex:
-    """Twisted partition sum Z_n^(m)(s) = sum over tree vertices of
-    q^(-s) e^(2 pi i m p/q)  (the vertex 1/1 contributes 1).
+def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "rows") -> List[complex]:
+    """[Z_1^(m)(s), ..., Z_n^(m)(s)] from one walk down the rows, where
+    Z_n^(m)(s) = sum over tree vertices of q^(-s) e^(2 pi i m p/q)
+    (the vertex 1/1 contributes 1).
 
     ``rows`` sums the tree tables directly; ``transfer`` uses the
     character-iterate identity 2 Z_n^(m)(2s) = 1 + sum_{k<=n}
-    rho^(-ks) (P^k e_m)(1).  m = 0 recovers the canonical partition
-    function.
+    rho^(-ks) (P^k e_m)(1), whose rho prefactors cancel.  m = 0 recovers
+    the canonical partition function.
     """
-    p = params.as_float()
-    r = p.r_float
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = params.as_float().r_float
+    sums = []
     if method == "rows":
         total = 1.0 + 0.0j
         two_pi_m = 2j * math.pi * m
         for k, p_arr, q_arr in iter_pq_rows(n - 1, r):
             total += complex(np.sum(q_arr ** (-float(s)) * np.exp(two_pi_m * (p_arr / q_arr))))
-        return total
+            sums.append(total)
+        return sums
     if method == "transfer":
-        u = s / 2.0
-        rho = 2.0 - r
         total = 2.0 + 0.0j  # leading 1 plus the k = 0 term e_m(1) = 1
-        for k in range(1, n + 1):
-            total += rho ** (-k * u) * iterate_character(1.0, TransferQuery(u, r, k), m)
-        return total / 2.0
+        for row_sum in _character_sums(1.0, s / 2.0, r, m, n):
+            total += row_sum
+            sums.append(total / 2.0)
+        return sums
     raise ValueError(f"unknown method {method!r}")
+
+
+def twisted_Z(n: int, s: float, m: int, params: Params, method: str = "rows") -> complex:
+    """The twisted partition sum Z_n^(m)(s); see :func:`twisted_sums`."""
+    return twisted_sums(n, s, m, params, method)[-1]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,10 @@ def test_phase_grid(capsys):
     vals = [float(r[1]) for r in rows]
     assert vals[0] == pytest.approx(1.0, abs=1e-3)
     assert vals == sorted(vals)
+    for row in rows:
+        assert len(row) == 4
+        assert re.fullmatch(r"illinois on log lambda; \d+ evals; power-checked n=\d+", row[3])
+        assert 0.0 < float(row[2]) < 1e-4
 
 
 def test_thermo_sweep(capsys):

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fareychain import thermo
+from fareychain import thermo, transfer
 from fareychain.rings import Params
 
 
@@ -40,9 +41,10 @@ def test_cumulative_sum_identity():
     # canonical = 1 + sum of grand-canonical rows, exactly
     for rq in (Fraction(1, 3), Fraction(2, 5)):
         p = Params.exact(rq)
+        zg = [thermo.grand_Z(k, 4, p) for k in range(14)]
         for n in range(1, 15):
             zc = thermo.canonical_Z(n, 4, p)
-            assert zc == 1 + sum(thermo.grand_Z(k, 4, p) for k in range(n))
+            assert zc == 1 + sum(zg[:n])
             assert zc == thermo.canonical_Z(n, 4, p, "cumulative")
 
 
@@ -130,6 +132,45 @@ def test_magnetization_trends_across_transition():
 def test_critical_point_tent():
     cp = thermo.critical_line(Params.floating(0.0), tol=1e-7)
     assert abs(cp.s_cr - 1.0) <= 1e-6
+
+
+def _reference_critical_s(r: float) -> float:
+    """Bisection to 1e-10 on the dim-96 collocation eigenvalue."""
+    def g(s):
+        lam = float(np.max(transfer.collocation_spectrum(s / 2.0, r, dim=96).real))
+        return math.log(lam) - 0.5 * s * math.log(2.0 - r)
+
+    lo, hi = 0.5, 2.0
+    assert g(lo) > 0.0 > g(hi)
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_critical_error_bounds_reference():
+    for r in (0.2, 0.6, 0.9, 0.95):
+        cp = thermo.critical_line(Params.floating(r), tol=1e-6)
+        assert math.isfinite(cp.error) and 0.0 < cp.error <= 1e-6
+        assert abs(cp.s_cr - _reference_critical_s(r)) <= cp.error
+
+
+def test_critical_search_eigen_budget(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for r in (0.3, 0.95):
+        calls.clear()
+        cp = thermo.critical_line(Params.floating(r), tol=1e-6)
+        assert len(calls) <= 12
+        # the search evaluations at dim 48, then dims 48 and 36 once at the root
+        evals = int(re.fullmatch(r"illinois on log lambda; (\d+) evals; power-checked n=(\d+)", cp.method)[1])
+        assert calls == [(48, 48)] * (evals + 1) + [(36, 36)]
 
 
 def test_critical_point_endpoint_documented():

@@ -8,6 +8,7 @@ import pytest
 
 from fareychain import transfer
 from fareychain.rings import Params
+from fareychain.spinchain import iter_pq_rows
 from fareychain.transfer import TransferQuery
 
 
@@ -239,6 +240,19 @@ def test_spectral_radius_decreasing_in_s():
     for r in (0.2, 0.7):
         vals = [transfer.spectral_radius(s, r, tol=1e-9).value for s in (0.25, 0.75, 1.25, 2.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_power_sums_from_one_level_up():
+    # a_n from row n - 2 equals the whole-row sum 2 rho^(ns) sum q_{n-1}^(-2s)
+    for r in (0.3, 0.7, 0.95):
+        rho = 2.0 - r
+        for s in (0.55, 0.9):
+            sums = list(transfer._power_sums(s, r, 20))
+            rows = [2.0 * rho ** ((k + 1) * s) * np.sum(q ** (-2.0 * s)) for k, _p, q in iter_pq_rows(19, r)]
+            assert len(sums) == len(rows) == 20
+            for a, b in zip(sums, rows):
+                assert abs(a - b) <= 1e-14 * b
+    assert list(transfer._power_sums(0.7, 0.5, 1)) == [2.0 * 1.5**0.7 * 2.0**-1.4]
 
 
 def test_collocation_cross_checks_power_ratios():

@@ -6,6 +6,7 @@ import pytest
 
 from fareychain import thermo, twisted
 from fareychain.rings import Params
+from fareychain.spinchain import pq_tables
 
 
 def test_mu_specializations():
@@ -96,6 +97,27 @@ def test_twisted_dual_routes_agree():
                 a = twisted.twisted_Z(n, 2.6, m, p)
                 b = twisted.twisted_Z(n, 2.6, m, p, "transfer")
                 assert abs(a - b) <= 1e-11
+
+
+def test_one_walk_equals_per_n_loop():
+    s, N = 2.3, 12
+    for r in (0.4, 1.0):
+        p = Params.floating(r)
+        for m in (0, 1, 3):
+            per_n = []
+            for n in range(1, N + 1):
+                total = 1.0 + 0.0j
+                for k in range(n):
+                    t = pq_tables(k, p)
+                    total += complex(np.sum(t.q ** (-s) * np.exp(2j * math.pi * m * (t.p / t.q))))
+                per_n.append(total)
+            assert twisted.twisted_sums(N, s, m, p) == per_n
+            assert [twisted.twisted_Z(n, s, m, p) for n in range(1, N + 1)] == per_n
+            via_transfer = twisted.twisted_sums(N, s, m, p, "transfer")
+            assert len(via_transfer) == N
+            assert max(abs(a - b) for a, b in zip(via_transfer, per_n)) <= 1e-12
+    with pytest.raises(ValueError):
+        twisted.twisted_sums(0, s, 1, Params.floating(0.5))
 
 
 def test_twisted_conjugate_symmetry():
