@@ -155,24 +155,17 @@ def _json_records(args, rows: List[Dict]) -> int:
 
 
 def cmd_trace(args) -> int:
-    rows = []
-    for n in range(1, args.n + 1):
-        q = transfer.TransferQuery(args.s, args.r, n)
-        val = transfer.trace_power(q, signed=args.signed)
-        rows.append(
-            {"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag],
-             "method": "leaf trace pairs" + (" (signed)" if args.signed else "")}
-        )
+    values = transfer.trace_sums(args.n, args.s, args.r, signed=args.signed)
+    method = "leaf trace pairs" + (" (signed)" if args.signed else "")
+    rows = [{"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag], "method": method}
+            for n, val in enumerate(values, 1)]
     return _json_records(args, rows)
 
 
 def cmd_xi(args) -> int:
-    rows = []
-    for n in range(1, args.n + 1):
-        q = transfer.TransferQuery(args.s, args.r, n)
-        val = transfer.periodic_sum_xi(q)
-        rows.append({"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag],
-                     "method": "closed leaf sum"})
+    values = transfer.periodic_sums_xi(args.n, args.s, args.r)
+    rows = [{"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag], "method": "closed leaf sum"}
+            for n, val in enumerate(values, 1)]
     return _json_records(args, rows)
 
 

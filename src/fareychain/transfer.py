@@ -22,9 +22,21 @@ SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
     _matrix_stream   leaf matrices X        root L              rows of X times L, R
     _affine_stream   affine (s_k, t_k)      root (1, 0)         L, SR, second half reversed
 
-Rows longer than 2^20 are walked in blocks, so large n costs time but
-bounded memory; float reductions use numpy's pairwise summation (scalar
-accumulations use compensated sums).
+The single-n functions (:func:`iterate_one`, :func:`iterate_character`,
+:func:`trace_power`, :func:`periodic_sum_xi`) walk rows longer than 2^20
+in blocks, so large n costs time but bounded memory.  The series over
+n = 1 .. N each read one walk of whole rows, so memory grows like 2^N:
+the traces, Xi_n and both Fredholm determinants walk _matrix_stream
+(:func:`trace_sums`, :func:`periodic_sums_xi`, :func:`fredholm_and_zeta`,
+which takes all three series from one walk), and the twisted sums walk
+_pair_stream or _quad_stream (:func:`_character_sums`).  The per-level
+term formulas are written once and shared by both kinds of walk.
+
+A character e_m enters through vertex pairs e_m(n_0/den) + e_m(n_1/den)
+with n_0 + n_1 = den; for integer m, e_m(1 - t) is the conjugate of
+e_m(t), so each pair is the real phase 2 cos(2 pi m n_0/den), and
+non-integer m is rejected.  Float reductions use numpy's pairwise
+summation (scalar accumulations use compensated sums).
 """
 
 from __future__ import annotations
@@ -170,17 +182,25 @@ def apply_bruteforce(f: Callable, x: float, q: TransferQuery, signed: bool = Fal
 # ---------------------------------------------------------------------------
 
 
+def _require_integer(m) -> None:
+    if not float(m).is_integer():
+        raise ValueError(f"the character order m must be an integer, got {m!r}")
+
+
 def _vertex_sum(level, x: float, s: complex, r: float, m: int) -> complex:
     """The vertex terms of rho^(-ns) (P^n e_m)(x) summed over a block of the
-    n-th extended row: (p, q) columns for m = 0, (p, q, mu, nu) otherwise."""
+    n-th extended row: (p, q) columns for m = 0, (p, q, mu, nu) otherwise.
+
+    A vertex contributes den^(-2s) [e_m(n_0/den) + e_m(n_1/den)] with
+    n_1 = den - n_0; for integer m, e_m(1 - t) is the conjugate of e_m(t),
+    so the pair is the real 2 cos(2 pi m n_0/den).
+    """
     rho = 2.0 - r
     den = level[0] * (r * x) + rho * level[1]
     if m == 0:
         return 2.0 * np.sum(_cpow(den, -2.0 * s))
-    two_pi_m = 2.0j * math.pi * m
-    n0 = level[2] * x + rho * level[3]
-    phases = np.exp(two_pi_m * (n0 / den)) + np.exp(two_pi_m * ((den - n0) / den))
-    return np.sum(_cpow(den, -2.0 * s) * phases)
+    phase = np.cos((2.0 * math.pi * m) * ((level[2] * x + rho * level[3]) / den))  # n_0 / den
+    return 2.0 * np.sum(_cpow(den, -2.0 * s) * phase)
 
 
 def iterate_one(x: float, q: TransferQuery) -> complex:
@@ -198,10 +218,13 @@ def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
     Each extended-row vertex carries a split (n_0, n_1) of its weight
     denominator, n_0 + n_1 = p r x + rho q, built by the same two-child
     recursion; the vertex contributes [e_m(n_0/den) + e_m(n_1/den)] *
-    den^(-2s).  m = 0 reduces to :func:`iterate_one`.
+    den^(-2s) = 2 cos(2 pi m n_0/den) den^(-2s), since e_m(1 - t) is the
+    conjugate of e_m(t).  That identity needs integer m, so any other m
+    raises ValueError.  m = 0 reduces to :func:`iterate_one`.
     """
     if m == 0:
         return iterate_one(x, q)
+    _require_integer(m)
     s = complex(q.s)
     blocks = _leaf_blocks(_quad_stream, q.n, q.r)
     total = sum((_vertex_sum(block, x, s, q.r, m) for block in blocks), 0j)
@@ -213,6 +236,7 @@ def _character_sums(x: float, s: complex, r: float, m: int, n_max: int) -> Itera
     extended rows (whole rows, so memory grows like 2^n_max)."""
     if n_max > LEAF_CAP:
         raise ValueError(f"n={n_max} exceeds the leaf-stream cap {LEAF_CAP}")
+    _require_integer(m)
     s = complex(s)
     stream = _pair_stream if m == 0 else _quad_stream
     for level in _levels(stream, n_max - 1, Params.floating(r)):
@@ -270,6 +294,61 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
 # ---------------------------------------------------------------------------
 
 
+def _pair_traces(X: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray]:
+    """T_0 = trace X and T_1 = trace XS for leaf matrices X = (a, b, c, d)."""
+    a, b, c, d = X
+    return a + d, a * (r - 1.0) + b * r + c * (2.0 - r) + d * (1.0 - r)
+
+
+def _trace_value(pairs, r: float, n: int, s: complex, signed: bool) -> complex:
+    """trace(P^n) from the (T_0, T_1) of the leaves of row n, in blocks."""
+    rho = 2.0 - r
+    rho_n = rho**n
+    total = 0.0 + 0.0j
+    for T0, T1 in pairs:
+        s0 = np.sqrt(T0 * T0 - 4.0 * rho_n)
+        s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
+        term0 = _cpow(2.0 / (T0 + s0), 2.0 * s - 1.0) / s0
+        term1 = _cpow(2.0 / (T1 + s1), 2.0 * s - 1.0) / s1
+        total += np.sum(term0) + (-1.0 if signed else 1.0) * np.sum(term1)
+    return _cpow(rho, n * s) * total
+
+
+def _xi_value(pairs, r: float, n: int, s: complex) -> complex:
+    """Xi_n(s) from the (T_0, T_1) of the leaves of row n, in blocks."""
+    rho = 2.0 - r
+    rho_n = rho**n
+    total = 0.0 + 0.0j
+    for T0, T1 in pairs:
+        s0 = np.sqrt(np.maximum(T0 * T0 - 4.0 * rho_n, 0.0))
+        s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
+        total += np.sum(_cpow(T0 + s0, -2.0 * s)) + np.sum(_cpow(T1 + s1, -2.0 * s))
+    return _cpow(4.0, s) * _cpow(rho, n * s) * total
+
+
+def _trace_rows(n: int, r: float) -> Iterator[Tuple[int, list]]:
+    """(k, [(T_0, T_1)]) for rows k = 1 .. n of the leaf matrices, from one
+    walk down _matrix_stream (whole rows, so memory grows like 2^n)."""
+    if n > LEAF_CAP:
+        raise ValueError(f"n={n} exceeds the leaf-stream cap {LEAF_CAP}")
+    for k, X in enumerate(_levels(_matrix_stream, n - 1, Params.floating(r)), 1):
+        yield k, [_pair_traces(X, r)]
+
+
+def _block_traces(q: TransferQuery):
+    return (_pair_traces(X, q.r) for X in _leaf_blocks(_matrix_stream, q.n, q.r))
+
+
+def _require_trace_class(r: float) -> None:
+    if r >= 1:
+        raise ValueError("traces require r < 1 (divergent as r -> 1)")
+
+
+def _require_xi_range(r: float) -> None:
+    if r > 1:
+        raise ValueError("periodic sums implemented for r <= 1")
+
+
 def trace_power(q: TransferQuery, signed: bool = False) -> complex:
     """trace(P^n) (or of the signed operator) via the leaf trace pairs.
 
@@ -281,21 +360,15 @@ def trace_power(q: TransferQuery, signed: bool = False) -> complex:
     where T_0 = trace X and T_1 = trace XS.  Trace-class only for
     r < 1; the all-left leaf term diverges as r -> 1.
     """
-    if q.r >= 1:
-        raise ValueError("traces require r < 1 (divergent as r -> 1)")
-    s = complex(q.s)
-    rho_n = q.rho**q.n
-    pref = _cpow(q.rho, q.n * s)
-    total = 0.0 + 0.0j
-    for a, b, c, d in _leaf_blocks(_matrix_stream, q.n, q.r):
-        T0 = a + d
-        T1 = a * (q.r - 1.0) + b * q.r + c * (2.0 - q.r) + d * (1.0 - q.r)
-        s0 = np.sqrt(T0 * T0 - 4.0 * rho_n)
-        s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
-        term0 = _cpow(2.0 / (T0 + s0), 2.0 * s - 1.0) / s0
-        term1 = _cpow(2.0 / (T1 + s1), 2.0 * s - 1.0) / s1
-        total += np.sum(term0) + (-1.0 if signed else 1.0) * np.sum(term1)
-    return pref * total
+    _require_trace_class(q.r)
+    return _trace_value(_block_traces(q), q.r, q.n, complex(q.s), signed)
+
+
+def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
+    """[trace(P^1), ..., trace(P^n)] (see :func:`trace_power`) from one walk."""
+    TransferQuery(s, r, n)  # validates r and n
+    _require_trace_class(r)
+    return [_trace_value(pairs, r, k, complex(s), signed) for k, pairs in _trace_rows(n, r)]
 
 
 def periodic_sum_xi(q: TransferQuery) -> complex:
@@ -307,19 +380,15 @@ def periodic_sum_xi(q: TransferQuery) -> complex:
 
     Unlike the traces this stays finite at r = 1.
     """
-    if q.r > 1:
-        raise ValueError("periodic sums implemented for r <= 1")
-    s = complex(q.s)
-    rho_n = q.rho**q.n
-    pref = _cpow(4.0, s) * _cpow(q.rho, q.n * s)
-    total = 0.0 + 0.0j
-    for a, b, c, d in _leaf_blocks(_matrix_stream, q.n, q.r):
-        T0 = a + d
-        T1 = a * (q.r - 1.0) + b * q.r + c * (2.0 - q.r) + d * (1.0 - q.r)
-        s0 = np.sqrt(np.maximum(T0 * T0 - 4.0 * rho_n, 0.0))
-        s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
-        total += np.sum(_cpow(T0 + s0, -2.0 * s)) + np.sum(_cpow(T1 + s1, -2.0 * s))
-    return pref * total
+    _require_xi_range(q.r)
+    return _xi_value(_block_traces(q), q.r, q.n, complex(q.s))
+
+
+def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
+    """[Xi_1(s), ..., Xi_n(s)] (see :func:`periodic_sum_xi`) from one walk."""
+    TransferQuery(s, r, n)  # validates r and n
+    _require_xi_range(r)
+    return [_xi_value(pairs, r, k, complex(s)) for k, pairs in _trace_rows(n, r)]
 
 
 def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, float]:
@@ -421,8 +490,25 @@ def _newton_coefficients(traces: Sequence[complex]) -> np.ndarray:
 
 
 def fredholm_coefficients(s: complex, r: float, N: int, signed: bool = False) -> np.ndarray:
-    traces = [trace_power(TransferQuery(s, r, n), signed=signed) for n in range(1, N + 1)]
-    return _newton_coefficients(traces)
+    return _newton_coefficients(trace_sums(N, s, r, signed=signed))
+
+
+def _orbit_log_zeta(z: complex, xi: Sequence[complex], fit: bool) -> Tuple[complex, bool]:
+    """sum_{n<=N} z^n Xi_n / n over the given Xi_1 .. Xi_N, plus (if `fit`)
+    the closed tail c sum_{n>N} (z g)^n / n of the geometric fit
+    Xi_n ~ c g^n through the last two Xi; also whether that tail was added
+    (it needs |z g| < 1)."""
+    N = len(xi)
+    log_zeta = sum((z**n) * xi[n - 1] / n for n in range(1, N + 1))
+    if not fit or xi[-2] == 0:
+        return log_zeta, False
+    g = xi[-1] / xi[-2]
+    zg = z * g
+    if abs(zg) >= 1.0:
+        return log_zeta, False
+    c = xi[-1] / g**N
+    head = sum(zg**n / n for n in range(1, N + 1))
+    return log_zeta + c * (-cmath.log(1.0 - zg) - head), True
 
 
 def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float = 1e-9) -> FredholmZeta:
@@ -431,65 +517,82 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
     zeta is computed two independent ways: from the periodic-orbit sums
     as exp(sum z^n Xi_n / n), and as the determinant ratio
     det(1 - z P~_{s+1}) / det(1 - z P_s); inside the truncation-validated
-    radius the two must agree.
+    radius the two must agree.  tr P_s^n, tr P~_{s+1}^n and Xi_n(s) for
+    n <= N come from one walk down the leaf matrices.
 
     The Xi_n converge geometrically, Xi_n ~ c g^n, so the exponential
     route adds the closed tail of the fitted geometric sequence
-    (c sum_{n>N} (z g)^n / n via the log series); the quoted tail
-    estimate bounds what remains after that correction, from the
-    deviation of the last Xi from the fit.  The determinants use the
-    entire power series of the trace data (Plemelj-Smithies
-    coefficients), which converges for every z.
+    (c sum_{n>N} (z g)^n / n via the log series).  ``tail_estimate`` is
+    the error bar of that route alone: the change of the tail-corrected
+    orbit sum from truncation N - 1 (with its own fit) to N, floored at N
+    rounding units of zeta; it is infinite unless both truncations could
+    add a tail (N >= 3 and |z g| < 1).  The determinants use the entire
+    power series of the trace data (Plemelj-Smithies coefficients), which
+    converges for every z.  ``converged`` says that zeta is known to
+    `tol`: the two routes agree and the determinant ratio has settled,
+    |orbit sum - ratio| + |ratio_N - ratio_(N-1)| <= tol.
     """
     if r >= 1:
         raise ValueError("determinants require r < 1")
-    queries = [TransferQuery(s, r, n) for n in range(1, N + 1)]
-    tr = [trace_power(qq) for qq in queries]
-    tr_signed = [trace_power(TransferQuery(s + 1, r, n), signed=True) for n in range(1, N + 1)]
-    xi = [periodic_sum_xi(qq) for qq in queries]
+    TransferQuery(s, r, N)  # validates r and N
+    tr, tr_signed, xi = [], [], []
+    for k, pairs in _trace_rows(N, r):
+        tr.append(_trace_value(pairs, r, k, complex(s), False))
+        tr_signed.append(_trace_value(pairs, r, k, complex(s + 1), True))
+        xi.append(_xi_value(pairs, r, k, complex(s)))
     d = _newton_coefficients(tr)
     d_sgn = _newton_coefficients(tr_signed)
     powers = z ** np.arange(N + 1)
     det = complex(np.sum(d * powers))
     det_sgn = complex(np.sum(d_sgn * powers))
-    log_zeta = sum((z**n) * xi[n - 1] / n for n in range(1, N + 1))
-    tail = math.inf
-    if N >= 3 and xi[-2] != 0:
-        g = xi[-1] / xi[-2]
-        zg = z * g
-        if abs(zg) < 1.0:
-            c = xi[-1] / g**N
-            head = sum(zg**n / n for n in range(1, N + 1))
-            log_zeta += c * (-cmath.log(1.0 - zg) - head)
-            # what the geometric fit misses, propagated through the same sum
-            g_prev = xi[-2] / xi[-3]
-            dev = abs(xi[-1] - g_prev * xi[-2])
-            tail = dev * abs(z) ** (N + 1) / (N + 1) / max(1.0 - min(abs(zg), 0.99), 0.01)
-    zeta_exp = cmath.exp(log_zeta)
     zeta_ratio = det_sgn / det
+    ratio_prev = complex(np.sum(d_sgn[:-1] * powers[:-1])) / complex(np.sum(d[:-1] * powers[:-1]))
+    # truncation N - 1 needs two Xi of its own for the fit
+    log_zeta, fitted = _orbit_log_zeta(z, xi, N >= 3)
+    log_prev, fitted_prev = _orbit_log_zeta(z, xi[:-1], N >= 3)
+    zeta_exp = cmath.exp(log_zeta)
+    tail = math.inf
+    if fitted and fitted_prev:
+        tail = max(abs(zeta_exp - cmath.exp(log_prev)), N * np.finfo(float).eps * abs(zeta_exp))
     return FredholmZeta(
         z=z, s=s, r=r, truncation=N, det=det, det_signed_shift=det_sgn,
         zeta_exp=zeta_exp, zeta_ratio=zeta_ratio, tail_estimate=tail,
-        converged=tail <= tol,
+        converged=abs(zeta_exp - zeta_ratio) + abs(zeta_ratio - ratio_prev) <= tol,
     )
 
 
 def smallest_determinant_zero(s: float, r: float, N: int = 18) -> float:
     """Smallest positive zero of det(1 - z P_s); its inverse is the
     leading eigenvalue.  Newton iteration on the truncated entire series,
-    started from the inverse of the collocation eigenvalue."""
+    started from the inverse of the collocation eigenvalue.
+
+    Raises ArithmeticError unless Newton converges to a positive z at
+    which |det(1 - z P_s)| is small against sum |d_k| |z|^k: near r = 1
+    the truncated determinant can have no positive real zero at all.
+    """
     d = fredholm_coefficients(s, r, N).real
-    dp = d[1:] * np.arange(1, N + 1)
+    det = np.polynomial.Polynomial(d)
+    det_prime = det.deriv()
+    term_scale = np.polynomial.Polynomial(np.abs(d))  # sum |d_k| |z|^k at |z|
     z = 1.0 / max(_collocation_lambda(s, r), 1e-12)
+    converged = False
     for _ in range(80):
-        f = float(np.polyval(d[::-1], z))
-        fp = float(np.polyval(dp[::-1], z))
+        f, fp = float(det(z)), float(det_prime(z))
         if fp == 0:
             break
+        # a step from the rounding floor of det is the last one: past it the steps only wander
+        at_floor = abs(f) <= N * np.finfo(float).eps * float(term_scale(abs(z)))
         step = f / fp
         z -= step
-        if abs(step) < 1e-14 * max(1.0, abs(z)):
+        if at_floor or abs(step) < 1e-14 * max(1.0, abs(z)):
+            converged = True
             break
+    residual, scale = abs(float(det(z))), float(term_scale(abs(z)))
+    if not (converged and z > 0 and residual <= 1e-10 * scale):
+        raise ArithmeticError(
+            f"no positive zero of the N={N} determinant found: Newton stopped at z={z:.6g} "
+            f"with |det| = {residual:.3g} against a term scale {scale:.3g}"
+        )
     return z
 
 

@@ -158,3 +158,14 @@ def test_leaf_records_carry_no_error_field(capsys):
         recs = [json.loads(l) for l in out.splitlines()[1:]]
         assert len(recs) == 3
         assert all("error_estimate" not in rec for rec in recs)
+
+
+def test_empty_series_rejected(capsys):
+    for argv in (("trace", "--n", "0", "--s", "1", "--r", "0.5"),
+                 ("trace", "--n", "0", "--s", "1", "--r", "0.5", "--signed"),
+                 ("xi", "--n", "-2", "--s", "1", "--r", "0.5"),
+                 ("zeta", "--N", "0")):
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be >= 1" in captured.err

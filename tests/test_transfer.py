@@ -306,3 +306,112 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
 def test_general_iterate_needs_array_ready_f():
     with pytest.raises(TypeError):
         transfer.iterate_general(math.cos, 0.4, 1.0, 0.5, 3)
+
+
+def test_series_equal_per_n_values():
+    for r in (0.3, 0.6, 0.9):
+        for s in (0.5, 1.0, 1.2 + 0.4j):
+            for signed in (False, True):
+                per_n = [transfer.trace_power(TransferQuery(s, r, n), signed=signed) for n in range(1, 15)]
+                assert transfer.trace_sums(14, s, r, signed=signed) == per_n
+    for r in (0.3, 0.6, 0.9, 1.0):
+        for s in (0.5, 1.0, 1.2 + 0.4j):
+            per_n = [transfer.periodic_sum_xi(TransferQuery(s, r, n)) for n in range(1, 15)]
+            assert transfer.periodic_sums_xi(14, s, r) == per_n
+
+
+def test_series_take_one_walk(monkeypatch):
+    from fareychain import spinchain
+
+    steps = []
+    step = spinchain._step
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(spinchain, "_step", counted_step)
+    transfer.fredholm_and_zeta(0.5, 1.0, 0.55, N=14)
+    assert len(steps) == 13
+    steps.clear()
+    transfer.trace_sums(18, 1.1, 0.6, signed=True)
+    assert len(steps) == 17
+    steps.clear()
+    transfer.periodic_sums_xi(18, 1.1, 0.6)
+    assert len(steps) == 17
+
+
+def test_series_reject_empty():
+    with pytest.raises(ValueError):
+        transfer.trace_sums(0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        transfer.periodic_sums_xi(-2, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        transfer.fredholm_and_zeta(0.5, 1.0, 0.5, N=0)
+
+
+def _character_reference(x, s, r, n, m):
+    """(P^n e_m)(x) over all 2^n branch words in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r, x, s = mpmath.mpf(r), mpmath.mpf(x), mpmath.mpc(s)
+        rho = 2 - r
+        total = mpmath.mpc(0)
+        for word in range(1 << n):
+            y, weight = x, mpmath.mpf(1)
+            for i in range(n):
+                den = rho + r * y
+                weight *= rho / den**2
+                y = y / den
+                if (word >> i) & 1:
+                    y = 1 - y
+            total += mpmath.exp(s * mpmath.log(weight)) * mpmath.expjpi(2 * m * y)
+        return complex(total)
+
+
+def test_character_iterate_against_high_precision():
+    rng = random.Random(11)
+    for draw in range(10):
+        n = rng.randint(6, 11)
+        r = rng.uniform(0.0, 1.2)
+        m = rng.choice([-3, -2, -1, 1, 2, 3])
+        x = rng.random()
+        s = rng.uniform(0.4, 2.0)
+        if draw % 2:
+            s = complex(s, rng.uniform(-1.0, 1.0))
+        ref = _character_reference(x, s, r, n, m)
+        val = transfer.iterate_character(x, TransferQuery(s, r, n), m)
+        assert abs(val - ref) <= 1e-13 * max(abs(ref), 1e-12), (n, r, m, x, s)
+
+
+def test_character_order_must_be_integer():
+    from fareychain import twisted
+
+    q = TransferQuery(1.5, 0.3, 4)
+    with pytest.raises(ValueError):
+        transfer.iterate_character(0.3, q, 1.5)
+    with pytest.raises(ValueError):
+        twisted.twisted_sums(4, 1.4, 0.5, Params.floating(0.3), "transfer")
+    assert transfer.iterate_character(0.3, q, 2.0) == transfer.iterate_character(0.3, q, 2)
+
+
+def test_zeta_error_bar_bounds_route_gap():
+    # the determinant ratio is converged on this grid (it moves by ~1e-15
+    # from N = 14 to 16), so the gap is the orbit-sum error
+    for r in np.linspace(0.45, 0.75, 4):
+        for s in np.linspace(0.9, 1.5, 4):
+            for z in np.linspace(0.2, 0.6, 5):
+                fz = transfer.fredholm_and_zeta(complex(z), s, r, N=14)
+                gap = abs(fz.zeta_exp - fz.zeta_ratio)
+                assert gap <= fz.tail_estimate, (r, s, z)
+                if fz.converged:
+                    assert gap <= 1e-9
+
+
+def test_determinant_zero_rejects_non_zeros():
+    from fareychain import thermo
+
+    for r in (0.9, 0.95):
+        s = thermo.critical_line(Params.floating(r)).s_cr / 2.0
+        with pytest.raises(ArithmeticError):
+            transfer.smallest_determinant_zero(s, r, N=18)
