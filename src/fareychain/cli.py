@@ -78,9 +78,9 @@ def emit(records: Iterable[Dict], fieldnames: Sequence[str], args) -> None:
             for rec in records:
                 writer.writerow(rec)
         else:
-            fh.write(json.dumps({"meta": meta}) + "\n")
+            fh.write(json.dumps({"meta": meta}, allow_nan=False) + "\n")
             for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+                fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +183,17 @@ def cmd_zeta(args) -> int:
         "zeta_orbit_sum": [fz.zeta_exp.real, fz.zeta_exp.imag],
         "zeta_det_ratio": [fz.zeta_ratio.real, fz.zeta_ratio.imag],
         "method": "trace power series + orbit sums",
-        "error_estimate": fz.tail_estimate,
+        "error_estimate": fz.tail_estimate if math.isfinite(fz.tail_estimate) else None,
         "converged": fz.converged,
     }]
+    if rows[0]["error_estimate"] is None:
+        rows[0]["error_reason"] = "no tail fit of the orbit sums at N - 1 and N (needs N >= 3 and |z g| < 1)"
     return _json_records(args, rows)
 
 
 def cmd_lambda(args) -> int:
     res = transfer.spectral_radius(args.s, args.r, tol=args.tol)
-    rows = [{"r": args.r, "s": args.s, "n": res.iterations, "value": res.value,
+    rows = [{"r": args.r, "s": args.s, "dim": res.dim, "value": res.value,
              "method": res.method, "error_estimate": res.error}]
     return _json_records(args, rows)
 
@@ -209,10 +211,10 @@ def cmd_thermo(args) -> int:
 def cmd_phase(args) -> int:
     pts = [thermo.critical_line(Params.floating(r), tol=args.tol) for r in parse_values(args.r_grid)]
     records = [
-        {"r": pt.r, "s_cr": repr(pt.s_cr), "error": repr(pt.error), "method": pt.method}
+        {"r": pt.r, "s_cr": repr(pt.s_cr), "error": repr(pt.error), "slope": repr(pt.slope), "method": pt.method}
         for pt in pts
     ]
-    emit(records, ["r", "s_cr", "error", "method"], args)
+    emit(records, ["r", "s_cr", "error", "slope", "method"], args)
     return 0
 
 

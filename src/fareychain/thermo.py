@@ -21,16 +21,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .rings import Params, balanced_sum
 from .spinchain import _levels, _tree_stream, pc_qc_tables, pq_tables
-from .transfer import COLLOCATION_CHECK_DIM, _collocation_lambda, _pair_stream, spectral_radius
+from .transfer import _adaptive, _collocation_lambda, _lobatto_lambda, _pair_stream, spectral_radius
 
 DIRECT_MAGNETIZATION_CAP = 22
-CRITICAL_R_CAP = 0.97
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,7 @@ class CriticalPoint:
     r: float
     s_cr: float
     error: float
+    slope: float  # |g'(s_cr)|, the jump of dF/ds at the transition (the latent heat)
     method: str
 
 
@@ -195,39 +195,11 @@ def _identity_magnetization(zg: Sequence[float], n: int) -> float:
     return numer / zc
 
 
-def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
-    """The critical exponent s_cr(r): smallest positive solution of
-    lambda_{s/2, r} = rho^(s/2).
-
-    The root of g(s) = log lambda_{s/2} - (s/2) log rho, with lambda the
-    dim-48 collocation eigenvalue, is bracketed by [1e-3, 2] (g(0+) > 0
-    since lambda_0 = 2, g(2) < 0 for r < 1) and found by the Illinois
-    variant of regula falsi: each trial point is the secant point of the
-    bracket, kept at least tol/4 inside it, and when the same end moves
-    twice running the g value kept at the other end is halved.  The search
-    stops once hi - lo <= tol and reports the secant point of the final
-    bracket.  Its error is the larger distance to a bracket end plus the
-    discretisation term |log lambda_48 - log lambda_36| / |g'| at the root,
-    g' the slope of the final bracket.  The dim-48 eigenvalue at the root
-    is cross-checked against the power ratios (tol 1e-9, n <= 24).
-
-    Near r = 1 the spectral gap closes and no reliable number can be
-    produced at desk scale, so for r > 0.97 the documented endpoint
-    value 2 is reported instead of a low-confidence estimate.
-    """
-    r = params.r_float
-    if r > CRITICAL_R_CAP:
-        return CriticalPoint(r, 2.0, math.nan, "documented-endpoint (r=1 value)")
-    log_rho = math.log(2.0 - r)
-
-    def g(s: float) -> float:
-        return math.log(_collocation_lambda(s / 2.0, r)) - (s / 2.0) * log_rho
-
-    lo, hi = 1e-3, 2.0
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo <= 0 or g_hi >= 0:
-        raise ArithmeticError(f"bracket failure at r={r}: g({lo})={g_lo}, g({hi})={g_hi}")
-    evals = 2
+def _illinois(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, tol: float):
+    """Shrink a bracket with g_lo > 0 > g_hi to width <= tol by Illinois regula
+    falsi: try the secant point, kept tol/4 inside; when one end moves twice
+    running, halve the g value kept at the other.  Returns (lo, hi, g_lo, g_hi, evals)."""
+    evals = 0
     f_lo, f_hi = g_lo, g_hi  # the g values that steer the secant, halved by the Illinois rule
     moved = 0  # +1 if lo moved last, -1 if hi did
     while hi - lo > tol:
@@ -236,26 +208,63 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
         g_s = g(s)
         evals += 1
         if g_s > 0:
-            lo, g_lo, f_lo = s, g_s, g_s
-            if moved > 0:
-                f_hi /= 2.0
+            lo, g_lo, f_lo, f_hi = s, g_s, g_s, f_hi / (2.0 if moved > 0 else 1.0)
             moved = 1
         else:
-            hi, g_hi, f_hi = s, g_s, g_s
-            if moved < 0:
-                f_lo /= 2.0
+            hi, g_hi, f_hi, f_lo = s, g_s, g_s, f_lo / (2.0 if moved < 0 else 1.0)
             moved = -1
-    slope = (g_hi - g_lo) / (hi - lo)
-    s_cr = lo - g_lo / slope
-    lam = _collocation_lambda(s_cr / 2.0, r)
-    lam_small = _collocation_lambda(s_cr / 2.0, r, COLLOCATION_CHECK_DIM)
-    error = max(s_cr - lo, hi - s_cr) + abs(math.log(lam) - math.log(lam_small)) / abs(slope)
-    # independent route: the power ratios must agree at the solution
-    check = spectral_radius(s_cr / 2.0, r, tol=1e-9, method="power")
-    if abs(check.value - lam) > max(10.0 * check.error, 1e-6):
-        raise ArithmeticError(f"spectral routes disagree at r={r}, s={s_cr}")
-    method = f"illinois on log lambda; {evals} evals; power-checked n={check.iterations}"
-    return CriticalPoint(r, s_cr, error, method)
+    return lo, hi, g_lo, g_hi, evals
+
+
+def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
+    """The critical exponent s_cr(r), r < 1: smallest positive solution of
+    lambda_{s/2, r} = rho^(s/2) (ValueError for r >= 1, before any work).
+
+    :func:`_illinois` roots g(s) = log lambda_{s/2} - (s/2) log rho, lambda from
+    the dim-point Chebyshev compression, on [1e-3, 2] (g(0+) > 0 as
+    lambda_0 = 2, g(2) < 0); s_cr is the secant point of the final bracket,
+    g' its slope.  dim climbs 48, 96, 192, 384 until the eigenvalue term
+    |log lambda_dim - log lambda_(3 dim/4)| / |g'| at the root is <= tol/10,
+    each search after the first starting from the last bracket widened by
+    the last term ([1e-3, 2] if g keeps its sign across it).  The error is
+    the term plus the larger distance from s_cr to a bracket end; the
+    Chebyshev-Lobatto compression at the same dim must move the root by at
+    most the error.  Failures raise ArithmeticError.
+    """
+    r = params.r_float
+    if r >= 1:
+        raise ValueError(f"the critical curve is computed for r < 1, got r={r}")
+    log_rho = math.log(2.0 - r)
+    bracket, evals = (1e-3, 2.0), 0
+
+    def search(dim: int, check_dim: int):
+        nonlocal bracket, evals
+
+        def g(s: float) -> float:
+            return math.log(_collocation_lambda(s / 2.0, r, dim)) - (s / 2.0) * log_rho
+
+        for lo, hi in (bracket, (1e-3, 2.0)):
+            g_lo, g_hi = g(lo), g(hi)
+            evals += 2
+            if g_lo > 0 > g_hi:
+                break
+        else:
+            raise ArithmeticError(f"bracket failure at r={r}: g({lo})={g_lo}, g({hi})={g_hi}")
+        lo, hi, g_lo, g_hi, steps = _illinois(g, lo, hi, g_lo, g_hi, tol)
+        evals += steps
+        slope = (g_hi - g_lo) / (hi - lo)
+        s_cr = lo - g_lo / slope
+        lam = _collocation_lambda(s_cr / 2.0, r, dim)
+        term = abs(math.log(lam) - math.log(_collocation_lambda(s_cr / 2.0, r, check_dim))) / abs(slope)
+        bracket = (lo - term, hi + term)
+        return (s_cr, lo, hi, slope, lam), term
+
+    (s_cr, lo, hi, slope, lam), term, dim = _adaptive(search, tol / 10, f"s_cr at r={r}")
+    error = max(s_cr - lo, hi - s_cr) + term
+    shift = abs(math.log(_lobatto_lambda(s_cr / 2.0, r, dim)) - math.log(lam)) / abs(slope)
+    if shift > error:
+        raise ArithmeticError(f"Lobatto check failed at r={r}, s={s_cr}: shift {shift:.3g} > error {error:.3g}")
+    return CriticalPoint(r, s_cr, error, abs(slope), f"illinois on log lambda; {evals} evals; dim {dim}; lobatto-checked")
 
 
 def critical_curve(r_values: Sequence[float], tol: float = 1e-6) -> CriticalCurve:

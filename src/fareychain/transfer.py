@@ -9,7 +9,11 @@ applied to simple test functions collapses to closed sums over the
 2^(n-1) vertices of the n-th extended tree row, and its traces collapse
 to sums over tree leaves of the matrix-presentation traces (T_0, T_1).
 Every closed form here is paired with a brute-force branch-word oracle
-that sums over all 2^n inverse-branch compositions directly.
+that sums over all 2^n inverse-branch compositions directly.  Spectral
+data come from the Chebyshev compression (:func:`collocation_spectrum`) at
+the first dim of COLLOCATION_DIMS that meets the tolerance against the
+3 dim/4 rerun (:func:`_adaptive`), cross-checked by a Chebyshev-Lobatto
+compression; the power ratios of the leaf sums are their oracle.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -55,8 +59,7 @@ from .spinchain import _blocks, _generators, _last, _levels, iter_pq_rows, pq_ta
 
 BRUTE_CAP = 20
 LEAF_CAP = 26
-COLLOCATION_DIM = 48
-COLLOCATION_CHECK_DIM = 36  # the rerun whose difference is the error bar
+COLLOCATION_DIMS = (48, 96, 192, 384)  # the adaptive ladder; dim d is checked against 3d/4
 
 
 @dataclass(frozen=True)
@@ -644,15 +647,7 @@ class SpectralRadius:
     value: float
     error: float
     method: str
-    iterations: int
-
-
-def _aitken(x: np.ndarray) -> np.ndarray:
-    d1 = x[1:-1] - x[:-2]
-    d2 = x[2:] - 2.0 * x[1:-1] + x[:-2]
-    safe = np.where(np.abs(d2) > 1e-300, d2, 1.0)
-    out = x[:-2] - d1 * d1 / safe
-    return np.where(np.abs(d2) > 1e-300, out, x[2:])
+    dim: int
 
 
 def _power_sums(s: float, r: float, n_max: int) -> Iterator[float]:
@@ -670,119 +665,107 @@ def _power_sums(s: float, r: float, n_max: int) -> Iterator[float]:
         yield 4.0 * rho ** ((k + 2) * s) * float(np.sum((r * p + rho * q) ** (-2.0 * s)))
 
 
-@lru_cache(maxsize=8)
-def _collocation_operator(r: float, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The s-independent parts of the Chebyshev compression of P_{s,r}.
+def _power_radius(s: float, r: float, n: int = 20) -> float:
+    """The oracle of :func:`spectral_radius`: the ratios a_{k+1}/a_k, k < n, of
+    :func:`_power_sums`, Aitken-transformed again only while that shrinks the
+    spread of the last two terms (past that floor the transforms settle on a
+    spurious limit).  The spread under-reports the error, so none is
+    returned; ``verify transfer`` holds the value to a fixed tolerance."""
+    a = np.fromiter(_power_sums(s, r, n), float)
+    seq = a[1:] / a[:-1]
+    spread = abs(float(seq[-1] - seq[-2]))
+    while len(seq) >= 5:
+        d1, d2 = seq[1:-1] - seq[:-2], seq[2:] - 2.0 * seq[1:-1] + seq[:-2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = seq[:-2] - d1 * d1 / d2  # Aitken's transform
+        nxt_spread = abs(float(nxt[-1] - nxt[-2]))
+        if not np.all(np.isfinite(nxt)) or nxt_spread >= spread:
+            break
+        seq, spread = nxt, nxt_spread
+    return float(seq[-1])
 
-    On the dim Chebyshev points x of [0, 1], P_{s,r} compresses to
-    diag(exp(s log w)) C with C = (V(Phi_0 x) + V(Phi_1 x)) V(x)^(-1) (V the
-    Chebyshev-Vandermonde matrix) and log w = log rho - 2 log(rho + r x);
-    returns (C, log w), read-only.
-    """
+
+def _barycentric(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The interpolation matrix from the Chebyshev-Lobatto nodes x to the points y."""
+    w = (-1.0) ** np.arange(len(x))
+    w[[0, -1]] *= 0.5
+    diff = y[:, None] - x
+    hit = diff == 0.0
+    B = w / np.where(hit, 1.0, diff)
+    return np.where(hit.any(axis=1, keepdims=True), hit, B / B.sum(axis=1, keepdims=True))
+
+
+@lru_cache(maxsize=8)
+def _collocation_operator(r: float, dim: int, lobatto: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """(C, log w), read-only: on dim nodes x of [0, 1], P_{s,r} compresses to
+    diag(exp(s log w)) C with log w = log rho - 2 log(rho + r x).  On the
+    Chebyshev points C = (V(Phi_0 x) + V(Phi_1 x)) V(x)^(-1), V the
+    Chebyshev-Vandermonde matrix; on the Chebyshev-Lobatto points
+    (`lobatto`) C sums two barycentric interpolation matrices."""
     rho = 2.0 - r
     j = np.arange(dim)
-    x = 0.5 * (1.0 - np.cos(np.pi * (j + 0.5) / dim))
+    x = 0.5 * (1.0 - np.cos(np.pi * j / (dim - 1) if lobatto else np.pi * (j + 0.5) / dim))
     phi0 = x / (rho + r * x)
-
-    def chebvals(t: np.ndarray) -> np.ndarray:
-        return np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1)
-
-    C = (chebvals(phi0) + chebvals(1.0 - phi0)) @ np.linalg.inv(chebvals(x))
+    if lobatto:
+        C = _barycentric(x, phi0) + _barycentric(x, 1.0 - phi0)
+    else:
+        V0, V1, Vx = (np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1) for t in (phi0, 1.0 - phi0, x))
+        C = (V0 + V1) @ np.linalg.inv(Vx)
     log_w = math.log(rho) - 2.0 * np.log(rho + r * x)
     C.flags.writeable = log_w.flags.writeable = False
     return C, log_w
 
 
-def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIM) -> np.ndarray:
-    """Eigenvalues of the operator compressed to a Chebyshev grid.
-
-    The operator maps functions analytic on a disk containing [0, 1] to
-    themselves, so polynomial collocation converges geometrically in
-    the dimension; eigenvalues are returned sorted by modulus.  The
-    s-independent matrix C is built once per (r, dim) and cached, so a
-    call costs one row scaling and one eigen-solve.
-    """
+def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> np.ndarray:
+    """Eigenvalues of the operator compressed to dim Chebyshev points, sorted
+    by modulus.  The operator maps functions analytic on a disk containing
+    [0, 1] to themselves, so they converge geometrically in dim; with C
+    cached per (r, dim), a call costs one row scaling and one eigen-solve."""
     C, log_w = _collocation_operator(float(r), dim)
     ev = np.linalg.eigvals(np.exp(s * log_w)[:, None] * C)
     return ev[np.argsort(-np.abs(ev))]
 
 
-def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIM) -> float:
-    """The leading (Perron) eigenvalue of the dim-point compression."""
+def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> float:
+    """The leading (Perron) eigenvalue of the dim-point Chebyshev compression."""
     return float(np.max(collocation_spectrum(s, r, dim).real))
 
 
-def spectral_radius(
-    s: float, r: float, tol: float = 1e-10, n_cap: int = 24, method: str = "auto"
-) -> SpectralRadius:
-    """Leading eigenvalue of P_{s,r} for real s, r < 1.
+def _lobatto_lambda(s: float, r: float, dim: int) -> float:
+    """The Perron eigenvalue of the Chebyshev-Lobatto compression, the check on the Chebyshev one."""
+    C, log_w = _collocation_operator(float(r), dim, lobatto=True)
+    return float(np.max(np.linalg.eigvals(np.exp(s * log_w)[:, None] * C).real))
 
-    ``power``: Aitken-extrapolated ratios a_{n+1}/a_n of the exact leaf
-    sums a_n = (P^n 1)(1), n <= n_cap, read from tree rows 0 .. n - 2
-    (see :func:`_power_sums`), returned with an honest error bar even if
-    tol is not reached by n_cap; ``iterations`` is the last n used.
-    ``collocation``: Perron eigenvalue of the dim-48 Chebyshev compression
-    (:func:`collocation_spectrum`, whose s-independent matrix is cached
-    per r), error bar from the dim-36 rerun.  ``auto`` (default) runs the
-    power ratios first; near r = 1 the subdominant eigenvalue ratio
-    approaches 1 and the ratio sequence cannot reach tight tolerances by
-    n <= n_cap, so the estimate is then refined by collocation and
-    cross-checked against the power ratios.
+
+def _adaptive(solve: Callable, bound: float, what: str):
+    """(result, term, dim) at the first dim of COLLOCATION_DIMS where
+    ``solve(dim, 3 dim/4)`` = (result, term) has term <= bound, the term
+    measuring the change from the smaller dim; ArithmeticError past the last."""
+    for dim in COLLOCATION_DIMS:
+        result, term = solve(dim, 3 * dim // 4)
+        if term <= bound:
+            return result, term, dim
+    raise ArithmeticError(f"{what}: eigenvalue term {term:.3g} > {bound:.3g} at dim {dim}, the top of the ladder")
+
+
+def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
+    """Leading eigenvalue of P_{s,r} for real s, r < 1: the Perron eigenvalue
+    of :func:`collocation_spectrum` at the first dim of 48, 96, 192, 384 where
+    it moves by at most tol from the 3 dim/4 rerun; that change, floored at
+    1e-14, is the error.  The power ratios (:func:`_power_radius`) are its oracle.
     """
     if r >= 1:
         raise ValueError("spectral radius requires r < 1")
-    if isinstance(s, complex):
-        if s.imag != 0:
-            raise ValueError("spectral radius is defined here for real s")
-        s = s.real
-    if method == "collocation":
-        return _collocation_radius(s, r)
-    est, err, n = _power_radius(s, r, tol, n_cap)
-    if err <= tol or method == "power":
-        return SpectralRadius(est, err, "power-ratio/aitken", n)
-    refined = _collocation_radius(s, r)
-    if abs(refined.value - est) > max(10.0 * err, 1e-6):
-        raise ArithmeticError(
-            f"collocation ({refined.value}) and power ratios ({est}) disagree beyond error bars"
-        )
-    return SpectralRadius(refined.value, refined.error, "collocation (power-ratio checked)", n)
+    if complex(s).imag != 0:
+        raise ValueError("spectral radius is defined here for real s")
+    s = complex(s).real
 
+    def solve(dim: int, check_dim: int):
+        lam = _collocation_lambda(s, r, dim)
+        return lam, max(abs(lam - _collocation_lambda(s, r, check_dim)), 1e-14)
 
-def _power_radius(s: float, r: float, tol: float, n_cap: int):
-    """Extrapolated ratios at n = 12, 16, ... up to n_cap, from one walk down the rows.
-
-    Aitken's transform is applied again only while it shrinks the spread of
-    the last two terms: past that noise floor, repeated transforms settle
-    on a spurious limit with a spread far below their actual error.
-    """
-    n = min(12, n_cap)
-    est_prev: Optional[float] = None
-    a: List[float] = []
-    for a_n in _power_sums(s, r, n_cap):
-        a.append(a_n)
-        if len(a) < n:
-            continue
-        seq = np.array(a[1:]) / np.array(a[:-1])
-        err = abs(float(seq[-1] - seq[-2])) if len(seq) >= 2 else math.inf
-        while len(seq) >= 5:
-            nxt = _aitken(seq)
-            spread = abs(float(nxt[-1] - nxt[-2]))
-            if not np.all(np.isfinite(nxt)) or spread >= err:
-                break
-            seq, err = nxt, spread
-        est = float(seq[-1])
-        if est_prev is not None:
-            err = max(err, abs(est - est_prev) * 0.5)
-        if err <= tol or n >= n_cap:
-            return est, err, n
-        est_prev = est
-        n = min(n + 4, n_cap)
-
-
-def _collocation_radius(s: float, r: float) -> SpectralRadius:
-    lam = _collocation_lambda(s, r)
-    lam_small = _collocation_lambda(s, r, COLLOCATION_CHECK_DIM)
-    return SpectralRadius(lam, max(abs(lam - lam_small), 1e-14), "collocation", COLLOCATION_DIM)
+    lam, err, dim = _adaptive(solve, tol, f"lambda at s={s}, r={r}")
+    return SpectralRadius(lam, err, "collocation", dim)
 
 
 def involution_residual(s: float, r: float, grid: Optional[np.ndarray] = None, n: int = 16) -> float:

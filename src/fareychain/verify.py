@@ -263,6 +263,11 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
         resid = max(resid, abs(transfer.spectral_radius(1.0, r, tol=1e-10).value - 1.0))
     out.append(CheckResult("transfer", "spectral radius: tent closed form and fixed density", resid, 1e-8))
 
+    # the power ratios converge too slowly past s = 1 near r = 0.9
+    resid = max(abs(transfer._power_radius(s, r) / transfer.spectral_radius(s, r, tol=1e-12).value - 1.0)
+                for r in (0.3, 0.6, 0.9) for s in (0.5, 1.0))
+    out.append(CheckResult("transfer", "power ratios vs collocation (r <= 0.9)", resid, 1e-7))
+
     resid = max(
         transfer.involution_residual(1.0, 0.5, n=14),
         transfer.involution_residual(0.8, 0.5, n=16),

@@ -59,9 +59,10 @@ def test_phase_grid(capsys):
     assert vals[0] == pytest.approx(1.0, abs=1e-3)
     assert vals == sorted(vals)
     for row in rows:
-        assert len(row) == 4
-        assert re.fullmatch(r"illinois on log lambda; \d+ evals; power-checked n=\d+", row[3])
+        assert len(row) == 5
+        assert re.fullmatch(r"illinois on log lambda; \d+ evals; dim 48; lobatto-checked", row[4])
         assert 0.0 < float(row[2]) < 1e-4
+        assert 0.0 < float(row[3]) < 1.0  # |g'(s_cr)|, ln 2 at r = 0
 
 
 def test_thermo_sweep(capsys):
@@ -92,6 +93,21 @@ def test_zeta_dynamical(capsys):
     rec = json.loads(out.splitlines()[1])
     assert rec["converged"] is True
     assert rec["zeta_orbit_sum"][0] == pytest.approx(rec["zeta_det_ratio"][0], abs=1e-8)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_zeta_records_are_strict_json(capsys):
+    for argv in (("zeta", "--N", "2"), ("zeta", "--z", "0.95", "--s", "0.8", "--r", "0.6", "--N", "14")):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        meta, rec = (json.loads(line, parse_constant=_reject_constant) for line in out.splitlines())
+        assert rec["error_estimate"] is None and "tail fit" in rec["error_reason"]
+    code, out = run(capsys, "zeta", "--z", "0.5", "--s", "1", "--r", "0.5", "--N", "14")
+    rec = json.loads(out.splitlines()[1], parse_constant=_reject_constant)
+    assert rec["error_estimate"] > 0 and "error_reason" not in rec
 
 
 def test_twisted_subcommand(capsys):

@@ -134,10 +134,10 @@ def test_critical_point_tent():
     assert abs(cp.s_cr - 1.0) <= 1e-6
 
 
-def _reference_critical_s(r: float) -> float:
-    """Bisection to 1e-10 on the dim-96 collocation eigenvalue."""
+def _reference_critical_s(r: float, dim: int = 96, scale: float = 1.0) -> float:
+    """Bisection to 1e-10 on the dim-point collocation eigenvalue (times `scale`)."""
     def g(s):
-        lam = float(np.max(transfer.collocation_spectrum(s / 2.0, r, dim=96).real))
+        lam = scale * float(np.max(transfer.collocation_spectrum(s / 2.0, r, dim=dim).real))
         return math.log(lam) - 0.5 * s * math.log(2.0 - r)
 
     lo, hi = 0.5, 2.0
@@ -167,16 +167,47 @@ def test_critical_search_eigen_budget(monkeypatch):
     for r in (0.3, 0.95):
         calls.clear()
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
-        assert len(calls) <= 12
-        # the search evaluations at dim 48, then dims 48 and 36 once at the root
-        evals = int(re.fullmatch(r"illinois on log lambda; (\d+) evals; power-checked n=(\d+)", cp.method)[1])
-        assert calls == [(48, 48)] * (evals + 1) + [(36, 36)]
+        assert len(calls) <= 13
+        # the search evaluations at dim 48, dims 48 and 36 once at the root, then one Lobatto solve
+        evals = int(re.fullmatch(r"illinois on log lambda; (\d+) evals; dim 48; lobatto-checked", cp.method)[1])
+        assert calls == [(48, 48)] * (evals + 1) + [(36, 36)] + [(48, 48)]
 
 
-def test_critical_point_endpoint_documented():
-    cp = thermo.critical_line(Params.floating(0.99), tol=1e-6)
-    assert cp.s_cr == 2.0
-    assert "documented" in cp.method
+def test_critical_point_near_one():
+    for r in (0.98, 0.99, 0.995):
+        cp = thermo.critical_line(Params.floating(r), tol=1e-6)
+        assert math.isfinite(cp.error) and 0.0 < cp.error <= 1e-6
+        assert re.fullmatch(r"illinois on log lambda; \d+ evals; dim (96|192); lobatto-checked", cp.method)
+        assert abs(cp.s_cr - _reference_critical_s(r, dim=192)) <= cp.error
+
+
+def test_warm_start_falls_back_to_full_bracket(monkeypatch):
+    # scale lambda at dim >= 72 so the dim-96 root (r = 0.98 climbs to 96) leaves the warm bracket
+    def scaled(f):
+        return lambda s, r, dim=48: f(s, r, dim) * (1.0 + 1e-4 * (dim >= 72))
+
+    monkeypatch.setattr(thermo, "_collocation_lambda", scaled(thermo._collocation_lambda))
+    monkeypatch.setattr(thermo, "_lobatto_lambda", scaled(thermo._lobatto_lambda))
+    cp = thermo.critical_line(Params.floating(0.98), tol=1e-6)
+    assert cp.method.endswith("dim 96; lobatto-checked")
+    assert abs(cp.s_cr - _reference_critical_s(0.98, 96, scale=1.0 + 1e-4)) <= cp.error
+
+
+def test_critical_line_rejects_r_one_before_work(monkeypatch):
+    calls = []
+    for name in ("eigvals", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name: calls.append(name))
+    for r in (1.0, 1.5):
+        with pytest.raises(ValueError):
+            thermo.critical_line(Params.floating(r))
+    assert calls == []
+
+
+def test_lobatto_cross_check_is_live(monkeypatch):
+    lobatto = thermo._lobatto_lambda
+    monkeypatch.setattr(thermo, "_lobatto_lambda", lambda s, r, dim: lobatto(s, r, dim) * (1.0 + 1e-5))
+    with pytest.raises(ArithmeticError, match="Lobatto"):
+        thermo.critical_line(Params.floating(0.5), tol=1e-6)
 
 
 def test_critical_curve_monotone_convex():
@@ -184,6 +215,22 @@ def test_critical_curve_monotone_convex():
     vals = [pt.s_cr for pt in curve.samples]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert np.min(np.diff(vals, 2)) >= -1e-6
+
+
+def test_critical_curve_monotone_convex_to_one():
+    # dense around the old 0.97 cutoff: a jump there breaks monotonicity or convexity
+    rs = [0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.96, 0.965, 0.97, 0.975, 0.98, 0.99, 0.995, 0.999]
+    curve = thermo.critical_curve(rs, tol=1e-7)
+    pts = [(pt.r, pt.s_cr, pt.error) for pt in curve.samples]
+    assert all(0.0 < e <= 1e-7 for _r, _s, e in pts)
+    for (r0, s0, e0), (r1, s1, e1) in zip(pts, pts[1:]):
+        assert s1 - s0 > e0 + e1, (r0, r1)
+    for a, b, c in zip(pts, pts[1:], pts[2:]):
+        slope_ab = (b[1] - a[1]) / (b[0] - a[0])
+        slope_bc = (c[1] - b[1]) / (c[0] - b[0])
+        slack = (a[2] + b[2]) / (b[0] - a[0]) + (b[2] + c[2]) / (c[0] - b[0])
+        assert slope_bc >= slope_ab - slack, b[0]
+    assert pts[-1][1] < 2.0
 
 
 def test_sandwich_bounds_hold():

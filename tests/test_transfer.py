@@ -242,6 +242,19 @@ def test_spectral_radius_decreasing_in_s():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_spectral_radius_error_bounds_reference():
+    for r in (0.5, 0.9, 0.99):
+        for s in (0.6, 1.0):
+            res = transfer.spectral_radius(s, r, tol=1e-9)
+            assert res.error <= 1e-9 and res.method == "collocation"
+            assert abs(res.value - transfer._collocation_lambda(s, r, 384)) <= res.error
+
+
+def test_spectral_radius_ladder_tops_out():
+    with pytest.raises(ArithmeticError, match="dim 384"):
+        transfer.spectral_radius(1.0, 0.5, tol=1e-15)
+
+
 def test_power_sums_from_one_level_up():
     # a_n from row n - 2 equals the whole-row sum 2 rho^(ns) sum q_{n-1}^(-2s)
     for r in (0.3, 0.7, 0.95):
@@ -258,7 +271,7 @@ def test_power_sums_from_one_level_up():
 def test_collocation_cross_checks_power_ratios():
     for r, s in ((0.5, 1.0), (0.85, 0.8)):
         lam_c = float(np.max(transfer.collocation_spectrum(s, r, dim=40).real))
-        lam_p = transfer.spectral_radius(s, r, tol=1e-6).value
+        lam_p = transfer._power_radius(s, r)
         assert abs(lam_c - lam_p) <= 1e-5
 
 
