@@ -65,6 +65,15 @@ def _meta(args, mode: str) -> Dict[str, str]:
     return {"tool": f"fareychain {__version__}", "args": echo, "mode": mode}
 
 
+def _require_finite(records: List[Dict]) -> None:
+    """Refuse a table of float values with an inf or nan in it, before any line is written."""
+    for rec in records:
+        for key, val in rec.items():
+            for v in val if isinstance(val, list) else (val,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{key} is not finite at n={rec.get('n')}, s={rec.get('s')}; nothing written")
+
+
 def emit(records: Iterable[Dict], fieldnames: Sequence[str], args) -> None:
     mode = getattr(args, "mode", "float")
     fmt = getattr(args, "format", "csv")
@@ -149,13 +158,15 @@ def cmd_spin(args) -> int:
 
 
 def _json_records(args, rows: List[Dict]) -> int:
+    _require_finite(rows)
     args.format = "jsonl"
     emit(rows, [], args)
     return 0
 
 
 def cmd_trace(args) -> int:
-    values = transfer.trace_sums(args.n, args.s, args.r, signed=args.signed)
+    with np.errstate(over="ignore", invalid="ignore"):  # _json_records refuses what overflowed
+        values = transfer.trace_sums(args.n, args.s, args.r, signed=args.signed)
     method = "leaf trace pairs" + (" (signed)" if args.signed else "")
     rows = [{"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag], "method": method}
             for n, val in enumerate(values, 1)]
@@ -163,7 +174,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    values = transfer.periodic_sums_xi(args.n, args.s, args.r)
+    with np.errstate(over="ignore", invalid="ignore"):  # _json_records refuses what overflowed
+        values = transfer.periodic_sums_xi(args.n, args.s, args.r)
     rows = [{"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag], "method": "closed leaf sum"}
             for n, val in enumerate(values, 1)]
     return _json_records(args, rows)
@@ -201,10 +213,12 @@ def cmd_lambda(args) -> int:
 def cmd_thermo(args) -> int:
     points = thermo.thermo_sweep(args.r, parse_values(args.s), args.n)
     records = [
-        {"r": pt.r, "s": pt.s, "n": pt.n, "ZC": repr(pt.ZC), "Fn": repr(pt.Fn), "Mn": repr(pt.Mn)}
+        {"r": pt.r, "s": pt.s, "n": pt.n, "ZC": pt.ZC if math.isfinite(pt.ZC) else None, "Fn": pt.Fn,
+         "Mn": pt.Mn, "logZC": pt.logZC, "error": pt.error, "dim": pt.dim}
         for pt in points
     ]
-    emit(records, ["r", "s", "n", "ZC", "Fn", "Mn"], args)
+    _require_finite(records)
+    emit(records, ["r", "s", "n", "ZC", "Fn", "Mn", "logZC", "error", "dim"], args)
     return 0
 
 
@@ -307,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--r", type=float, default=0.5)
     sp.add_argument("--N", type=int, default=14)
-    _add_common(sp)
+    _add_common(sp, mode=False)
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("lambda", help="spectral radius of the transfer operator")
@@ -317,17 +331,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, mode=False, fmt=False)
     sp.set_defaults(func=cmd_lambda)
 
-    sp = sub.add_parser("thermo", help="Z^C, F_n, M_n sweep")
+    sp = sub.add_parser(
+        "thermo", help="Z^C, F_n, M_n sweep from operator iterates",
+        description="Z^C_n, F_n and M_n for n = 2 .. N, r in [0, 1], from the operator iterates "
+        "Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_(k+1) = rho^(-s/2) P_(s/2) f_k, on an adaptive "
+        "Chebyshev compression (dim 48, 96, 192, 384, each checked against 3 dim/4).  Columns: "
+        "r, s, n, ZC, Fn, Mn, logZC, error (the relative error of ZC, the absolute error of logZC) "
+        "and dim.  ZC is empty where Z^C_n exceeds the float range; logZC is always given.  "
+        f"N times the number of s values is capped at {thermo.SWEEP_CAP}.",
+    )
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--s", required=True, help="value, comma list, or start:stop:step")
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
+    sp.add_argument("--n", type=int, required=True, help=f"largest n; n * len(s) <= {thermo.SWEEP_CAP}")
+    _add_common(sp, mode=False)
     sp.set_defaults(func=cmd_thermo)
 
     sp = sub.add_parser("phase", help="critical curve (r, s_cr)")
     sp.add_argument("--r-grid", dest="r_grid", required=True, help="start:stop:step")
     sp.add_argument("--tol", type=float, default=1e-4)
-    _add_common(sp)
+    _add_common(sp, mode=False)
     sp.set_defaults(func=cmd_phase)
 
     sp = sub.add_parser("twisted", help="character-twisted partition sums Z_n^(m)")

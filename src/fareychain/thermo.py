@@ -10,6 +10,15 @@ positive below it; s_cr is the smallest positive solution of
 lambda_{s/2, r} = rho^(s/2) in terms of the transfer-operator spectral
 radius, running from 1 at r = 0 to 2 at r = 1.
 
+The row sums are also values of operator iterates,
+Z^G_k(s) = 2^(-s) (rho^(-ks/2) P_{s/2}^k 1)(1/2), so :func:`thermo_sweep`
+(and :func:`free_energy_limit`) read Z^C_n, F_n and M_n for every n <= n_max
+from n_max - 1 products with the cached Chebyshev compression of the
+operator, log-scaled so that n ~ 10^4 stays finite, with a computed error
+per point.  The row routes (:func:`grand_Z`, :func:`canonical_Z`,
+:func:`free_energy`, :func:`magnetization`, and all of exact mode) walk
+the 2^k-entry tree rows and are the sweep's independent oracle.
+
 All limits are reported as finite-n estimates with explicit
 extrapolation and error bars; nothing here claims the n -> infinity
 value beyond its stated tolerance.
@@ -18,23 +27,30 @@ value beyond its stated tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .rings import Params, balanced_sum
 from .spinchain import _levels, _tree_stream, pc_qc_tables, pq_tables
-from .transfer import _adaptive, _collocation_lambda, _lobatto_lambda, _pair_stream, spectral_radius
+from .transfer import (_adaptive, _collocation_lambda, _lobatto_lambda, _log_iterates_at_half, _pair_stream,
+                       spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
+SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint is ~200 bytes)
+SWEEP_TOL = 1e-12  # relative change of every Z^C_n from the 3 dim/4 rerun, beyond rounding
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Z^C_n, F_n and M_n at one (r, s, n) parameter tuple."""
+    """Z^C_n, F_n and M_n at one (r, s, n) parameter tuple, from the operator
+    iterates at Chebyshev dimension `dim`.  ZC is inf where Z^C_n exceeds the
+    float range; logZC is always finite.  `error` bounds the relative error of
+    Z^C_n (the absolute error of logZC)."""
 
     r: float
     s: float
@@ -42,6 +58,9 @@ class ThermoPoint:
     ZC: float
     Fn: float
     Mn: float
+    logZC: float
+    error: float
+    dim: int
 
 
 @dataclass(frozen=True)
@@ -151,14 +170,16 @@ def free_energy_limit(n: int, s: float, params: Params) -> Tuple[float, float]:
     """Richardson-extrapolated F(s) estimate with an error bar.
 
     F_n = F + c/n + (geometric), so n F_n - (n-1) F_{n-1} kills the 1/n
-    term; the error bar is the change from the previous extrapolant.
+    term; the error bar is the change from the previous extrapolant plus the
+    :func:`thermo_sweep` errors of log Z^C_{n-1} and log Z^C_{n-2}, whose
+    difference the extrapolant is.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
-    f = [pt.Fn for pt in thermo_sweep(params.r_float, [s], n)[-3:]]
-    ext_prev = (n - 1) * f[1] - (n - 2) * f[0]
-    ext = n * f[2] - (n - 1) * f[1]
-    return ext, abs(ext - ext_prev)
+    z = thermo_sweep(params.r_float, [s], n)[-3:]  # F_k = log(2 Z^C_{k-1}) / k, k = n-2, n-1, n
+    ext_prev = (n - 1) * z[1].Fn - (n - 2) * z[0].Fn
+    ext = n * z[2].Fn - (n - 1) * z[1].Fn
+    return ext, abs(ext - ext_prev) + z[1].error + z[0].error
 
 
 def magnetization(n: int, s: float, params: Params, method: str = "direct") -> float:
@@ -296,18 +317,61 @@ def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[T
     return out
 
 
-def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[ThermoPoint]:
-    """Z^C_n, F_n and M_n for every s in `s_values` and n = 2 .. n_max.
+def _log_sums(r: float, s: np.ndarray, n_max: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """log Z^C_n and log sum_{m<n} (m+2) Z^G_m for n = 0 .. n_max (rows), one
+    column per s, with log Z^G_k = log f_k(1/2) - s log 2 from the operator
+    iterates at dim (row 0 of the second is -inf, the empty sum)."""
+    log_zg = _log_iterates_at_half(s, r, n_max, dim) - s * math.log(2.0)
+    start = np.zeros((1, len(s)))
+    log_zc = np.logaddexp.accumulate(np.vstack([start, log_zg]), axis=0)
+    log_weighted = np.log(np.arange(2.0, n_max + 2.0))[:, None] + log_zg
+    log_w = np.logaddexp.accumulate(np.vstack([start - math.inf, log_weighted]), axis=0)
+    return log_zc, log_w
 
-    All three follow from the row sums Z^G_k, k < n_max, which one walk
-    down the tree rows yields for every s at once.  Points are ordered
-    by s, then by n.
+
+def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[ThermoPoint]:
+    """Z^C_n, F_n and M_n for every s in `s_values` and n = 2 .. n_max, r in [0, 1].
+
+    The row sums are values of operator iterates at 1/2:
+    Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_{k+1} = rho^(-s/2) P_{s/2} f_k, which
+    is the identity 2 Z^C_n = 1 + sum_{k<=n} rho^(-ks/2) (P_{s/2}^k 1)(1) read
+    one level down.  The iterates come from n_max - 1 products with the cached
+    Chebyshev compression, log-scaled, for every s at once; then
+    Z^C_n = 1 + sum_{k<n} Z^G_k, F_n = log(2 Z^C_{n-1}) / n and, by the
+    row-sum identity, M_n = 1 - sum_{m<n} (m+2) Z^G_m / (n Z^C_n), all in logs.
+
+    The dimension climbs 48, 96, 192, 384 until every log Z^C_n moves from the
+    3 dim/4 rerun by at most SWEEP_TOL beyond the rounding floor (n+1) dim eps
+    (n dot products of length dim); the error of each point is that change,
+    floored at the rounding floor.  The rows route (:func:`canonical_Z`,
+    :func:`magnetization` with ``identity``) is the oracle.  ValueError, before
+    any work, for r outside [0, 1], n_max < 2 or n_max * len(s_values) >
+    SWEEP_CAP.  Points are ordered by s, then by n.
     """
+    if not 0 <= r <= 1:
+        raise ValueError(f"the operator sweep is computed for r in [0, 1], got r={r}")
+    if n_max < 2:
+        raise ValueError("n must be >= 2")
+    if n_max * len(s_values) > SWEEP_CAP:
+        raise ValueError(f"n * len(s) = {n_max * len(s_values)} exceeds the sweep cap {SWEEP_CAP}")
+    s = np.asarray(s_values, dtype=float)
+
+    def solve(dim: int, check_dim: int):
+        with np.errstate(all="ignore"):  # an iterate that is not positive at 1/2 gives nan, failing the test
+            log_zc, log_w = _log_sums(r, s, n_max, dim)
+            shift = np.abs(log_zc - _log_sums(r, s, n_max, check_dim)[0])
+        floor = np.arange(1.0, n_max + 2.0)[:, None] * dim * np.finfo(float).eps
+        return (log_zc, log_w, np.maximum(shift, floor)), float(np.max(shift - floor))
+
+    (log_zc, log_w, error), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}")
+    n = np.arange(1.0, n_max + 1.0)[:, None]  # row n - 1 holds n = 1 .. n_max
+    fn = (math.log(2.0) + log_zc[:-1]) / n
+    mn = 1.0 - np.exp(log_w[1:] - log_zc[1:]) / n
     points = []
-    for s, zg in zip(s_values, _grand_sums(n_max - 1, s_values, Params.floating(r))):
-        zc = list(accumulate(zg, initial=1.0))  # zc[n] = Z^C_n
+    for s_i, lz, f, m, e in zip(s_values, log_zc.T.tolist(), fn.T.tolist(), mn.T.tolist(), error.T.tolist()):
         points.extend(
-            ThermoPoint(r, s, n, zc[n], math.log(2.0 * zc[n - 1]) / n, _identity_magnetization(zg[:n], n))
-            for n in range(2, n_max + 1)
+            ThermoPoint(r, s_i, k, math.exp(lz[k]) if lz[k] < _LOG_FLOAT_MAX else math.inf,
+                        f[k - 1], m[k - 1], lz[k], e[k], dim)
+            for k in range(2, n_max + 1)
         )
     return points

@@ -685,10 +685,21 @@ def _power_radius(s: float, r: float, n: int = 20) -> float:
     return float(seq[-1])
 
 
-def _barycentric(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The interpolation matrix from the Chebyshev-Lobatto nodes x to the points y."""
-    w = (-1.0) ** np.arange(len(x))
-    w[[0, -1]] *= 0.5
+def _chebyshev_nodes(dim: int, lobatto: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """The dim Chebyshev points of [0, 1] (or the Chebyshev-Lobatto points) and
+    their barycentric weights."""
+    j = np.arange(dim)
+    theta = np.pi * j / (dim - 1) if lobatto else np.pi * (j + 0.5) / dim
+    w = (-1.0) ** j
+    if lobatto:
+        w[[0, -1]] *= 0.5
+    else:
+        w *= np.sin(theta)
+    return 0.5 * (1.0 - np.cos(theta)), w
+
+
+def _barycentric(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The interpolation matrix from the nodes x, barycentric weights w, to the points y."""
     diff = y[:, None] - x
     hit = diff == 0.0
     B = w / np.where(hit, 1.0, diff)
@@ -703,11 +714,10 @@ def _collocation_operator(r: float, dim: int, lobatto: bool = False) -> Tuple[np
     Chebyshev-Vandermonde matrix; on the Chebyshev-Lobatto points
     (`lobatto`) C sums two barycentric interpolation matrices."""
     rho = 2.0 - r
-    j = np.arange(dim)
-    x = 0.5 * (1.0 - np.cos(np.pi * j / (dim - 1) if lobatto else np.pi * (j + 0.5) / dim))
+    x, w = _chebyshev_nodes(dim, lobatto)
     phi0 = x / (rho + r * x)
     if lobatto:
-        C = _barycentric(x, phi0) + _barycentric(x, 1.0 - phi0)
+        C = _barycentric(x, w, phi0) + _barycentric(x, w, 1.0 - phi0)
     else:
         V0, V1, Vx = (np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1) for t in (phi0, 1.0 - phi0, x))
         C = (V0 + V1) @ np.linalg.inv(Vx)
@@ -737,6 +747,25 @@ def _lobatto_lambda(s: float, r: float, dim: int) -> float:
     return float(np.max(np.linalg.eigvals(np.exp(s * log_w)[:, None] * C).real))
 
 
+def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarray:
+    """log f_k(1/2), k = 0 .. n-1, one column per s: f_0 = 1 and
+    f_{k+1} = rho^(-s/2) P_{s/2, r} f_k = (rho + r x)^(-s) [f_k(Phi_0 x) + f_k(Phi_1 x)]
+    on the dim-point Chebyshev compression, read at 1/2 through the barycentric
+    interpolant.  Each iterate is divided by its value at 1/2 and the logs of
+    those values are summed, so nothing overflows however large n is."""
+    C, log_w = _collocation_operator(float(r), dim)
+    x, w = _chebyshev_nodes(dim)
+    at_half = _barycentric(x, w, np.array([0.5]))[0]
+    weights = np.exp(np.outer(log_w - math.log(2.0 - r), s / 2.0))
+    f = np.ones((dim, len(s)))
+    values = np.ones((n, len(s)))
+    for k in range(1, n):
+        f = weights * (C @ f)
+        values[k] = at_half @ f
+        f /= values[k]
+    return np.cumsum(np.log(values), axis=0)
+
+
 def _adaptive(solve: Callable, bound: float, what: str):
     """(result, term, dim) at the first dim of COLLOCATION_DIMS where
     ``solve(dim, 3 dim/4)`` = (result, term) has term <= bound, the term
@@ -745,7 +774,7 @@ def _adaptive(solve: Callable, bound: float, what: str):
         result, term = solve(dim, 3 * dim // 4)
         if term <= bound:
             return result, term, dim
-    raise ArithmeticError(f"{what}: eigenvalue term {term:.3g} > {bound:.3g} at dim {dim}, the top of the ladder")
+    raise ArithmeticError(f"{what}: dim vs 3 dim/4 term {term:.3g} > {bound:.3g} at dim {dim}, the top of the ladder")
 
 
 def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:

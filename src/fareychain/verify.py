@@ -296,6 +296,18 @@ def suite_thermo(seed: int = 0) -> List[CheckResult]:
         resid = max(resid, max(abs(v - vals[0]) for v in vals) / vals[0])
     out.append(CheckResult("thermo", "canonical Z: float routes agree (rel)", resid, 1e-12))
 
+    resid = 0.0
+    s_values = [0.7, 1.5, 2.5]
+    for r in (0.0, 0.5, 0.9, 1.0):
+        sweep = thermo.thermo_sweep(r, s_values, 20)  # 19 points per s, n = 2 .. 20
+        # the rows route of canonical_Z and magnetization(..., "identity"), every n from one walk
+        for i, zg in enumerate(thermo._grand_sums(19, s_values, Params.floating(r))):
+            for pt in sweep[19 * i:19 * (i + 1)]:
+                zc = sum(zg[:pt.n], 1.0)
+                m = thermo._identity_magnetization(zg[:pt.n], pt.n)
+                resid = max(resid, abs(pt.ZC - zc) / zc / pt.error, abs(pt.Mn - m) / pt.error)
+    out.append(CheckResult("thermo", "thermo sweep: operator vs rows route (n <= 20)", resid, 1.0))
+
     ok = True
     pz = Params.exact(Fraction(0))
     for n in range(1, 12):

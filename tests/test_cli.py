@@ -1,5 +1,9 @@
+import csv
 import json
+import math
 import re
+import sys
+import warnings
 
 import pytest
 
@@ -185,3 +189,47 @@ def test_empty_series_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "n must be >= 1" in captured.err
+
+
+def test_overflow_refused_before_any_output(capsys):
+    for name in ("trace", "xi"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
+            code = main([name, "--n", "3", "--s", "-400", "--r", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.search(r"not finite at n=\d, s=-400\.0", captured.err)
+
+
+def test_float_only_subcommands_take_no_mode(capsys):
+    for argv in (("phase", "--r-grid", "0.5", "--mode", "symbolic"), ("zeta", "--mode", "exact"),
+                 ("thermo", "--r", "0.5", "--s", "1", "--n", "4", "--mode", "exact")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+
+def test_thermo_columns_and_empty_zc_cell(capsys):
+    code, out = run(capsys, "thermo", "--r", "0.7", "--s", "0.5", "--n", "2000")
+    assert code == 0
+    assert "inf" not in out.lower() and "nan" not in out.lower()
+    rows = list(csv.DictReader(l for l in out.splitlines() if not l.startswith("#")))
+    assert list(rows[0]) == ["r", "s", "n", "ZC", "Fn", "Mn", "logZC", "error", "dim"]
+    log_max = math.log(sys.float_info.max)
+    empty = [row for row in rows if row["ZC"] == ""]
+    assert empty and all(log_max < float(row["logZC"]) < 1e3 for row in empty)
+    for row in rows:
+        assert 0.0 < float(row["error"]) <= 1e-9 and row["dim"] == "48"
+        if row["ZC"]:
+            assert float(row["logZC"]) == pytest.approx(math.log(float(row["ZC"])), rel=1e-14)
+    code, out = run(capsys, "thermo", "--r", "0.7", "--s", "0.5", "--n", "2000", "--format", "jsonl")
+    recs = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()[1:]]
+    assert [rec["ZC"] is None for rec in recs] == [row["ZC"] == "" for row in rows]
+
+
+def test_thermo_rejects_r_and_cap_before_output(capsys):
+    for argv in (("--r", "1.3", "--s", "2", "--n", "10"), ("--r", "0.5", "--s", "1,2", "--n", "100001")):
+        code, out = run(capsys, "thermo", *argv)
+        assert code == 2 and out == ""

@@ -1,9 +1,12 @@
 import math
 import re
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareychain import thermo, transfer
 from fareychain.rings import Params
@@ -247,13 +250,76 @@ def test_direct_magnetization_cap():
 
 
 def test_thermo_point_bundle():
+    # the sweep reads operator iterates; the rows-route functions are its oracle, within its error
     s_values = [0.7, 1.5]
     for r in (0.0, 0.5):
         p = Params.floating(r)
         pts = thermo.thermo_sweep(r, s_values, 10)
         assert [(pt.s, pt.n) for pt in pts] == [(s, n) for s in s_values for n in range(2, 11)]
         for pt in pts:
-            assert pt.r == r
-            assert pt.ZC == thermo.canonical_Z(pt.n, pt.s, p)
-            assert pt.Fn == thermo.free_energy(pt.n, pt.s, p)
-            assert pt.Mn == thermo.magnetization(pt.n, pt.s, p, "identity")
+            assert pt.r == r and pt.dim == 48
+            assert 0.0 < pt.error <= 1e-12
+            zc = thermo.canonical_Z(pt.n, pt.s, p)
+            assert abs(pt.ZC - zc) <= pt.error * zc
+            assert pt.logZC == pytest.approx(math.log(pt.ZC), rel=1e-15)
+            assert abs(pt.Fn - thermo.free_energy(pt.n, pt.s, p)) <= pt.error
+            assert abs(pt.Mn - thermo.magnetization(pt.n, pt.s, p, "identity")) <= pt.error
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.integers(2, 20))
+def test_operator_sweep_matches_rows_route(r, s, n_max):
+    p = Params.floating(r)
+    for pt in thermo.thermo_sweep(r, [s], n_max):
+        assert pt.error <= 1e-12
+        zc = thermo.canonical_Z(pt.n, s, p, "rows")
+        assert abs(pt.ZC - zc) <= pt.error * zc, (pt, zc)
+        assert abs(pt.Mn - thermo.magnetization(pt.n, s, p, "identity")) <= pt.error, pt
+
+
+def test_operator_sweep_accuracy_grid():
+    for r in (0.0, 0.3, 0.7, 0.9, 0.95, 0.99, 1.0):
+        p = Params.floating(r)
+        s_values = [0.5, 1.0, 1.5, 2.0, 2.5]
+        sweep = thermo.thermo_sweep(r, s_values, 24)
+        for i, zg in enumerate(thermo._grand_sums(23, s_values, p)):  # the rows route, one walk
+            for pt in sweep[23 * i:23 * (i + 1)]:
+                zc = sum(zg[:pt.n], 1.0)
+                assert abs(pt.ZC - zc) <= pt.error * zc <= 1e-12 * zc, pt
+
+
+def test_sweep_rejects_before_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(transfer, "_collocation_operator", lambda *a: calls.append(a))
+    for r, s_values, n in ((1.3, [1.0], 10), (1.0 + 1e-9, [1.0], 10), (-0.1, [1.0], 10),
+                           (0.5, [1.0], thermo.SWEEP_CAP + 1), (0.5, [1.0, 2.0], thermo.SWEEP_CAP // 2 + 1)):
+        with pytest.raises(ValueError):
+            thermo.thermo_sweep(r, s_values, n)
+    assert calls == []
+
+
+def test_sweep_n_1000_under_a_second():
+    s_values = [1.03, 1.18, 1.28, 1.38, 1.48, 1.58, 1.68, 1.83]
+    start = time.perf_counter()
+    pts = thermo.thermo_sweep(0.7, s_values, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert len(pts) == 8 * 999
+    assert all(math.isfinite(pt.ZC) and pt.Fn >= 0.0 and 0.0 <= pt.Mn <= 1.0 for pt in pts)
+
+
+def test_sweep_past_float_range():
+    pts = thermo.thermo_sweep(0.7, [0.5], 2000)
+    out = [pt for pt in pts if math.isinf(pt.ZC)]
+    assert out and all(pt.logZC > math.log(sys.float_info.max) for pt in out)
+    assert all(math.isfinite(pt.logZC) and math.isfinite(pt.Fn) and math.isfinite(pt.Mn) for pt in pts)
+    assert all(pt.logZC <= math.log(sys.float_info.max) for pt in pts if math.isfinite(pt.ZC))
+
+
+def test_free_energy_limit_matches_spectral_gap():
+    # r = 0.7, s_cr ~ 1.4308: F(s) = max(0, g(s)), g(s) = log lambda_{s/2} - (s/2) log rho
+    r, rho = 0.7, 1.3
+    for s in (1.0, 1.2, 1.6, 1.8):
+        est, err = thermo.free_energy_limit(10**4, s, Params.floating(r))
+        g48, g36 = (math.log(transfer._collocation_lambda(s / 2.0, r, d)) - 0.5 * s * math.log(rho) for d in (48, 36))
+        assert abs(est - max(0.0, g48)) <= err + abs(g48 - g36), s
+        assert err <= 1e-9
