@@ -39,11 +39,18 @@ def _params(args) -> Params:
 
 
 def parse_values(spec: str) -> List[float]:
-    """Parse '0.5', '0.5,1,2' or 'start:stop:step' (stop inclusive)."""
+    """Parse '0.5', '0.5,1,2' or 'start:stop:step' (stop inclusive).  A grid that is not
+    finite, cannot reach stop or has over thermo.SWEEP_CAP points raises ValueError."""
     if ":" in spec:
         start, stop, step = (float(x) for x in spec.split(":"))
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
+        if not all(math.isfinite(v) for v in (start, stop, step)) or step == 0:
+            raise ValueError(f"grid {spec!r} needs finite bounds and a finite nonzero step")
+        span = (stop - start) / step
+        if span < 0:
+            raise ValueError(f"grid {spec!r}: the step leads away from stop")
+        if not span < thermo.SWEEP_CAP - 0.5:  # round(span) + 1 points; also refuses an overflowed span
+            raise ValueError(f"grid {spec!r} has more than {thermo.SWEEP_CAP} points")
+        return [start + i * step for i in range(round(span) + 1)]
     return [float(x) for x in spec.split(",")]
 
 
@@ -183,9 +190,7 @@ def cmd_xi(args) -> int:
 
 def cmd_zeta(args) -> int:
     if args.m is not None:
-        records = []
-        for q in range(1, args.qmax + 1):
-            records.append({"q": q, "mu_m": twisted.mu_twisted(args.m, q)})
+        records = ({"q": q, "mu_m": twisted.mu_twisted(args.m, q)} for q in range(1, args.qmax + 1))
         emit(records, ["q", "mu_m"], args)
         return 0
     fz = transfer.fredholm_and_zeta(complex(args.z), args.s, args.r, N=args.N)

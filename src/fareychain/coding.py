@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .maps import forward_map, inverse_branch
+from .maps import inverse_branch
 from .rings import Params
 from .spinchain import partial_sum_word
 from .tree import child_of_neighbours, root_endpoints
@@ -57,25 +57,12 @@ class CodeStream:
 
     bits: Tuple[int, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.bits)
-
-    def as_word(self) -> SpinWord:
-        return SpinWord.from_bits(self.bits)
-
     def binary_value(self) -> float:
         """The dyadic value 0.b1 b2 ... of the prefix."""
         acc = 0.0
         for b in reversed(self.bits):
             acc = (acc + b) / 2.0
         return acc
-
-    def shifted(self) -> "CodeStream":
-        return CodeStream(self.bits[1:])
-
-    def complemented(self) -> "CodeStream":
-        return CodeStream(tuple(1 - b for b in self.bits))
 
 
 def encode_point(x, params: Params, depth: int) -> CodeStream:
@@ -114,11 +101,3 @@ def conjugacy_h(x, params: Params, depth: int) -> float:
     2^(1-depth).
     """
     return encode_point(x, params, depth).binary_value()
-
-
-def conjugacy_residual(x, params: Params, depth: int) -> float:
-    """|F_0(h_r(x)) - h_r(F_r(x))| at finite depth (decays like 2^-depth)."""
-    tent = Params.floating(0.0)
-    lhs = forward_map(conjugacy_h(x, params, depth), tent)
-    rhs = conjugacy_h(forward_map(x, params), params, depth)
-    return abs(lhs - rhs)

@@ -13,7 +13,6 @@ interpolating between the tent map (r = 0) and the continued-fraction
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .rings import Params
 
@@ -87,16 +86,6 @@ def invariant_density(x, p: Params) -> float:
     return K / (1 - r + r * float(x))
 
 
-def density_mass_left_half(p: Params) -> float:
-    """Invariant mass of [0, 1/2]: log(1 - r/2)/log(1 - r) for r in (0,1)."""
-    r = p.r_float
-    if r >= 1:
-        raise ValueError("requires r < 1")
-    if r == 0:
-        return 0.5
-    return math.log1p(-r / 2) / math.log1p(-r)
-
-
 def involution_s(x, p: Params):
     """The order-two Moebius transformation ((r-1)x + 2-r)/(rx + 1-r).
 
@@ -118,8 +107,3 @@ def involution_pair(p_num, q_den, p: Params):
     """
     r = p.r
     return (r - 1) * p_num + (2 - r) * q_den, r * p_num + (1 - r) * q_den
-
-
-def exact_params(r) -> Params:
-    """Convenience constructor for exact-rational parameters."""
-    return Params.exact(Fraction(r))

@@ -39,17 +39,10 @@ class RhoPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RhoPoly is immutable")
 
-    @staticmethod
-    def const(c: int) -> "RhoPoly":
-        return RhoPoly((c,))
-
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def has_nonnegative_coeffs(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -212,11 +205,6 @@ class Params:
 
     def as_float(self) -> "Params":
         return Params.floating(self.r_float)
-
-
-def csum(values) -> float:
-    """Compensated sum of real floats (exact rounding via math.fsum)."""
-    return math.fsum(values)
 
 
 def balanced_sum(values, zero=0):

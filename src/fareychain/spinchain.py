@@ -15,7 +15,7 @@ and q_k over the hypercube have a closed product form indexed by a
 polymer decomposition of the frequency word, and the induced spin
 interaction -Q_k^ is ferromagnetic for r in [0, 1].
 
-Every row in the package comes from one two-child kernel (_levels): a
+Every row in the package comes from one two-child kernel (_step): a
 level has one column per word, and the next level holds A x in its
 first half and B x in its second, for fixed child matrices (A, B) over
 the active ring (float, Fraction or RhoPoly); in flip order the second
@@ -34,6 +34,12 @@ is copied, not recomputed: the second rows of L and SR coincide, which
 is the symmetry q_k(sigma) = q_k(bar sigma).  The cumulative tables are
 no separate recursion: pc_{k+1} interleaves pc_k with p_k, and qc_{k+1}
 interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).
+
+The kernel is walked two ways: _levels yields whole rows, for the tables
+that need them; every leaf and row sum reads _walk, which yields the same
+levels in bounded-memory blocks, summed per level by _level_sums (so a
+series costs the memory of its last term) or over the last level alone by
+_last_level_sum.
 """
 
 from __future__ import annotations
@@ -122,21 +128,43 @@ def _levels(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
         yield x
 
 
-def _blocks(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
-    """The columns of level `depth` in blocks of 2^_CHUNK_LEVELS or fewer.
+def _walk(stream, depth: int, params: Params) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (level, block) for levels 0 .. depth of a stream in bounded memory.
 
-    Each column of level depth - _CHUNK_LEVELS seeds one block, built one
-    at a time; they permute the level's columns, so sums change only by rounding.
+    Levels up to depth - _CHUNK_LEVELS come as whole rows; each column of
+    the last of them then seeds its subtree of the remaining levels, walked
+    one seed at a time, so no block is wider than
+    2^max(_CHUNK_LEVELS, depth - _CHUNK_LEVELS) columns.  A level's blocks
+    permute its columns, so sums over them change only by rounding; with one
+    seed (depth <= _CHUNK_LEVELS) every level is one whole row.  The table
+    cap of the mode is checked before the first level.
     """
     _check_cap(depth, params)
+    root, children, flip = stream(params)
     top = max(depth - _CHUNK_LEVELS, 0)
-    seeds = _last(_levels(stream, top, params))
-    _root, children, flip = stream(params)
-    for j in range(seeds.shape[1]):
-        x = seeds[:, j : j + 1]
-        for _ in range(depth - top):
-            x = _step(x, children, flip)
-        yield x
+    x = np.array(root, dtype=_dtype(params))[:, None]
+    yield 0, x
+    for level in range(1, top + 1):
+        x = _step(x, children, flip)
+        yield level, x
+    for j in range(x.shape[1]):
+        block = x[:, j : j + 1]
+        for level in range(top + 1, depth + 1):
+            block = _step(block, children, flip)
+            yield level, block
+
+
+def _level_sums(stream, depth: int, params: Params, term) -> list:
+    """For levels 0 .. depth, the sum of term(level, block) over the level's blocks."""
+    sums = [0] * (depth + 1)
+    for level, block in _walk(stream, depth, params):
+        sums[level] += term(level, block)
+    return sums
+
+
+def _last_level_sum(stream, depth: int, params: Params, term):
+    """The sum of term(block) over the blocks of level `depth`: _level_sums(...)[-1] alone."""
+    return sum((term(block) for level, block in _walk(stream, depth, params) if level == depth), 0)
 
 
 def _last(levels: Iterator[np.ndarray]) -> np.ndarray:
@@ -165,12 +193,6 @@ class PQTable:
 def pq_tables(k: int, params: Params) -> PQTable:
     """Tables of p_k, q_k over all of (Z/2Z)^k via the two-term recursions."""
     return _table(k, *_last(_levels(_tree_stream, k, params)))
-
-
-def iter_pq_rows(k_max: int, r: float) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (k, p_k, q_k) float arrays for k = 0 .. k_max from one walk down the tree."""
-    for k, (p, q) in enumerate(_levels(_tree_stream, k_max, Params.floating(r))):
-        yield k, p, q
 
 
 def pc_qc_tables(k: int, params: Params) -> PQTable:
@@ -204,7 +226,7 @@ def fourier_transform(values, k: int | None = None):
 
     Fast Walsh butterflies; exact when fed Fractions, vectorized when
     fed a numpy array.  The transform is its own inverse up to the
-    2^-k normalization (see :func:`inverse_fourier`).
+    2^-k normalization.
     """
     n = len(values)
     if k is None:
@@ -217,16 +239,6 @@ def fourier_transform(values, k: int | None = None):
     if isinstance(out, np.ndarray):
         return out / float(n)
     return [Fraction(v, n) if isinstance(v, (int, Fraction)) else v / n for v in out]
-
-
-def inverse_fourier(coeffs, k: int | None = None):
-    """Reconstruct f(sigma) = sum_t f^(t) (-1)^(sigma.t) (no normalization)."""
-    n = len(coeffs)
-    if k is None:
-        k = n.bit_length() - 1
-    if n != 1 << k:
-        raise ValueError("length must be a power of two")
-    return _walsh(coeffs, n)
 
 
 def _walsh(values, n: int):

@@ -35,7 +35,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .rings import Params, balanced_sum
-from .spinchain import _levels, _tree_stream, pc_qc_tables, pq_tables
+from .spinchain import _tree_stream, _walk, pc_qc_tables, pq_tables
 from .transfer import (_adaptive, _collocation_lambda, _lobatto_lambda, _log_iterates_at_half, _pair_stream,
                        spectral_radius)
 
@@ -70,12 +70,6 @@ class CriticalPoint:
     error: float
     slope: float  # |g'(s_cr)|, the jump of dF/ds at the transition (the latent heat)
     method: str
-
-
-@dataclass(frozen=True)
-class CriticalCurve:
-    samples: Sequence[CriticalPoint]
-    tol: float
 
 
 def _require_integer_exponent(s, params: Params) -> int:
@@ -115,10 +109,10 @@ def _grand_sums(k_max: int, s_values: Sequence, params: Params) -> List[List]:
     exponents = [_require_integer_exponent(s, params) for s in s_values]
     if params.r == 0:
         return [[grand_Z(k, s, params) for k in range(k_max + 1)] for s in exponents]
-    sums: List[List] = [[] for _ in exponents]
-    for _p, q in _levels(_tree_stream, k_max, params):
+    sums: List[List] = [[0] * (k_max + 1) for _ in exponents]
+    for level, (_p, q) in _walk(_tree_stream, k_max, params):
         for row, s in zip(sums, exponents):
-            row.append(_row_sum(q, s, params))
+            row[level] += _row_sum(q, s, params)
     return sums
 
 
@@ -153,7 +147,7 @@ def _canonical_via_transfer(n: int, s, params: Params):
     if params.mode == "exact" and s % 2 != 0:
         raise ValueError("the exact transfer route needs an even integer s")
     total = 2 * params.one  # the leading 1 plus the k = 0 term (P^0 1)(1) = 1
-    for p, q in _levels(_pair_stream, n - 1, params):  # the rho prefactors cancel
+    for _level, (p, q) in _walk(_pair_stream, n - 1, params):  # the rho prefactors cancel
         total += 2 * _row_sum(p * params.r + params.rho * q, s, params)
     return total / 2
 
@@ -239,7 +233,8 @@ def _illinois(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_
 
 def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     """The critical exponent s_cr(r), r < 1: smallest positive solution of
-    lambda_{s/2, r} = rho^(s/2) (ValueError for r >= 1, before any work).
+    lambda_{s/2, r} = rho^(s/2) (ValueError for r >= 1, or for a tol that is
+    not finite or is below 1e-12, before any work).
 
     :func:`_illinois` roots g(s) = log lambda_{s/2} - (s/2) log rho, lambda from
     the dim-point Chebyshev compression, on [1e-3, 2] (g(0+) > 0 as
@@ -255,6 +250,8 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     r = params.r_float
     if r >= 1:
         raise ValueError(f"the critical curve is computed for r < 1, got r={r}")
+    if not 1e-12 <= tol < math.inf:  # narrower brackets reach the float spacing of s, and stall
+        raise ValueError(f"tol={tol} must be finite and at least 1e-12")
     log_rho = math.log(2.0 - r)
     bracket, evals = (1e-3, 2.0), 0
 
@@ -286,11 +283,6 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     if shift > error:
         raise ArithmeticError(f"Lobatto check failed at r={r}, s={s_cr}: shift {shift:.3g} > error {error:.3g}")
     return CriticalPoint(r, s_cr, error, abs(slope), f"illinois on log lambda; {evals} evals; dim {dim}; lobatto-checked")
-
-
-def critical_curve(r_values: Sequence[float], tol: float = 1e-6) -> CriticalCurve:
-    pts = [critical_line(Params.floating(r), tol) for r in r_values]
-    return CriticalCurve(pts, tol)
 
 
 def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[Tuple[int, float, float, float]]:
@@ -345,13 +337,15 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
     (n dot products of length dim); the error of each point is that change,
     floored at the rounding floor.  The rows route (:func:`canonical_Z`,
     :func:`magnetization` with ``identity``) is the oracle.  ValueError, before
-    any work, for r outside [0, 1], n_max < 2 or n_max * len(s_values) >
-    SWEEP_CAP.  Points are ordered by s, then by n.
+    any work, for r outside [0, 1], n_max < 2, no s values or
+    n_max * len(s_values) > SWEEP_CAP.  Points are ordered by s, then by n.
     """
     if not 0 <= r <= 1:
         raise ValueError(f"the operator sweep is computed for r in [0, 1], got r={r}")
     if n_max < 2:
         raise ValueError("n must be >= 2")
+    if not len(s_values):
+        raise ValueError("the sweep needs at least one s value")
     if n_max * len(s_values) > SWEEP_CAP:
         raise ValueError(f"n * len(s) = {n_max * len(s_values)} exceeds the sweep cap {SWEEP_CAP}")
     s = np.asarray(s_values, dtype=float)

@@ -26,15 +26,15 @@ SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
     _matrix_stream   leaf matrices X        root L              rows of X times L, R
     _affine_stream   affine (s_k, t_k)      root (1, 0)         L, SR, second half reversed
 
-The single-n functions (:func:`iterate_one`, :func:`iterate_character`,
-:func:`trace_power`, :func:`periodic_sum_xi`) walk rows longer than 2^20
-in blocks, so large n costs time but bounded memory.  The series over
-n = 1 .. N each read one walk of whole rows, so memory grows like 2^N:
-the traces, Xi_n and both Fredholm determinants walk _matrix_stream
-(:func:`trace_sums`, :func:`periodic_sums_xi`, :func:`fredholm_and_zeta`,
-which takes all three series from one walk), and the twisted sums walk
-_pair_stream or _quad_stream (:func:`_character_sums`).  The per-level
-term formulas are written once and shared by both kinds of walk.
+Every leaf sum reads one bounded-memory walk of its stream
+(:func:`spinchain._walk`), so large n costs time but not memory.  A series
+over n = 1 .. N sums a term per level of one walk: the traces, Xi_n and both
+Fredholm determinants walk _matrix_stream (:func:`trace_sums`,
+:func:`periodic_sums_xi`, :func:`fredholm_and_zeta`), and the twisted sums
+_pair_stream or _quad_stream (:func:`_character_sums`).  A single-n value
+(:func:`iterate_one`, :func:`iterate_character`, :func:`trace_power`,
+:func:`periodic_sum_xi`) sums the same block terms over its last level
+alone, so it equals the last entry of its series exactly.
 
 A character e_m enters through vertex pairs e_m(n_0/den) + e_m(n_1/den)
 with n_0 + n_1 = den; for integer m, e_m(1 - t) is the conjugate of
@@ -49,16 +49,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import _blocks, _generators, _last, _levels, iter_pq_rows, pq_tables
+from .spinchain import _generators, _last, _last_level_sum, _level_sums, _levels, _tree_stream, _walk, pq_tables
 
 BRUTE_CAP = 20
-LEAF_CAP = 26
 COLLOCATION_DIMS = (48, 96, 192, 384)  # the adaptive ladder; dim d is checked against 3d/4
 
 
@@ -130,13 +129,6 @@ def _affine_stream(params: Params):
     return (params.one, params.one - params.one), (L, SR), True
 
 
-def _leaf_blocks(stream, n: int, r: float) -> Iterator[np.ndarray]:
-    """Row n of a float stream (depth n - 1) in bounded-memory blocks."""
-    if n > LEAF_CAP:
-        raise ValueError(f"n={n} exceeds the leaf-stream cap {LEAF_CAP}")
-    return _blocks(stream, n - 1, Params.floating(r))
-
-
 def extended_pairs(n: int, params: Params) -> List[Tuple]:
     """The (p, q) pairs of the n-th extended row in the active ring.
 
@@ -201,17 +193,16 @@ def _vertex_sum(level, x: float, s: complex, r: float, m: int) -> complex:
     rho = 2.0 - r
     den = level[0] * (r * x) + rho * level[1]
     if m == 0:
-        return 2.0 * np.sum(_cpow(den, -2.0 * s))
+        return complex(2.0 * np.sum(_cpow(den, -2.0 * s)))
     phase = np.cos((2.0 * math.pi * m) * ((level[2] * x + rho * level[3]) / den))  # n_0 / den
-    return 2.0 * np.sum(_cpow(den, -2.0 * s) * phase)
+    return complex(2.0 * np.sum(_cpow(den, -2.0 * s) * phase))
 
 
 def iterate_one(x: float, q: TransferQuery) -> complex:
     """(P^n 1)(x) = 2 rho^(ns) * sum over the n-th extended row of
     (p r x + rho q)^(-2s)."""
     s = complex(q.s)
-    blocks = _leaf_blocks(_pair_stream, q.n, q.r)
-    total = sum((_vertex_sum(block, x, s, q.r, 0) for block in blocks), 0j)
+    total = _last_level_sum(_pair_stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, s, q.r, 0))
     return _cpow(q.rho, q.n * s) * total
 
 
@@ -229,21 +220,16 @@ def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
         return iterate_one(x, q)
     _require_integer(m)
     s = complex(q.s)
-    blocks = _leaf_blocks(_quad_stream, q.n, q.r)
-    total = sum((_vertex_sum(block, x, s, q.r, m) for block in blocks), 0j)
+    total = _last_level_sum(_quad_stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, s, q.r, m))
     return _cpow(q.rho, q.n * s) * total
 
 
-def _character_sums(x: float, s: complex, r: float, m: int, n_max: int) -> Iterator[complex]:
-    """rho^(-ns) (P^n e_m)(x) for n = 1 .. n_max, from one walk down the
-    extended rows (whole rows, so memory grows like 2^n_max)."""
-    if n_max > LEAF_CAP:
-        raise ValueError(f"n={n_max} exceeds the leaf-stream cap {LEAF_CAP}")
+def _character_sums(x: float, s: complex, r: float, m: int, n_max: int) -> List[complex]:
+    """rho^(-ns) (P^n e_m)(x) for n = 1 .. n_max, from one walk down the extended rows."""
     _require_integer(m)
     s = complex(s)
     stream = _pair_stream if m == 0 else _quad_stream
-    for level in _levels(stream, n_max - 1, Params.floating(r)):
-        yield _vertex_sum(level, x, s, r, m)
+    return _level_sums(stream, n_max - 1, Params.floating(r), lambda _level, b: _vertex_sum(b, x, s, r, m))
 
 
 def affine_tables(k: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -274,13 +260,11 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
     times rho^((k+1)s).  At x = 1 this collapses to twice the plain
     leaf sum of q_k^(-2s) f(p_k/q_k).  `f` must accept numpy arrays.
     """
-    if k + 1 > LEAF_CAP:
-        raise ValueError("k exceeds the leaf cap")
     s = complex(s)
+    s_tab, t_tab = affine_tables(k + 1, r)  # first, so that its table cap on k + 1 fails before any work
     table = pq_tables(k, Params.floating(r))
     p_arr = np.asarray(table.p, dtype=float)
     q_arr = np.asarray(table.q, dtype=float)
-    s_tab, t_tab = affine_tables(k + 1, r)
     s_pairs = s_tab.reshape(-1, 2)
     t_pairs = t_tab.reshape(-1, 2)
     u = 1.0 - x
@@ -303,43 +287,33 @@ def _pair_traces(X: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray]:
     return a + d, a * (r - 1.0) + b * r + c * (2.0 - r) + d * (1.0 - r)
 
 
-def _trace_value(pairs, r: float, n: int, s: complex, signed: bool) -> complex:
-    """trace(P^n) from the (T_0, T_1) of the leaves of row n, in blocks."""
-    rho = 2.0 - r
-    rho_n = rho**n
-    total = 0.0 + 0.0j
-    for T0, T1 in pairs:
-        s0 = np.sqrt(T0 * T0 - 4.0 * rho_n)
-        s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
-        term0 = _cpow(2.0 / (T0 + s0), 2.0 * s - 1.0) / s0
-        term1 = _cpow(2.0 / (T1 + s1), 2.0 * s - 1.0) / s1
-        total += np.sum(term0) + (-1.0 if signed else 1.0) * np.sum(term1)
-    return _cpow(rho, n * s) * total
+def _pair_trace_sums(n: int, r: float, term) -> list:
+    """For rows k = 1 .. n of the leaf matrices, the sum of term(k, (T_0, T_1)) over the row's blocks."""
+    sums = [0] * n
+    for level, X in _walk(_matrix_stream, n - 1, Params.floating(r)):
+        T = _pair_traces(X, r)  # held until the next block's: freed sooner, its pages fault back in
+        sums[level] += term(level + 1, T)
+    return sums
 
 
-def _xi_value(pairs, r: float, n: int, s: complex) -> complex:
-    """Xi_n(s) from the (T_0, T_1) of the leaves of row n, in blocks."""
-    rho = 2.0 - r
-    rho_n = rho**n
-    total = 0.0 + 0.0j
-    for T0, T1 in pairs:
-        s0 = np.sqrt(np.maximum(T0 * T0 - 4.0 * rho_n, 0.0))
-        s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
-        total += np.sum(_cpow(T0 + s0, -2.0 * s)) + np.sum(_cpow(T1 + s1, -2.0 * s))
-    return _cpow(4.0, s) * _cpow(rho, n * s) * total
+def _trace_sum(T, r: float, n: int, s: complex, signed: bool) -> complex:
+    """The leaf terms of rho^(-ns) trace(P^n) summed over a block (T_0, T_1) of row n."""
+    T0, T1 = T
+    rho_n = (2.0 - r) ** n
+    s0 = np.sqrt(T0 * T0 - 4.0 * rho_n)
+    s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
+    term0 = _cpow(2.0 / (T0 + s0), 2.0 * s - 1.0) / s0
+    term1 = _cpow(2.0 / (T1 + s1), 2.0 * s - 1.0) / s1
+    return complex(np.sum(term0) + (-1.0 if signed else 1.0) * np.sum(term1))
 
 
-def _trace_rows(n: int, r: float) -> Iterator[Tuple[int, list]]:
-    """(k, [(T_0, T_1)]) for rows k = 1 .. n of the leaf matrices, from one
-    walk down _matrix_stream (whole rows, so memory grows like 2^n)."""
-    if n > LEAF_CAP:
-        raise ValueError(f"n={n} exceeds the leaf-stream cap {LEAF_CAP}")
-    for k, X in enumerate(_levels(_matrix_stream, n - 1, Params.floating(r)), 1):
-        yield k, [_pair_traces(X, r)]
-
-
-def _block_traces(q: TransferQuery):
-    return (_pair_traces(X, q.r) for X in _leaf_blocks(_matrix_stream, q.n, q.r))
+def _xi_sum(T, r: float, n: int, s: complex) -> complex:
+    """The leaf terms of 4^(-s) rho^(-ns) Xi_n(s) summed over a block (T_0, T_1) of row n."""
+    T0, T1 = T
+    rho_n = (2.0 - r) ** n
+    s0 = np.sqrt(np.maximum(T0 * T0 - 4.0 * rho_n, 0.0))
+    s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
+    return complex(np.sum(_cpow(T0 + s0, -2.0 * s)) + np.sum(_cpow(T1 + s1, -2.0 * s)))
 
 
 def _require_trace_class(r: float) -> None:
@@ -364,14 +338,19 @@ def trace_power(q: TransferQuery, signed: bool = False) -> complex:
     r < 1; the all-left leaf term diverges as r -> 1.
     """
     _require_trace_class(q.r)
-    return _trace_value(_block_traces(q), q.r, q.n, complex(q.s), signed)
+    s = complex(q.s)
+    total = _last_level_sum(_matrix_stream, q.n - 1, Params.floating(q.r),
+                            lambda X: _trace_sum(_pair_traces(X, q.r), q.r, q.n, s, signed))
+    return _cpow(q.rho, q.n * s) * total
 
 
 def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
     """[trace(P^1), ..., trace(P^n)] (see :func:`trace_power`) from one walk."""
     TransferQuery(s, r, n)  # validates r and n
     _require_trace_class(r)
-    return [_trace_value(pairs, r, k, complex(s), signed) for k, pairs in _trace_rows(n, r)]
+    s = complex(s)
+    sums = _pair_trace_sums(n, r, lambda k, T: _trace_sum(T, r, k, s, signed))
+    return [_cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
 
 
 def periodic_sum_xi(q: TransferQuery) -> complex:
@@ -384,14 +363,19 @@ def periodic_sum_xi(q: TransferQuery) -> complex:
     Unlike the traces this stays finite at r = 1.
     """
     _require_xi_range(q.r)
-    return _xi_value(_block_traces(q), q.r, q.n, complex(q.s))
+    s = complex(q.s)
+    total = _last_level_sum(_matrix_stream, q.n - 1, Params.floating(q.r),
+                            lambda X: _xi_sum(_pair_traces(X, q.r), q.r, q.n, s))
+    return _cpow(4.0, s) * _cpow(q.rho, q.n * s) * total
 
 
 def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
     """[Xi_1(s), ..., Xi_n(s)] (see :func:`periodic_sum_xi`) from one walk."""
     TransferQuery(s, r, n)  # validates r and n
     _require_xi_range(r)
-    return [_xi_value(pairs, r, k, complex(s)) for k, pairs in _trace_rows(n, r)]
+    s = complex(s)
+    sums = _pair_trace_sums(n, r, lambda k, T: _xi_sum(T, r, k, s))
+    return [_cpow(4.0, s) * _cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
 
 
 def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, float]:
@@ -538,11 +522,16 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
     if r >= 1:
         raise ValueError("determinants require r < 1")
     TransferQuery(s, r, N)  # validates r and N
-    tr, tr_signed, xi = [], [], []
-    for k, pairs in _trace_rows(N, r):
-        tr.append(_trace_value(pairs, r, k, complex(s), False))
-        tr_signed.append(_trace_value(pairs, r, k, complex(s + 1), True))
-        xi.append(_xi_value(pairs, r, k, complex(s)))
+    s_c = complex(s)
+
+    def terms(k: int, T) -> np.ndarray:
+        return np.array([_trace_sum(T, r, k, s_c, False), _trace_sum(T, r, k, s_c + 1, True), _xi_sum(T, r, k, s_c)])
+
+    sums = _pair_trace_sums(N, r, terms)
+    rho = 2.0 - r
+    tr = [_cpow(rho, k * s_c) * complex(t[0]) for k, t in enumerate(sums, 1)]
+    tr_signed = [_cpow(rho, k * (s_c + 1)) * complex(t[1]) for k, t in enumerate(sums, 1)]
+    xi = [_cpow(4.0, s_c) * _cpow(rho, k * s_c) * complex(t[2]) for k, t in enumerate(sums, 1)]
     d = _newton_coefficients(tr)
     d_sgn = _newton_coefficients(tr_signed)
     powers = z ** np.arange(N + 1)
@@ -604,25 +593,10 @@ def smallest_determinant_zero(s: float, r: float, N: int = 18) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mn_spectra(s: complex, r: float, K: int) -> Tuple[np.ndarray, np.ndarray]:
-    """First K eigenvalues of the two integral-operator families.
-
-    mu_k = rho^-(s+k) (requires r < 1) and
-    nu_k = (-1)^k (4 rho / (1 + sqrt(1+4 rho))^2)^(s+k); their full
-    geometric sums reconstruct trace(P_{s,r}).
-    """
-    if r >= 1:
-        raise ValueError("the mu family requires r < 1")
-    rho = 2.0 - r
-    ks = np.arange(K)
-    mu = np.array([_cpow(rho, -(s + k)) for k in ks])
-    beta = 4.0 * rho / (1.0 + math.sqrt(1.0 + 4.0 * rho)) ** 2
-    nu = np.array([(-1.0) ** k * _cpow(beta, s + k) for k in ks])
-    return mu, nu
-
-
 def trace_from_spectra(s: complex, r: float) -> complex:
-    """trace(P_{s,r}) = sum mu_k + sum nu_k, summed in closed form."""
+    """trace(P_{s,r}) = sum mu_k + sum nu_k over the eigenvalues mu_k = rho^-(s+k)
+    and nu_k = (-1)^k beta^(s+k), beta = 4 rho / (1 + sqrt(1 + 4 rho))^2, of two
+    integral-operator families, summed in closed form."""
     rho = 2.0 - r
     beta = 4.0 * rho / (1.0 + math.sqrt(1.0 + 4.0 * rho)) ** 2
     return _cpow(rho, -s) / (1.0 - 1.0 / rho) + _cpow(beta, s) / (1.0 + beta)
@@ -650,7 +624,7 @@ class SpectralRadius:
     dim: int
 
 
-def _power_sums(s: float, r: float, n_max: int) -> Iterator[float]:
+def _power_sums(s: float, r: float, n_max: int) -> List[float]:
     """a_n = (P^n 1)(1) = 2 rho^(ns) sum_sigma q_{n-1}(sigma)^(-2s), n = 1 .. n_max.
 
     Row k+1 of q is r p_k + rho q_k followed by its reverse (L and SR
@@ -658,11 +632,9 @@ def _power_sums(s: float, r: float, n_max: int) -> Iterator[float]:
     rho q_k)^(-2s) comes from row k and row n_max - 1 is never built.
     """
     rho = 2.0 - r
-    yield 2.0 * rho**s * 2.0 ** (-2.0 * s)  # q_0 = 2
-    if n_max < 2:
-        return
-    for k, p, q in iter_pq_rows(n_max - 2, r):
-        yield 4.0 * rho ** ((k + 2) * s) * float(np.sum((r * p + rho * q) ** (-2.0 * s)))
+    rows = [] if n_max < 2 else _level_sums(_tree_stream, n_max - 2, Params.floating(r),
+                                            lambda _level, x: float(np.sum((r * x[0] + rho * x[1]) ** (-2.0 * s))))
+    return [2.0 * rho**s * 2.0 ** (-2.0 * s)] + [4.0 * rho ** ((k + 2) * s) * row for k, row in enumerate(rows)]
 
 
 def _power_radius(s: float, r: float, n: int = 20) -> float:
@@ -671,7 +643,7 @@ def _power_radius(s: float, r: float, n: int = 20) -> float:
     spread of the last two terms (past that floor the transforms settle on a
     spurious limit).  The spread under-reports the error, so none is
     returned; ``verify transfer`` holds the value to a fixed tolerance."""
-    a = np.fromiter(_power_sums(s, r, n), float)
+    a = np.array(_power_sums(s, r, n))
     seq = a[1:] / a[:-1]
     spread = abs(float(seq[-1] - seq[-2]))
     while len(seq) >= 5:

@@ -57,9 +57,6 @@ class Mat2:
         """The pair (p, q) with p/q the Moebius image of 1."""
         return self.a + self.b, self.c + self.d
 
-    def mobius(self, x):
-        return (self.a * x + self.b) / (self.c * x + self.d)
-
 
 def mat_L(params: Params) -> Mat2:
     one = params.one
@@ -77,15 +74,6 @@ def mat_S(params: Params) -> Mat2:
     one = params.one
     rho = params.rho
     return Mat2(one - rho, rho, 2 * one - rho, rho - one)
-
-
-def mat_I(j: int, params: Params) -> Mat2:
-    """The branch matrices; I_0 = L and I_1 = L S = S R."""
-    if j == 0:
-        return mat_L(params)
-    if j == 1:
-        return mat_L(params) @ mat_S(params)
-    raise ValueError("branch index must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -219,13 +207,6 @@ def matrix_presentation(sigma: SpinWord, params: Params) -> Mat2:
     for bit in sigma:
         X = X @ (R if bit else L)
     return X
-
-
-def trace_pair(X: Mat2, params: Params):
-    """(T0, T1) = (trace X, trace XS); T0 + T1 = r p + rho q for p/q = X(1)."""
-    T0 = X.trace()
-    T1 = (X @ mat_S(params)).trace()
-    return T0, T1
 
 
 def extended_row(n: int, params: Params) -> TreeRow:

@@ -15,26 +15,18 @@ rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from typing import List, Tuple
 
 import numpy as np
 
 from .rings import Params
-from .spinchain import iter_pq_rows
+from .spinchain import _level_sums, _tree_stream
 from .transfer import _character_sums
 
 SIEVE_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True)
-class TwistedSum:
-    m: int
-    n: int
-    s: float
-    value: complex
 
 
 @lru_cache(maxsize=4)
@@ -187,20 +179,15 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "rows")
     if n < 1:
         raise ValueError("n must be >= 1")
     r = params.as_float().r_float
-    sums = []
     if method == "rows":
-        total = 1.0 + 0.0j
         two_pi_m = 2j * math.pi * m
-        for k, p_arr, q_arr in iter_pq_rows(n - 1, r):
-            total += complex(np.sum(q_arr ** (-float(s)) * np.exp(two_pi_m * (p_arr / q_arr))))
-            sums.append(total)
-        return sums
+        rows = _level_sums(_tree_stream, n - 1, Params.floating(r),
+                           lambda _level, x: complex(np.sum(x[1] ** (-float(s)) * np.exp(two_pi_m * (x[0] / x[1])))))
+        return list(accumulate(rows, initial=1.0 + 0.0j))[1:]
     if method == "transfer":
-        total = 2.0 + 0.0j  # leading 1 plus the k = 0 term e_m(1) = 1
-        for row_sum in _character_sums(1.0, s / 2.0, r, m, n):
-            total += row_sum
-            sums.append(total / 2.0)
-        return sums
+        # the leading 1 plus the k = 0 term e_m(1) = 1
+        totals = accumulate(_character_sums(1.0, s / 2.0, r, m, n), initial=2.0 + 0.0j)
+        return [total / 2.0 for total in totals][1:]
     raise ValueError(f"unknown method {method!r}")
 
 

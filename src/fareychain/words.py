@@ -80,14 +80,8 @@ class SpinWord:
             raise ValueError("length mismatch")
         return (self.bits & other.bits).bit_count()
 
-    def concat(self, other: "SpinWord") -> "SpinWord":
-        return SpinWord(self.k + other.k, (self.bits << other.k) | other.bits)
-
     def append(self, bit: int) -> "SpinWord":
         return SpinWord(self.k + 1, (self.bits << 1) | bit)
-
-    def prepend(self, bit: int) -> "SpinWord":
-        return SpinWord(self.k + 1, (bit << self.k) | self.bits)
 
     def ones(self) -> Tuple[int, ...]:
         """1-based positions i with sigma_i = 1, in increasing order."""

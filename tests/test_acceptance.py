@@ -233,8 +233,8 @@ def test_criterion_7_spectral_and_phase():
         worst_unit = max(worst_unit, abs(transfer.spectral_radius(1.0, r, tol=1e-10).value - 1.0))
     ok &= worst_unit <= 1e-8
 
-    curve = thermo.critical_curve([0.1 * i for i in range(10)], tol=1e-7)
-    vals = np.array([pt.s_cr for pt in curve.samples])
+    curve = [thermo.critical_line(Params.floating(0.1 * i), 1e-7) for i in range(10)]
+    vals = np.array([pt.s_cr for pt in curve])
     dev0 = abs(vals[0] - 1.0)
     ok &= dev0 <= 1e-3
     ok &= bool(np.all(np.diff(vals) >= 0.0))

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import warnings
 
 import pytest
 
-from fareychain import spinchain
+from fareychain import cli, spinchain, thermo
 from fareychain.cli import main, parse_values
 
 
@@ -21,6 +22,16 @@ def test_parse_values():
     assert parse_values("0.5") == [0.5]
     assert parse_values("0.5,1,2") == [0.5, 1.0, 2.0]
     assert parse_values("0:1:0.25") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert parse_values("1:0:-0.5") == [1.0, 0.5, 0.0]
+    assert parse_values("0.5:0.5:1") == [0.5]
+    assert len(parse_values(f"1:{thermo.SWEEP_CAP}:1")) == thermo.SWEEP_CAP
+
+
+def test_parse_values_rejects_bad_grids_before_building():
+    for spec in ("0.5:0.1:0.1", "1:0:0.1", "0:1:-0.1", "0:1:0", "0:inf:1", "nan:1:0.1", "0:1:inf",
+                 "0:1e9:1", f"0:{thermo.SWEEP_CAP}:1", "-1e308:1e308:1e-300"):
+        with pytest.raises(ValueError):
+            parse_values(spec)
 
 
 def test_tree_rows_csv(capsys):
@@ -82,6 +93,13 @@ def test_lambda_jsonl(capsys):
     assert code == 0
     rec = json.loads(out.splitlines()[1])
     assert rec["value"] == pytest.approx(0.5, abs=1e-10)
+
+
+def test_zeta_number_theory_table_streams(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "emit", lambda records, fields, args: seen.append(records))
+    assert main(["zeta", "--m", "1", "--qmax", "1000"]) == 0
+    assert inspect.isgenerator(seen[0])  # nothing is computed until emit writes it
 
 
 def test_zeta_number_theory_table(capsys):

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -90,12 +89,6 @@ def test_invariant_density_tent_is_uniform():
     p = Params.floating(0.0)
     for x in (0.0, 0.31, 1.0):
         assert maps.invariant_density(x, p) == 1.0
-
-
-def test_density_left_half_mass():
-    assert maps.density_mass_left_half(Params.floating(0.5)) == pytest.approx(
-        math.log(0.75) / math.log(0.5)
-    )
 
 
 def test_density_normalization_by_quadrature():

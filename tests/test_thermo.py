@@ -206,6 +206,16 @@ def test_critical_line_rejects_r_one_before_work(monkeypatch):
     assert calls == []
 
 
+def test_critical_line_rejects_bad_tol_before_work(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("eigen-solve before the tol check")
+
+    monkeypatch.setattr(thermo, "_collocation_lambda", no_solve)
+    for tol in (0.0, -1.0, 1e-300, 1e-13, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            thermo.critical_line(Params.floating(0.5), tol=tol)
+
+
 def test_lobatto_cross_check_is_live(monkeypatch):
     lobatto = thermo._lobatto_lambda
     monkeypatch.setattr(thermo, "_lobatto_lambda", lambda s, r, dim: lobatto(s, r, dim) * (1.0 + 1e-5))
@@ -214,8 +224,8 @@ def test_lobatto_cross_check_is_live(monkeypatch):
 
 
 def test_critical_curve_monotone_convex():
-    curve = thermo.critical_curve([0.0, 0.15, 0.3, 0.45, 0.6], tol=1e-7)
-    vals = [pt.s_cr for pt in curve.samples]
+    curve = [thermo.critical_line(Params.floating(r), 1e-7) for r in (0.0, 0.15, 0.3, 0.45, 0.6)]
+    vals = [pt.s_cr for pt in curve]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert np.min(np.diff(vals, 2)) >= -1e-6
 
@@ -223,8 +233,8 @@ def test_critical_curve_monotone_convex():
 def test_critical_curve_monotone_convex_to_one():
     # dense around the old 0.97 cutoff: a jump there breaks monotonicity or convexity
     rs = [0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.96, 0.965, 0.97, 0.975, 0.98, 0.99, 0.995, 0.999]
-    curve = thermo.critical_curve(rs, tol=1e-7)
-    pts = [(pt.r, pt.s_cr, pt.error) for pt in curve.samples]
+    curve = [thermo.critical_line(Params.floating(r), 1e-7) for r in rs]
+    pts = [(pt.r, pt.s_cr, pt.error) for pt in curve]
     assert all(0.0 < e <= 1e-7 for _r, _s, e in pts)
     for (r0, s0, e0), (r1, s1, e1) in zip(pts, pts[1:]):
         assert s1 - s0 > e0 + e1, (r0, r1)
@@ -292,7 +302,8 @@ def test_sweep_rejects_before_work(monkeypatch):
     calls = []
     monkeypatch.setattr(transfer, "_collocation_operator", lambda *a: calls.append(a))
     for r, s_values, n in ((1.3, [1.0], 10), (1.0 + 1e-9, [1.0], 10), (-0.1, [1.0], 10),
-                           (0.5, [1.0], thermo.SWEEP_CAP + 1), (0.5, [1.0, 2.0], thermo.SWEEP_CAP // 2 + 1)):
+                           (0.5, [1.0], thermo.SWEEP_CAP + 1), (0.5, [1.0, 2.0], thermo.SWEEP_CAP // 2 + 1),
+                           (0.5, [], 10)):
         with pytest.raises(ValueError):
             thermo.thermo_sweep(r, s_values, n)
     assert calls == []

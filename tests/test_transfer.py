@@ -8,7 +8,7 @@ import pytest
 
 from fareychain import transfer
 from fareychain.rings import Params
-from fareychain.spinchain import iter_pq_rows
+from fareychain.spinchain import pq_tables
 from fareychain.transfer import TransferQuery
 
 
@@ -211,18 +211,6 @@ def test_fredholm_smallest_zero_at_unit_eigenvalue():
     assert z0 == pytest.approx(1.0, abs=1e-10)
 
 
-def test_mn_spectra_values():
-    mu, nu = transfer.mn_spectra(1.2, 0.4, 5)
-    rho = 1.6
-    assert mu[0] == pytest.approx(rho**-1.2)
-    beta = 4 * rho / (1 + math.sqrt(1 + 4 * rho)) ** 2
-    assert nu[0] == pytest.approx(beta**1.2)
-    assert nu[1] == pytest.approx(-(beta**2.2))
-    assert mu[3] == pytest.approx(rho ** -(1.2 + 3))
-    with pytest.raises(ValueError):
-        transfer.mn_spectra(1.0, 1.0, 3)
-
-
 def test_spectral_radius_tent_closed_form():
     for s in (0.3, 0.5, 1.0, 2.0, 3.5):
         res = transfer.spectral_radius(s, 0.0, tol=1e-12)
@@ -261,7 +249,8 @@ def test_power_sums_from_one_level_up():
         rho = 2.0 - r
         for s in (0.55, 0.9):
             sums = list(transfer._power_sums(s, r, 20))
-            rows = [2.0 * rho ** ((k + 1) * s) * np.sum(q ** (-2.0 * s)) for k, _p, q in iter_pq_rows(19, r)]
+            rows = [2.0 * rho ** ((k + 1) * s) * np.sum(pq_tables(k, Params.floating(r)).q ** (-2.0 * s))
+                    for k in range(20)]
             assert len(sums) == len(rows) == 20
             for a, b in zip(sums, rows):
                 assert abs(a - b) <= 1e-14 * b

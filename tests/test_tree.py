@@ -115,8 +115,7 @@ def test_generator_matrices():
     assert L.det() == RHO and R.det() == RHO
     assert S.det() == poly(-1)
     assert (S @ S) == treemod.Mat2(ONE, poly(), poly(), ONE)
-    assert treemod.mat_I(1, SYM) == S @ R  # I_1 = L S = S R
-    assert (L @ S) == (S @ R)
+    assert (L @ S) == (S @ R)  # the branch matrix I_1 = L S = S R
 
 
 def test_presentation_examples():
@@ -137,10 +136,15 @@ def test_presentation_matches_tables_and_determinant():
             assert X.det() == RHO ** (k + 1)
 
 
+def _trace_pair(X, params):
+    """(T0, T1) = (trace X, trace XS) of a leaf matrix X."""
+    return X.trace(), (X @ treemod.mat_S(params)).trace()
+
+
 def test_trace_pair_left_powers():
     for n in (1, 2, 5):
         X = treemod.matrix_presentation(SpinWord(n - 1, 0), SYM)
-        T0, T1 = treemod.trace_pair(X, SYM)
+        T0, T1 = _trace_pair(X, SYM)
         assert T0 == ONE + RHO**n
         assert T1 == RhoPoly([1] * n)
 
@@ -152,10 +156,10 @@ def test_trace_pair_sum_identity():
         for w in all_words(k):
             X = treemod.matrix_presentation(w, SYM)
             p, q = X.image_of_one()
-            T0, T1 = treemod.trace_pair(X, SYM)
+            T0, T1 = _trace_pair(X, SYM)
             assert T0 + T1 == r_sym * p + RHO * q
     X = treemod.matrix_presentation(SpinWord(0, 0), SYM)
-    T0, T1 = treemod.trace_pair(X, SYM)
+    T0, T1 = _trace_pair(X, SYM)
     assert T0 + T1 == poly(2, 1)  # r * 1 + rho * 2 at p/q = 1/2
 
 
@@ -169,7 +173,7 @@ def test_trace_pair_farey_parent_form():
             child = treemod.child_of_neighbours(lo, hi, one_params)
             X = treemod.matrix_presentation(child.path, one_params)
             assert child.p == a.p + b.p and child.q == a.q + b.q
-            T0, T1 = treemod.trace_pair(X, one_params)
+            T0, T1 = _trace_pair(X, one_params)
             assert {T0, T1} == {a.p + b.q, b.p + a.q}
 
 

@@ -1,0 +1,124 @@
+"""Differential checks of the bounded-memory level walk and of the CLI's input checks.
+
+Every leaf and row series reads spinchain._walk, which hands over levels
+past depth - _CHUNK_LEVELS one seed's subtree at a time.  With
+_CHUNK_LEVELS at 1..4 a level of n <= 12 comes in many blocks, so these
+draws run the many-seed walk that rows longer than 2^20 take, against the
+whole rows that the default chunk gives at this size.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fareychain import cli, spinchain, thermo, transfer, twisted
+from fareychain.rings import Params
+from fareychain.transfer import TransferQuery
+
+X = 0.3  # the point at which the character iterates are taken
+
+
+def _series(n, s, r):
+    """{name: (values, scale)} for every leaf and row series at (n, s, r).
+
+    scale bounds the sum of the absolute terms of each entry, so rounding
+    from a new summation order is small against it: the series itself when
+    its terms are positive, its m = 0 or unsigned counterpart otherwise."""
+    p = Params.floating(r)
+    trace = transfer.trace_sums(n, s, r)
+    char0 = transfer._character_sums(X, s, r, 0, n)
+    rows0 = twisted.twisted_sums(n, s, 0, p)
+    fz = transfer.fredholm_and_zeta(0.3, s, r, N=n)
+    zg = thermo._grand_sums(n - 1, [s, s + 1.0], p)
+    return {
+        "trace": (trace, trace),
+        "signed trace": (transfer.trace_sums(n, s, r, signed=True), trace),
+        "xi": (transfer.periodic_sums_xi(n, s, r), None),
+        "determinants": ([fz.det, fz.det_signed_shift], None),
+        "character m=0": (char0, char0),
+        "character m=2": (transfer._character_sums(X, s, r, 2, n), char0),
+        "twisted rows m=0": (rows0, rows0),
+        "twisted rows m=2": (twisted.twisted_sums(n, s, 2, p), rows0),
+        "power sums": (transfer._power_sums(s, r, n), None),
+        "grand sums": (zg[0] + zg[1], None),
+        "canonical transfer": ([thermo.canonical_Z(n, s, p, "transfer")], None),
+    }
+
+
+def _single_n(n, s, r):
+    """{series name: (single-n value, factor)}: the series' last entry, times
+    factor if there is one, must equal the value exactly."""
+    q = TransferQuery(s, r, n)
+    rho_ns = transfer._cpow(2.0 - r, n * complex(s))  # the character series carry no rho^(ns)
+    return {
+        "trace": (transfer.trace_power(q), None),
+        "signed trace": (transfer.trace_power(q, signed=True), None),
+        "xi": (transfer.periodic_sum_xi(q), None),
+        "character m=0": (transfer.iterate_one(X, q), rho_ns),
+        "character m=2": (transfer.iterate_character(X, q, 2), rho_ns),
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 0.95), st.floats(0.3, 2.5), st.integers(1, 12), st.integers(1, 4))
+def test_chunked_walk_matches_whole_rows(r, s, n, chunk):
+    whole = _series(n, s, r)
+    widths = []
+    step = spinchain._step
+
+    def recorded_step(x, children, flip):
+        out = step(x, children, flip)
+        widths.append(out.shape[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spinchain, "_CHUNK_LEVELS", chunk)
+        mp.setattr(spinchain, "_step", recorded_step)
+        chunked = _series(n, s, r)
+        single = _single_n(n, s, r)
+    assert max(widths, default=1) <= 2 ** max(chunk, n - 1 - chunk)
+    for name, (values, scale) in chunked.items():
+        reference = whole[name][0]
+        assert len(values) == len(reference), name
+        for a, b, c in zip(values, reference, reference if scale is None else scale):
+            assert abs(a - b) <= 1e-13 * abs(c), (name, a, b)
+    for name, (value, factor) in single.items():
+        last = chunked[name][0][-1]
+        assert (last if factor is None else factor * last) == value, name
+
+
+_finite = st.floats(-10.0, 10.0)
+_step = st.floats(1e-3, 10.0)
+_bad_grids = st.one_of(
+    st.builds(lambda a, d, h: f"{a + d}:{a}:{h}", _finite, st.floats(1e-3, 10.0), _step),  # reversed
+    st.builds(lambda a, b: f"{a}:{b}:0", _finite, _finite),  # zero step
+    st.builds(lambda a, bad, i: ":".join(bad if j == i else v for j, v in enumerate((str(a), str(a + 1.0), "0.1"))),
+              _finite, st.sampled_from(["inf", "-inf", "nan"]), st.integers(0, 2)),  # non-finite
+    st.builds(lambda a, h, k: f"{a}:{a + (thermo.SWEEP_CAP + k) * h}:{h}", _finite, _step, st.integers(1, 10**9)),
+)
+_bad_tols = st.one_of(st.sampled_from(["0", "-1", "1e-300", "nan", "inf", "-inf"]),
+                      st.floats(max_value=9.9e-13).map(repr))
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    _bad_grids.map(lambda g: ["thermo", "--r", "0.5", f"--s={g}", "--n", "4"]),
+    _bad_grids.map(lambda g: ["phase", f"--r-grid={g}"]),
+    _bad_grids.map(lambda g: ["code", "--r", "0.5", f"--x={g}"]),
+    _bad_tols.map(lambda t: ["phase", "--r-grid", "0:0.5:0.25", f"--tol={t}"]),
+))
+def test_malformed_grid_or_tol_exits_2_before_output(argv):
+    code, out, err = _run_cli(argv)
+    assert code == 2, argv
+    assert out == "", argv
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)

@@ -34,9 +34,7 @@ def test_group_structure():
     assert (a + b).to_bits() == (1, 0, 1)
     assert a.dot(b) == 1
     assert a.inner(b) == 1
-    assert a.concat(b).to_bits() == (1, 1, 0, 0, 1, 1)
     assert a.append(1).to_bits() == (1, 1, 0, 1)
-    assert a.prepend(1).to_bits() == (1, 1, 1, 0)
     assert a.ones() == (1, 2)
 
 
