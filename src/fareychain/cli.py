@@ -38,20 +38,31 @@ def _params(args) -> Params:
     return Params.floating(float(Fraction(r)))
 
 
-def parse_values(spec: str) -> List[float]:
-    """Parse '0.5', '0.5,1,2' or 'start:stop:step' (stop inclusive).  A grid that is not
-    finite, cannot reach stop or has over thermo.SWEEP_CAP points raises ValueError."""
+def parse_values(spec: str, arg: str = "grid") -> List[float]:
+    """Parse '0.5', '0.5,1,2' or 'start:stop:step' (stop inclusive) given for `arg`.  A list
+    or grid that is not finite, cannot reach stop or has over thermo.SWEEP_CAP points raises
+    ValueError."""
     if ":" in spec:
         start, stop, step = (float(x) for x in spec.split(":"))
         if not all(math.isfinite(v) for v in (start, stop, step)) or step == 0:
-            raise ValueError(f"grid {spec!r} needs finite bounds and a finite nonzero step")
+            raise ValueError(f"{arg} {spec!r} needs finite bounds and a finite nonzero step")
         span = (stop - start) / step
         if span < 0:
-            raise ValueError(f"grid {spec!r}: the step leads away from stop")
+            raise ValueError(f"{arg} {spec!r}: the step leads away from stop")
         if not span < thermo.SWEEP_CAP - 0.5:  # round(span) + 1 points; also refuses an overflowed span
-            raise ValueError(f"grid {spec!r} has more than {thermo.SWEEP_CAP} points")
+            raise ValueError(f"{arg} {spec!r} has more than {thermo.SWEEP_CAP} points")
         return [start + i * step for i in range(round(span) + 1)]
-    return [float(x) for x in spec.split(",")]
+    values = [float(x) for x in spec.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{arg} {spec!r} has an entry that is not finite")
+    return values
+
+
+def _require_finite_args(args) -> None:
+    """Refuse an inf or nan float argument before any work."""
+    for key, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"--{key.replace('_', '-')} {val} is not finite")
 
 
 @contextmanager
@@ -120,7 +131,7 @@ def cmd_tree(args) -> int:
 
 def cmd_code(args) -> int:
     p = _params(args)
-    xs = parse_values(args.x)
+    xs = parse_values(args.x, "--x")
     records = []
     for x in xs:
         code = coding.encode_point(x, p, args.depth)
@@ -216,7 +227,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_thermo(args) -> int:
-    points = thermo.thermo_sweep(args.r, parse_values(args.s), args.n)
+    points = thermo.thermo_sweep(args.r, parse_values(args.s, "--s"), args.n)
     records = [
         {"r": pt.r, "s": pt.s, "n": pt.n, "ZC": pt.ZC if math.isfinite(pt.ZC) else None, "Fn": pt.Fn,
          "Mn": pt.Mn, "logZC": pt.logZC, "error": pt.error, "dim": pt.dim}
@@ -228,7 +239,7 @@ def cmd_thermo(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    pts = [thermo.critical_line(Params.floating(r), tol=args.tol) for r in parse_values(args.r_grid)]
+    pts = [thermo.critical_line(Params.floating(r), tol=args.tol) for r in parse_values(args.r_grid, "--r-grid")]
     records = [
         {"r": pt.r, "s_cr": repr(pt.s_cr), "error": repr(pt.error), "slope": repr(pt.slope), "method": pt.method}
         for pt in pts
@@ -377,6 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _require_finite_args(args)
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).
 The kernel is walked two ways: _levels yields whole rows, for the tables
 that need them; every leaf and row sum reads _walk, which yields the same
 levels in bounded-memory blocks, summed per level by _level_sums (so a
-series costs the memory of its last term) or over the last level alone by
+series costs the memory of its last term) or, for the two single-n
+iterates (P^n 1)(x) and (P^n e_m)(x), over the last level alone by
 _last_level_sum.
 """
 

@@ -12,8 +12,8 @@ Every closed form here is paired with a brute-force branch-word oracle
 that sums over all 2^n inverse-branch compositions directly.  Spectral
 data come from the Chebyshev compression (:func:`collocation_spectrum`) at
 the first dim of COLLOCATION_DIMS that meets the tolerance against the
-3 dim/4 rerun (:func:`_adaptive`), cross-checked by a Chebyshev-Lobatto
-compression; the power ratios of the leaf sums are their oracle.
+3 dim/4 rerun (:func:`_adaptive`); the Chebyshev-Lobatto compression
+cross-checks the s_cr root of :func:`thermo.critical_line`.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -28,13 +28,23 @@ SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
 
 Every leaf sum reads one bounded-memory walk of its stream
 (:func:`spinchain._walk`), so large n costs time but not memory.  A series
-over n = 1 .. N sums a term per level of one walk: the traces, Xi_n and both
-Fredholm determinants walk _matrix_stream (:func:`trace_sums`,
-:func:`periodic_sums_xi`, :func:`fredholm_and_zeta`), and the twisted sums
-_pair_stream or _quad_stream (:func:`_character_sums`).  A single-n value
-(:func:`iterate_one`, :func:`iterate_character`, :func:`trace_power`,
-:func:`periodic_sum_xi`) sums the same block terms over its last level
-alone, so it equals the last entry of its series exactly.
+over n = 1 .. N sums a term per level of one walk.  Each quantity has one
+fast route, one independent oracle, and a check comparing the two (a
+``verify transfer`` check, or a test of tests/test_transfer.py):
+
+    (P^n 1)(x)        iterate_one         apply_bruteforce          "iterate of 1 vs branch-word oracle"
+    (P^n e_m)(x)      iterate_character   apply_bruteforce          "character iterate vs branch-word oracle"
+    (P^(k+1) f)(x)    iterate_general     apply_bruteforce          "general iterate vs branch-word oracle"
+    trace(P^n)        trace_sums          trace_power_bruteforce    "trace leaf formula vs fixed-point oracle (n<=8)"
+    Xi_n(s)           periodic_sums_xi    periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
+    zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
+    lambda_{s,r}      spectral_radius     _power_radius             "power ratios vs collocation (r <= 0.9)"
+
+The traces, Xi_n and both Fredholm determinants walk _matrix_stream, the
+twisted sums (:func:`_character_sums`) _pair_stream or _quad_stream.  The
+iterates take their single n from the last level of the walk alone, so
+they cost no series; each equals rho^(ns) times the last entry of
+:func:`_character_sums` exactly (tests/test_walk.py).
 
 A character e_m enters through vertex pairs e_m(n_0/den) + e_m(n_1/den)
 with n_0 + n_1 = den; for integer m, e_m(1 - t) is the conjugate of
@@ -55,7 +65,8 @@ import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import _generators, _last, _last_level_sum, _level_sums, _levels, _tree_stream, _walk, pq_tables
+from .spinchain import (FLOAT_TABLE_CAP, _generators, _last, _last_level_sum, _level_sums, _levels, _tree_stream, _walk,
+                        pq_tables)
 
 BRUTE_CAP = 20
 COLLOCATION_DIMS = (48, 96, 192, 384)  # the adaptive ladder; dim d is checked against 3d/4
@@ -72,12 +83,19 @@ class TransferQuery:
     def __post_init__(self):
         if not 0 <= self.r < 2:
             raise ValueError("r must lie in [0, 2)")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _require_leaf_n(self.n)
 
     @property
     def rho(self) -> float:
         return 2.0 - self.r
+
+
+def _require_leaf_n(n: int) -> None:
+    """Refuse n outside 1 .. FLOAT_TABLE_CAP + 1 before any walk: the leaf sums of n end at level n - 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > FLOAT_TABLE_CAP + 1:
+        raise ValueError(f"n={n} exceeds {FLOAT_TABLE_CAP + 1}, the largest n of the leaf sums")
 
 
 def _cpow(base, expo):
@@ -316,63 +334,37 @@ def _xi_sum(T, r: float, n: int, s: complex) -> complex:
     return complex(np.sum(_cpow(T0 + s0, -2.0 * s)) + np.sum(_cpow(T1 + s1, -2.0 * s)))
 
 
-def _require_trace_class(r: float) -> None:
-    if r >= 1:
-        raise ValueError("traces require r < 1 (divergent as r -> 1)")
+def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
+    """[trace(P^1), ..., trace(P^n)] (or of the signed operator) from one walk.
 
+    Each leaf of tree row k contributes to trace(P^k), for j = 0, 1,
 
-def _require_xi_range(r: float) -> None:
-    if r > 1:
-        raise ValueError("periodic sums implemented for r <= 1")
-
-
-def trace_power(q: TransferQuery, signed: bool = False) -> complex:
-    """trace(P^n) (or of the signed operator) via the leaf trace pairs.
-
-    Each leaf of tree row n contributes, for j = 0, 1,
-
-        (+-1)^j rho^(ns) / sqrt(T_j^2 - (-1)^j 4 rho^n)
-            * (2 / (T_j + sqrt(T_j^2 - (-1)^j 4 rho^n)))^(2s-1)
+        (+-1)^j rho^(ks) / sqrt(T_j^2 - (-1)^j 4 rho^k)
+            * (2 / (T_j + sqrt(T_j^2 - (-1)^j 4 rho^k)))^(2s-1)
 
     where T_0 = trace X and T_1 = trace XS.  Trace-class only for
     r < 1; the all-left leaf term diverges as r -> 1.
     """
-    _require_trace_class(q.r)
-    s = complex(q.s)
-    total = _last_level_sum(_matrix_stream, q.n - 1, Params.floating(q.r),
-                            lambda X: _trace_sum(_pair_traces(X, q.r), q.r, q.n, s, signed))
-    return _cpow(q.rho, q.n * s) * total
-
-
-def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
-    """[trace(P^1), ..., trace(P^n)] (see :func:`trace_power`) from one walk."""
     TransferQuery(s, r, n)  # validates r and n
-    _require_trace_class(r)
+    if r >= 1:
+        raise ValueError("traces require r < 1 (divergent as r -> 1)")
     s = complex(s)
     sums = _pair_trace_sums(n, r, lambda k, T: _trace_sum(T, r, k, s, signed))
     return [_cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
 
 
-def periodic_sum_xi(q: TransferQuery) -> complex:
-    """The dynamical partition function Xi_n(s) over period-n points.
+def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
+    """[Xi_1(s), ..., Xi_n(s)] from one walk: Xi_k(s) is the dynamical
+    partition function, the sum over period-k points of |(F^k)'|^(-s); in
+    leaf data of tree row k,
 
-    Xi_n(s) = sum over period-n points of |(F^n)'|^(-s); in leaf data,
-
-        sum_leaves sum_j 4^s rho^(ns) / (T_j + sqrt(T_j^2 - (-1)^j 4 rho^n))^(2s).
+        sum_leaves sum_j 4^s rho^(ks) / (T_j + sqrt(T_j^2 - (-1)^j 4 rho^k))^(2s).
 
     Unlike the traces this stays finite at r = 1.
     """
-    _require_xi_range(q.r)
-    s = complex(q.s)
-    total = _last_level_sum(_matrix_stream, q.n - 1, Params.floating(q.r),
-                            lambda X: _xi_sum(_pair_traces(X, q.r), q.r, q.n, s))
-    return _cpow(4.0, s) * _cpow(q.rho, q.n * s) * total
-
-
-def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
-    """[Xi_1(s), ..., Xi_n(s)] (see :func:`periodic_sum_xi`) from one walk."""
     TransferQuery(s, r, n)  # validates r and n
-    _require_xi_range(r)
+    if r > 1:
+        raise ValueError("periodic sums implemented for r <= 1")
     s = complex(s)
     sums = _pair_trace_sums(n, r, lambda k, T: _xi_sum(T, r, k, s))
     return [_cpow(4.0, s) * _cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
@@ -405,38 +397,31 @@ def _branch_fixed_point(a: float, b: float, c: float, d: float) -> float:
     raise ArithmeticError("no fixed point in [0, 1]")
 
 
-def trace_power_bruteforce(q: TransferQuery, signed: bool = False) -> complex:
-    """Fixed-point oracle: sum over branch words of |psi'(x*)|^s / (1 - psi'(x*))."""
+def _fixed_point_derivatives(q: TransferQuery):
+    """(odd number of right branches?, psi'(x*)) for each of the 2^n branch
+    words psi, taken at its fixed point x* in [0, 1]."""
     if q.n > BRUTE_CAP:
         raise ValueError(f"n={q.n} exceeds the brute-force cap {BRUTE_CAP}")
-    s = complex(q.s)
     rho_n = q.rho**q.n
-    terms = []
     for word in range(1 << q.n):
         a, b, c, d = _word_matrix(word, q.n, q.r)
         x = _branch_fixed_point(a, b, c, d)
-        det = rho_n if word.bit_count() % 2 == 0 else -rho_n
-        deriv = det / (c * x + d) ** 2
-        term = _cpow(abs(deriv), s) / (1.0 - deriv)
-        if signed and word.bit_count() % 2 == 1:
-            term = -term
-        terms.append(term)
-    return csum_complex(terms)
+        odd = word.bit_count() % 2 == 1
+        yield odd, (-rho_n if odd else rho_n) / (c * x + d) ** 2
+
+
+def trace_power_bruteforce(q: TransferQuery, signed: bool = False) -> complex:
+    """Fixed-point oracle of :func:`trace_sums`: sum over branch words of
+    |psi'(x*)|^s / (1 - psi'(x*)), odd words negated when `signed`."""
+    s = complex(q.s)
+    return csum_complex([(-1.0 if signed and odd else 1.0) * _cpow(abs(deriv), s) / (1.0 - deriv)
+                         for odd, deriv in _fixed_point_derivatives(q)])
 
 
 def periodic_sum_bruteforce(q: TransferQuery) -> complex:
-    """Periodic-point oracle: sum over branch words of |psi'(x*)|^s."""
-    if q.n > BRUTE_CAP:
-        raise ValueError(f"n={q.n} exceeds the brute-force cap {BRUTE_CAP}")
+    """Periodic-point oracle of :func:`periodic_sums_xi`: sum over branch words of |psi'(x*)|^s."""
     s = complex(q.s)
-    rho_n = q.rho**q.n
-    terms = []
-    for word in range(1 << q.n):
-        a, b, c, d = _word_matrix(word, q.n, q.r)
-        x = _branch_fixed_point(a, b, c, d)
-        deriv = rho_n / (c * x + d) ** 2
-        terms.append(_cpow(abs(deriv), s))
-    return csum_complex(terms)
+    return csum_complex([_cpow(abs(deriv), s) for _odd, deriv in _fixed_point_derivatives(q)])
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +459,6 @@ def _newton_coefficients(traces: Sequence[complex]) -> np.ndarray:
         acc = sum(traces[j - 1] * d[m_idx - j] for j in range(1, m_idx + 1))
         d[m_idx] = -acc / m_idx
     return d
-
-
-def fredholm_coefficients(s: complex, r: float, N: int, signed: bool = False) -> np.ndarray:
-    return _newton_coefficients(trace_sums(N, s, r, signed=signed))
 
 
 def _orbit_log_zeta(z: complex, xi: Sequence[complex], fit: bool) -> Tuple[complex, bool]:
@@ -551,41 +532,6 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
         zeta_exp=zeta_exp, zeta_ratio=zeta_ratio, tail_estimate=tail,
         converged=abs(zeta_exp - zeta_ratio) + abs(zeta_ratio - ratio_prev) <= tol,
     )
-
-
-def smallest_determinant_zero(s: float, r: float, N: int = 18) -> float:
-    """Smallest positive zero of det(1 - z P_s); its inverse is the
-    leading eigenvalue.  Newton iteration on the truncated entire series,
-    started from the inverse of the collocation eigenvalue.
-
-    Raises ArithmeticError unless Newton converges to a positive z at
-    which |det(1 - z P_s)| is small against sum |d_k| |z|^k: near r = 1
-    the truncated determinant can have no positive real zero at all.
-    """
-    d = fredholm_coefficients(s, r, N).real
-    det = np.polynomial.Polynomial(d)
-    det_prime = det.deriv()
-    term_scale = np.polynomial.Polynomial(np.abs(d))  # sum |d_k| |z|^k at |z|
-    z = 1.0 / max(_collocation_lambda(s, r), 1e-12)
-    converged = False
-    for _ in range(80):
-        f, fp = float(det(z)), float(det_prime(z))
-        if fp == 0:
-            break
-        # a step from the rounding floor of det is the last one: past it the steps only wander
-        at_floor = abs(f) <= N * np.finfo(float).eps * float(term_scale(abs(z)))
-        step = f / fp
-        z -= step
-        if at_floor or abs(step) < 1e-14 * max(1.0, abs(z)):
-            converged = True
-            break
-    residual, scale = abs(float(det(z))), float(term_scale(abs(z)))
-    if not (converged and z > 0 and residual <= 1e-10 * scale):
-        raise ArithmeticError(
-            f"no positive zero of the N={N} determinant found: Newton stopped at z={z:.6g} "
-            f"with |det| = {residual:.3g} against a term scale {scale:.3g}"
-        )
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +627,13 @@ def _barycentric(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _collocation_operator(r: float, dim: int, lobatto: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """(C, log w), read-only: on dim nodes x of [0, 1], P_{s,r} compresses to
-    diag(exp(s log w)) C with log w = log rho - 2 log(rho + r x).  On the
-    Chebyshev points C = (V(Phi_0 x) + V(Phi_1 x)) V(x)^(-1), V the
-    Chebyshev-Vandermonde matrix; on the Chebyshev-Lobatto points
-    (`lobatto`) C sums two barycentric interpolation matrices."""
+    diag(exp(s log w)) C with log w = log rho - 2 log(rho + r x), where C sums
+    the barycentric interpolation matrices from x to Phi_0 x and Phi_1 x on the
+    Chebyshev points, or on the Chebyshev-Lobatto points (`lobatto`)."""
     rho = 2.0 - r
     x, w = _chebyshev_nodes(dim, lobatto)
     phi0 = x / (rho + r * x)
-    if lobatto:
-        C = _barycentric(x, w, phi0) + _barycentric(x, w, 1.0 - phi0)
-    else:
-        V0, V1, Vx = (np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1) for t in (phi0, 1.0 - phi0, x))
-        C = (V0 + V1) @ np.linalg.inv(Vx)
+    C = _barycentric(x, w, phi0) + _barycentric(x, w, 1.0 - phi0)
     log_w = math.log(rho) - 2.0 * np.log(rho + r * x)
     C.flags.writeable = log_w.flags.writeable = False
     return C, log_w

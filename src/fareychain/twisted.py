@@ -24,7 +24,7 @@ import numpy as np
 
 from .rings import Params
 from .spinchain import _level_sums, _tree_stream
-from .transfer import _character_sums
+from .transfer import _character_sums, _require_leaf_n
 
 SIEVE_LIMIT = 1_000_000
 
@@ -176,8 +176,7 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "rows")
     rho^(-ks) (P^k e_m)(1), whose rho prefactors cancel.  m = 0 recovers
     the canonical partition function.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_leaf_n(n)
     r = params.as_float().r_float
     if method == "rows":
         two_pi_m = 2j * math.pi * m
@@ -190,7 +189,3 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "rows")
         return [total / 2.0 for total in totals][1:]
     raise ValueError(f"unknown method {method!r}")
 
-
-def twisted_Z(n: int, s: float, m: int, params: Params, method: str = "rows") -> complex:
-    """The twisted partition sum Z_n^(m)(s); see :func:`twisted_sums`."""
-    return twisted_sums(n, s, m, params, method)[-1]

@@ -214,19 +214,15 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
     resid = 0.0
     for r in (0.0, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
-            for n in range(1, 9):
-                q = transfer.TransferQuery(s, r, n)
-                a = transfer.trace_power(q)
-                b = transfer.trace_power_bruteforce(q)
-                resid = max(resid, abs(a - b) / abs(b))
+            oracle = [transfer.trace_power_bruteforce(transfer.TransferQuery(s, r, n)) for n in range(1, 9)]
+            resid = max(resid, *(abs(a - b) / abs(b) for a, b in zip(transfer.trace_sums(8, s, r), oracle)))
     out.append(CheckResult("transfer", "trace leaf formula vs fixed-point oracle (n<=8)", resid, 1e-10))
 
     resid = 0.0
     for r in (0.0, 0.3, 0.6, 0.9):
         for s in (0.5, 1.0, 2.0):
-            q = transfer.TransferQuery(s, r, 1)
             vals = (
-                transfer.trace_power(q),
+                transfer.trace_sums(1, s, r)[0],
                 transfer.trace_closed_n1(s, r),
                 transfer.trace_from_spectra(s, r),
             )
@@ -235,19 +231,12 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
 
     resid = 0.0
     for r in (0.0, 0.5, 1.0):
-        for n in range(1, 8):
-            q = transfer.TransferQuery(1.2, r, n)
-            resid = max(resid, abs(transfer.periodic_sum_xi(q) - transfer.periodic_sum_bruteforce(q)))
+        oracle = [transfer.periodic_sum_bruteforce(transfer.TransferQuery(1.2, r, n)) for n in range(1, 8)]
+        resid = max(resid, *(abs(a - b) for a, b in zip(transfer.periodic_sums_xi(7, 1.2, r), oracle)))
     out.append(CheckResult("transfer", "periodic-orbit sum vs fixed-point oracle", resid, 1e-10))
 
-    resid = 0.0
-    for n in range(1, 8):
-        q = transfer.TransferQuery(0.8, 0.5, n)
-        lhs = transfer.periodic_sum_xi(q)
-        rhs = transfer.trace_power(q) - transfer.trace_power(
-            transfer.TransferQuery(1.8, 0.5, n), signed=True
-        )
-        resid = max(resid, abs(lhs - rhs))
+    traces = zip(transfer.trace_sums(7, 0.8, 0.5), transfer.trace_sums(7, 1.8, 0.5, signed=True))
+    resid = max(abs(xi - (a - b)) for xi, (a, b) in zip(transfer.periodic_sums_xi(7, 0.8, 0.5), traces))
     out.append(CheckResult("transfer", "Xi_n = trace - shifted signed trace", resid, 1e-11))
 
     fz = transfer.fredholm_and_zeta(0.5, 1.0, 0.5, N=14)
@@ -412,7 +401,7 @@ def suite_zeta(seed: int = 0) -> List[CheckResult]:
         resid = max(resid, *(abs(x - y) for x, y in zip(a, b)))
     out.append(CheckResult("zeta", "twisted partition sum: rows vs character iterate", resid, 1e-11))
 
-    resid = abs(twisted.twisted_Z(10, 3.0, 0, p) - thermo.canonical_Z(10, 3.0, p))
+    resid = abs(twisted.twisted_sums(10, 3.0, 0, p)[-1] - thermo.canonical_Z(10, 3.0, p))
     out.append(CheckResult("zeta", "m=0 twisted sum equals canonical Z", resid, 1e-12))
 
     return out

@@ -133,17 +133,15 @@ def test_criterion_4_trace_formula():
     worst = 0.0
     for r in (0.0, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
-            for n in range(1, 11):
-                q = TransferQuery(s, r, n)
-                closed = transfer.trace_power(q)
-                brute = transfer.trace_power_bruteforce(q)
+            for n, closed in enumerate(transfer.trace_sums(10, s, r), 1):
+                brute = transfer.trace_power_bruteforce(TransferQuery(s, r, n))
                 worst = max(worst, abs(closed - brute) / abs(brute))
     ok = worst <= 1e-10
 
     worst1 = 0.0
     for r in (0.0, 0.3, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
-            leaf = transfer.trace_power(TransferQuery(s, r, 1))
+            leaf = transfer.trace_sums(1, s, r)[0]
             worst1 = max(worst1, abs(leaf - transfer.trace_closed_n1(s, r)))
             worst1 = max(worst1, abs(leaf - transfer.trace_from_spectra(s, r)))
     ok &= worst1 <= 1e-12
@@ -182,14 +180,10 @@ def test_criterion_5_iterate_formulas():
     ok = worst <= 1e-11
 
     worst_xi = 0.0
-    for n in range(1, 9):
-        for (s, r) in ((0.5, 0.5), (1.0, 0.3), (1.5, 0.8)):
-            q = TransferQuery(s, r, n)
-            lhs = transfer.periodic_sum_xi(q)
-            rhs = transfer.trace_power(q) - transfer.trace_power(
-                TransferQuery(s + 1, r, n), signed=True
-            )
-            worst_xi = max(worst_xi, abs(lhs - rhs))
+    for (s, r) in ((0.5, 0.5), (1.0, 0.3), (1.5, 0.8)):
+        traces = zip(transfer.trace_sums(8, s, r), transfer.trace_sums(8, s + 1, r, signed=True))
+        for lhs, (a, b) in zip(transfer.periodic_sums_xi(8, s, r), traces):
+            worst_xi = max(worst_xi, abs(lhs - (a - b)))
     ok &= worst_xi <= 1e-11
     report(5, ok, "closed iterates vs branch-word oracle (n<=12, rel 1e-11); "
                   "periodic-sum identity (n<=8, 1e-11)",

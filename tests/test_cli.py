@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from fareychain import cli, spinchain, thermo
+from fareychain import cli, spinchain, thermo, verify
 from fareychain.cli import main, parse_values
 
 
@@ -159,8 +159,9 @@ def test_spin_tables(capsys):
     assert "000,2 + rho + rho^2" in out
 
 
-def test_verify_suite_exit_code(capsys):
-    assert main(["verify", "tree"]) == 0
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_suite_exit_code(capsys, suite):
+    assert main(["verify", suite]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
 
@@ -179,6 +180,11 @@ def test_cap_violations_reported(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 2
         assert "cap" in err
+    for argv in (("trace", "--n", "28", "--s", "1", "--r", "0.5"), ("xi", "--n", "28", "--s", "1", "--r", "0.5"),
+                 ("zeta", "--N", "28"), ("twisted", "--n", "28", "--s", "1", "--m", "1", "--r", "0.5")):
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n=28 exceeds 27" in captured.err, argv
     assert not levels  # the cap fails before any level is built
 
 

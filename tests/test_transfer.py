@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareychain import transfer
 from fareychain.rings import Params
@@ -118,38 +119,48 @@ def test_general_iterate_at_one_is_leaf_sum():
 
 
 def test_trace_unit_interval_example():
-    q = TransferQuery(1.0, 0.0, 1)
-    assert transfer.trace_power(q).real == pytest.approx(4.0 / 3.0, rel=1e-14)
-    assert transfer.trace_power_bruteforce(q).real == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert transfer.trace_sums(1, 1.0, 0.0)[0].real == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert transfer.trace_power_bruteforce(TransferQuery(1.0, 0.0, 1)).real == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def test_trace_closed_n1_three_way():
     for r in (0.0, 0.25, 0.5, 0.75, 0.9):
         for s in (0.5, 1.0, 2.0, 1.5 + 0.5j):
-            q = TransferQuery(s, r, 1)
-            leaf = transfer.trace_power(q)
+            leaf = transfer.trace_sums(1, s, r)[0]
             closed = transfer.trace_closed_n1(s, r)
             spectral = transfer.trace_from_spectra(s, r)
             assert abs(leaf - closed) <= 1e-12 * max(1.0, abs(closed))
             assert abs(spectral - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
+def _check_traces_and_xi(s, r, n):
+    """Every entry n' <= n of the trace series (both signs) and of Xi against the
+    fixed-point oracle."""
+    traces, signed, xis = (transfer.trace_sums(n, s, r), transfer.trace_sums(n, s, r, signed=True),
+                           transfer.periodic_sums_xi(n, s, r))
+    for k in range(1, n + 1):
+        q = TransferQuery(s, r, k)
+        b, b_s = transfer.trace_power_bruteforce(q), transfer.trace_power_bruteforce(q, signed=True)
+        assert abs(traces[k - 1] - b) <= 1e-10 * abs(b), (s, r, k)
+        assert abs(signed[k - 1] - b_s) <= 1e-10 * max(abs(b_s), 1e-6), (s, r, k)
+        assert abs(xis[k - 1] - transfer.periodic_sum_bruteforce(q)) <= 1e-10, (s, r, k)
+
+
 def test_trace_matches_fixed_point_oracle():
     for r in (0.0, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
-            for n in range(1, 9):
-                q = TransferQuery(s, r, n)
-                a = transfer.trace_power(q)
-                b = transfer.trace_power_bruteforce(q)
-                assert abs(a - b) <= 1e-10 * abs(b)
-                a_s = transfer.trace_power(q, signed=True)
-                b_s = transfer.trace_power_bruteforce(q, signed=True)
-                assert abs(a_s - b_s) <= 1e-10 * max(abs(b_s), 1e-6)
+            _check_traces_and_xi(s, r, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 0.95), st.floats(0.3, 2.5), st.integers(1, 9))
+def test_series_match_fixed_point_oracle_drawn(r, s, n):
+    _check_traces_and_xi(s, r, n)
 
 
 def test_trace_rejects_r_at_least_one():
     with pytest.raises(ValueError):
-        transfer.trace_power(TransferQuery(1.0, 1.0, 2))
+        transfer.trace_sums(2, 1.0, 1.0)
 
 
 def test_trace_divergence_vs_xi_finiteness_toward_farey():
@@ -159,39 +170,32 @@ def test_trace_divergence_vs_xi_finiteness_toward_farey():
     xis = []
     for j in range(2, 21):
         r = 1.0 - 2.0**-j
-        traces.append(transfer.trace_power(TransferQuery(s, r, n)).real)
-        xis.append(transfer.periodic_sum_xi(TransferQuery(s, r, n)).real)
+        traces.append(transfer.trace_sums(n, s, r)[-1].real)
+        xis.append(transfer.periodic_sums_xi(n, s, r)[-1].real)
     assert all(b > a for a, b in zip(traces, traces[1:]))
     assert traces[-1] > 1e4
-    xi_limit = transfer.periodic_sum_xi(TransferQuery(s, 1.0, n)).real
+    xi_limit = transfer.periodic_sums_xi(n, s, 1.0)[-1].real
     assert abs(xis[-1] - xi_limit) <= 1e-4
     assert max(xis) <= 5.0
 
 
 def test_xi_tent_single_step():
     for s in (0.5, 1.0, 2.0):
-        q = TransferQuery(s, 0.0, 1)
-        assert transfer.periodic_sum_xi(q).real == pytest.approx(2.0 * 2.0**-s, rel=1e-14)
+        assert transfer.periodic_sums_xi(1, s, 0.0)[0].real == pytest.approx(2.0 * 2.0**-s, rel=1e-14)
 
 
 def test_xi_identity_and_oracle():
     for r in (0.0, 0.5):
-        for n in range(1, 9):
-            q = TransferQuery(0.7, r, n)
-            xi = transfer.periodic_sum_xi(q)
-            ident = transfer.trace_power(q) - transfer.trace_power(
-                TransferQuery(1.7, r, n), signed=True
-            )
-            assert abs(xi - ident) <= 1e-11 * max(1.0, abs(xi))
-            assert abs(xi - transfer.periodic_sum_bruteforce(q)) <= 1e-10
+        xis = transfer.periodic_sums_xi(8, 0.7, r)
+        traces = zip(transfer.trace_sums(8, 0.7, r), transfer.trace_sums(8, 1.7, r, signed=True))
+        for n, (xi, (a, b)) in enumerate(zip(xis, traces), 1):
+            assert abs(xi - (a - b)) <= 1e-11 * max(1.0, abs(xi))
+            assert abs(xi - transfer.periodic_sum_bruteforce(TransferQuery(0.7, r, n))) <= 1e-10
 
 
 def test_xi_farey_matches_periodic_point_search():
-    for n in range(1, 9):
-        q = TransferQuery(1.4, 1.0, n)
-        assert abs(
-            transfer.periodic_sum_xi(q) - transfer.periodic_sum_bruteforce(q)
-        ) <= 1e-8
+    for n, xi in enumerate(transfer.periodic_sums_xi(8, 1.4, 1.0), 1):
+        assert abs(xi - transfer.periodic_sum_bruteforce(TransferQuery(1.4, 1.0, n))) <= 1e-8
 
 
 def test_fredholm_at_zero():
@@ -207,8 +211,11 @@ def test_zeta_ratio_identity():
 
 
 def test_fredholm_smallest_zero_at_unit_eigenvalue():
-    z0 = transfer.smallest_determinant_zero(1.0, 0.5, N=18)
-    assert z0 == pytest.approx(1.0, abs=1e-10)
+    # lambda_1 = 1 at s = 1, and every other eigenvalue is smaller in modulus,
+    # so det(1 - z P) is positive on [0, 1) and vanishes at z = 1
+    for N in (14, 18):
+        assert abs(transfer.fredholm_and_zeta(1.0, 1.0, 0.5, N=N).det) <= 1e-12
+        assert all(transfer.fredholm_and_zeta(z, 1.0, 0.5, N=N).det.real > 0 for z in np.linspace(0.0, 0.99, 12))
 
 
 def test_spectral_radius_tent_closed_form():
@@ -264,6 +271,18 @@ def test_collocation_cross_checks_power_ratios():
         assert abs(lam_c - lam_p) <= 1e-5
 
 
+def test_compression_maps_chebyshev_polynomials():
+    # on either node set, C applied to T_j at the nodes is T_j(Phi_0 x) + T_j(Phi_1 x) for every j < dim
+    for lobatto in (False, True):
+        for dim in (36, 48, 96, 384):
+            x, _w = transfer._chebyshev_nodes(dim, lobatto)
+            T = lambda t: np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1)
+            for r in (0.0, 0.7, 0.999):
+                C, _log_w = transfer._collocation_operator(r, dim, lobatto)
+                phi0 = x / (2.0 - r + r * x)
+                assert np.max(np.abs(C @ T(x) - T(phi0) - T(1.0 - phi0))) <= 1e-11, (lobatto, dim, r)
+
+
 def test_iterates_positive():
     rng = random.Random(9)
     for _ in range(20):
@@ -296,8 +315,8 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
     routes = {
         "iterate_one": lambda: transfer.iterate_one(0.3, q),
         "iterate_character": lambda: transfer.iterate_character(0.3, q, 2),
-        "trace_power": lambda: transfer.trace_power(q),
-        "periodic_sum_xi": lambda: transfer.periodic_sum_xi(q),
+        "trace_sums": lambda: transfer.trace_sums(q.n, q.s, q.r)[-1],
+        "periodic_sums_xi": lambda: transfer.periodic_sums_xi(q.n, q.s, q.r)[-1],
     }
     whole = {name: f() for name, f in routes.items()}
     monkeypatch.setattr(spinchain, "_CHUNK_LEVELS", 3)  # level 8 in 32 blocks of 2^3
@@ -308,18 +327,6 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
 def test_general_iterate_needs_array_ready_f():
     with pytest.raises(TypeError):
         transfer.iterate_general(math.cos, 0.4, 1.0, 0.5, 3)
-
-
-def test_series_equal_per_n_values():
-    for r in (0.3, 0.6, 0.9):
-        for s in (0.5, 1.0, 1.2 + 0.4j):
-            for signed in (False, True):
-                per_n = [transfer.trace_power(TransferQuery(s, r, n), signed=signed) for n in range(1, 15)]
-                assert transfer.trace_sums(14, s, r, signed=signed) == per_n
-    for r in (0.3, 0.6, 0.9, 1.0):
-        for s in (0.5, 1.0, 1.2 + 0.4j):
-            per_n = [transfer.periodic_sum_xi(TransferQuery(s, r, n)) for n in range(1, 15)]
-            assert transfer.periodic_sums_xi(14, s, r) == per_n
 
 
 def test_series_take_one_walk(monkeypatch):
@@ -409,11 +416,3 @@ def test_zeta_error_bar_bounds_route_gap():
                 if fz.converged:
                     assert gap <= 1e-9
 
-
-def test_determinant_zero_rejects_non_zeros():
-    from fareychain import thermo
-
-    for r in (0.9, 0.95):
-        s = thermo.critical_line(Params.floating(r)).s_cr / 2.0
-        with pytest.raises(ArithmeticError):
-            transfer.smallest_determinant_zero(s, r, N=18)
