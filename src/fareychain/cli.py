@@ -5,12 +5,15 @@ JSON-lines with a metadata header (tool version, echoed arguments,
 arithmetic mode) so that runs are self-describing.  Outputs are
 deterministic for a fixed argument list: exact-mode tables are
 byte-identical across runs, float sweeps fix the reduction order.
+The argument tree is built once per process (:func:`build_parser` is
+cached); each :func:`main` call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -58,11 +61,16 @@ def parse_values(spec: str, arg: str = "grid") -> List[float]:
     return values
 
 
-def _require_finite_args(args) -> None:
-    """Refuse an inf or nan float argument before any work."""
+_COUNT_MINIMUM = {"rows": 1, "grid": 1, "k": 0, "qmax": 1}
+
+
+def _require_valid_args(args) -> None:
+    """Refuse an inf or nan float argument, or a count below its minimum, before any work."""
     for key, val in vars(args).items():
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"--{key.replace('_', '-')} {val} is not finite")
+        if key in _COUNT_MINIMUM and val < _COUNT_MINIMUM[key]:
+            raise ValueError(f"--{key} {val} is below its minimum {_COUNT_MINIMUM[key]}")
 
 
 @contextmanager
@@ -92,22 +100,19 @@ def _require_finite(records: List[Dict]) -> None:
                     raise ValueError(f"{key} is not finite at n={rec.get('n')}, s={rec.get('s')}; nothing written")
 
 
-def emit(records: Iterable[Dict], fieldnames: Sequence[str], args) -> None:
-    mode = getattr(args, "mode", "float")
-    fmt = getattr(args, "format", "csv")
-    meta = _meta(args, mode)
+def emit(rows: Iterable[Sequence], fieldnames: Sequence[str], args) -> None:
+    """Write the metadata header, then `rows` (tuples in `fieldnames` order) as CSV, where None is an
+    empty cell, or as JSON lines keyed by `fieldnames`, where None is null."""
+    meta = _meta(args, getattr(args, "mode", "float"))
     with _open_out(getattr(args, "out", None)) as fh:
-        if fmt == "csv":
-            for key, val in meta.items():
-                fh.write(f"# {key}: {val}\n")
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for rec in records:
-                writer.writerow(rec)
+        if getattr(args, "format", "csv") == "csv":
+            fh.writelines(f"# {key}: {val}\n" for key, val in meta.items())
+            writer = csv.writer(fh)
+            writer.writerow(fieldnames)
+            writer.writerows(rows)
         else:
             fh.write(json.dumps({"meta": meta}, allow_nan=False) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec, allow_nan=False) + "\n")
+            fh.writelines(json.dumps(dict(zip(fieldnames, row)), allow_nan=False) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,7 @@ def cmd_tree(args) -> int:
     rows = treemod.build_rows(args.rows, p)
     if args.extended:
         rows = [treemod.extend_row(row, p) for row in rows]
-    records = (rec for row in rows for rec in treemod.node_records(row))
+    records = (tuple(rec.values()) for row in rows for rec in treemod.node_records(row))
     emit(records, ["level", "sigma", "p", "q", "value"], args)
     return 0
 
@@ -132,20 +137,15 @@ def cmd_tree(args) -> int:
 def cmd_code(args) -> int:
     p = _params(args)
     xs = parse_values(args.x, "--x")
-    records = []
-    for x in xs:
-        code = coding.encode_point(x, p, args.depth)
-        records.append({"x": repr(x), "code": "".join(map(str, code.bits))})
+    records = [(repr(x), "".join(map(str, coding.encode_point(x, p, args.depth).bits))) for x in xs]
     emit(records, ["x", "code"], args)
     return 0
 
 
 def cmd_conjugacy(args) -> int:
     p = _params(args)
-    records = []
-    for i in range(args.grid + 1):
-        x = i / args.grid
-        records.append({"x": repr(x), "h": repr(coding.conjugacy_h(x, p, args.depth)), "depth": args.depth})
+    xs = (i / args.grid for i in range(args.grid + 1))
+    records = [(repr(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs]
     emit(records, ["x", "h", "depth"], args)
     return 0
 
@@ -157,28 +157,29 @@ def cmd_spin(args) -> int:
     if args.table == "q":
         table = spinchain.pq_tables(k, p)
         for w in all_words(k):
-            records.append({"t": "".join(map(str, w.to_bits())), "value": str(table.q[w.index])})
+            records.append(("".join(map(str, w.to_bits())), str(table.q[w.index])))
     elif args.table == "qhat":
         table = spinchain.pq_tables(k, p.as_float() if p.mode == "float" else p)
         vals = spinchain.fourier_transform(
             np.asarray(table.q, dtype=float) if p.mode == "float" else list(table.q), k
         )
         for w in all_words(k):
-            records.append({"t": "".join(map(str, w.to_bits())), "value": str(vals[w.index])})
+            records.append(("".join(map(str, w.to_bits())), str(vals[w.index])))
     else:  # interaction
         q_hat = spinchain.interaction_coefficients(k, p)
         worst = spinchain.ferromagnetic_violation(k, p)
         for w in all_words(k):
-            records.append({"t": "".join(map(str, w.to_bits())), "value": repr(float(-q_hat[w.index]))})
+            records.append(("".join(map(str, w.to_bits())), repr(float(-q_hat[w.index]))))
         print(f"# ferromagnetic check: max Q^(t), t != 0 is {worst:.3e} (needs <= 1e-12)", file=sys.stderr)
     emit(records, ["t", "value"], args)
     return 0
 
 
 def _json_records(args, rows: List[Dict]) -> int:
+    """Write records that share their keys as JSON lines, refusing any non-finite value first."""
     _require_finite(rows)
     args.format = "jsonl"
-    emit(rows, [], args)
+    emit((tuple(rec.values()) for rec in rows), list(rows[0]), args)
     return 0
 
 
@@ -201,7 +202,7 @@ def cmd_xi(args) -> int:
 
 def cmd_zeta(args) -> int:
     if args.m is not None:
-        records = ({"q": q, "mu_m": twisted.mu_twisted(args.m, q)} for q in range(1, args.qmax + 1))
+        records = ((q, twisted.mu_twisted(args.m, q)) for q in range(1, args.qmax + 1))
         emit(records, ["q", "mu_m"], args)
         return 0
     fz = transfer.fredholm_and_zeta(complex(args.z), args.s, args.r, N=args.N)
@@ -228,22 +229,14 @@ def cmd_lambda(args) -> int:
 
 def cmd_thermo(args) -> int:
     points = thermo.thermo_sweep(args.r, parse_values(args.s, "--s"), args.n)
-    records = [
-        {"r": pt.r, "s": pt.s, "n": pt.n, "ZC": pt.ZC if math.isfinite(pt.ZC) else None, "Fn": pt.Fn,
-         "Mn": pt.Mn, "logZC": pt.logZC, "error": pt.error, "dim": pt.dim}
-        for pt in points
-    ]
-    _require_finite(records)
-    emit(records, ["r", "s", "n", "ZC", "Fn", "Mn", "logZC", "error", "dim"], args)
+    # ZC is inf past the float range: an empty cell, or null
+    emit((pt if pt.ZC < math.inf else pt._replace(ZC=None) for pt in points), thermo.ThermoPoint._fields, args)
     return 0
 
 
 def cmd_phase(args) -> int:
     pts = [thermo.critical_line(Params.floating(r), tol=args.tol) for r in parse_values(args.r_grid, "--r-grid")]
-    records = [
-        {"r": pt.r, "s_cr": repr(pt.s_cr), "error": repr(pt.error), "slope": repr(pt.slope), "method": pt.method}
-        for pt in pts
-    ]
+    records = [(pt.r, repr(pt.s_cr), repr(pt.error), repr(pt.slope), pt.method) for pt in pts]
     emit(records, ["r", "s_cr", "error", "slope", "method"], args)
     return 0
 
@@ -280,7 +273,9 @@ def _add_common(sp, *, mode=True, fmt=True):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parse_args only fills a fresh Namespace."""
     ap = argparse.ArgumentParser(
         prog="fareychain",
         description="Generalized Farey trees, transfer operators and spin-chain thermodynamics.",
@@ -385,10 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _require_finite_args(args)
+        _require_valid_args(args)
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,11 +26,12 @@ value beyond its stated tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -40,17 +41,16 @@ from .transfer import (_adaptive, _collocation_lambda, _lobatto_lambda, _log_ite
                        spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
-SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint is ~200 bytes)
+SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
 SWEEP_TOL = 1e-12  # relative change of every Z^C_n from the 3 dim/4 rerun, beyond rounding
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """Z^C_n, F_n and M_n at one (r, s, n) parameter tuple, from the operator
-    iterates at Chebyshev dimension `dim`.  ZC is inf where Z^C_n exceeds the
-    float range; logZC is always finite.  `error` bounds the relative error of
-    Z^C_n (the absolute error of logZC)."""
+    iterates at Chebyshev dimension `dim`, fields in the order of the `thermo`
+    columns.  ZC is inf where Z^C_n exceeds the float range; logZC is always
+    finite.  `error` bounds the relative error of Z^C_n (the absolute error of logZC)."""
 
     r: float
     s: float
@@ -338,7 +338,8 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
     floored at the rounding floor.  The rows route (:func:`canonical_Z`,
     :func:`magnetization` with ``identity``) is the oracle.  ValueError, before
     any work, for r outside [0, 1], n_max < 2, no s values or
-    n_max * len(s_values) > SWEEP_CAP.  Points are ordered by s, then by n.
+    n_max * len(s_values) > SWEEP_CAP; after the solve, before any point is
+    built, for a value that is not finite.  Points are ordered by s, then by n.
     """
     if not 0 <= r <= 1:
         raise ValueError(f"the operator sweep is computed for r in [0, 1], got r={r}")
@@ -358,14 +359,16 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
         return (log_zc, log_w, np.maximum(shift, floor)), float(np.max(shift - floor))
 
     (log_zc, log_w, error), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}")
-    n = np.arange(1.0, n_max + 1.0)[:, None]  # row n - 1 holds n = 1 .. n_max
-    fn = (math.log(2.0) + log_zc[:-1]) / n
-    mn = 1.0 - np.exp(log_w[1:] - log_zc[1:]) / n
-    points = []
-    for s_i, lz, f, m, e in zip(s_values, log_zc.T.tolist(), fn.T.tolist(), mn.T.tolist(), error.T.tolist()):
-        points.extend(
-            ThermoPoint(r, s_i, k, math.exp(lz[k]) if lz[k] < _LOG_FLOAT_MAX else math.inf,
-                        f[k - 1], m[k - 1], lz[k], e[k], dim)
-            for k in range(2, n_max + 1)
-        )
-    return points
+    n = np.arange(2.0, n_max + 1.0)[:, None]
+    fn = (math.log(2.0) + log_zc[1:-1]) / n
+    mn = 1.0 - np.exp(log_w[2:] - log_zc[2:]) / n
+    columns = {"logZC": log_zc[2:], "Fn": fn, "Mn": mn, "error": error[2:]}  # rows n = 2 .. n_max, a column per s
+    for name, col in columns.items():
+        for k, j in np.argwhere(~np.isfinite(col))[:1]:
+            raise ValueError(f"{name} is not finite at n={k + 2}, s={s_values[j]}")
+    lz, f, m, e = (col.T.ravel().tolist() for col in columns.values())  # ordered by s, then by n
+    zc = [math.exp(x) if x < _LOG_FLOAT_MAX else math.inf for x in lz]
+    s_col = [s_i for s_i in s_values for _ in range(n_max - 1)]
+    n_col = [*range(2, n_max + 1)] * len(s_values)
+    rows = zip(itertools.repeat(r), s_col, n_col, zc, f, m, lz, e, itertools.repeat(dim))
+    return list(map(ThermoPoint._make, rows))

@@ -385,13 +385,11 @@ def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, floa
 
 
 def _branch_fixed_point(a: float, b: float, c: float, d: float) -> float:
-    """The unique fixed point in [0, 1] of the Moebius contraction."""
-    if abs(c) < 1e-14:
-        return b / (d - a)
-    disc = (d - a) ** 2 + 4.0 * c * b
-    sq = math.sqrt(disc)
-    for sign in (1.0, -1.0):
-        x = (-(d - a) + sign * sq) / (2.0 * c)
+    """The unique fixed point in [0, 1] of the Moebius contraction x -> (a x + b) / (c x + d), a root
+    of c x^2 + (d - a) x - b = 0, taken without cancellation as -b/q or q/c,
+    q = -((d - a) + sign(d - a) sqrt((d - a)^2 + 4 c b)) / 2 (-b/q is b / (d - a) at c = 0)."""
+    q = -((d - a) + math.copysign(math.sqrt((d - a) ** 2 + 4.0 * c * b), d - a)) / 2.0
+    for x in (-b / q if q else math.nan, q / c if c else math.nan):
         if -1e-12 <= x <= 1.0 + 1e-12:
             return min(max(x, 0.0), 1.0)
     raise ArithmeticError("no fixed point in [0, 1]")
@@ -695,9 +693,12 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
     of :func:`collocation_spectrum` at the first dim of 48, 96, 192, 384 where
     it moves by at most tol from the 3 dim/4 rerun; that change, floored at
     1e-14, is the error.  The power ratios (:func:`_power_radius`) are its oracle.
+    ValueError, before any solve, for r >= 1 or a tol that is not finite or is below that floor.
     """
     if r >= 1:
         raise ValueError("spectral radius requires r < 1")
+    if not 1e-14 <= tol < math.inf:  # the error is floored at 1e-14, so a smaller tol is never met
+        raise ValueError(f"tol={tol} must be finite and at least 1e-14")
     if complex(s).imag != 0:
         raise ValueError("spectral radius is defined here for real s")
     s = complex(s).real

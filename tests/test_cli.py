@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -8,7 +9,7 @@ import warnings
 
 import pytest
 
-from fareychain import cli, spinchain, thermo, verify
+from fareychain import __version__, cli, spinchain, thermo, verify
 from fareychain.cli import main, parse_values
 
 
@@ -249,11 +250,51 @@ def test_thermo_columns_and_empty_zc_cell(capsys):
         if row["ZC"]:
             assert float(row["logZC"]) == pytest.approx(math.log(float(row["ZC"])), rel=1e-14)
     code, out = run(capsys, "thermo", "--r", "0.7", "--s", "0.5", "--n", "2000", "--format", "jsonl")
+    assert code == 0
     recs = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()[1:]]
-    assert [rec["ZC"] is None for rec in recs] == [row["ZC"] == "" for row in rows]
+    assert len(recs) == len(rows)
+    for rec, row in zip(recs, rows):  # the CSV row as JSON: ZC null where its cell is empty
+        assert list(rec) == list(row)
+        assert {k: "" if v is None else str(v) for k, v in rec.items()} == row
 
 
 def test_thermo_rejects_r_and_cap_before_output(capsys):
     for argv in (("--r", "1.3", "--s", "2", "--n", "10"), ("--r", "0.5", "--s", "1,2", "--n", "100001")):
         code, out = run(capsys, "thermo", *argv)
         assert code == 2 and out == ""
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    argv = ("tree", "--rows", "2", "--r", "0.5")
+    first = run(capsys, *argv)  # builds the parser unless an earlier call did
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **k: calls.append(a) or add_argument(self, *a, **k))
+    assert run(capsys, *argv) == first and first[0] == 0
+    assert calls == [] and cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    thermo_argv = ("thermo", "--r", "0.7", "--s", "1,2", "--n", "5")
+    code, out = run(capsys, *thermo_argv, "--format", "jsonl")
+    assert code == 0 and json.loads(out.splitlines()[0])["meta"]
+    code, out = run(capsys, *thermo_argv)
+    assert code == 0 and "--format=csv" in out
+    assert [l for l in out.splitlines() if not l.startswith("#")][0] == "r,s,n,ZC,Fn,Mn,logZC,error,dim"
+
+    tree_argv = ("tree", "--rows", "3", "--r", "0.5")
+    plain = run(capsys, *tree_argv)
+    extended = run(capsys, *tree_argv, "--extended")
+    assert extended[0] == 0 and extended[1] != plain[1]
+    assert run(capsys, *tree_argv) == plain
+
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", "--rows", "three", "--r", "0.5"])
+    assert exc.value.code == 2 and "--rows" in capsys.readouterr().err
+    assert run(capsys, *tree_argv) == plain
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0 and capsys.readouterr().out == f"fareychain {__version__}\n"

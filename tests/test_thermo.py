@@ -309,6 +309,19 @@ def test_sweep_rejects_before_work(monkeypatch):
     assert calls == []
 
 
+def test_sweep_refuses_non_finite_values(monkeypatch):
+    log_sums = thermo._log_sums
+
+    def nan_weighted_sum(r, s, n_max, dim):  # the M_n numerator at n = 5, s = 1.5
+        log_zc, log_w = log_sums(r, s, n_max, dim)
+        log_w[5, 1] = math.nan
+        return log_zc, log_w
+
+    monkeypatch.setattr(thermo, "_log_sums", nan_weighted_sum)
+    with pytest.raises(ValueError, match=r"Mn is not finite at n=5, s=1.5"):
+        thermo.thermo_sweep(0.5, [1.0, 1.5], 10)
+
+
 def test_sweep_n_1000_under_a_second():
     s_values = [1.03, 1.18, 1.28, 1.38, 1.48, 1.58, 1.68, 1.83]
     start = time.perf_counter()

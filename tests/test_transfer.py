@@ -158,6 +158,13 @@ def test_series_match_fixed_point_oracle_drawn(r, s, n):
     _check_traces_and_xi(s, r, n)
 
 
+def test_fixed_point_oracle_at_tiny_r():
+    # c of a branch word is O(r): near r = 0 the textbook root formula cancels and found no root
+    for r in (0.0, 1e-300, 2.220446049250313e-16, 1e-15, 1e-13, 1e-10, 0.3, 0.7, 0.95):
+        for s in (0.5, 1.0, 2.0):
+            _check_traces_and_xi(s, r, 9)
+
+
 def test_trace_rejects_r_at_least_one():
     with pytest.raises(ValueError):
         transfer.trace_sums(2, 1.0, 1.0)
@@ -245,9 +252,13 @@ def test_spectral_radius_error_bounds_reference():
             assert abs(res.value - transfer._collocation_lambda(s, r, 384)) <= res.error
 
 
-def test_spectral_radius_ladder_tops_out():
+def test_spectral_radius_ladder_tops_out(monkeypatch):
     with pytest.raises(ArithmeticError, match="dim 384"):
-        transfer.spectral_radius(1.0, 0.5, tol=1e-15)
+        transfer.spectral_radius(1.0, 0.999, tol=1e-14)  # dim 384 vs 288 still differ by 2e-13
+    monkeypatch.setattr(transfer, "_collocation_lambda", lambda *a: pytest.fail("a refused tol was solved"))
+    for tol in (1e-15, 0.0, -1.0, math.nan, math.inf):  # below the 1e-14 error floor, or not finite
+        with pytest.raises(ValueError, match="tol="):
+            transfer.spectral_radius(1.0, 0.5, tol=tol)
 
 
 def test_power_sums_from_one_level_up():

@@ -91,8 +91,13 @@ _bad_grids = st.one_of(
               _finite, st.sampled_from(["inf", "-inf", "nan"]), st.integers(0, 2)),  # non-finite
     st.builds(lambda a, h, k: f"{a}:{a + (thermo.SWEEP_CAP + k) * h}:{h}", _finite, _step, st.integers(1, 10**9)),
 )
-_bad_tols = st.one_of(st.sampled_from(["0", "-1", "1e-300", "nan", "inf", "-inf"]),
-                      st.floats(max_value=9.9e-13).map(repr))
+
+
+def _bad_tols(floor):
+    return st.one_of(st.sampled_from(["0", "-1", "1e-300", "nan", "inf", "-inf"]),
+                     st.floats(max_value=0.99 * floor).map(repr))
+
+
 _non_finite = st.sampled_from(["nan", "inf", "-inf", "1e400"])
 _bad_lists = st.builds(lambda bad, i: ",".join(bad if j == i else str(0.5 + j) for j in range(3)),
                        _non_finite, st.integers(0, 2))
@@ -105,12 +110,17 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.one_of(
     _bad_grids.map(lambda g: ["thermo", "--r", "0.5", f"--s={g}", "--n", "4"]),
     _bad_grids.map(lambda g: ["phase", f"--r-grid={g}"]),
     _bad_grids.map(lambda g: ["code", "--r", "0.5", f"--x={g}"]),
-    _bad_tols.map(lambda t: ["phase", "--r-grid", "0:0.5:0.25", f"--tol={t}"]),
+    _bad_tols(1e-12).map(lambda t: ["phase", "--r-grid", "0:0.5:0.25", f"--tol={t}"]),
+    _bad_tols(1e-14).map(lambda t: ["lambda", "--s", "1", "--r", "0.5", f"--tol={t}"]),
+    st.integers(max_value=0).map(lambda k: ["tree", f"--rows={k}", "--r", "0.5"]),
+    st.integers(max_value=0).map(lambda k: ["conjugacy", "--r", "0.5", f"--grid={k}"]),
+    st.integers(max_value=-1).map(lambda k: ["spin", f"--k={k}", "--r", "0.5"]),
+    st.integers(max_value=0).map(lambda k: ["zeta", "--m", "1", f"--qmax={k}"]),
     _bad_lists.map(lambda v: ["thermo", "--r", "0.5", f"--s={v}", "--n", "4"]),
     _bad_lists.map(lambda v: ["code", "--r", "0.5", f"--x={v}"]),
     _non_finite.map(lambda v: ["thermo", f"--r={v}", "--s", "1", "--n", "4"]),
