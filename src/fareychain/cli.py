@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, coding, spinchain, thermo, transfer, twisted, verify
 from . import tree as treemod
 from .rings import Params
-from .words import SpinWord, all_words
+from .words import label
 
 
 def _params(args) -> Params:
@@ -35,7 +35,7 @@ def _params(args) -> Params:
     if mode == "symbolic":
         return Params.symbolic()
     if r is None:
-        raise SystemExit("error: --r is required in numeric modes")
+        raise ValueError("--r is required in numeric modes")
     if mode == "exact":
         return Params.exact(Fraction(r))
     return Params.floating(float(Fraction(r)))
@@ -100,12 +100,13 @@ def _require_finite(records: List[Dict]) -> None:
                     raise ValueError(f"{key} is not finite at n={rec.get('n')}, s={rec.get('s')}; nothing written")
 
 
-def emit(rows: Iterable[Sequence], fieldnames: Sequence[str], args) -> None:
+def emit(rows: Iterable[Sequence], fieldnames: Sequence[str], args, default_format: str = "csv") -> None:
     """Write the metadata header, then `rows` (tuples in `fieldnames` order) as CSV, where None is an
-    empty cell, or as JSON lines keyed by `fieldnames`, where None is null."""
+    empty cell, or as JSON lines keyed by `fieldnames`, where None is null: in the --format given,
+    else in `default_format`."""
     meta = _meta(args, getattr(args, "mode", "float"))
     with _open_out(getattr(args, "out", None)) as fh:
-        if getattr(args, "format", "csv") == "csv":
+        if (getattr(args, "format", None) or default_format) == "csv":
             fh.writelines(f"# {key}: {val}\n" for key, val in meta.items())
             writer = csv.writer(fh)
             writer.writerow(fieldnames)
@@ -143,43 +144,40 @@ def cmd_code(args) -> int:
 
 
 def cmd_conjugacy(args) -> int:
+    if args.grid >= thermo.SWEEP_CAP:
+        raise ValueError(f"--grid {args.grid} gives {args.grid + 1} points, more than {thermo.SWEEP_CAP}")
     p = _params(args)
     xs = (i / args.grid for i in range(args.grid + 1))
-    records = [(repr(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs]
+    records = ((repr(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs)
     emit(records, ["x", "h", "depth"], args)
     return 0
 
 
+_SPIN_TABLE_MODES = {"q": ("float", "exact", "symbolic"), "qhat": ("float", "exact"), "interaction": ("float",)}
+
+
 def cmd_spin(args) -> int:
+    modes = _SPIN_TABLE_MODES[args.table]
+    if args.mode not in modes:  # the transform divides by 2^k; the interaction takes logs
+        raise ValueError(f"--table {args.table} is computed in {' or '.join(modes)} mode, not {args.mode}")
     p = _params(args)
     k = args.k
-    records = []
     if args.table == "q":
-        table = spinchain.pq_tables(k, p)
-        for w in all_words(k):
-            records.append(("".join(map(str, w.to_bits())), str(table.q[w.index])))
+        values = map(str, spinchain.pq_tables(k, p).q)
     elif args.table == "qhat":
-        table = spinchain.pq_tables(k, p.as_float() if p.mode == "float" else p)
-        vals = spinchain.fourier_transform(
-            np.asarray(table.q, dtype=float) if p.mode == "float" else list(table.q), k
-        )
-        for w in all_words(k):
-            records.append(("".join(map(str, w.to_bits())), str(vals[w.index])))
+        values = map(str, spinchain.fourier_transform(spinchain.pq_tables(k, p).q, k))
     else:  # interaction
-        q_hat = spinchain.interaction_coefficients(k, p)
+        values = map(repr, (-spinchain.interaction_coefficients(k, p)).tolist())
         worst = spinchain.ferromagnetic_violation(k, p)
-        for w in all_words(k):
-            records.append(("".join(map(str, w.to_bits())), repr(float(-q_hat[w.index]))))
         print(f"# ferromagnetic check: max Q^(t), t != 0 is {worst:.3e} (needs <= 1e-12)", file=sys.stderr)
-    emit(records, ["t", "value"], args)
+    emit(zip((label(i, k) for i in range(1 << k)), values), ["t", "value"], args)
     return 0
 
 
 def _json_records(args, rows: List[Dict]) -> int:
     """Write records that share their keys as JSON lines, refusing any non-finite value first."""
     _require_finite(rows)
-    args.format = "jsonl"
-    emit((tuple(rec.values()) for rec in rows), list(rows[0]), args)
+    emit((tuple(rec.values()) for rec in rows), list(rows[0]), args, default_format="jsonl")
     return 0
 
 
@@ -332,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--r", type=float, default=0.5)
     sp.add_argument("--N", type=int, default=14)
-    _add_common(sp, mode=False)
+    sp.add_argument("--format", choices=("csv", "jsonl"), default=None,
+                    help="default csv for the --m table, jsonl for the determinant record")
+    _add_common(sp, mode=False, fmt=False)
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("lambda", help="spectral radius of the transfer operator")
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         "thermo", help="Z^C, F_n, M_n sweep from operator iterates",
         description="Z^C_n, F_n and M_n for n = 2 .. N, r in [0, 1], from the operator iterates "
         "Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_(k+1) = rho^(-s/2) P_(s/2) f_k, on an adaptive "
-        "Chebyshev compression (dim 48, 96, 192, 384, each checked against 3 dim/4).  Columns: "
+        f"Chebyshev compression (dim {', '.join(map(str, transfer.COLLOCATION_DIMS))}, each checked against "
+        "3 dim/4).  Columns: "
         "r, s, n, ZC, Fn, Mn, logZC, error (the relative error of ZC, the absolute error of logZC) "
         "and dim.  ZC is empty where Z^C_n exceeds the float range; logZC is always given.  "
         f"N times the number of s values is capped at {thermo.SWEEP_CAP}.",

@@ -225,9 +225,10 @@ def pc_qc_tables(k: int, params: Params) -> PQTable:
 def fourier_transform(values, k: int | None = None):
     """Hypercube Fourier transform f^(t) = 2^-k sum_sigma f(sigma) (-1)^(sigma.t).
 
-    Fast Walsh butterflies; exact when fed Fractions, vectorized when
-    fed a numpy array.  The transform is its own inverse up to the
-    2^-k normalization.
+    Fast Walsh butterflies over a numpy array: a float array stays one and
+    comes back as one; any other input (Fractions, ints) runs as an object
+    array and comes back as an exact list.  The transform is its own inverse
+    up to the 2^-k normalization.
     """
     n = len(values)
     if k is None:
@@ -236,34 +237,18 @@ def fourier_transform(values, k: int | None = None):
         raise ValueError("length must be a power of two")
     if k > FOURIER_CAP:
         raise ValueError(f"k={k} exceeds the transform cap {FOURIER_CAP}")
-    out = _walsh(values, n)
-    if isinstance(out, np.ndarray):
-        return out / float(n)
-    return [Fraction(v, n) if isinstance(v, (int, Fraction)) else v / n for v in out]
-
-
-def _walsh(values, n: int):
-    if isinstance(values, np.ndarray):
-        a = values.astype(values.dtype, copy=True)
-        h = 1
-        while h < n:
-            a = a.reshape(-1, 2 * h)
-            x = a[:, :h].copy()
-            y = a[:, h:].copy()
-            a[:, :h] = x + y
-            a[:, h:] = x - y
-            h *= 2
-        return a.reshape(n)
-    a = list(values)
+    floating = isinstance(values, np.ndarray) and values.dtype == float
+    a = np.array(values, dtype=float if floating else object)
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            for i in range(start, start + h):
-                x, y = a[i], a[i + h]
-                a[i] = x + y
-                a[i + h] = x - y
+        a = a.reshape(-1, 2 * h)
+        x = a[:, :h].copy()
+        y = a[:, h:].copy()
+        a[:, :h] = x + y
+        a[:, h:] = x - y
         h *= 2
-    return a
+    a = a.reshape(n)
+    return a / n if floating else (a * Fraction(1, n)).tolist()
 
 
 @dataclass(frozen=True)
@@ -331,12 +316,7 @@ def hat_pq_closed(t: SpinWord, params: Params):
     """
     if params.mode == "symbolic":
         raise ValueError("activities are rational in r; use exact or float mode")
-    r = params.r
-    k = t.k
-    if params.mode == "exact":
-        pref = Fraction(4 - r, 2) ** k
-    else:
-        pref = ((4.0 - r) / 2.0) ** k
+    pref = ((4 - params.r) / 2) ** t.k
     prod = params.one
     for g in polymer_decompose(t):
         prod = prod * g.activity(params)
@@ -403,45 +383,26 @@ def ising_constants(params: Params) -> IsingConstants:
     )
 
 
-def hat_q_ising(t: SpinWord, params: Params) -> float:
+def hat_q_ising(t: SpinWord, params: Params):
     """q_k^(t) through the exponential (spin-chain) rewriting.
 
-    Equals (1+(-1)^|t|) (-1)^n(t) exp(c0 k + c1 |psi(t)| + c2 n(t))
-    where psi is the partial-sum automorphism and n(t) = <t, psi(t)>
-    counts the polymers of t.
+    Equals (1+(-1)^|t|) (-1)^n(t) exp(c0 k + c1 |psi(t)| + c2 n(t)), where
+    psi is the partial-sum automorphism and n(t) = <t, psi(t)> counts the
+    polymers of t, evaluated with exp(c_i) as the underlying ratios,
+
+        2 (-1)^n(t) ((4-r)/2)^k ((2-r)/(4-r))^|psi(t)| (r/(4-r))^n(t),
+
+    so it is exact in exact mode (the rewrite checks with zero tolerance at
+    rational r) and a float in float mode.
     """
+    if params.mode == "symbolic":
+        raise ValueError("the rewrite is rational in r; use exact or float mode")
     if t.weight() % 2 == 1:
-        return 0.0
-    c = ising_constants(params)
-    s = partial_sum_word(t)
-    n_t = t.inner(s)
-    expo = c.c0 * t.k + c.c1 * s.weight() + c.c2 * n_t
-    return 2.0 * (-1.0) ** n_t * math.exp(expo)
-
-
-def hat_q_ising_exact(t: SpinWord, params: Params) -> Fraction:
-    """The exponential rewrite of q_k^ as an exact product of rationals.
-
-    Identical to :func:`hat_q_ising` with exp(c_i) replaced by the
-    underlying ratios, so the rewrite identity can be checked with zero
-    tolerance at rational r:
-
-        2 (-1)^n(t) ((4-r)/2)^k ((2-r)/(4-r))^|psi(t)| (r/(4-r))^n(t).
-    """
-    if params.mode != "exact":
-        raise ValueError("exact rewrite needs exact-rational parameters")
-    if t.weight() % 2 == 1:
-        return Fraction(0)
+        return 0 * params.one
     r = params.r
     s = partial_sum_word(t)
     n_t = t.inner(s)
-    return (
-        2
-        * Fraction(-1) ** n_t
-        * Fraction(4 - r, 2) ** t.k
-        * ((2 - r) / (4 - r)) ** s.weight()
-        * (r / (4 - r)) ** n_t
-    )
+    return 2 * (-1) ** n_t * ((4 - r) / 2) ** t.k * ((2 - r) / (4 - r)) ** s.weight() * (r / (4 - r)) ** n_t
 
 
 def hat_q_ising_abs(t: SpinWord, params: Params) -> float:
@@ -480,9 +441,7 @@ def interaction_coefficients(k: int, params: Params) -> np.ndarray:
     """
     if k > 20:
         raise ValueError("interaction tables capped at k = 20")
-    table = pq_tables(k, params.as_float())
-    energies = np.log(np.asarray(table.q, dtype=float))
-    return fourier_transform(energies, k)
+    return fourier_transform(np.log(pq_tables(k, params.as_float()).q), k)
 
 
 def ferromagnetic_violation(k: int, params: Params) -> float:

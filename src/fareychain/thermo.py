@@ -36,7 +36,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .rings import Params, balanced_sum
-from .spinchain import _tree_stream, _walk, pc_qc_tables, pq_tables
+from .spinchain import _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
 from .transfer import (_adaptive, _collocation_lambda, _lobatto_lambda, _log_iterates_at_half, _pair_stream,
                        spectral_radius)
 
@@ -87,14 +87,13 @@ def grand_Z(k: int, s, params: Params):
 
     At r = 0 every level-k denominator equals 2^(k+1), so the sum
     collapses to 2^k 2^(-s(k+1)) and any k is admissible; otherwise the
-    full table is enumerated (float up to k = 26, exact up to 16).
+    level-k row is walked in bounded-memory blocks (float up to k = 26,
+    exact up to 16).
     """
     s = _require_integer_exponent(s, params)
-    if params.mode != "symbolic" and params.r == 0:
-        if params.mode == "exact":
-            return Fraction(2**k) / Fraction(2) ** (s * (k + 1))
-        return float(2.0**k * 2.0 ** (-s * (k + 1)))
-    return _row_sum(pq_tables(k, params).q, s, params)
+    if params.r == 0:
+        return params.one * 2**k * (2 * params.one) ** (-s * (k + 1))
+    return _last_level_sum(_tree_stream, k, params, lambda block: _row_sum(block[1], s, params))
 
 
 def _row_sum(values, s, params: Params):
@@ -109,11 +108,9 @@ def _grand_sums(k_max: int, s_values: Sequence, params: Params) -> List[List]:
     exponents = [_require_integer_exponent(s, params) for s in s_values]
     if params.r == 0:
         return [[grand_Z(k, s, params) for k in range(k_max + 1)] for s in exponents]
-    sums: List[List] = [[0] * (k_max + 1) for _ in exponents]
-    for level, (_p, q) in _walk(_tree_stream, k_max, params):
-        for row, s in zip(sums, exponents):
-            row[level] += _row_sum(q, s, params)
-    return sums
+    sums = _level_sums(_tree_stream, k_max, params,  # a level's sums, one entry per s
+                       lambda _level, block: np.array([_row_sum(block[1], s, params) for s in exponents], dtype=object))
+    return [list(row) for row in zip(*sums)]
 
 
 def canonical_Z(n: int, s, params: Params, method: str = "rows"):
@@ -146,10 +143,9 @@ def _canonical_via_transfer(n: int, s, params: Params):
     s = _require_integer_exponent(s, params)
     if params.mode == "exact" and s % 2 != 0:
         raise ValueError("the exact transfer route needs an even integer s")
-    total = 2 * params.one  # the leading 1 plus the k = 0 term (P^0 1)(1) = 1
-    for _level, (p, q) in _walk(_pair_stream, n - 1, params):  # the rho prefactors cancel
-        total += 2 * _row_sum(p * params.r + params.rho * q, s, params)
-    return total / 2
+    sums = _level_sums(_pair_stream, n - 1, params,  # the rho prefactors cancel
+                       lambda _level, block: _row_sum(block[0] * params.r + params.rho * block[1], s, params))
+    return sum(sums, params.one)  # (the leading 1 + (P^0 1)(1) = 1 + 2 sum(sums)) / 2
 
 
 def free_energy(n: int, s: float, params: Params) -> float:

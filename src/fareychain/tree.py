@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from .maps import involution_pair
 from .rings import Params, RhoPoly
 from .spinchain import _levels, _tree_stream, pq_tables
-from .words import SpinWord, all_words
+from .words import SpinWord, all_words, label
 
 # rho used only to order symbolic nodes; the order is the same for all
 # interior parameter values.
@@ -233,7 +233,7 @@ def node_records(row: TreeRow) -> List[dict]:
     """Flat dict records for CSV/JSON export."""
     out = []
     for node in row.nodes:
-        sigma = "" if node.path is None else "".join(map(str, node.path.to_bits()))
+        sigma = "" if node.path is None else label(node.path.bits, node.path.k)
         if isinstance(node.p, RhoPoly):
             rec = {"level": row.level, "sigma": sigma, "p": str(node.p), "q": str(node.q), "value": ""}
         else:
@@ -256,7 +256,7 @@ def tree_adjacency(n: int, params: Params) -> dict:
     edges = []
     for row in build_rows(n, params):
         for node in row.nodes:
-            sigma = "".join(map(str, node.path.to_bits()))
+            sigma = label(node.path.bits, node.path.k)
             nodes.append(
                 {
                     "id": sigma or "root",

@@ -109,20 +109,21 @@ def suite_spin(seed: int = 0) -> List[CheckResult]:
         p = Params.exact(r)
         for k in range(9):
             table = spinchain.pq_tables(k, p)
-            p_hat = spinchain.fourier_transform(list(table.p), k)
-            q_hat = spinchain.fourier_transform(list(table.q), k)
+            p_hat = spinchain.fourier_transform(table.p, k)
+            q_hat = spinchain.fourier_transform(table.q, k)
             for t in all_words(k):
                 ph, qh = spinchain.hat_pq_closed(t, p)
-                if not (ph == p_hat[t.index] and qh == q_hat[t.index]):
+                if not (ph == p_hat[t.index] and qh == q_hat[t.index] == spinchain.hat_q_ising(t, p)):
                     ok = False
-    out.append(CheckResult("spin", "closed-form Fourier = transform of tables (k<=8, exact)", _exact(ok), 0.0))
+    out.append(CheckResult("spin", "closed form and exponential rewrite = transform of tables (k<=8, exact)",
+                           _exact(ok), 0.0))
 
     resid = 0.0
     for r in (0.3, 0.5, 0.9, 1.0, 1.5):
         p = Params.floating(r)
         for k in range(1, 11):
             table = spinchain.pq_tables(k, p)
-            q_hat = spinchain.fourier_transform(np.asarray(table.q, dtype=float), k)
+            q_hat = spinchain.fourier_transform(table.q, k)
             for t in all_words(k):
                 ising = spinchain.hat_q_ising(t, p)
                 resid = max(resid, abs(ising - q_hat[t.index]))

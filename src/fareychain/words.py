@@ -88,7 +88,12 @@ class SpinWord:
         return tuple(i for i in range(1, self.k + 1) if self.bit(i))
 
     def __repr__(self):
-        return f"SpinWord({''.join(map(str, self.to_bits()))})" if self.k else "SpinWord()"
+        return f"SpinWord({label(self.bits, self.k)})"
+
+
+def label(index: int, k: int) -> str:
+    """The k-bit word with lexicographic index `index` as a 0/1 string, sigma_1 first."""
+    return format(index, f"0{k}b") if k else ""
 
 
 def all_words(k: int) -> Iterator[SpinWord]:

@@ -105,7 +105,7 @@ def test_criterion_2_polymer_closed_form():
                 ok &= ph == p_hat[t.index] and qh == q_hat[t.index]
                 # the exponential rewrite: exactly in rationals, then the
                 # float evaluation on unit-scale (normalized) coefficients
-                ok &= spinchain.hat_q_ising_exact(t, p) == q_hat[t.index]
+                ok &= spinchain.hat_q_ising(t, p) == q_hat[t.index]
                 worst = max(
                     worst,
                     abs(spinchain.hat_q_ising(t, pf) / scale - float(q_hat[t.index] / q_hat[0])),

@@ -6,11 +6,13 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from fareychain import __version__, cli, spinchain, thermo, verify
+from fareychain import __version__, cli, coding, spinchain, thermo, verify
 from fareychain.cli import main, parse_values
+from fareychain.rings import Params
 
 
 def run(capsys, *argv):
@@ -150,6 +152,60 @@ def test_code_and_conjugacy(capsys):
     assert "0.5,0.5,30" in out
 
 
+def test_conjugacy_grid_capped_before_any_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(coding, "conjugacy_h", lambda *a: calls.append(a) or 0.5)
+    for grid in (thermo.SWEEP_CAP, 10**7):
+        code = main(["conjugacy", "--r", "0.5", "--grid", str(grid)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not calls
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --grid {grid} ")
+
+
+def test_conjugacy_records_stream(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "emit", lambda records, fields, args: seen.append(records))
+    assert main(["conjugacy", "--r", "0.5", "--grid", str(thermo.SWEEP_CAP - 1)]) == 0  # the largest grid
+    assert inspect.isgenerator(seen[0])  # nothing is computed until emit writes it
+
+
+def test_spin_refuses_a_mode_its_table_is_not_computed_in(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(spinchain, "pq_tables", lambda *a: built.append(a))
+    for argv in (("--mode", "symbolic", "--table", "qhat"),
+                 ("--mode", "symbolic", "--table", "interaction"),
+                 ("--mode", "exact", "--r", "1/3", "--table", "interaction")):
+        code = main(["spin", "--k", "3", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not built, argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --table {argv[-1]} ") and argv[1] in lines[0], argv
+
+
+def test_zeta_format_is_written_as_given(capsys):
+    argv = ("zeta", "--z", "0.5", "--s", "1", "--r", "0.5", "--N", "8")
+    code, out = run(capsys, *argv)  # no --format: the determinant record as JSON lines, none echoed
+    assert code == 0 and "--format" not in json.loads(out.splitlines()[0])["meta"]["args"]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and "--format=csv" in out
+    (row,) = csv.DictReader(l for l in out.splitlines() if not l.startswith("#"))
+    assert row["n"] == "8" and json.loads(row["det"])[1] == 0.0
+    code, out = run(capsys, "zeta", "--m", "1", "--qmax", "3", "--format", "jsonl")
+    assert code == 0 and [json.loads(l)["mu_m"] for l in out.splitlines()[1:]] == [1, -1, -1]
+
+
+def test_commands_leave_the_parsed_namespace_unchanged(capsys):
+    for argv in (("trace", "--n", "3", "--s", "1", "--r", "0.5"), ("lambda", "--s", "1", "--r", "0.5"),
+                 ("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "0.5"), ("zeta", "--N", "6"),
+                 ("conjugacy", "--r", "0.5", "--grid", "4"), ("spin", "--k", "2", "--r", "0.5")):
+        args = cli.build_parser().parse_args(argv)
+        before = dict(vars(args))
+        assert args.func(args) == 0, argv
+        assert vars(args) == before, argv
+    capsys.readouterr()
+
+
 def test_spin_tables(capsys):
     code, out = run(capsys, "spin", "--k", "2", "--r", "1", "--table", "q")
     assert code == 0
@@ -158,6 +214,11 @@ def test_spin_tables(capsys):
     code, out = run(capsys, "spin", "--k", "3", "--mode", "symbolic", "--table", "q")
     assert code == 0
     assert "000,2 + rho + rho^2" in out
+    code, out = run(capsys, "spin", "--k", "3", "--mode", "exact", "--r", "1/3", "--table", "qhat")
+    assert code == 0 and "# mode: exact" in out
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+    assert [t for t, _ in rows] == [format(i, "03b") for i in range(8)]
+    assert Fraction(rows[0][1]) == sum(spinchain.pq_tables(3, Params.exact(Fraction(1, 3))).q) / 8
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -189,9 +250,10 @@ def test_cap_violations_reported(capsys, monkeypatch):
     assert not levels  # the cap fails before any level is built
 
 
-def test_missing_r_reported():
-    with pytest.raises(SystemExit):
-        main(["tree", "--rows", "3"])
+def test_missing_r_reported(capsys):
+    assert main(["tree", "--rows", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: --r is required" in captured.err
 
 
 def test_leaf_records_carry_no_error_field(capsys):

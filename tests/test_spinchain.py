@@ -107,6 +107,7 @@ def test_fourier_numpy_matches_exact():
     table = [Fraction(rng.randint(-9, 9)) for _ in range(32)]
     exact = spinchain.fourier_transform(table, 5)
     fl = spinchain.fourier_transform(np.array([float(v) for v in table]), 5)
+    assert isinstance(exact, list) and isinstance(fl, np.ndarray)
     assert np.allclose(fl, [float(v) for v in exact], atol=1e-14)
 
 
@@ -159,7 +160,7 @@ def test_closed_form_prefactor_and_pair_example():
 
 
 def test_closed_form_equals_transform_exact():
-    for r in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+    for r in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         p = Params.exact(r)
         for k in range(0, 11):
             table = spinchain.pq_tables(k, p)
@@ -168,7 +169,9 @@ def test_closed_form_equals_transform_exact():
             for t in all_words(k):
                 ph, qh = spinchain.hat_pq_closed(t, p)
                 assert ph == p_hat[t.index]
-                assert qh == q_hat[t.index]
+                assert qh == q_hat[t.index] == spinchain.hat_q_ising(t, p)  # the rewrite holds at r = 0 too
+    with pytest.raises(ValueError):
+        spinchain.hat_q_ising(SpinWord.from_bits((1, 1)), SYM)
 
 
 def test_polymer_count_is_word_pairing_invariant():

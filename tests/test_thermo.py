@@ -38,6 +38,7 @@ def test_tent_grand_matches_closed_difference():
     for k in range(0, 12):
         diff = closed_tent_Z(k + 1, 3) - closed_tent_Z(k, 3) if k else closed_tent_Z(1, 3) - 1
         assert thermo.grand_Z(k, 3, p) == diff
+        assert thermo.grand_Z(k, 3, Params.floating(0.0)) == float(diff)  # a power of two: no rounding
 
 
 def test_cumulative_sum_identity():

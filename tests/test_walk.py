@@ -43,6 +43,7 @@ def _series(n, s, r):
         "twisted rows m=2": (twisted.twisted_sums(n, s, 2, p), rows0),
         "power sums": (transfer._power_sums(s, r, n), None),
         "grand sums": (zg[0] + zg[1], None),
+        "grand Z": ([thermo.grand_Z(n - 1, s, p)], None),
         "canonical transfer": ([thermo.canonical_Z(n, s, p, "transfer")], None),
     }
 
