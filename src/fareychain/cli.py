@@ -91,13 +91,18 @@ def _meta(args, mode: str) -> Dict[str, str]:
     return {"tool": f"fareychain {__version__}", "args": echo, "mode": mode}
 
 
-def _require_finite(records: List[Dict]) -> None:
-    """Refuse a table of float values with an inf or nan in it, before any line is written."""
-    for rec in records:
-        for key, val in rec.items():
-            for v in val if isinstance(val, list) else (val,):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError(f"{key} is not finite at n={rec.get('n')}, s={rec.get('s')}; nothing written")
+def _require_finite(rows: List[Sequence], fieldnames: Sequence[str]) -> List[Sequence]:
+    """`rows` (tuples in `fieldnames` order), refused before any output if a float in them is inf or nan."""
+    for row in rows:
+        for key, val in zip(fieldnames, row):
+            if not all(math.isfinite(v) for v in (val if isinstance(val, list) else (val,)) if isinstance(v, float)):
+                at = ", ".join(f"{k}={row[fieldnames.index(k)]}" for k in ("n", "s") if k in fieldnames)
+                raise ValueError(f"{key} is not finite at {at}; nothing written")
+    return rows
+
+
+# The series subcommands run with numpy's floating-point warnings off: _require_finite refuses what overflowed.
+_series_command = np.errstate(all="ignore")
 
 
 def emit(rows: Iterable[Sequence], fieldnames: Sequence[str], args, default_format: str = "csv") -> None:
@@ -167,62 +172,57 @@ def cmd_spin(args) -> int:
     elif args.table == "qhat":
         values = map(str, spinchain.fourier_transform(spinchain.pq_tables(k, p).q, k))
     else:  # interaction
-        values = map(repr, (-spinchain.interaction_coefficients(k, p)).tolist())
-        worst = spinchain.ferromagnetic_violation(k, p)
+        q_hat = spinchain.interaction_coefficients(k, p)
+        values = map(repr, (-q_hat).tolist())
+        worst = spinchain.ferromagnetic_violation(q_hat)
         print(f"# ferromagnetic check: max Q^(t), t != 0 is {worst:.3e} (needs <= 1e-12)", file=sys.stderr)
     emit(zip((label(i, k) for i in range(1 << k)), values), ["t", "value"], args)
     return 0
 
 
-def _json_records(args, rows: List[Dict]) -> int:
-    """Write records that share their keys as JSON lines, refusing any non-finite value first."""
-    _require_finite(rows)
-    emit((tuple(rec.values()) for rec in rows), list(rows[0]), args, default_format="jsonl")
+@_series_command
+def cmd_trace(args) -> int:
+    values = transfer.trace_sums(args.n, args.s, args.r, signed=args.signed)
+    method = "leaf trace pairs" + (" (signed)" if args.signed else "")
+    fields = ["r", "s", "n", "value", "method"]
+    rows = [(args.r, args.s, n, [val.real, val.imag], method) for n, val in enumerate(values, 1)]
+    emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 
 
-def cmd_trace(args) -> int:
-    with np.errstate(over="ignore", invalid="ignore"):  # _json_records refuses what overflowed
-        values = transfer.trace_sums(args.n, args.s, args.r, signed=args.signed)
-    method = "leaf trace pairs" + (" (signed)" if args.signed else "")
-    rows = [{"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag], "method": method}
-            for n, val in enumerate(values, 1)]
-    return _json_records(args, rows)
-
-
+@_series_command
 def cmd_xi(args) -> int:
-    with np.errstate(over="ignore", invalid="ignore"):  # _json_records refuses what overflowed
-        values = transfer.periodic_sums_xi(args.n, args.s, args.r)
-    rows = [{"r": args.r, "s": args.s, "n": n, "value": [val.real, val.imag], "method": "closed leaf sum"}
-            for n, val in enumerate(values, 1)]
-    return _json_records(args, rows)
+    values = transfer.periodic_sums_xi(args.n, args.s, args.r)
+    fields = ["r", "s", "n", "value", "method"]
+    rows = [(args.r, args.s, n, [val.real, val.imag], "closed leaf sum") for n, val in enumerate(values, 1)]
+    emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
+    return 0
 
 
+@_series_command
 def cmd_zeta(args) -> int:
     if args.m is not None:
         records = ((q, twisted.mu_twisted(args.m, q)) for q in range(1, args.qmax + 1))
         emit(records, ["q", "mu_m"], args)
         return 0
     fz = transfer.fredholm_and_zeta(complex(args.z), args.s, args.r, N=args.N)
-    rows = [{
-        "r": args.r, "s": args.s, "z": args.z, "n": args.N,
-        "det": [fz.det.real, fz.det.imag],
-        "zeta_orbit_sum": [fz.zeta_exp.real, fz.zeta_exp.imag],
-        "zeta_det_ratio": [fz.zeta_ratio.real, fz.zeta_ratio.imag],
-        "method": "trace power series + orbit sums",
-        "error_estimate": fz.tail_estimate if math.isfinite(fz.tail_estimate) else None,
-        "converged": fz.converged,
-    }]
-    if rows[0]["error_estimate"] is None:
-        rows[0]["error_reason"] = "no tail fit of the orbit sums at N - 1 and N (needs N >= 3 and |z g| < 1)"
-    return _json_records(args, rows)
+    fields = ["r", "s", "z", "n", "det", "zeta_orbit_sum", "zeta_det_ratio", "method", "error_estimate", "converged"]
+    row = (args.r, args.s, args.z, args.N, [fz.det.real, fz.det.imag], [fz.zeta_exp.real, fz.zeta_exp.imag],
+           [fz.zeta_ratio.real, fz.zeta_ratio.imag], "trace power series + orbit sums",
+           fz.tail_estimate if math.isfinite(fz.tail_estimate) else None, fz.converged)
+    if row[-2] is None:
+        fields.append("error_reason")
+        row += ("no tail fit of the orbit sums at N - 1 and N (needs N >= 3 and |z g| < 1)",)
+    emit(_require_finite([row], fields), fields, args, default_format="jsonl")
+    return 0
 
 
 def cmd_lambda(args) -> int:
     res = transfer.spectral_radius(args.s, args.r, tol=args.tol)
-    rows = [{"r": args.r, "s": args.s, "dim": res.dim, "value": res.value,
-             "method": res.method, "error_estimate": res.error}]
-    return _json_records(args, rows)
+    fields = ["r", "s", "dim", "value", "method", "error_estimate"]
+    row = (args.r, args.s, res.dim, res.value, res.method, res.error)
+    emit(_require_finite([row], fields), fields, args, default_format="jsonl")
+    return 0
 
 
 def cmd_thermo(args) -> int:
@@ -239,11 +239,13 @@ def cmd_phase(args) -> int:
     return 0
 
 
+@_series_command
 def cmd_twisted(args) -> int:
     values = twisted.twisted_sums(args.n, args.s, args.m, Params.floating(args.r))
-    rows = [{"r": args.r, "s": args.s, "m": args.m, "n": n, "value": [val.real, val.imag],
-             "method": "tree-row sum"} for n, val in enumerate(values, 1)]
-    return _json_records(args, rows)
+    fields = ["r", "s", "m", "n", "value", "method"]
+    rows = [(args.r, args.s, args.m, n, [val.real, val.imag], "tree-row sum") for n, val in enumerate(values, 1)]
+    emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -444,7 +444,6 @@ def interaction_coefficients(k: int, params: Params) -> np.ndarray:
     return fourier_transform(np.log(pq_tables(k, params.as_float()).q), k)
 
 
-def ferromagnetic_violation(k: int, params: Params) -> float:
-    """max over t != 0 of Q_k^(t); ferromagnetic iff <= 0 (up to rounding)."""
-    q_hat = interaction_coefficients(k, params)
-    return float(np.max(q_hat[1:])) if k > 0 else 0.0
+def ferromagnetic_violation(q_hat: np.ndarray) -> float:
+    """max over t != 0 of a table q_hat of :func:`interaction_coefficients`; ferromagnetic iff <= 0 (up to rounding)."""
+    return float(np.max(q_hat[1:])) if len(q_hat) > 1 else 0.0

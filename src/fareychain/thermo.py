@@ -37,8 +37,7 @@ import numpy as np
 
 from .rings import Params, balanced_sum
 from .spinchain import _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import (_adaptive, _collocation_lambda, _lobatto_lambda, _log_iterates_at_half, _pair_stream,
-                       spectral_radius)
+from .transfer import _adaptive, _collocation_lambda, _log_iterates_at_half, _pair_stream, spectral_radius
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
@@ -275,7 +274,7 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
 
     (s_cr, lo, hi, slope, lam), term, dim = _adaptive(search, tol / 10, f"s_cr at r={r}")
     error = max(s_cr - lo, hi - s_cr) + term
-    shift = abs(math.log(_lobatto_lambda(s_cr / 2.0, r, dim)) - math.log(lam)) / abs(slope)
+    shift = abs(math.log(_collocation_lambda(s_cr / 2.0, r, dim, lobatto=True)) - math.log(lam)) / abs(slope)
     if shift > error:
         raise ArithmeticError(f"Lobatto check failed at r={r}, s={s_cr}: shift {shift:.3g} > error {error:.3g}")
     return CriticalPoint(r, s_cr, error, abs(slope), f"illinois on log lambda; {evals} evals; dim {dim}; lobatto-checked")

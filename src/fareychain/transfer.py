@@ -12,8 +12,9 @@ Every closed form here is paired with a brute-force branch-word oracle
 that sums over all 2^n inverse-branch compositions directly.  Spectral
 data come from the Chebyshev compression (:func:`collocation_spectrum`) at
 the first dim of COLLOCATION_DIMS that meets the tolerance against the
-3 dim/4 rerun (:func:`_adaptive`); the Chebyshev-Lobatto compression
-cross-checks the s_cr root of :func:`thermo.critical_line`.
+3 dim/4 rerun (:func:`_adaptive`); the Chebyshev-Lobatto compression,
+``collocation_spectrum(..., lobatto=True)``, cross-checks the s_cr root of
+:func:`thermo.critical_line`.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -40,8 +41,11 @@ fast route, one independent oracle, and a check comparing the two (a
     zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
     lambda_{s,r}      spectral_radius     _power_radius             "power ratios vs collocation (r <= 0.9)"
 
-The traces, Xi_n and both Fredholm determinants walk _matrix_stream, the
-twisted sums (:func:`_character_sums`) _pair_stream or _quad_stream.  The
+The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
+the roots of each block of leaf matrices once, from :func:`_leaf_roots`
+(m_j, r_j, j = 0, 1, free of cancellation up to r = 1): a trace term is
+m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The twisted sums
+(:func:`_character_sums`) walk _pair_stream or _quad_stream.  The
 iterates take their single n from the last level of the walk alone, so
 they cost no series; each equals rho^(ns) times the last entry of
 :func:`_character_sums` exactly (tests/test_walk.py).
@@ -299,75 +303,69 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
 # ---------------------------------------------------------------------------
 
 
-def _pair_traces(X: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray]:
-    """T_0 = trace X and T_1 = trace XS for leaf matrices X = (a, b, c, d)."""
+def _leaf_roots(X: np.ndarray, r: float, n: int) -> Tuple[np.ndarray, ...]:
+    """(m_0, r_0, m_1, r_1) for a block X = (a, b, c, d) of row-n leaf matrices, with
+    T_0 = trace X, T_1 = trace XS, r_0 = sqrt(T_0^2 - 4 rho^n), r_1 = sqrt(T_1^2 + 4 rho^n)
+    and m_j = 2 / (T_j + r_j).  det X = rho^n, so r_0 is taken as sqrt((a - d)^2 + 4 b c),
+    which does not cancel as r -> 1 (b, c >= 0 on r in [0, 1])."""
     a, b, c, d = X
-    return a + d, a * (r - 1.0) + b * r + c * (2.0 - r) + d * (1.0 - r)
+    r0 = np.sqrt((a - d) ** 2 + 4.0 * b * c)
+    T1 = a * (r - 1.0) + b * r + c * (2.0 - r) + d * (1.0 - r)
+    r1 = np.sqrt(T1 * T1 + 4.0 * (2.0 - r) ** n)
+    return 2.0 / (a + d + r0), r0, 2.0 / (T1 + r1), r1
 
 
 def _pair_trace_sums(n: int, r: float, term) -> list:
-    """For rows k = 1 .. n of the leaf matrices, the sum of term(k, (T_0, T_1)) over the row's blocks."""
+    """For rows k = 1 .. n of the leaf matrices, the sum of term(:func:`_leaf_roots`) over the row's blocks."""
     sums = [0] * n
     for level, X in _walk(_matrix_stream, n - 1, Params.floating(r)):
-        T = _pair_traces(X, r)  # held until the next block's: freed sooner, its pages fault back in
-        sums[level] += term(level + 1, T)
+        roots = _leaf_roots(X, r, level + 1)  # held until the next block's: freed sooner, its pages fault back in
+        sums[level] += term(roots)
     return sums
 
 
-def _trace_sum(T, r: float, n: int, s: complex, signed: bool) -> complex:
-    """The leaf terms of rho^(-ns) trace(P^n) summed over a block (T_0, T_1) of row n."""
-    T0, T1 = T
-    rho_n = (2.0 - r) ** n
-    s0 = np.sqrt(T0 * T0 - 4.0 * rho_n)
-    s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
-    term0 = _cpow(2.0 / (T0 + s0), 2.0 * s - 1.0) / s0
-    term1 = _cpow(2.0 / (T1 + s1), 2.0 * s - 1.0) / s1
-    return complex(np.sum(term0) + (-1.0 if signed else 1.0) * np.sum(term1))
+def _trace_sum(roots, s: complex, signed: bool) -> complex:
+    """The leaf terms of rho^(-ns) trace(P^n), m_j^(2s-1) / r_j, summed over a block of :func:`_leaf_roots`."""
+    m0, r0, m1, r1 = roots
+    term0, term1 = np.sum(_cpow(m0, 2.0 * s - 1.0) / r0), np.sum(_cpow(m1, 2.0 * s - 1.0) / r1)
+    return complex(term0 - term1 if signed else term0 + term1)
 
 
-def _xi_sum(T, r: float, n: int, s: complex) -> complex:
-    """The leaf terms of 4^(-s) rho^(-ns) Xi_n(s) summed over a block (T_0, T_1) of row n."""
-    T0, T1 = T
-    rho_n = (2.0 - r) ** n
-    s0 = np.sqrt(np.maximum(T0 * T0 - 4.0 * rho_n, 0.0))
-    s1 = np.sqrt(T1 * T1 + 4.0 * rho_n)
-    return complex(np.sum(_cpow(T0 + s0, -2.0 * s)) + np.sum(_cpow(T1 + s1, -2.0 * s)))
+def _xi_sum(roots, s: complex) -> complex:
+    """The leaf terms of rho^(-ns) Xi_n(s), m_j^(2s), summed over a block of :func:`_leaf_roots`."""
+    m0, _r0, m1, _r1 = roots
+    return complex(np.sum(_cpow(m0, 2.0 * s)) + np.sum(_cpow(m1, 2.0 * s)))
 
 
 def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
     """[trace(P^1), ..., trace(P^n)] (or of the signed operator) from one walk.
 
-    Each leaf of tree row k contributes to trace(P^k), for j = 0, 1,
-
-        (+-1)^j rho^(ks) / sqrt(T_j^2 - (-1)^j 4 rho^k)
-            * (2 / (T_j + sqrt(T_j^2 - (-1)^j 4 rho^k)))^(2s-1)
-
-    where T_0 = trace X and T_1 = trace XS.  Trace-class only for
-    r < 1; the all-left leaf term diverges as r -> 1.
+    Each leaf of tree row k contributes (+-1)^j rho^(ks) m_j^(2s-1) / r_j,
+    j = 0, 1, to trace(P^k), with m_j and r_j the :func:`_leaf_roots` of
+    its matrix.  Trace-class only for r < 1; the all-left leaf term
+    diverges as r -> 1.
     """
     TransferQuery(s, r, n)  # validates r and n
     if r >= 1:
         raise ValueError("traces require r < 1 (divergent as r -> 1)")
     s = complex(s)
-    sums = _pair_trace_sums(n, r, lambda k, T: _trace_sum(T, r, k, s, signed))
+    sums = _pair_trace_sums(n, r, lambda roots: _trace_sum(roots, s, signed))
     return [_cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
 
 
 def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
     """[Xi_1(s), ..., Xi_n(s)] from one walk: Xi_k(s) is the dynamical
     partition function, the sum over period-k points of |(F^k)'|^(-s); in
-    leaf data of tree row k,
-
-        sum_leaves sum_j 4^s rho^(ks) / (T_j + sqrt(T_j^2 - (-1)^j 4 rho^k))^(2s).
-
-    Unlike the traces this stays finite at r = 1.
+    leaf data of tree row k, the sum over leaves and j = 0, 1 of
+    rho^(ks) m_j^(2s) (:func:`_leaf_roots`).  Unlike the traces this stays
+    finite at r = 1.
     """
     TransferQuery(s, r, n)  # validates r and n
     if r > 1:
         raise ValueError("periodic sums implemented for r <= 1")
     s = complex(s)
-    sums = _pair_trace_sums(n, r, lambda k, T: _xi_sum(T, r, k, s))
-    return [_cpow(4.0, s) * _cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
+    sums = _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, s))
+    return [_cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
 
 
 def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, float]:
@@ -503,14 +501,14 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
     TransferQuery(s, r, N)  # validates r and N
     s_c = complex(s)
 
-    def terms(k: int, T) -> np.ndarray:
-        return np.array([_trace_sum(T, r, k, s_c, False), _trace_sum(T, r, k, s_c + 1, True), _xi_sum(T, r, k, s_c)])
+    def terms(roots) -> np.ndarray:
+        return np.array([_trace_sum(roots, s_c, False), _trace_sum(roots, s_c + 1, True), _xi_sum(roots, s_c)])
 
     sums = _pair_trace_sums(N, r, terms)
     rho = 2.0 - r
     tr = [_cpow(rho, k * s_c) * complex(t[0]) for k, t in enumerate(sums, 1)]
     tr_signed = [_cpow(rho, k * (s_c + 1)) * complex(t[1]) for k, t in enumerate(sums, 1)]
-    xi = [_cpow(4.0, s_c) * _cpow(rho, k * s_c) * complex(t[2]) for k, t in enumerate(sums, 1)]
+    xi = [_cpow(rho, k * s_c) * complex(t[2]) for k, t in enumerate(sums, 1)]
     d = _newton_coefficients(tr)
     d_sgn = _newton_coefficients(tr_signed)
     powers = z ** np.arange(N + 1)
@@ -543,7 +541,7 @@ def trace_from_spectra(s: complex, r: float) -> complex:
     integral-operator families, summed in closed form."""
     rho = 2.0 - r
     beta = 4.0 * rho / (1.0 + math.sqrt(1.0 + 4.0 * rho)) ** 2
-    return _cpow(rho, -s) / (1.0 - 1.0 / rho) + _cpow(beta, s) / (1.0 + beta)
+    return _cpow(rho, 1 - s) / (rho - 1.0) + _cpow(beta, s) / (1.0 + beta)
 
 
 def trace_closed_n1(s: complex, r: float) -> complex:
@@ -637,25 +635,20 @@ def _collocation_operator(r: float, dim: int, lobatto: bool = False) -> Tuple[np
     return C, log_w
 
 
-def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> np.ndarray:
-    """Eigenvalues of the operator compressed to dim Chebyshev points, sorted
-    by modulus.  The operator maps functions analytic on a disk containing
-    [0, 1] to themselves, so they converge geometrically in dim; with C
-    cached per (r, dim), a call costs one row scaling and one eigen-solve."""
-    C, log_w = _collocation_operator(float(r), dim)
+def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0], lobatto: bool = False) -> np.ndarray:
+    """Eigenvalues of the operator compressed to dim Chebyshev points (or
+    Chebyshev-Lobatto points, `lobatto`), sorted by modulus.  The operator maps
+    functions analytic on a disk containing [0, 1] to themselves, so they
+    converge geometrically in dim; with C cached per (r, dim, lobatto), a call
+    costs one row scaling and one eigen-solve."""
+    C, log_w = _collocation_operator(float(r), dim, lobatto)
     ev = np.linalg.eigvals(np.exp(s * log_w)[:, None] * C)
     return ev[np.argsort(-np.abs(ev))]
 
 
-def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> float:
-    """The leading (Perron) eigenvalue of the dim-point Chebyshev compression."""
-    return float(np.max(collocation_spectrum(s, r, dim).real))
-
-
-def _lobatto_lambda(s: float, r: float, dim: int) -> float:
-    """The Perron eigenvalue of the Chebyshev-Lobatto compression, the check on the Chebyshev one."""
-    C, log_w = _collocation_operator(float(r), dim, lobatto=True)
-    return float(np.max(np.linalg.eigvals(np.exp(s * log_w)[:, None] * C).real))
+def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIMS[0], lobatto: bool = False) -> float:
+    """The leading (Perron) eigenvalue of the dim-point Chebyshev (or Chebyshev-Lobatto) compression."""
+    return float(np.max(collocation_spectrum(s, r, dim, lobatto).real))
 
 
 def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarray:

@@ -142,7 +142,7 @@ def suite_spin(seed: int = 0) -> List[CheckResult]:
     for r10 in range(1, 11):
         p = Params.floating(r10 / 10.0)
         for k in range(1, 13):
-            worst = max(worst, spinchain.ferromagnetic_violation(k, p))
+            worst = max(worst, spinchain.ferromagnetic_violation(spinchain.interaction_coefficients(k, p)))
     out.append(CheckResult("spin", "ferromagnetic positivity -Q^ >= 0 (k<=12, r grid)", max(worst, 0.0), 1e-12))
 
     ok = True

@@ -122,7 +122,7 @@ def test_criterion_3_ferromagnetic_positivity():
     for r10 in range(1, 11):
         p = Params.floating(r10 / 10.0)
         for k in range(1, 15):
-            worst = max(worst, spinchain.ferromagnetic_violation(k, p))
+            worst = max(worst, spinchain.ferromagnetic_violation(spinchain.interaction_coefficients(k, p)))
     elapsed = time.time() - t0
     ok = worst <= 1e-12 and elapsed < 120.0
     report(3, ok, "ferromagnetic interaction -Q^(t) >= -1e-12 for t != 0, k <= 14, "

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from fareychain import __version__, cli, coding, spinchain, thermo, verify
+from fareychain import __version__, cli, coding, spinchain, thermo, transfer, verify
 from fareychain.cli import main, parse_values
 from fareychain.rings import Params
 
@@ -279,14 +279,27 @@ def test_empty_series_rejected(capsys):
 
 
 def test_overflow_refused_before_any_output(capsys):
-    for name in ("trace", "xi"):
+    for argv in (("trace", "--n", "3", "--s=-400", "--r", "0.5"), ("xi", "--n", "3", "--s=-400", "--r", "0.5"),
+                 ("zeta", "--s=-400", "--r", "0.5", "--z", "0.2", "--N", "4"),
+                 ("twisted", "--n", "4", "--s=-400", "--m", "1", "--r", "0.5")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
-            code = main([name, "--n", "3", "--s", "-400", "--r", "0.5"])
+            code = main(list(argv))
         captured = capsys.readouterr()
-        assert code == 2
+        assert code == 2, argv
         assert captured.out == ""
-        assert re.search(r"not finite at n=\d, s=-400\.0", captured.err)
+        assert re.search(r"not finite at n=\d+, s=-400\.0", captured.err), argv
+
+
+def test_trace_near_farey_end(capsys):
+    # the leaf root sqrt(T_0^2 - 4 rho^n) cancels here when taken that way: 1 - r = 1e-9 left it 0
+    code, out = run(capsys, "trace", "--n", "3", "--s", "1", "--r", "0.999999999")
+    assert code == 0
+    recs = [json.loads(l) for l in out.splitlines()[1:]]
+    assert [rec["n"] for rec in recs] == [1, 2, 3]
+    closed = transfer.trace_closed_n1(1.0, 0.999999999).real
+    assert closed == pytest.approx(1e9, rel=1e-6)
+    assert recs[0]["value"][0] == pytest.approx(closed, rel=1e-13) and recs[0]["value"][1] == 0.0
 
 
 def test_float_only_subcommands_take_no_mode(capsys):

@@ -230,7 +230,7 @@ def test_ferromagnetic_grid():
     for r10 in range(1, 11):
         p = Params.floating(r10 / 10.0)
         for k in range(1, 15):
-            assert spinchain.ferromagnetic_violation(k, p) <= 1e-12
+            assert spinchain.ferromagnetic_violation(spinchain.interaction_coefficients(k, p)) <= 1e-12
 
 
 def test_caps_enforced():

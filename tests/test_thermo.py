@@ -187,11 +187,9 @@ def test_critical_point_near_one():
 
 def test_warm_start_falls_back_to_full_bracket(monkeypatch):
     # scale lambda at dim >= 72 so the dim-96 root (r = 0.98 climbs to 96) leaves the warm bracket
-    def scaled(f):
-        return lambda s, r, dim=48: f(s, r, dim) * (1.0 + 1e-4 * (dim >= 72))
-
-    monkeypatch.setattr(thermo, "_collocation_lambda", scaled(thermo._collocation_lambda))
-    monkeypatch.setattr(thermo, "_lobatto_lambda", scaled(thermo._lobatto_lambda))
+    lam = thermo._collocation_lambda
+    monkeypatch.setattr(thermo, "_collocation_lambda",
+                        lambda s, r, dim=48, lobatto=False: lam(s, r, dim, lobatto) * (1.0 + 1e-4 * (dim >= 72)))
     cp = thermo.critical_line(Params.floating(0.98), tol=1e-6)
     assert cp.method.endswith("dim 96; lobatto-checked")
     assert abs(cp.s_cr - _reference_critical_s(0.98, 96, scale=1.0 + 1e-4)) <= cp.error
@@ -218,8 +216,9 @@ def test_critical_line_rejects_bad_tol_before_work(monkeypatch):
 
 
 def test_lobatto_cross_check_is_live(monkeypatch):
-    lobatto = thermo._lobatto_lambda
-    monkeypatch.setattr(thermo, "_lobatto_lambda", lambda s, r, dim: lobatto(s, r, dim) * (1.0 + 1e-5))
+    lam = thermo._collocation_lambda
+    monkeypatch.setattr(thermo, "_collocation_lambda",
+                        lambda s, r, dim=48, lobatto=False: lam(s, r, dim, lobatto) * (1.0 + 1e-5 * lobatto))
     with pytest.raises(ArithmeticError, match="Lobatto"):
         thermo.critical_line(Params.floating(0.5), tol=1e-6)
 
