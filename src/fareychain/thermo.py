@@ -8,7 +8,12 @@ The finite-size free energy F_n(s) = (1/n) log(2 Z^C_{n-1}(s)) converges
 to a limit that vanishes for s above the critical curve s_cr(r) and is
 positive below it; s_cr is the smallest positive solution of
 lambda_{s/2, r} = rho^(s/2) in terms of the transfer-operator spectral
-radius, running from 1 at r = 0 to 2 at r = 1.
+radius, running from 1 at r = 0 to 2 at r = 1.  :func:`critical_line` finds
+it on all of r in [0, 1] as the root of the Perron eigenvalue of the
+first-return operator on [1/2, 1]; it reports the jump of dF/ds there by the
+renewal identity |d log lambda_K/ds| / (mean return time), which falls to 0
+at r = 1, where the mean return time diverges and the transition stops
+being first order.
 
 The row sums are also values of operator iterates,
 Z^G_k(s) = 2^(-s) (rho^(-ks/2) P_{s/2}^k 1)(1/2), so :func:`thermo_sweep`
@@ -37,7 +42,8 @@ import numpy as np
 
 from .rings import Params, balanced_sum
 from .spinchain import _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import _adaptive, _collocation_lambda, _log_iterates_at_half, _pair_stream, spectral_radius
+from .transfer import (RETURN_DIM, _adaptive, _log_iterates_at_half, _pair_stream, return_log_lambda, return_root,
+                       spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
@@ -67,7 +73,7 @@ class CriticalPoint:
     r: float
     s_cr: float
     error: float
-    slope: float  # |g'(s_cr)|, the jump of dF/ds at the transition (the latent heat)
+    slope: float  # |g'(s_cr)|, the jump of dF/ds at the transition (the latent heat), 0 at r = 1
     method: str
 
 
@@ -227,57 +233,36 @@ def _illinois(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_
 
 
 def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
-    """The critical exponent s_cr(r), r < 1: smallest positive solution of
-    lambda_{s/2, r} = rho^(s/2) (ValueError for r >= 1, or for a tol that is
-    not finite or is below 1e-12, before any work).
+    """The critical exponent s_cr(r), r in [0, 1]: the root of log lambda_K(s/2), lambda_K the Perron
+    eigenvalue of the first-return operator (:func:`transfer.return_log_lambda`), where
+    lambda_{s/2, r} = rho^(s/2).  ValueError, before any solve, for r outside [0, 1] or a tol that is
+    not finite or is below 1e-12.
 
-    :func:`_illinois` roots g(s) = log lambda_{s/2} - (s/2) log rho, lambda from
-    the dim-point Chebyshev compression, on [1e-3, 2] (g(0+) > 0 as
-    lambda_0 = 2, g(2) < 0); s_cr is the secant point of the final bracket,
-    g' its slope.  dim climbs 48, 96, 192, 384 until the eigenvalue term
-    |log lambda_dim - log lambda_(3 dim/4)| / |g'| at the root is <= tol/10,
-    each search after the first starting from the last bracket widened by
-    the last term ([1e-3, 2] if g keeps its sign across it).  The error is
-    the term plus the larger distance from s_cr to a bracket end; the
-    Chebyshev-Lobatto compression at the same dim must move the root by at
-    most the error.  Failures raise ArithmeticError.
+    :func:`_illinois` shrinks [0.999 + 0.002 r, 2.5] (2 sigma > 1 keeps K finite at r = 1) to width tol/2;
+    s_cr is the secant point of the final bracket.  The error is the larger distance from s_cr to a
+    bracket end plus the changes of log lambda_K from 3 dim/4 points and from the 2h rule, each divided by
+    |d log lambda_K / ds| (:func:`transfer.return_root`); an error above tol raises ArithmeticError.
+    The slope, the jump of dF/ds at the transition, is the renewal identity
+    |g'(s_cr)| = |d log lambda_K / ds| / (mean return time), 0 at r = 1, where that mean diverges.
     """
     r = params.r_float
-    if r >= 1:
-        raise ValueError(f"the critical curve is computed for r < 1, got r={r}")
+    if not 0 <= r <= 1:
+        raise ValueError(f"the critical curve is computed for r in [0, 1], got r={r}")
     if not 1e-12 <= tol < math.inf:  # narrower brackets reach the float spacing of s, and stall
         raise ValueError(f"tol={tol} must be finite and at least 1e-12")
-    log_rho = math.log(2.0 - r)
-    bracket, evals = (1e-3, 2.0), 0
-
-    def search(dim: int, check_dim: int):
-        nonlocal bracket, evals
-
-        def g(s: float) -> float:
-            return math.log(_collocation_lambda(s / 2.0, r, dim)) - (s / 2.0) * log_rho
-
-        for lo, hi in (bracket, (1e-3, 2.0)):
-            g_lo, g_hi = g(lo), g(hi)
-            evals += 2
-            if g_lo > 0 > g_hi:
-                break
-        else:
-            raise ArithmeticError(f"bracket failure at r={r}: g({lo})={g_lo}, g({hi})={g_hi}")
-        lo, hi, g_lo, g_hi, steps = _illinois(g, lo, hi, g_lo, g_hi, tol)
-        evals += steps
-        slope = (g_hi - g_lo) / (hi - lo)
-        s_cr = lo - g_lo / slope
-        lam = _collocation_lambda(s_cr / 2.0, r, dim)
-        term = abs(math.log(lam) - math.log(_collocation_lambda(s_cr / 2.0, r, check_dim))) / abs(slope)
-        bracket = (lo - term, hi + term)
-        return (s_cr, lo, hi, slope, lam), term
-
-    (s_cr, lo, hi, slope, lam), term, dim = _adaptive(search, tol / 10, f"s_cr at r={r}")
-    error = max(s_cr - lo, hi - s_cr) + term
-    shift = abs(math.log(_collocation_lambda(s_cr / 2.0, r, dim, lobatto=True)) - math.log(lam)) / abs(slope)
-    if shift > error:
-        raise ArithmeticError(f"Lobatto check failed at r={r}, s={s_cr}: shift {shift:.3g} > error {error:.3g}")
-    return CriticalPoint(r, s_cr, error, abs(slope), f"illinois on log lambda; {evals} evals; dim {dim}; lobatto-checked")
+    lo, hi = 0.999 + 0.002 * r, 2.5
+    g_lo, g_hi = return_log_lambda(lo, r), return_log_lambda(hi, r)
+    if not g_lo > 0 > g_hi:
+        raise ArithmeticError(f"bracket failure at r={r}: g({lo})={g_lo}, g({hi})={g_hi}")
+    lo, hi, g_lo, g_hi, evals = _illinois(lambda s: return_log_lambda(s, r), lo, hi, g_lo, g_hi, tol / 2)
+    s_cr = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    d_log, mean_return, dim_term, step_term = return_root(s_cr, r)
+    error = max(s_cr - lo, hi - s_cr) + (dim_term + step_term) / abs(d_log)
+    if not error <= tol:
+        raise ArithmeticError(f"s_cr at r={r}: error {error:.3g} > tol {tol:.3g} "
+                              f"(dim term {dim_term:.3g}, 2h term {step_term:.3g})")
+    return CriticalPoint(r, s_cr, error, abs(d_log) / mean_return,
+                         f"illinois on log lambda_K; {evals + 2} evals; first return at dim {RETURN_DIM}")
 
 
 def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[Tuple[int, float, float, float]]:

@@ -12,9 +12,10 @@ Every closed form here is paired with a brute-force branch-word oracle
 that sums over all 2^n inverse-branch compositions directly.  Spectral
 data come from the Chebyshev compression (:func:`collocation_spectrum`) at
 the first dim of COLLOCATION_DIMS that meets the tolerance against the
-3 dim/4 rerun (:func:`_adaptive`); the Chebyshev-Lobatto compression,
-``collocation_spectrum(..., lobatto=True)``, cross-checks the s_cr root of
-:func:`thermo.critical_line`.
+3 dim/4 rerun (:func:`_adaptive`).  The critical exponent comes from the
+first-return operator K on [1/2, 1] (:func:`return_log_lambda`), one
+collocation of fixed size for every r in [0, 1]; the Chebyshev compression
+of P is its oracle.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -40,11 +41,12 @@ fast route, one independent oracle, and a check comparing the two (a
     Xi_n(s)           periodic_sums_xi    periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
     zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
     lambda_{s,r}      spectral_radius     _power_radius             "power ratios vs collocation (r <= 0.9)"
+    s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
 
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
-(m_j, r_j, j = 0, 1, free of cancellation up to r = 1): a trace term is
-m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The twisted sums
+(m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
+into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The twisted sums
 (:func:`_character_sums`) walk _pair_stream or _quad_stream.  The
 iterates take their single n from the last level of the walk alone, so
 they cost no series; each equals rho^(ns) times the last entry of
@@ -63,7 +65,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -306,13 +308,15 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
 def _leaf_roots(X: np.ndarray, r: float, n: int) -> Tuple[np.ndarray, ...]:
     """(m_0, r_0, m_1, r_1) for a block X = (a, b, c, d) of row-n leaf matrices, with
     T_0 = trace X, T_1 = trace XS, r_0 = sqrt(T_0^2 - 4 rho^n), r_1 = sqrt(T_1^2 + 4 rho^n)
-    and m_j = 2 / (T_j + r_j).  det X = rho^n, so r_0 is taken as sqrt((a - d)^2 + 4 b c),
-    which does not cancel as r -> 1 (b, c >= 0 on r in [0, 1])."""
+    and m_j = 2 rho^(n/2) / (T_j + r_j), the factor rho^(n/2) folded in so that m_j^(2s) stays
+    in the float range where rho^(ns) and the unscaled root's power do not.  det X = rho^n, so
+    r_0 is taken as sqrt((a - d)^2 + 4 b c), which does not cancel as r -> 1 (b, c >= 0 on r in [0, 1])."""
     a, b, c, d = X
     r0 = np.sqrt((a - d) ** 2 + 4.0 * b * c)
     T1 = a * (r - 1.0) + b * r + c * (2.0 - r) + d * (1.0 - r)
     r1 = np.sqrt(T1 * T1 + 4.0 * (2.0 - r) ** n)
-    return 2.0 / (a + d + r0), r0, 2.0 / (T1 + r1), r1
+    two_root = 2.0 * (2.0 - r) ** (n / 2.0)
+    return two_root / (a + d + r0), r0, two_root / (T1 + r1), r1
 
 
 def _pair_trace_sums(n: int, r: float, term) -> list:
@@ -325,14 +329,14 @@ def _pair_trace_sums(n: int, r: float, term) -> list:
 
 
 def _trace_sum(roots, s: complex, signed: bool) -> complex:
-    """The leaf terms of rho^(-ns) trace(P^n), m_j^(2s-1) / r_j, summed over a block of :func:`_leaf_roots`."""
+    """The leaf terms of rho^(-n/2) trace(P^n), m_j^(2s-1) / r_j, summed over a block of :func:`_leaf_roots`."""
     m0, r0, m1, r1 = roots
     term0, term1 = np.sum(_cpow(m0, 2.0 * s - 1.0) / r0), np.sum(_cpow(m1, 2.0 * s - 1.0) / r1)
     return complex(term0 - term1 if signed else term0 + term1)
 
 
 def _xi_sum(roots, s: complex) -> complex:
-    """The leaf terms of rho^(-ns) Xi_n(s), m_j^(2s), summed over a block of :func:`_leaf_roots`."""
+    """The leaf terms of Xi_n(s), m_j^(2s), summed over a block of :func:`_leaf_roots`."""
     m0, _r0, m1, _r1 = roots
     return complex(np.sum(_cpow(m0, 2.0 * s)) + np.sum(_cpow(m1, 2.0 * s)))
 
@@ -340,7 +344,7 @@ def _xi_sum(roots, s: complex) -> complex:
 def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
     """[trace(P^1), ..., trace(P^n)] (or of the signed operator) from one walk.
 
-    Each leaf of tree row k contributes (+-1)^j rho^(ks) m_j^(2s-1) / r_j,
+    Each leaf of tree row k contributes (+-1)^j rho^(k/2) m_j^(2s-1) / r_j,
     j = 0, 1, to trace(P^k), with m_j and r_j the :func:`_leaf_roots` of
     its matrix.  Trace-class only for r < 1; the all-left leaf term
     diverges as r -> 1.
@@ -350,22 +354,21 @@ def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[compl
         raise ValueError("traces require r < 1 (divergent as r -> 1)")
     s = complex(s)
     sums = _pair_trace_sums(n, r, lambda roots: _trace_sum(roots, s, signed))
-    return [_cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
+    return [(2.0 - r) ** (k / 2.0) * total for k, total in enumerate(sums, 1)]
 
 
 def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
     """[Xi_1(s), ..., Xi_n(s)] from one walk: Xi_k(s) is the dynamical
     partition function, the sum over period-k points of |(F^k)'|^(-s); in
     leaf data of tree row k, the sum over leaves and j = 0, 1 of
-    rho^(ks) m_j^(2s) (:func:`_leaf_roots`).  Unlike the traces this stays
+    m_j^(2s) (:func:`_leaf_roots`).  Unlike the traces this stays
     finite at r = 1.
     """
     TransferQuery(s, r, n)  # validates r and n
     if r > 1:
         raise ValueError("periodic sums implemented for r <= 1")
     s = complex(s)
-    sums = _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, s))
-    return [_cpow(2.0 - r, k * s) * total for k, total in enumerate(sums, 1)]
+    return [complex(total) for total in _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, s))]
 
 
 def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, float]:
@@ -505,10 +508,9 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
         return np.array([_trace_sum(roots, s_c, False), _trace_sum(roots, s_c + 1, True), _xi_sum(roots, s_c)])
 
     sums = _pair_trace_sums(N, r, terms)
-    rho = 2.0 - r
-    tr = [_cpow(rho, k * s_c) * complex(t[0]) for k, t in enumerate(sums, 1)]
-    tr_signed = [_cpow(rho, k * (s_c + 1)) * complex(t[1]) for k, t in enumerate(sums, 1)]
-    xi = [_cpow(rho, k * s_c) * complex(t[2]) for k, t in enumerate(sums, 1)]
+    tr = [(2.0 - r) ** (k / 2.0) * complex(t[0]) for k, t in enumerate(sums, 1)]
+    tr_signed = [(2.0 - r) ** (k / 2.0) * complex(t[1]) for k, t in enumerate(sums, 1)]
+    xi = [complex(t[2]) for t in sums]
     d = _newton_coefficients(tr)
     d_sgn = _newton_coefficients(tr_signed)
     powers = z ** np.arange(N + 1)
@@ -599,17 +601,10 @@ def _power_radius(s: float, r: float, n: int = 20) -> float:
     return float(seq[-1])
 
 
-def _chebyshev_nodes(dim: int, lobatto: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """The dim Chebyshev points of [0, 1] (or the Chebyshev-Lobatto points) and
-    their barycentric weights."""
-    j = np.arange(dim)
-    theta = np.pi * j / (dim - 1) if lobatto else np.pi * (j + 0.5) / dim
-    w = (-1.0) ** j
-    if lobatto:
-        w[[0, -1]] *= 0.5
-    else:
-        w *= np.sin(theta)
-    return 0.5 * (1.0 - np.cos(theta)), w
+def _chebyshev_nodes(dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The dim Chebyshev points of [0, 1] and their barycentric weights."""
+    theta = np.pi * (np.arange(dim) + 0.5) / dim
+    return 0.5 * (1.0 - np.cos(theta)), (-1.0) ** np.arange(dim) * np.sin(theta)
 
 
 def _barycentric(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -621,13 +616,12 @@ def _barycentric(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _collocation_operator(r: float, dim: int, lobatto: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """(C, log w), read-only: on dim nodes x of [0, 1], P_{s,r} compresses to
+def _collocation_operator(r: float, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(C, log w), read-only: on dim Chebyshev points x of [0, 1], P_{s,r} compresses to
     diag(exp(s log w)) C with log w = log rho - 2 log(rho + r x), where C sums
-    the barycentric interpolation matrices from x to Phi_0 x and Phi_1 x on the
-    Chebyshev points, or on the Chebyshev-Lobatto points (`lobatto`)."""
+    the barycentric interpolation matrices from x to Phi_0 x and Phi_1 x."""
     rho = 2.0 - r
-    x, w = _chebyshev_nodes(dim, lobatto)
+    x, w = _chebyshev_nodes(dim)
     phi0 = x / (rho + r * x)
     C = _barycentric(x, w, phi0) + _barycentric(x, w, 1.0 - phi0)
     log_w = math.log(rho) - 2.0 * np.log(rho + r * x)
@@ -635,20 +629,19 @@ def _collocation_operator(r: float, dim: int, lobatto: bool = False) -> Tuple[np
     return C, log_w
 
 
-def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0], lobatto: bool = False) -> np.ndarray:
-    """Eigenvalues of the operator compressed to dim Chebyshev points (or
-    Chebyshev-Lobatto points, `lobatto`), sorted by modulus.  The operator maps
-    functions analytic on a disk containing [0, 1] to themselves, so they
-    converge geometrically in dim; with C cached per (r, dim, lobatto), a call
-    costs one row scaling and one eigen-solve."""
-    C, log_w = _collocation_operator(float(r), dim, lobatto)
+def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> np.ndarray:
+    """Eigenvalues of the operator compressed to dim Chebyshev points, sorted by
+    modulus.  The operator maps functions analytic on a disk containing [0, 1] to
+    themselves, so they converge geometrically in dim; with C cached per (r, dim),
+    a call costs one row scaling and one eigen-solve."""
+    C, log_w = _collocation_operator(float(r), dim)
     ev = np.linalg.eigvals(np.exp(s * log_w)[:, None] * C)
     return ev[np.argsort(-np.abs(ev))]
 
 
-def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIMS[0], lobatto: bool = False) -> float:
-    """The leading (Perron) eigenvalue of the dim-point Chebyshev (or Chebyshev-Lobatto) compression."""
-    return float(np.max(collocation_spectrum(s, r, dim, lobatto).real))
+def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> float:
+    """The leading (Perron) eigenvalue of the dim-point Chebyshev compression."""
+    return float(np.max(collocation_spectrum(s, r, dim).real))
 
 
 def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarray:
@@ -702,6 +695,151 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
 
     lam, err, dim = _adaptive(solve, tol, f"lambda at s={s}, r={r}")
     return SpectralRadius(lam, err, "collocation", dim)
+
+
+# ---------------------------------------------------------------------------
+# First-return operator on [1/2, 1]
+# ---------------------------------------------------------------------------
+
+
+RETURN_DIM = 16  # Chebyshev points of the first-return collocation; checked against 3 dim/4
+RETURN_DIRECT = 32  # M: the terms m < M are summed directly, the rest by Gregory's formula from an integral
+RETURN_STEP = 1.0 / 16  # step h of the double-exponential rules of that integral; checked against 2h
+
+
+def _gregory_weights(n: int) -> np.ndarray:
+    """gamma_j, j < n: sum_{m>=M} h(m) = int_M^inf h + sum_j gamma_j h(M + j) + O(Delta^n h(M)), which is
+    Gregory's sum_{k<n} G_(k+1) Delta^k h(M) written out, x / log(1 + x) = sum_k G_k x^k."""
+    G = [1.0]
+    for k in range(1, n + 1):
+        G.append(-sum(G[j] * (-1) ** (k - j) / (k - j + 1) for j in range(k)))
+    return np.array([sum(G[k + 1] * (-1) ** (k - j) * math.comb(k, j) for k in range(j, n)) for j in range(n)])
+
+
+_POINT_WEIGHTS = np.concatenate([np.ones(RETURN_DIRECT - 1), _gregory_weights(16)])  # m = 1 .. M + 15
+
+
+def _tail_nodes(split: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes v, weights and 2h multipliers (2 on even nodes, 0 on odd) of int_0^inf dv at step RETURN_STEP:
+    tanh-sinh on [0, split] (if split > 0), and v = split + exp(tau - e^(-tau)) on [split, inf) for
+    integrands decaying like e^(-a v), a >= 1/2.  Past the tau ranges, weight times integrand is below rounding."""
+    h, parts = RETURN_STEP, []
+    if split > 0:
+        k = np.arange(-round(3.2 / h), round(3.2 / h) + 1)
+        u = np.pi / 2 * np.sinh(k * h)
+        parts.append((k, split / (1.0 + np.exp(-2.0 * u)), split * h * np.pi / 4 * np.cosh(k * h) / np.cosh(u) ** 2))
+    k = np.arange(-round(3.6 / h), round(4.5 / h) + 1)
+    e = np.exp(k * h - np.exp(-k * h))
+    k, v, w = map(np.concatenate, zip(*parts, (k, split + e, h * (1.0 + np.exp(-k * h)) * e)))
+    return v, w, 2.0 * (k % 2 == 0)
+
+
+def _taylor_basis(dim: int) -> np.ndarray:
+    """C[j, p]: the Lagrange basis function j of the nodes y_j = x_j / 2 (x of :func:`_chebyshev_nodes`) is
+    sum_p C[j, p] y^p.  From its Chebyshev series sum_n a_jn T_n(4y - 1), a_jn = (2 - [n = 0]) (-1)^n
+    cos(n theta_j) / dim, and T_n(-1 + e) = (-1)^n sum_p (-e)^p T_n^(p)(1) / p!, where
+    T_n^(p)(1) = prod_{q<p} (n^2 - q^2) / (2q + 1)."""
+    n = np.arange(dim)
+    Q = np.ones((dim, dim))  # Q[n, p] = (-4)^p T_n^(p)(1) / p!
+    for p in range(1, dim):
+        Q[:, p] = Q[:, p - 1] * (n**2 - (p - 1) ** 2) / (2 * p - 1) * -4.0 / p
+    return (np.cos(np.outer(n + 0.5, n) * np.pi / dim) * np.where(n == 0, 1.0, 2.0) / dim) @ Q
+
+
+class _ReturnOperator(NamedTuple):
+    """The sigma-independent arrays of K_sigma collocated at one (r, dim); n points, P tail nodes."""
+
+    log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
+    rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
+    log_dm: np.ndarray  # (dim,): log D_M(x_i)
+    t: np.ndarray  # (dim,): x_i / D_M
+    lam: np.ndarray  # (dim,)
+    v: np.ndarray  # (P,)
+    tail: np.ndarray  # (dim, P): node weights / (L + lam_i e^(-v))
+    even: np.ndarray  # (P,): :func:`_tail_nodes`
+    powers: np.ndarray  # (P, dim): e^(-p v)
+    taylor: np.ndarray  # (dim, dim): :func:`_taylor_basis`
+
+
+@lru_cache(maxsize=4)
+def _return_operator(r: float, dim: int) -> _ReturnOperator:
+    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], cached per (r, dim).
+
+    With D_m = D_m(x_i), M = RETURN_DIRECT, t = x_i / D_M and L = log rho, the terms m < M + 16 enter
+    one by one, Gregory's end weights from M on.  They stand in for the sum from M with the integral from
+    M, which D(M + u) = D_M e^v turns into D_M^(-2 sigma) int_0^inf e^(-2 sigma v) f(1 - t e^(-v)) /
+    (L + lam e^(-v)) dv, lam = r t L / (1 - r) (r t at r = 1).  Here f is a basis function; its Taylor
+    polynomial in t e^(-v) is exact and, as t <= 1/(M + 1), well conditioned, so the integral needs only
+    the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i.  They split at v* = log(lam / L),
+    where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if lam <= L,
+    and at r = 1, where the first form holds throughout).  The basis is taken in distances from 1, so
+    1 - x_i/D_m does not round against 1.
+    """
+    y, bw = _chebyshev_nodes(dim)
+    y = 0.5 * y  # 1 - x
+    x, delta, L = 1.0 - y, 1.0 - r, math.log1p(1.0 - r)
+    rho_m = np.exp(L * np.arange(len(_POINT_WEIGHTS) + 1))
+    D = r * x[:, None] * np.cumsum(rho_m[:-1]) + rho_m[1:]  # g_m = sum_{j<m} rho^j: no (rho^m - 1) / (1 - r)
+    rows = np.empty((dim, len(_POINT_WEIGHTS), dim))
+    for i in range(dim):
+        rows[i] = _barycentric(y, bw, x[i] / D[i])
+    t = x / D[:, RETURN_DIRECT - 1]
+    lam = r * t * (L / delta if delta else 1.0)
+    split = math.log(r * t[dim // 2] / delta) if r * t[dim // 2] > delta > 0 else 0.0
+    v, weights, even = _tail_nodes(split)
+    op = _ReturnOperator(np.log(D), rows, np.log(D[:, RETURN_DIRECT - 1]), t, lam, v,
+                         weights / (L + np.outer(lam, np.exp(-v))), even, np.exp(-np.outer(v, np.arange(dim))),
+                         _taylor_basis(dim))
+    for a in op:
+        a.flags.writeable = False
+    return op
+
+
+def _return_matrix(op: _ReturnOperator, s: float, point_factor=1.0, tail_factor=1.0) -> np.ndarray:
+    """The collocation matrix of K_(s/2), the factors multiplying the point terms and the tail nodes."""
+    a = point_factor * _POINT_WEIGHTS * np.exp(-s * op.log_d)
+    b = tail_factor * op.tail * np.exp(-s * op.v) * np.exp(-s * op.log_dm)[:, None]
+    moments = (b @ op.powers) * np.vander(op.t, len(op.t), increasing=True)
+    return np.matmul(a[:, None, :], op.rows)[:, 0] + moments @ op.taylor.T
+
+
+def _perron(K: np.ndarray) -> float:
+    return float(np.max(np.linalg.eigvals(K).real))
+
+
+def return_log_lambda(s: float, r: float) -> float:
+    """log lambda_K(s/2), lambda_K the Perron eigenvalue of the first-return operator at RETURN_DIM points.
+
+    K_sigma is the operator P_sigma induces on [1/2, 1]: the words Phi_1 Phi_0^(m-1) = 1 - Phi_0^m
+    (:func:`maps.left_branch_power`), weighted by rho^(-m sigma) |(Phi_0^m)'|^sigma, give (K_sigma f)(x) =
+    sum_{m>=1} D_m(x)^(-2 sigma) f(1 - x/D_m(x)), D_m = r (1 + rho + ... + rho^(m-1)) x + rho^m.
+    rho^(-sigma) P_sigma has spectral radius 1 exactly where lambda_K = 1, which makes s_cr the root.
+    The functions live away from the neutral fixed point and stay analytic as r -> 1, so one size serves
+    all of r in [0, 1] (2 sigma > 1 at r = 1, where K_1 is the Gauss-map operator, lambda_K = 1)."""
+    return math.log(_perron(_return_matrix(_return_operator(float(r), RETURN_DIM), s)))
+
+
+def return_root(s: float, r: float) -> Tuple[float, float, float, float]:
+    """(d log lambda_K / ds, the mean return time d log lambda_K / d log z with z^m weighting the m-th term,
+    the dim term |log lambda_K at 3 dim/4 points - at dim|, the step term |by the 2h rule - by the h rule|)
+    at s.  The derivatives are Hellmann-Feynman's l K' v / (l K v) over the left and right Perron vectors.
+    The mean return time is infinite at r = 1, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
+    op = _return_operator(float(r), RETURN_DIM)
+    K = _return_matrix(op, s)
+    (vals, right), (vals_t, left) = np.linalg.eig(K), np.linalg.eig(K.T)
+    lam, right, left = float(np.max(vals.real)), right[:, np.argmax(vals.real)], left[:, np.argmax(vals_t.real)]
+
+    def log_derivative(point_factor, tail_factor) -> float:
+        return float((left @ _return_matrix(op, s, point_factor, tail_factor) @ right / (left @ K @ right)).real)
+
+    mean = math.inf
+    if r < 1:
+        L = math.log1p(1.0 - r)  # a node stands for the terms around m = M + u(v), D(M + u) = D_M e^v
+        m_tail = RETURN_DIRECT + np.log1p(np.outer(L / (L + op.lam), np.expm1(op.v))) / L
+        mean = log_derivative(np.arange(1.0, len(_POINT_WEIGHTS) + 1), m_tail)
+    step = abs(math.log(_perron(_return_matrix(op, s, 1.0, op.even)) / lam))
+    dim = abs(math.log(_perron(_return_matrix(_return_operator(float(r), 3 * RETURN_DIM // 4), s)) / lam))
+    return log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v)), mean, dim, step
 
 
 def involution_residual(s: float, r: float, grid: Optional[np.ndarray] = None, n: int = 16) -> float:

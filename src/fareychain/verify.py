@@ -326,6 +326,18 @@ def suite_thermo(seed: int = 0) -> List[CheckResult]:
 
     cp = thermo.critical_line(Params.floating(0.0), tol=1e-6)
     out.append(CheckResult("thermo", "critical exponent at r=0 equals 1", abs(cp.s_cr - 1.0), 1e-5))
+    cp = thermo.critical_line(Params.floating(1.0), tol=1e-10)
+    out.append(CheckResult("thermo", "critical exponent at r=1 equals 2", abs(cp.s_cr - 2.0), 1e-10))
+
+    resid = 0.0
+    for r in (0.5, 0.9, 0.99):  # dims 192 and 144 of the compression put s_cr within 1e-13 of each other here
+        def g(s: float, r=r) -> float:
+            return math.log(transfer._collocation_lambda(s / 2.0, r, 192)) - s / 2.0 * math.log(2.0 - r)
+
+        lo, hi, g_lo, g_hi, _evals = thermo._illinois(g, 1e-3, 2.0, g(1e-3), g(2.0), 1e-11)
+        s_cheb = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        resid = max(resid, abs(thermo.critical_line(Params.floating(r), tol=1e-10).s_cr - s_cheb))
+    out.append(CheckResult("thermo", "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)", resid, 1e-9))
 
     resid = 0.0
     rows = thermo.sandwich_bounds(1.2, 0.5, 12, [4, 6, 8, 10])

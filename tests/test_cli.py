@@ -78,9 +78,41 @@ def test_phase_grid(capsys):
     assert vals == sorted(vals)
     for row in rows:
         assert len(row) == 5
-        assert re.fullmatch(r"illinois on log lambda; \d+ evals; dim 48; lobatto-checked", row[4])
+        assert re.fullmatch(r"illinois on log lambda_K; \d+ evals; first return at dim 16", row[4])
         assert 0.0 < float(row[2]) < 1e-4
         assert 0.0 < float(row[3]) < 1.0  # |g'(s_cr)|, ln 2 at r = 0
+
+
+def _phase_rows(capsys, *argv):
+    code, out = run(capsys, "phase", *argv)
+    assert code == 0, argv
+    return list(csv.DictReader(l for l in out.splitlines() if l and not l.startswith("#")))
+
+
+def test_phase_slope_exact_at_tent_and_zero_at_farey(capsys):
+    # the renewal slope |d log lambda_K/ds| / (mean return time) is taken at the root, not across the bracket:
+    # ln 2 at r = 0 whatever the tol; 0 at r = 1, where the mean return time diverges
+    for tol in ("1e-6", "1e-8", "1e-10", "1e-12"):
+        (row,) = _phase_rows(capsys, "--r-grid", "0", "--tol", tol)
+        assert abs(float(row["slope"]) - math.log(2.0)) <= 1e-9, tol
+    (row,) = _phase_rows(capsys, "--r-grid", "1", "--tol", "1e-8")
+    assert float(row["slope"]) == 0.0
+
+
+def test_phase_reaches_farey_end(capsys):
+    for argv in (("--r-grid", "0:1:0.05"), ("--r-grid", "0.9:1:0.02", "--tol", "1e-8")):
+        rows = _phase_rows(capsys, *argv)
+        assert float(rows[-1]["r"]) == 1.0
+        assert abs(float(rows[-1]["s_cr"]) - 2.0) <= float(rows[-1]["error"]), argv
+        s_cr = [float(row["s_cr"]) for row in rows]
+        assert s_cr == sorted(s_cr)
+
+
+def test_leaf_sums_at_large_s(capsys):
+    # at s = 400 neither rho^(ns) (1.5^2000 at n = 5) nor the powers of the unscaled leaf roots fit the float range
+    for argv in (("trace", "--n", "14"), ("xi", "--n", "14"), ("zeta",)):
+        code, out = run(capsys, *argv, "--s", "400", "--r", "0.5")
+        assert code == 0, argv
 
 
 def test_thermo_sweep(capsys):

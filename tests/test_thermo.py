@@ -138,10 +138,10 @@ def test_critical_point_tent():
     assert abs(cp.s_cr - 1.0) <= 1e-6
 
 
-def _reference_critical_s(r: float, dim: int = 96, scale: float = 1.0) -> float:
-    """Bisection to 1e-10 on the dim-point collocation eigenvalue (times `scale`)."""
+def _reference_critical_s(r: float, dim: int = 96) -> float:
+    """Bisection to 1e-10 on the dim-point collocation eigenvalue."""
     def g(s):
-        lam = scale * float(np.max(transfer.collocation_spectrum(s / 2.0, r, dim=dim).real))
+        lam = float(np.max(transfer.collocation_spectrum(s / 2.0, r, dim=dim).real))
         return math.log(lam) - 0.5 * s * math.log(2.0 - r)
 
     lo, hi = 0.5, 2.0
@@ -161,46 +161,45 @@ def test_critical_error_bounds_reference():
 
 def test_critical_search_eigen_budget(monkeypatch):
     calls = []
-    eigvals = np.linalg.eigvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    for r in (0.3, 0.95):
+    for name in ("eigvals", "eig"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name, f=solve: calls.append((name, a.shape)) or f(a))
+    for r in (0.3, 0.95, 1.0):
         calls.clear()
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
-        assert len(calls) <= 13
-        # the search evaluations at dim 48, dims 48 and 36 once at the root, then one Lobatto solve
-        evals = int(re.fullmatch(r"illinois on log lambda; (\d+) evals; dim 48; lobatto-checked", cp.method)[1])
-        assert calls == [(48, 48)] * (evals + 1) + [(36, 36)] + [(48, 48)]
+        # one dim-16 solve per search evaluation; at the root the right and left Perron vectors,
+        # the 2h rule and dim 12
+        evals = int(re.fullmatch(r"illinois on log lambda_K; (\d+) evals; first return at dim 16", cp.method)[1])
+        assert evals <= 12
+        assert calls == ([("eigvals", (16, 16))] * evals + [("eig", (16, 16))] * 2
+                         + [("eigvals", (16, 16)), ("eigvals", (12, 12))])
 
 
 def test_critical_point_near_one():
     for r in (0.98, 0.99, 0.995):
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
         assert math.isfinite(cp.error) and 0.0 < cp.error <= 1e-6
-        assert re.fullmatch(r"illinois on log lambda; \d+ evals; dim (96|192); lobatto-checked", cp.method)
+        assert re.fullmatch(r"illinois on log lambda_K; \d+ evals; first return at dim 16", cp.method)
         assert abs(cp.s_cr - _reference_critical_s(r, dim=192)) <= cp.error
 
 
-def test_warm_start_falls_back_to_full_bracket(monkeypatch):
-    # scale lambda at dim >= 72 so the dim-96 root (r = 0.98 climbs to 96) leaves the warm bracket
-    lam = thermo._collocation_lambda
-    monkeypatch.setattr(thermo, "_collocation_lambda",
-                        lambda s, r, dim=48, lobatto=False: lam(s, r, dim, lobatto) * (1.0 + 1e-4 * (dim >= 72)))
-    cp = thermo.critical_line(Params.floating(0.98), tol=1e-6)
-    assert cp.method.endswith("dim 96; lobatto-checked")
-    assert abs(cp.s_cr - _reference_critical_s(0.98, 96, scale=1.0 + 1e-4)) <= cp.error
+def test_critical_point_at_one_and_beyond_the_chebyshev_reach():
+    # 1 - r down to 1e-10, where the Chebyshev compression of P tops out near 1 - r = 5e-4; s_cr(1) = 2
+    previous = thermo.critical_line(Params.floating(0.999), tol=1e-8)
+    for r in (0.9999, 1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-10, 1.0):
+        cp = thermo.critical_line(Params.floating(r), tol=1e-8)
+        assert 0.0 < cp.error <= 1e-8
+        assert cp.s_cr - previous.s_cr > cp.error + previous.error, r
+        previous = cp
+    assert abs(cp.s_cr - 2.0) <= cp.error and cp.slope == 0.0
 
 
-def test_critical_line_rejects_r_one_before_work(monkeypatch):
+def test_critical_line_rejects_r_outside_unit_interval_before_work(monkeypatch):
     calls = []
-    for name in ("eigvals", "inv"):
+    for name in ("eigvals", "eig", "inv"):
         monkeypatch.setattr(np.linalg, name, lambda *a, name=name: calls.append(name))
-    for r in (1.0, 1.5):
-        with pytest.raises(ValueError):
+    for r in (1.5, 1.0 + 1e-9, 1.99):
+        with pytest.raises(ValueError, match=r"r in \[0, 1\]"):
             thermo.critical_line(Params.floating(r))
     assert calls == []
 
@@ -209,18 +208,20 @@ def test_critical_line_rejects_bad_tol_before_work(monkeypatch):
     def no_solve(*args):
         raise AssertionError("eigen-solve before the tol check")
 
-    monkeypatch.setattr(thermo, "_collocation_lambda", no_solve)
+    monkeypatch.setattr(thermo, "return_log_lambda", no_solve)
+    monkeypatch.setattr(thermo, "return_root", no_solve)
     for tol in (0.0, -1.0, 1e-300, 1e-13, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tol"):
             thermo.critical_line(Params.floating(0.5), tol=tol)
 
 
-def test_lobatto_cross_check_is_live(monkeypatch):
-    lam = thermo._collocation_lambda
-    monkeypatch.setattr(thermo, "_collocation_lambda",
-                        lambda s, r, dim=48, lobatto=False: lam(s, r, dim, lobatto) * (1.0 + 1e-5 * lobatto))
-    with pytest.raises(ArithmeticError, match="Lobatto"):
-        thermo.critical_line(Params.floating(0.5), tol=1e-6)
+def test_critical_error_terms_are_live():
+    # at r = 0.95 dims 16 and 12 differ by ~2e-12 in s_cr: tol 1e-12 cannot be met, tol 1e-10 carries the term
+    with pytest.raises(ArithmeticError, match="dim term"):
+        thermo.critical_line(Params.floating(0.95), tol=1e-12)
+    cp = thermo.critical_line(Params.floating(0.95), tol=1e-10)
+    d_log, _mean, dim_term, step_term = transfer.return_root(cp.s_cr, 0.95)
+    assert cp.error >= (dim_term + step_term) / abs(d_log) > 1e-12
 
 
 def test_critical_curve_monotone_convex():

@@ -167,6 +167,16 @@ def test_fixed_point_oracle_at_tiny_r():
             _check_traces_and_xi(s, r, 9)
 
 
+def test_series_at_large_s_match_fixed_point_oracle():
+    # the roots carry rho^(n/2), so neither rho^(ns) nor m_j^(2s-1) leaves the float range on its own
+    s, r = 400.0, 0.5
+    traces, xis = transfer.trace_sums(4, s, r), transfer.periodic_sums_xi(4, s, r)
+    for n, (tr, xi) in enumerate(zip(traces, xis), 1):
+        q = TransferQuery(s, r, n)
+        assert abs(tr - transfer.trace_power_bruteforce(q)) <= 1e-12 * abs(tr) and tr != 0, n
+        assert abs(xi - transfer.periodic_sum_bruteforce(q)) <= 1e-12 * abs(xi) and xi != 0, n
+
+
 def test_trace_rejects_r_at_least_one():
     with pytest.raises(ValueError):
         transfer.trace_sums(2, 1.0, 1.0)
@@ -285,15 +295,58 @@ def test_collocation_cross_checks_power_ratios():
 
 
 def test_compression_maps_chebyshev_polynomials():
-    # on either node set, C applied to T_j at the nodes is T_j(Phi_0 x) + T_j(Phi_1 x) for every j < dim
-    for lobatto in (False, True):
-        for dim in (36, 48, 96, 384):
-            x, _w = transfer._chebyshev_nodes(dim, lobatto)
-            T = lambda t: np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1)
-            for r in (0.0, 0.7, 0.999):
-                C, _log_w = transfer._collocation_operator(r, dim, lobatto)
-                phi0 = x / (2.0 - r + r * x)
-                assert np.max(np.abs(C @ T(x) - T(phi0) - T(1.0 - phi0))) <= 1e-11, (lobatto, dim, r)
+    # C applied to T_j at the nodes is T_j(Phi_0 x) + T_j(Phi_1 x) for every j < dim
+    for dim in (36, 48, 96, 384):
+        x, _w = transfer._chebyshev_nodes(dim)
+        T = lambda t: np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, dim - 1)
+        for r in (0.0, 0.7, 0.999):
+            C, _log_w = transfer._collocation_operator(r, dim)
+            phi0 = x / (2.0 - r + r * x)
+            assert np.max(np.abs(C @ T(x) - T(phi0) - T(1.0 - phi0))) <= 1e-11, (dim, r)
+
+
+def _return_nodes(dim):
+    return 1.0 - 0.5 * transfer._chebyshev_nodes(dim)[0]
+
+
+def test_return_collocation_matches_direct_sums():
+    # for r < 1 the terms D_m^(-s) f(1 - x/D_m) of K_(s/2) f decay like rho^(-sm), D_(m+1) = rho D_m + r x:
+    # sum them out for the Chebyshev polynomials T_j of [1/2, 1], j < dim, which the collocation maps exactly
+    for dim in (12, 16):
+        x = _return_nodes(dim)
+        T = lambda y: np.polynomial.chebyshev.chebvander(4.0 * y - 3.0, dim - 1)
+        for r in (0.0, 0.3, 0.8, 0.95):
+            op = transfer._return_operator(r, dim)
+            for s in (1.0, 1.7, 2.4):
+                direct, D = 0.0, 2.0 - r + r * x
+                while np.max(D**-s) > 1e-18:
+                    direct, D = direct + (D**-s)[:, None] * T(1.0 - x / D), (2.0 - r) * D + r * x
+                assert np.max(np.abs(transfer._return_matrix(op, s) @ T(x) - direct)) <= 1e-13, (dim, r, s)
+
+
+def test_return_collocation_at_r_one_matches_hurwitz_zeta():
+    # at r = 1, D_m = m x + 1: on f = 1 and f(y) = 1 - y the rows of K_sigma are x^(-s) zeta(s, 1 + 1/x)
+    # and x^(-s) zeta(s + 1, 1 + 1/x)
+    mpmath = pytest.importorskip("mpmath")
+    x = _return_nodes(16)
+    op = transfer._return_operator(1.0, 16)
+    for s in (1.5, 2.0, 2.5):
+        K = transfer._return_matrix(op, s)
+        for i, xi in enumerate(x):
+            z0 = float(mpmath.zeta(s, 1 + 1 / mpmath.mpf(xi)) * mpmath.mpf(xi) ** -s)
+            z1 = float(mpmath.zeta(s + 1, 1 + 1 / mpmath.mpf(xi)) * mpmath.mpf(xi) ** -s)
+            assert abs(K[i].sum() - z0) <= 1e-14 * z0
+            assert abs(K[i] @ (1.0 - x) - z1) <= 1e-14 * z0
+
+
+def test_return_operator_eigenvalue_closed_forms():
+    # r = 0: D_m = 2^m, lambda_K = 1 / (2^s - 1), so s_cr = 1; r = 1, s = 2: the Gauss-map operator, lambda_K = 1
+    for s in (0.999, 1.0, 1.5, 2.5):
+        assert abs(transfer.return_log_lambda(s, 0.0) + math.log(2.0**s - 1.0)) <= 1e-14
+    assert abs(transfer.return_log_lambda(2.0, 1.0)) <= 1e-14
+    d_log, mean_return, _dim, _step = transfer.return_root(2.0, 1.0)
+    assert abs(d_log + math.pi**2 / (12.0 * math.log(2.0))) <= 1e-12  # half the Gauss-map Lyapunov exponent
+    assert mean_return == math.inf
 
 
 def test_iterates_positive():

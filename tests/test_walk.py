@@ -1,4 +1,5 @@
-"""Differential checks of the bounded-memory level walk and of the CLI's input checks.
+"""Differential checks of the bounded-memory level walk, of the CLI's input checks, and
+of the two routes to the critical exponent.
 
 Every leaf and row series reads spinchain._walk, which hands over levels
 past depth - _CHUNK_LEVELS one seed's subtree at a time.  With
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from fareychain import cli, spinchain, thermo, transfer, twisted
 from fareychain.rings import Params
 from fareychain.transfer import TransferQuery
+from test_thermo import _reference_critical_s
 
 X = 0.3  # the point at which the character iterates are taken
 
@@ -140,3 +142,13 @@ def test_malformed_grid_or_tol_exits_2_before_output(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
     flag = next(a for a in argv if "=" in a).partition("=")[0]  # the one bad argument
     assert flag in lines[0] or f"{flag.lstrip('-')}=" in lines[0], (argv, err)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.0, 0.99))
+def test_first_return_root_matches_chebyshev_compression(r):
+    # the route pair for s_cr: the first-return operator on [1/2, 1] against the Chebyshev compression of P
+    cp = thermo.critical_line(Params.floating(r), tol=1e-10)
+    ref = _reference_critical_s(r, dim=192)
+    ref_error = 1e-10 + abs(ref - _reference_critical_s(r, dim=144))  # the bisection width, then dim vs 3 dim/4
+    assert abs(cp.s_cr - ref) <= cp.error + ref_error, (cp, ref, ref_error)
