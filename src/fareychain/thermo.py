@@ -9,9 +9,11 @@ to a limit that vanishes for s above the critical curve s_cr(r) and is
 positive below it; s_cr is the smallest positive solution of
 lambda_{s/2, r} = rho^(s/2) in terms of the transfer-operator spectral
 radius, running from 1 at r = 0 to 2 at r = 1.  :func:`critical_line` finds
-it on all of r in [0, 1] as the root of the Perron eigenvalue of the
-first-return operator on [1/2, 1]; it reports the jump of dF/ds there by the
-renewal identity |d log lambda_K/ds| / (mean return time), which falls to 0
+it on all of r in [0, 1] as the root of the log Perron eigenvalue of the
+first-return operator on [1/2, 1], by Chandrupatla's bracketed search
+(inverse quadratic interpolation where that is safe, bisection otherwise;
+five to eight evaluations, one eigen-solve each, at tol 1e-3 to 1e-12).  It
+reports the jump of dF/ds there by the renewal identity |d log lambda_K/ds| / (mean return time), which falls to 0
 at r = 1, where the mean return time diverges and the transition stops
 being first order.
 
@@ -211,25 +213,32 @@ def _identity_magnetization(zg: Sequence[float], n: int) -> float:
     return numer / zc
 
 
-def _illinois(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, tol: float):
-    """Shrink a bracket with g_lo > 0 > g_hi to width <= tol by Illinois regula
-    falsi: try the secant point, kept tol/4 inside; when one end moves twice
-    running, halve the g value kept at the other.  Returns (lo, hi, g_lo, g_hi, evals)."""
+def _chandrupatla(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, tol: float):
+    """Shrink a bracket with g_lo > 0 >= g_hi to width <= tol by Chandrupatla's method (Adv. Eng. Softw. 28,
+    1997).  With a the newer end, b the other and c the end last dropped, the next point is the root of the
+    inverse quadratic interpolant through the three where Chandrupatla's test phi^2 < xi, (1 - phi)^2 < 1 - xi
+    (xi = (a - b) / (c - b), phi = (g_a - g_b) / (g_c - g_b)) puts it inside the bracket, and the midpoint
+    otherwise; either is kept tol/4 inside the ends.  Returns (lo, hi, g_lo, g_hi, evals)."""
     evals = 0
-    f_lo, f_hi = g_lo, g_hi  # the g values that steer the secant, halved by the Illinois rule
-    moved = 0  # +1 if lo moved last, -1 if hi did
-    while hi - lo > tol:
-        s = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        s = min(max(s, lo + tol / 4), hi - tol / 4)
-        g_s = g(s)
+    a, g_a, b, g_b = lo, g_lo, hi, g_hi
+    t = 0.5  # the next point is a + t (b - a)
+    while abs(b - a) > tol:
+        guard = tol / 4 / abs(b - a)
+        x = a + min(max(t, guard), 1.0 - guard) * (b - a)
+        g_x = g(x)
         evals += 1
-        if g_s > 0:
-            lo, g_lo, f_lo, f_hi = s, g_s, g_s, f_hi / (2.0 if moved > 0 else 1.0)
-            moved = 1
+        if (g_x > 0) == (g_a > 0):
+            c, g_c = a, g_a
         else:
-            hi, g_hi, f_hi, f_lo = s, g_s, g_s, f_lo / (2.0 if moved < 0 else 1.0)
-            moved = -1
-    return lo, hi, g_lo, g_hi, evals
+            c, g_c, b, g_b = b, g_b, a, g_a
+        a, g_a = x, g_x
+        xi, phi = (a - b) / (c - b), (g_a - g_b) / (g_c - g_b)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = g_a / (g_b - g_a) * g_c / (g_b - g_c) + (c - a) / (b - a) * g_a / (g_c - g_a) * g_b / (g_c - g_b)
+    if g_a > 0:
+        return a, b, g_a, g_b, evals
+    return b, a, g_b, g_a, evals
 
 
 def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
@@ -238,10 +247,11 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     lambda_{s/2, r} = rho^(s/2).  ValueError, before any solve, for r outside [0, 1] or a tol that is
     not finite or is below 1e-12.
 
-    :func:`_illinois` shrinks [0.999 + 0.002 r, 2.5] (2 sigma > 1 keeps K finite at r = 1) to width tol/2;
-    s_cr is the secant point of the final bracket.  The error is the larger distance from s_cr to a
-    bracket end plus the changes of log lambda_K from 3 dim/4 points and from the 2h rule, each divided by
-    |d log lambda_K / ds| (:func:`transfer.return_root`); an error above tol raises ArithmeticError.
+    :func:`_chandrupatla` shrinks [0.999 + 0.002 r, 2.5] (2 sigma > 1 keeps K finite at r = 1) to width tol/2,
+    one eigen-solve per point; s_cr is the secant point of the final bracket.  The error is the larger
+    distance from s_cr to a bracket end plus the changes of log lambda_K from 3 dim/4 points and from the
+    2h rule, each divided by |d log lambda_K / ds| (:func:`transfer.return_root`); an error above tol raises
+    ArithmeticError.
     The slope, the jump of dF/ds at the transition, is the renewal identity
     |g'(s_cr)| = |d log lambda_K / ds| / (mean return time), 0 at r = 1, where that mean diverges.
     """
@@ -254,7 +264,7 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     g_lo, g_hi = return_log_lambda(lo, r), return_log_lambda(hi, r)
     if not g_lo > 0 > g_hi:
         raise ArithmeticError(f"bracket failure at r={r}: g({lo})={g_lo}, g({hi})={g_hi}")
-    lo, hi, g_lo, g_hi, evals = _illinois(lambda s: return_log_lambda(s, r), lo, hi, g_lo, g_hi, tol / 2)
+    lo, hi, g_lo, g_hi, evals = _chandrupatla(lambda s: return_log_lambda(s, r), lo, hi, g_lo, g_hi, tol / 2)
     s_cr = lo - g_lo * (hi - lo) / (g_hi - g_lo)
     d_log, mean_return, dim_term, step_term = return_root(s_cr, r)
     error = max(s_cr - lo, hi - s_cr) + (dim_term + step_term) / abs(d_log)
@@ -262,7 +272,7 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
         raise ArithmeticError(f"s_cr at r={r}: error {error:.3g} > tol {tol:.3g} "
                               f"(dim term {dim_term:.3g}, 2h term {step_term:.3g})")
     return CriticalPoint(r, s_cr, error, abs(d_log) / mean_return,
-                         f"illinois on log lambda_K; {evals + 2} evals; first return at dim {RETURN_DIM}")
+                         f"chandrupatla on log lambda_K; {evals + 2} evals; first return at dim {RETURN_DIM}")
 
 
 def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[Tuple[int, float, float, float]]:
@@ -319,7 +329,9 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
     :func:`magnetization` with ``identity``) is the oracle.  ValueError, before
     any work, for r outside [0, 1], n_max < 2, no s values or
     n_max * len(s_values) > SWEEP_CAP; after the solve, before any point is
-    built, for a value that is not finite.  Points are ordered by s, then by n.
+    built, for a value that is not finite.  ArithmeticError past dim 384, naming
+    the first (n, s) whose iterate f_n at 1/2 is not positive and finite if that is why.
+    Points are ordered by s, then by n.
     """
     if not 0 <= r <= 1:
         raise ValueError(f"the operator sweep is computed for r in [0, 1], got r={r}")
@@ -338,7 +350,11 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
         floor = np.arange(1.0, n_max + 2.0)[:, None] * dim * np.finfo(float).eps
         return (log_zc, log_w, np.maximum(shift, floor)), float(np.max(shift - floor))
 
-    (log_zc, log_w, error), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}")
+    def not_positive(result) -> str:  # a nan log Z^C_(n+1) at dim or 3 dim/4 comes from a log f_n(1/2) of nan
+        row, j = np.argwhere(np.isnan(result[2]))[0]
+        return f"the iterate f_n at 1/2 is not positive and finite, first at n={row - 1}, s={s_values[j]}"
+
+    (log_zc, log_w, error), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}", not_positive)
     n = np.arange(2.0, n_max + 1.0)[:, None]
     fn = (math.log(2.0) + log_zc[1:-1]) / n
     mn = 1.0 - np.exp(log_w[2:] - log_zc[2:]) / n

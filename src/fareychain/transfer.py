@@ -14,8 +14,8 @@ data come from the Chebyshev compression (:func:`collocation_spectrum`) at
 the first dim of COLLOCATION_DIMS that meets the tolerance against the
 3 dim/4 rerun (:func:`_adaptive`).  The critical exponent comes from the
 first-return operator K on [1/2, 1] (:func:`return_log_lambda`), one
-collocation of fixed size for every r in [0, 1]; the Chebyshev compression
-of P is its oracle.
+collocation of fixed size for every r in [0, 1], its sigma-independent arrays
+built in one pass per r and cached; the Chebyshev compression of P is its oracle.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -42,6 +42,7 @@ fast route, one independent oracle, and a check comparing the two (a
     zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
     lambda_{s,r}      spectral_radius     _power_radius             "power ratios vs collocation (r <= 0.9)"
     s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
+                      each rooted by Chandrupatla's bracketed search (thermo._chandrupatla)
 
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
@@ -607,12 +608,17 @@ def _chebyshev_nodes(dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(theta)), (-1.0) ** np.arange(dim) * np.sin(theta)
 
 
-def _barycentric(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The interpolation matrix from the nodes x, barycentric weights w, to the points y."""
-    diff = y[:, None] - x
-    hit = diff == 0.0
-    B = w / np.where(hit, 1.0, diff)
-    return np.where(hit.any(axis=1, keepdims=True), hit, B / B.sum(axis=1, keepdims=True))
+def _barycentric(x: np.ndarray, w: np.ndarray, y) -> np.ndarray:
+    """The interpolation rows, shape y.shape + (len(x),), from the nodes x, barycentric weights w, to the
+    points y of any shape; a point on a node gets that node's indicator row.  Built in the one array of
+    differences, so the only other temporaries are a boolean of that size and the row sums."""
+    B = np.subtract(np.asarray(y, dtype=float)[..., None], x)
+    off = B != 0.0
+    on_node = ~off.all(axis=-1)
+    np.divide(w, B, out=B, where=off)
+    np.divide(B, B.sum(axis=-1, keepdims=True), out=B, where=~on_node[..., None])
+    B[on_node] = ~off[on_node]
+    return B
 
 
 @lru_cache(maxsize=8)
@@ -649,10 +655,11 @@ def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarr
     f_{k+1} = rho^(-s/2) P_{s/2, r} f_k = (rho + r x)^(-s) [f_k(Phi_0 x) + f_k(Phi_1 x)]
     on the dim-point Chebyshev compression, read at 1/2 through the barycentric
     interpolant.  Each iterate is divided by its value at 1/2 and the logs of
-    those values are summed, so nothing overflows however large n is."""
+    those values are summed, so nothing overflows however large n is; from the
+    first value that is not positive and finite on, the logs are nan."""
     C, log_w = _collocation_operator(float(r), dim)
     x, w = _chebyshev_nodes(dim)
-    at_half = _barycentric(x, w, np.array([0.5]))[0]
+    at_half = _barycentric(x, w, 0.5)
     weights = np.exp(np.outer(log_w - math.log(2.0 - r), s / 2.0))
     f = np.ones((dim, len(s)))
     values = np.ones((n, len(s)))
@@ -660,18 +667,24 @@ def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarr
         f = weights * (C @ f)
         values[k] = at_half @ f
         f /= values[k]
-    return np.cumsum(np.log(values), axis=0)
+    logs = np.log(values, out=values)
+    np.copyto(logs, np.nan, where=~np.isfinite(logs))
+    return np.cumsum(logs, axis=0)
 
 
-def _adaptive(solve: Callable, bound: float, what: str):
+def _adaptive(solve: Callable, bound: float, what: str, not_finite: Optional[Callable] = None):
     """(result, term, dim) at the first dim of COLLOCATION_DIMS where
     ``solve(dim, 3 dim/4)`` = (result, term) has term <= bound, the term
-    measuring the change from the smaller dim; ArithmeticError past the last."""
+    measuring the change from the smaller dim; ArithmeticError past the last, naming
+    the term or that it is not finite, and then why, ``not_finite(result)``, if given."""
     for dim in COLLOCATION_DIMS:
         result, term = solve(dim, 3 * dim // 4)
         if term <= bound:
             return result, term, dim
-    raise ArithmeticError(f"{what}: dim vs 3 dim/4 term {term:.3g} > {bound:.3g} at dim {dim}, the top of the ladder")
+    if math.isfinite(term):
+        raise ArithmeticError(f"{what}: dim vs 3 dim/4 term {term:.3g} > {bound:.3g} at dim {dim}, the top of the ladder")
+    why = f"; {not_finite(result)}" if not_finite else ""
+    raise ArithmeticError(f"{what}: dim vs 3 dim/4 term not finite at dim {dim}, the top of the ladder{why}")
 
 
 def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
@@ -734,6 +747,7 @@ def _tail_nodes(split: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, w, 2.0 * (k % 2 == 0)
 
 
+@lru_cache(maxsize=2)
 def _taylor_basis(dim: int) -> np.ndarray:
     """C[j, p]: the Lagrange basis function j of the nodes y_j = x_j / 2 (x of :func:`_chebyshev_nodes`) is
     sum_p C[j, p] y^p.  From its Chebyshev series sum_n a_jn T_n(4y - 1), a_jn = (2 - [n = 0]) (-1)^n
@@ -743,7 +757,9 @@ def _taylor_basis(dim: int) -> np.ndarray:
     Q = np.ones((dim, dim))  # Q[n, p] = (-4)^p T_n^(p)(1) / p!
     for p in range(1, dim):
         Q[:, p] = Q[:, p - 1] * (n**2 - (p - 1) ** 2) / (2 * p - 1) * -4.0 / p
-    return (np.cos(np.outer(n + 0.5, n) * np.pi / dim) * np.where(n == 0, 1.0, 2.0) / dim) @ Q
+    C = (np.cos(np.outer(n + 0.5, n) * np.pi / dim) * np.where(n == 0, 1.0, 2.0) / dim) @ Q
+    C.flags.writeable = False  # cached, so shared by every caller
+    return C
 
 
 class _ReturnOperator(NamedTuple):
@@ -752,7 +768,7 @@ class _ReturnOperator(NamedTuple):
     log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
     rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
     log_dm: np.ndarray  # (dim,): log D_M(x_i)
-    t: np.ndarray  # (dim,): x_i / D_M
+    vander: np.ndarray  # (dim, dim): t_i^p, t = x_i / D_M
     lam: np.ndarray  # (dim,)
     v: np.ndarray  # (P,)
     tail: np.ndarray  # (dim, P): node weights / (L + lam_i e^(-v))
@@ -780,16 +796,13 @@ def _return_operator(r: float, dim: int) -> _ReturnOperator:
     x, delta, L = 1.0 - y, 1.0 - r, math.log1p(1.0 - r)
     rho_m = np.exp(L * np.arange(len(_POINT_WEIGHTS) + 1))
     D = r * x[:, None] * np.cumsum(rho_m[:-1]) + rho_m[1:]  # g_m = sum_{j<m} rho^j: no (rho^m - 1) / (1 - r)
-    rows = np.empty((dim, len(_POINT_WEIGHTS), dim))
-    for i in range(dim):
-        rows[i] = _barycentric(y, bw, x[i] / D[i])
     t = x / D[:, RETURN_DIRECT - 1]
     lam = r * t * (L / delta if delta else 1.0)
     split = math.log(r * t[dim // 2] / delta) if r * t[dim // 2] > delta > 0 else 0.0
     v, weights, even = _tail_nodes(split)
-    op = _ReturnOperator(np.log(D), rows, np.log(D[:, RETURN_DIRECT - 1]), t, lam, v,
-                         weights / (L + np.outer(lam, np.exp(-v))), even, np.exp(-np.outer(v, np.arange(dim))),
-                         _taylor_basis(dim))
+    op = _ReturnOperator(np.log(D), _barycentric(y, bw, x[:, None] / D), np.log(D[:, RETURN_DIRECT - 1]),
+                         np.vander(t, dim, increasing=True), lam, v, weights / (L + np.outer(lam, np.exp(-v))), even,
+                         np.exp(-np.outer(v, np.arange(dim))), _taylor_basis(dim))
     for a in op:
         a.flags.writeable = False
     return op
@@ -799,7 +812,7 @@ def _return_matrix(op: _ReturnOperator, s: float, point_factor=1.0, tail_factor=
     """The collocation matrix of K_(s/2), the factors multiplying the point terms and the tail nodes."""
     a = point_factor * _POINT_WEIGHTS * np.exp(-s * op.log_d)
     b = tail_factor * op.tail * np.exp(-s * op.v) * np.exp(-s * op.log_dm)[:, None]
-    moments = (b @ op.powers) * np.vander(op.t, len(op.t), increasing=True)
+    moments = (b @ op.powers) * op.vander
     return np.matmul(a[:, None, :], op.rows)[:, 0] + moments @ op.taylor.T
 
 

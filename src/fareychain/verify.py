@@ -334,7 +334,7 @@ def suite_thermo(seed: int = 0) -> List[CheckResult]:
         def g(s: float, r=r) -> float:
             return math.log(transfer._collocation_lambda(s / 2.0, r, 192)) - s / 2.0 * math.log(2.0 - r)
 
-        lo, hi, g_lo, g_hi, _evals = thermo._illinois(g, 1e-3, 2.0, g(1e-3), g(2.0), 1e-11)
+        lo, hi, g_lo, g_hi, _evals = thermo._chandrupatla(g, 1e-3, 2.0, g(1e-3), g(2.0), 1e-11)
         s_cheb = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         resid = max(resid, abs(thermo.critical_line(Params.floating(r), tol=1e-10).s_cr - s_cheb))
     out.append(CheckResult("thermo", "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)", resid, 1e-9))

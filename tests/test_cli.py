@@ -78,7 +78,7 @@ def test_phase_grid(capsys):
     assert vals == sorted(vals)
     for row in rows:
         assert len(row) == 5
-        assert re.fullmatch(r"illinois on log lambda_K; \d+ evals; first return at dim 16", row[4])
+        assert re.fullmatch(r"chandrupatla on log lambda_K; \d+ evals; first return at dim 16", row[4])
         assert 0.0 < float(row[2]) < 1e-4
         assert 0.0 < float(row[3]) < 1.0  # |g'(s_cr)|, ln 2 at r = 0
 
@@ -369,6 +369,18 @@ def test_thermo_rejects_r_and_cap_before_output(capsys):
     for argv in (("--r", "1.3", "--s", "2", "--n", "10"), ("--r", "0.5", "--s", "1,2", "--n", "100001")):
         code, out = run(capsys, "thermo", *argv)
         assert code == 2 and out == ""
+
+
+def test_thermo_names_the_first_iterate_not_positive_at_half(capsys):
+    # at r = 1 the iterates at 1/2 stay positive up to dim 384 at s = 17, not at s = 18
+    assert main(["thermo", "--r", "1", "--s", "17", "--n", "20"]) == 0
+    capsys.readouterr()
+    code = main(["thermo", "--r", "1", "--s", "16,18", "--n", "20"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Z^C at r=1.0: dim vs 3 dim/4 term not finite at dim 384")
+    assert lines[0].endswith("the iterate f_n at 1/2 is not positive and finite, first at n=18, s=18.0")
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):

@@ -169,17 +169,39 @@ def test_critical_search_eigen_budget(monkeypatch):
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
         # one dim-16 solve per search evaluation; at the root the right and left Perron vectors,
         # the 2h rule and dim 12
-        evals = int(re.fullmatch(r"illinois on log lambda_K; (\d+) evals; first return at dim 16", cp.method)[1])
-        assert evals <= 12
+        evals = int(re.fullmatch(r"chandrupatla on log lambda_K; (\d+) evals; first return at dim 16", cp.method)[1])
+        assert evals <= 8
         assert calls == ([("eigvals", (16, 16))] * evals + [("eig", (16, 16))] * 2
                          + [("eigvals", (16, 16)), ("eigvals", (12, 12))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.floats(0.5, 3.0), st.floats(-2.0, 2.0), st.floats(0.05, 0.999), st.floats(1.001, 5.0),
+       st.floats(-12.0, -3.0))
+def test_chandrupatla_brackets_known_roots(power, p, log_root, lo_ratio, hi_ratio, log_tol):
+    # decreasing g with the root e^log_root: c - s^p, or c - log(2^s - 1) with 2^s - 1 taken without cancellation
+    root, tol = math.exp(log_root), 10.0**log_tol
+    if power:
+        c = root**p
+        g = lambda s: c - s**p
+    else:
+        c = math.log(math.expm1(root * math.log(2.0)))
+        g = lambda s: c - math.log(math.expm1(s * math.log(2.0)))
+    lo, hi = root * lo_ratio, root * hi_ratio
+    lo, hi, g_lo, g_hi, evals = thermo._chandrupatla(g, lo, hi, g(lo), g(hi), tol)
+    assert g_lo > 0.0 >= g_hi and (g_lo, g_hi) == (g(lo), g(hi))
+    assert lo - 1e-15 * root <= root <= hi + 1e-15 * root  # c carries a rounding error, so the root does too
+    assert 0.0 < hi - lo <= tol
+    # bisection needs up to 46 evaluations on these brackets; the interpolation steps need about a quarter
+    bisection = math.ceil(math.log2((root * (hi_ratio - lo_ratio)) / tol))
+    assert evals <= min(12, bisection + 1)
 
 
 def test_critical_point_near_one():
     for r in (0.98, 0.99, 0.995):
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
         assert math.isfinite(cp.error) and 0.0 < cp.error <= 1e-6
-        assert re.fullmatch(r"illinois on log lambda_K; \d+ evals; first return at dim 16", cp.method)
+        assert re.fullmatch(r"chandrupatla on log lambda_K; \d+ evals; first return at dim 16", cp.method)
         assert abs(cp.s_cr - _reference_critical_s(r, dim=192)) <= cp.error
 
 

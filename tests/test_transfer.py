@@ -305,6 +305,44 @@ def test_compression_maps_chebyshev_polynomials():
             assert np.max(np.abs(C @ T(x) - T(phi0) - T(1.0 - phi0))) <= 1e-11, (dim, r)
 
 
+def _barycentric_row(x, w, y):
+    """One interpolation row from the nodes x, weights w, to the point y: the row-by-row reference."""
+    diff = y - x
+    hit = diff == 0.0
+    if hit.any():
+        return hit.astype(float)
+    B = w / diff
+    return B / B.sum()
+
+
+def test_barycentric_matches_rows_one_by_one():
+    x, w = transfer._chebyshev_nodes(16)
+    rng = np.random.default_rng(5)
+    for shape in ((7, 9), (3, 5, 4)):
+        y = rng.uniform(-0.2, 1.2, shape)
+        y.flat[::5] = x[rng.integers(0, 16, y.size)][::5]  # some points on nodes
+        with np.errstate(all="raise"):
+            B = transfer._barycentric(x, w, y)
+        assert B.shape == shape + (16,)
+        assert np.array_equal(B, np.reshape([_barycentric_row(x, w, yi) for yi in y.flat], shape + (16,)))
+        for idx in zip(*np.nonzero(np.isin(y, x))):  # a point on node j gets the indicator row of j
+            assert np.array_equal(B[idx], (x == y[idx]).astype(float))
+    assert np.array_equal(transfer._barycentric(x, w, 0.5), _barycentric_row(x, w, 0.5))
+
+
+def test_return_operator_rows_match_point_by_point():
+    for dim in (12, 16):
+        y, w = transfer._chebyshev_nodes(dim)
+        y = 0.5 * y
+        for r in (0.0, 0.5, 0.999, 1.0):
+            op = transfer._return_operator(r, dim)
+            # the basis, in distances y from 1, at x_i / D_m(x_i), D_m = r x (1 + ... + rho^(m-1)) + rho^m
+            x, rho_m = 1.0 - y, np.exp(math.log1p(1.0 - r) * np.arange(op.log_d.shape[1] + 1))
+            D = r * x[:, None] * np.cumsum(rho_m[:-1]) + rho_m[1:]
+            rows = [[_barycentric_row(y, w, x[i] / D[i, m]) for m in range(D.shape[1])] for i in range(dim)]
+            assert np.array_equal(op.rows, np.array(rows)), (dim, r)
+
+
 def _return_nodes(dim):
     return 1.0 - 0.5 * transfer._chebyshev_nodes(dim)[0]
 
