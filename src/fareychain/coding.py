@@ -17,14 +17,8 @@ from typing import Tuple
 
 from .maps import inverse_branch
 from .rings import Params
-from .spinchain import partial_sum_word
 from .tree import child_of_neighbours, root_endpoints
 from .words import SpinWord
-
-
-def psi(t: SpinWord) -> SpinWord:
-    """Partial-sum automorphism (t_1, t_1+t_2, ..., t_1+...+t_k) mod 2."""
-    return partial_sum_word(t)
 
 
 def psi_inv(s: SpinWord) -> SpinWord:

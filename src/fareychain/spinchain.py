@@ -23,7 +23,6 @@ half is written reversed.  With L = [[1, 0], [r, rho]],
 R = [[1, rho], [0, rho]] and SR = [[r-1, rho], [r, rho]]:
 
     tree rows (p, q)    root (1, 2)         L, SR               flip
-    affine (s, t)       root (1, 0)         L, SR               flip
     extended rows       root (1, 1)         R, SR               branch
     (p, q, mu, nu)      root (1, 1, 1, 0)   R (+) [[1, r rho], [0, rho]],
                                             SR (+) [[r-1, r rho], [1, rho]]
@@ -38,9 +37,9 @@ interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).
 The kernel is walked two ways: _levels yields whole rows, for the tables
 that need them; every leaf and row sum reads _walk, which yields the same
 levels in bounded-memory blocks, summed per level by _level_sums (so a
-series costs the memory of its last term) or, for the two single-n
-iterates (P^n 1)(x) and (P^n e_m)(x), over the last level alone by
-_last_level_sum.
+series costs the memory of its last term) or, for the single-n iterates
+(P^n f)(x) of transfer (f = 1, a character e_m, or any f), over the last
+level alone by _last_level_sum.  Nothing else calls _walk.
 """
 
 from __future__ import annotations

@@ -330,7 +330,8 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
     any work, for r outside [0, 1], n_max < 2, no s values or
     n_max * len(s_values) > SWEEP_CAP; after the solve, before any point is
     built, for a value that is not finite.  ArithmeticError past dim 384, naming
-    the first (n, s) whose iterate f_n at 1/2 is not positive and finite if that is why.
+    the run (dim 384 or its 3 dim/4 check) and the first (n, s) whose iterate f_n
+    at 1/2 is not positive and finite if that is why.
     Points are ordered by s, then by n.
     """
     if not 0 <= r <= 1:
@@ -346,15 +347,19 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
     def solve(dim: int, check_dim: int):
         with np.errstate(all="ignore"):  # an iterate that is not positive at 1/2 gives nan, failing the test
             log_zc, log_w = _log_sums(r, s, n_max, dim)
-            shift = np.abs(log_zc - _log_sums(r, s, n_max, check_dim)[0])
+            check = _log_sums(r, s, n_max, check_dim)[0]
+            shift = np.abs(log_zc - check)
         floor = np.arange(1.0, n_max + 2.0)[:, None] * dim * np.finfo(float).eps
-        return (log_zc, log_w, np.maximum(shift, floor)), float(np.max(shift - floor))
+        first_nans = [(*np.argwhere(np.isnan(log))[0], d) for d, log in ((dim, log_zc), (check_dim, check))
+                      if np.isnan(log).any()]  # (row, column, dim) of each run's first nan
+        return (log_zc, log_w, np.maximum(shift, floor), first_nans), float(np.max(shift - floor))
 
-    def not_positive(result) -> str:  # a nan log Z^C_(n+1) at dim or 3 dim/4 comes from a log f_n(1/2) of nan
-        row, j = np.argwhere(np.isnan(result[2]))[0]
-        return f"the iterate f_n at 1/2 is not positive and finite, first at n={row - 1}, s={s_values[j]}"
+    def not_positive(result) -> str:  # a nan log Z^C_(n+1) of a run comes from its log f_n(1/2) of nan
+        row, j, run = min(result[3])
+        return (f"in the dim {run} run the iterate f_n at 1/2 is not positive and finite, "
+                f"first at n={row - 1}, s={s_values[j]}")
 
-    (log_zc, log_w, error), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}", not_positive)
+    (log_zc, log_w, error, _nans), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}", not_positive)
     n = np.arange(2.0, n_max + 1.0)[:, None]
     fn = (math.log(2.0) + log_zc[1:-1]) / n
     mn = 1.0 - np.exp(log_w[2:] - log_zc[2:]) / n

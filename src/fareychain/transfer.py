@@ -5,9 +5,9 @@ The operator acts on functions of [0, 1] as
     (P_{s,r} f)(x) = rho^s / (rho + r x)^(2s) * [f(Phi_0 x) + f(Phi_1 x)]
 
 with the two inverse branches Phi_j and rho = 2 - r.  Its n-th iterate
-applied to simple test functions collapses to closed sums over the
-2^(n-1) vertices of the n-th extended tree row, and its traces collapse
-to sums over tree leaves of the matrix-presentation traces (T_0, T_1).
+applied to any f collapses to a sum over the 2^(n-1) vertices of the
+n-th extended tree row, and its traces collapse to sums over tree leaves
+of the matrix-presentation traces (T_0, T_1).
 Every closed form here is paired with a brute-force branch-word oracle
 that sums over all 2^n inverse-branch compositions directly.  Spectral
 data come from the Chebyshev compression (:func:`collocation_spectrum`) at
@@ -26,7 +26,6 @@ SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
     _quad_stream     (p, q, mu, nu)         root (1, 1, 1, 0)   R (+) [[1, r rho], [0, rho]],
                                                                 SR (+) [[r-1, r rho], [1, rho]]
     _matrix_stream   leaf matrices X        root L              rows of X times L, R
-    _affine_stream   affine (s_k, t_k)      root (1, 0)         L, SR, second half reversed
 
 Every leaf sum reads one bounded-memory walk of its stream
 (:func:`spinchain._walk`), so large n costs time but not memory.  A series
@@ -47,17 +46,17 @@ fast route, one independent oracle, and a check comparing the two (a
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
-into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The twisted sums
-(:func:`_character_sums`) walk _pair_stream or _quad_stream.  The
-iterates take their single n from the last level of the walk alone, so
-they cost no series; each equals rho^(ns) times the last entry of
+into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The iterates and
+the twisted sums (:func:`_character_sums`) share one vertex term (:func:`_vertex_sum`): a vertex
+of the n-th extended row, with den = p r x + rho q and t = (mu x + rho nu) / den, contributes
+den^(-2s) [f(t) + f(1 - t)].  f = 1 needs only the (p, q) of _pair_stream; every other f reads
+_quad_stream.  The iterates take their single n from the last level of the walk alone, so
+they cost no series; the iterates of characters equal rho^(ns) times the last entry of
 :func:`_character_sums` exactly (tests/test_walk.py).
 
-A character e_m enters through vertex pairs e_m(n_0/den) + e_m(n_1/den)
-with n_0 + n_1 = den; for integer m, e_m(1 - t) is the conjugate of
-e_m(t), so each pair is the real phase 2 cos(2 pi m n_0/den), and
-non-integer m is rejected.  Float reductions use numpy's pairwise
-summation (scalar accumulations use compensated sums).
+For a character e_m with integer m, e_m(1 - t) is the conjugate of e_m(t), so each vertex pair
+is the real phase 2 cos(2 pi m t), and non-integer m is rejected.  Float reductions use numpy's
+pairwise summation (scalar accumulations use compensated sums).
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import (FLOAT_TABLE_CAP, _generators, _last, _last_level_sum, _level_sums, _levels, _tree_stream, _walk,
-                        pq_tables)
+from .spinchain import FLOAT_TABLE_CAP, _generators, _last, _last_level_sum, _level_sums, _levels, _tree_stream
 
 BRUTE_CAP = 20
+ZETA_TOL = 1e-9  # fredholm_and_zeta's zeta is converged when its two routes and the last two ratios agree to this
 COLLOCATION_DIMS = (48, 96, 192, 384)  # the adaptive ladder; dim d is checked against 3d/4
 
 
@@ -149,11 +148,6 @@ def _matrix_stream(params: Params):
     return L[0] + L[1], (_blockdiag(Lt, Lt, zero), _blockdiag(Rt, Rt, zero)), False
 
 
-def _affine_stream(params: Params):
-    L, _R, SR = _generators(params)
-    return (params.one, params.one - params.one), (L, SR), True
-
-
 def extended_pairs(n: int, params: Params) -> List[Tuple]:
     """The (p, q) pairs of the n-th extended row in the active ring.
 
@@ -202,103 +196,74 @@ def apply_bruteforce(f: Callable, x: float, q: TransferQuery, signed: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-def _require_integer(m) -> None:
+def _character_pair(m: int):
+    """The pair value e_m(t) + e_m(1 - t) = 2 cos(2 pi m t) of a character, or None for m = 0
+    (:func:`_vertex_sum`); ValueError for m that is not an integer, where the identity fails."""
     if not float(m).is_integer():
         raise ValueError(f"the character order m must be an integer, got {m!r}")
+    if m == 0:
+        return None
+    two_pi_m = 2.0 * math.pi * m  # the pair works in t's own buffer: no block-sized temporary
+    return lambda t: np.multiply(np.cos(np.multiply(t, two_pi_m, out=t), out=t), 2.0, out=t)
 
 
-def _vertex_sum(level, x: float, s: complex, r: float, m: int) -> complex:
-    """The vertex terms of rho^(-ns) (P^n e_m)(x) summed over a block of the
-    n-th extended row: (p, q) columns for m = 0, (p, q, mu, nu) otherwise.
+def _vertex_sum(level, x: float, s: complex, r: float, pair: Optional[Callable]) -> complex:
+    """The vertex terms of rho^(-ns) (P^n f)(x) summed over a block of the n-th extended row.
 
-    A vertex contributes den^(-2s) [e_m(n_0/den) + e_m(n_1/den)] with
-    n_1 = den - n_0; for integer m, e_m(1 - t) is the conjugate of e_m(t),
-    so the pair is the real 2 cos(2 pi m n_0/den).
+    A vertex contributes den^(-2s) pair(t), den = p r x + rho q, t = (mu x + rho nu) / den, with
+    pair(t) = f(t) + f(1 - t) read from the (p, q, mu, nu) columns; pair None stands for f = 1,
+    whose pair value 2 needs only the (p, q) columns.  t is a fresh array that pair may overwrite.
     """
     rho = 2.0 - r
     den = level[0] * (r * x) + rho * level[1]
-    if m == 0:
+    if pair is None:
         return complex(2.0 * np.sum(_cpow(den, -2.0 * s)))
-    phase = np.cos((2.0 * math.pi * m) * ((level[2] * x + rho * level[3]) / den))  # n_0 / den
-    return complex(2.0 * np.sum(_cpow(den, -2.0 * s) * phase))
+    values = pair((level[2] * x + rho * level[3]) / den)  # first: its temporaries are freed before the weights
+    return complex(np.sum(_cpow(den, -2.0 * s) * values))
+
+
+def _iterate(x: float, q: TransferQuery, pair: Optional[Callable]) -> complex:
+    """(P^n f)(x): rho^(ns) times the :func:`_vertex_sum` terms of pair over the last level of the walk."""
+    s = complex(q.s)
+    stream = _pair_stream if pair is None else _quad_stream
+    total = _last_level_sum(stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, s, q.r, pair))
+    return _cpow(q.rho, q.n * s) * total
 
 
 def iterate_one(x: float, q: TransferQuery) -> complex:
     """(P^n 1)(x) = 2 rho^(ns) * sum over the n-th extended row of
     (p r x + rho q)^(-2s)."""
-    s = complex(q.s)
-    total = _last_level_sum(_pair_stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, s, q.r, 0))
-    return _cpow(q.rho, q.n * s) * total
+    return _iterate(x, q, None)
 
 
 def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
-    """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y).
-
-    Each extended-row vertex carries a split (n_0, n_1) of its weight
-    denominator, n_0 + n_1 = p r x + rho q, built by the same two-child
-    recursion; the vertex contributes [e_m(n_0/den) + e_m(n_1/den)] *
-    den^(-2s) = 2 cos(2 pi m n_0/den) den^(-2s), since e_m(1 - t) is the
-    conjugate of e_m(t).  That identity needs integer m, so any other m
-    raises ValueError.  m = 0 reduces to :func:`iterate_one`.
-    """
-    if m == 0:
-        return iterate_one(x, q)
-    _require_integer(m)
-    s = complex(q.s)
-    total = _last_level_sum(_quad_stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, s, q.r, m))
-    return _cpow(q.rho, q.n * s) * total
+    """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y): each extended-row vertex
+    contributes den^(-2s) 2 cos(2 pi m t) (:func:`_vertex_sum`, :func:`_character_pair`), which
+    needs integer m, so any other m raises ValueError.  m = 0 reduces to :func:`iterate_one`."""
+    return iterate_one(x, q) if m == 0 else _iterate(x, q, _character_pair(m))
 
 
 def _character_sums(x: float, s: complex, r: float, m: int, n_max: int) -> List[complex]:
     """rho^(-ns) (P^n e_m)(x) for n = 1 .. n_max, from one walk down the extended rows."""
-    _require_integer(m)
+    pair = _character_pair(m)
     s = complex(s)
-    stream = _pair_stream if m == 0 else _quad_stream
-    return _level_sums(stream, n_max - 1, Params.floating(r), lambda _level, b: _vertex_sum(b, x, s, r, m))
-
-
-def affine_tables(k: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The affine-coefficient tables (s_k, t_k) over k-bit words.
-
-    s_0 = (1,), t_0 = (0,), extended by prepending a bit with the same
-    complement-flip pattern as the tree rows.  They describe where the
-    k+1-st iterate evaluates its argument away from x = 1.
-    """
-    s, t = _last(_levels(_affine_stream, k, Params.floating(r)))
-    return s, t
+    stream = _pair_stream if pair is None else _quad_stream
+    return _level_sums(stream, n_max - 1, Params.floating(r), lambda _level, b: _vertex_sum(b, x, s, r, pair))
 
 
 def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> complex:
-    """(P^(k+1) f)(x) via the level-k leaf formula for arbitrary f.
+    """(P^(k+1) f)(x) for any f that accepts numpy arrays, from level k of the (p, q, mu, nu) stream.
 
-    The 2^(k+1) branch-word matrices are exactly
+    Each vertex of the (k+1)-st extended row contributes (:func:`_vertex_sum`)
 
-        [[s_{k+1}(tau), p_k(sigma) - s_{k+1}(tau)],
-         [t_{k+1}(tau), q_k(sigma) - t_{k+1}(tau)]]
+        den^(-2s) [f(t) + f(1 - t)],   den = p r x + rho q,   t = (mu x + rho nu) / den,
 
-    over tau in (Z/2Z)^(k+1) with sigma its leading k bits, so writing
-    u = 1 - x each tau contributes
-
-        (q_k(sigma) - u t_{k+1}(tau))^(-2s)
-            * f( (p_k(sigma) - u s_{k+1}(tau)) / (q_k(sigma) - u t_{k+1}(tau)) )
-
-    times rho^((k+1)s).  At x = 1 this collapses to twice the plain
-    leaf sum of q_k^(-2s) f(p_k/q_k).  `f` must accept numpy arrays.
+    times rho^((k+1)s): t and 1 - t are the images of x under the vertex's two branch words, and
+    den^(-2s) their common weight.  The level is summed over the blocks of :func:`spinchain._walk`,
+    so the memory is bounded by the walk's blocks, not by the 2^k vertices.  ValueError, before
+    any work, for r outside [0, 2) or k + 1 outside the n of :func:`_require_leaf_n`.
     """
-    s = complex(s)
-    s_tab, t_tab = affine_tables(k + 1, r)  # first, so that its table cap on k + 1 fails before any work
-    table = pq_tables(k, Params.floating(r))
-    p_arr = np.asarray(table.p, dtype=float)
-    q_arr = np.asarray(table.q, dtype=float)
-    s_pairs = s_tab.reshape(-1, 2)
-    t_pairs = t_tab.reshape(-1, 2)
-    u = 1.0 - x
-    total = 0.0 + 0.0j
-    for i in (0, 1):
-        den = q_arr - u * t_pairs[:, i]
-        args = (p_arr - u * s_pairs[:, i]) / den
-        total += np.sum(_cpow(den, -2.0 * s) * f(args))
-    return _cpow(2.0 - r, (k + 1) * s) * total
+    return _iterate(x, TransferQuery(s, r, k + 1), lambda t: f(t) + f(1.0 - t))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +287,7 @@ def _leaf_roots(X: np.ndarray, r: float, n: int) -> Tuple[np.ndarray, ...]:
 
 def _pair_trace_sums(n: int, r: float, term) -> list:
     """For rows k = 1 .. n of the leaf matrices, the sum of term(:func:`_leaf_roots`) over the row's blocks."""
-    sums = [0] * n
-    for level, X in _walk(_matrix_stream, n - 1, Params.floating(r)):
-        roots = _leaf_roots(X, r, level + 1)  # held until the next block's: freed sooner, its pages fault back in
-        sums[level] += term(roots)
-    return sums
+    return _level_sums(_matrix_stream, n - 1, Params.floating(r), lambda level, X: term(_leaf_roots(X, r, level + 1)))
 
 
 def _trace_sum(roots, s: complex, signed: bool) -> complex:
@@ -479,7 +440,7 @@ def _orbit_log_zeta(z: complex, xi: Sequence[complex], fit: bool) -> Tuple[compl
     return log_zeta + c * (-cmath.log(1.0 - zg) - head), True
 
 
-def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float = 1e-9) -> FredholmZeta:
+def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> FredholmZeta:
     """Evaluate det(1 - z P_s), the shifted signed determinant, and zeta.
 
     zeta is computed two independent ways: from the periodic-orbit sums
@@ -497,8 +458,8 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
     add a tail (N >= 3 and |z g| < 1).  The determinants use the entire
     power series of the trace data (Plemelj-Smithies coefficients), which
     converges for every z.  ``converged`` says that zeta is known to
-    `tol`: the two routes agree and the determinant ratio has settled,
-    |orbit sum - ratio| + |ratio_N - ratio_(N-1)| <= tol.
+    ZETA_TOL: the two routes agree and the determinant ratio has settled,
+    |orbit sum - ratio| + |ratio_N - ratio_(N-1)| <= ZETA_TOL.
     """
     if r >= 1:
         raise ValueError("determinants require r < 1")
@@ -529,7 +490,7 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14, tol: float 
     return FredholmZeta(
         z=z, s=s, r=r, truncation=N, det=det, det_signed_shift=det_sgn,
         zeta_exp=zeta_exp, zeta_ratio=zeta_ratio, tail_estimate=tail,
-        converged=abs(zeta_exp - zeta_ratio) + abs(zeta_ratio - ratio_prev) <= tol,
+        converged=abs(zeta_exp - zeta_ratio) + abs(zeta_ratio - ratio_prev) <= ZETA_TOL,
     )
 
 
@@ -582,13 +543,13 @@ def _power_sums(s: float, r: float, n_max: int) -> List[float]:
     return [2.0 * rho**s * 2.0 ** (-2.0 * s)] + [4.0 * rho ** ((k + 2) * s) * row for k, row in enumerate(rows)]
 
 
-def _power_radius(s: float, r: float, n: int = 20) -> float:
-    """The oracle of :func:`spectral_radius`: the ratios a_{k+1}/a_k, k < n, of
+def _power_radius(s: float, r: float) -> float:
+    """The oracle of :func:`spectral_radius`: the ratios a_{k+1}/a_k, k < 20, of
     :func:`_power_sums`, Aitken-transformed again only while that shrinks the
     spread of the last two terms (past that floor the transforms settle on a
     spurious limit).  The spread under-reports the error, so none is
     returned; ``verify transfer`` holds the value to a fixed tolerance."""
-    a = np.array(_power_sums(s, r, n))
+    a = np.array(_power_sums(s, r, 20))
     seq = a[1:] / a[:-1]
     spread = abs(float(seq[-1] - seq[-2]))
     while len(seq) >= 5:
@@ -635,7 +596,7 @@ def _collocation_operator(r: float, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return C, log_w
 
 
-def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> np.ndarray:
+def collocation_spectrum(s: float, r: float, dim: int) -> np.ndarray:
     """Eigenvalues of the operator compressed to dim Chebyshev points, sorted by
     modulus.  The operator maps functions analytic on a disk containing [0, 1] to
     themselves, so they converge geometrically in dim; with C cached per (r, dim),
@@ -645,7 +606,7 @@ def collocation_spectrum(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> 
     return ev[np.argsort(-np.abs(ev))]
 
 
-def _collocation_lambda(s: float, r: float, dim: int = COLLOCATION_DIMS[0]) -> float:
+def _collocation_lambda(s: float, r: float, dim: int) -> float:
     """The leading (Perron) eigenvalue of the dim-point Chebyshev compression."""
     return float(np.max(collocation_spectrum(s, r, dim).real))
 
@@ -855,17 +816,16 @@ def return_root(s: float, r: float) -> Tuple[float, float, float, float]:
     return log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v)), mean, dim, step
 
 
-def involution_residual(s: float, r: float, grid: Optional[np.ndarray] = None, n: int = 16) -> float:
+def involution_residual(s: float, r: float, n: int = 16) -> float:
     """Deviation of the approximate leading eigenfunction from involution symmetry.
 
     h(x) ~ rho^(-ns) (P^n 1)(x) should satisfy
     (r x + 1 - r)^(-2s) h(S(x)) = h(x); returns the max relative residual
-    over the grid.  Vanishes as n grows for r < 1.
+    over 21 equally spaced points of [0, 1].  Vanishes as n grows for r < 1.
     """
     if r >= 1:
         raise ValueError("requires r < 1")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 21)
+    grid = np.linspace(0.0, 1.0, 21)
     p = Params.floating(r)
     pref = (2.0 - r) ** (-n * s)
     q = TransferQuery(s, r, n)

@@ -110,9 +110,7 @@ def mu_twisted(m: int, q: int, method: str = "closed") -> int:
         q_red = q // g
         return euler_phi(q) // euler_phi(q_red) * moebius(q_red)
     if method == "direct":
-        units = _units_cached(q)
-        phases = np.exp((2j * math.pi * (m % q if q > 1 else 0) / q) * units)
-        total = complex(np.sum(phases))
+        total = complex(unit_exponential_sums(q, [m])[0])
         if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
             raise ArithmeticError(f"unit sum for q={q}, m={m} is not near an integer: {total}")
         return int(round(total.real))

@@ -176,12 +176,10 @@ def test_closed_form_equals_transform_exact():
 
 def test_polymer_count_is_word_pairing_invariant():
     rng = random.Random(2)
-    from fareychain.coding import psi
-
     for _ in range(1000):
         k = rng.randint(1, 20)
         t = SpinWord(k, rng.getrandbits(k))
-        assert t.inner(psi(t)) == len(spinchain.polymer_decompose(t))
+        assert t.inner(spinchain.partial_sum_word(t)) == len(spinchain.polymer_decompose(t))
 
 
 def test_ising_rewrite_matches_closed_form():
@@ -242,7 +240,6 @@ def test_caps_enforced():
 
 STREAMS = {
     "tree rows": spinchain._tree_stream,
-    "affine": transfer._affine_stream,
     "extended rows": transfer._pair_stream,
     "quad": transfer._quad_stream,
     "leaf matrices": transfer._matrix_stream,

@@ -310,6 +310,32 @@ def test_operator_sweep_matches_rows_route(r, s, n_max):
         assert abs(pt.Mn - thermo.magnetization(pt.n, s, p, "identity")) <= pt.error, pt
 
 
+R_EXAMPLES = [0.0, 1.0, *(1.0 - 10.0**-k for k in (1, 2, 4, 8, 12, 15))]
+
+
+# s from 0 up: the error column's rounding floor is absolute in log Z^C, and for s well below 0
+# (|log Z^C| ~ n |s| log 2) the rounding of the logs outgrows it
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(R_EXAMPLES), st.floats(0.0, 1.0)), st.floats(0.0, 60.0), st.integers(2, 20))
+def test_operator_sweep_agrees_with_rows_or_refuses(r, s, n_max):
+    try:
+        pts = thermo.thermo_sweep(r, [s], n_max)
+    except ArithmeticError as err:
+        assert "the top of the ladder" in str(err)
+        return
+    (zg,) = thermo._grand_sums(n_max - 1, [s], Params.floating(r))  # the rows route, one walk
+    for pt in pts:
+        assert abs(pt.logZC - math.log(1.0 + sum(zg[:pt.n]))) <= pt.error, pt
+        assert abs(pt.Mn - thermo._identity_magnetization(zg[:pt.n], pt.n)) <= pt.error, pt
+
+
+def test_sweep_refusal_names_the_run_that_failed():
+    # at r = 1, s = 18 every f_n(1/2), n < 20, of dim 384 is positive; its 288-point check run turns at n = 18
+    with pytest.raises(ArithmeticError, match=r"in the dim 288 run the iterate f_n at 1/2 is not positive and finite, "
+                                              r"first at n=18, s=18.0$"):
+        thermo.thermo_sweep(1.0, [18.0], 20)
+
+
 def test_operator_sweep_accuracy_grid():
     for r in (0.0, 0.3, 0.7, 0.9, 0.95, 0.99, 1.0):
         p = Params.floating(r)

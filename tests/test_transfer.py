@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -69,12 +70,6 @@ def test_character_matches_bruteforce():
         q = TransferQuery(rng.uniform(0.4, 2.0), r, n)
         bf = transfer.apply_bruteforce(lambda y: cmath.exp(2j * math.pi * m * y), x, q)
         assert abs(transfer.iterate_character(x, q, m) - bf) <= 1e-11 * max(abs(bf), 1.0)
-
-
-def test_affine_tables_base():
-    s_tab, t_tab = transfer.affine_tables(1, 0.3)
-    assert s_tab.tolist() == [1.0, 0.3 - 1.0]
-    assert t_tab.tolist() == [0.3, 0.3]
 
 
 def test_general_iterate_base_case_arguments():
@@ -419,6 +414,7 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
     routes = {
         "iterate_one": lambda: transfer.iterate_one(0.3, q),
         "iterate_character": lambda: transfer.iterate_character(0.3, q, 2),
+        "iterate_general": lambda: transfer.iterate_general(lambda y: 0.5 - y + 2.0 * y**3, 0.3, q.s, q.r, q.n - 1),
         "trace_sums": lambda: transfer.trace_sums(q.n, q.s, q.r)[-1],
         "periodic_sums_xi": lambda: transfer.periodic_sums_xi(q.n, q.s, q.r)[-1],
     }
@@ -431,6 +427,31 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
 def test_general_iterate_needs_array_ready_f():
     with pytest.raises(TypeError):
         transfer.iterate_general(math.cos, 0.4, 1.0, 0.5, 3)
+
+
+def test_general_iterate_memory_below_one_level_table(monkeypatch):
+    # level 16 in 2^8 blocks of 2^8 vertices: far below one whole level-16 (p, q) table
+    from fareychain import spinchain
+
+    monkeypatch.setattr(spinchain, "_CHUNK_LEVELS", 8)
+    k = 16
+    table_bytes = 2 * (1 << k) * 8
+    tracemalloc.start()
+    try:
+        transfer.iterate_general(np.cos, 0.3, 1.1, 0.6, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4, peak
+
+
+def test_general_iterate_rejects_before_work(monkeypatch):
+    from fareychain import spinchain
+
+    monkeypatch.setattr(spinchain, "_step", lambda *a: pytest.fail("a refused input was walked"))
+    for r, k in ((0.6, -1), (0.6, spinchain.FLOAT_TABLE_CAP + 1), (2.0, 3), (-0.1, 3)):
+        with pytest.raises(ValueError):
+            transfer.iterate_general(np.cos, 0.3, 1.1, r, k)
 
 
 def test_series_take_one_walk(monkeypatch):

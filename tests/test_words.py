@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fareychain.coding import psi, psi_inv
+from fareychain.coding import psi_inv
+from fareychain.spinchain import partial_sum_word
 from fareychain.words import SpinWord, all_words, bit_reverse_index
 
 
@@ -46,16 +47,16 @@ def test_validation():
 
 
 def test_psi_example():
-    assert psi(SpinWord.from_bits((1, 1, 0))).to_bits() == (1, 0, 0)
+    assert partial_sum_word(SpinWord.from_bits((1, 1, 0))).to_bits() == (1, 0, 0)
 
 
 @given(words())
 def test_psi_inverse_pair(w):
-    assert psi_inv(psi(w)) == w
-    assert psi(psi_inv(w)) == w
+    assert psi_inv(partial_sum_word(w)) == w
+    assert partial_sum_word(psi_inv(w)) == w
 
 
 @given(words(max_k=12), st.data())
 def test_psi_is_linear(w, data):
     other = SpinWord(w.k, data.draw(st.integers(0, max(0, (1 << w.k) - 1))))
-    assert psi(w + other) == psi(w) + psi(other)
+    assert partial_sum_word(w + other) == partial_sum_word(w) + partial_sum_word(other)
