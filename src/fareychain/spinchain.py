@@ -36,10 +36,11 @@ interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).
 
 The kernel is walked two ways: _levels yields whole rows, for the tables
 that need them; every leaf and row sum reads _walk, which yields the same
-levels in bounded-memory blocks, summed per level by _level_sums (so a
-series costs the memory of its last term) or, for the single-n iterates
-(P^n f)(x) of transfer (f = 1, a character e_m, or any f), over the last
-level alone by _last_level_sum.  Nothing else calls _walk.
+levels depth first in cache-sized blocks of at most 2^_BLOCK_LEVELS columns
+(256 KB for four rows), one block pending per level, summed per level by
+_level_sums or, for the single-n iterates (P^n f)(x) of transfer (f = 1, a
+character e_m, or any f), over the last level alone by _last_level_sum.
+Nothing else calls _walk.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .words import SpinWord
 EXACT_TABLE_CAP = 16
 FLOAT_TABLE_CAP = 26
 FOURIER_CAP = 24
-_CHUNK_LEVELS = 20
+_BLOCK_LEVELS = 13
 
 
 def _check_cap(k: int, p: Params) -> None:
@@ -129,29 +130,26 @@ def _levels(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
 
 
 def _walk(stream, depth: int, params: Params) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (level, block) for levels 0 .. depth of a stream in bounded memory.
+    """Yield (level, block) for levels 0 .. depth of a stream, depth first.
 
-    Levels up to depth - _CHUNK_LEVELS come as whole rows; each column of
-    the last of them then seeds its subtree of the remaining levels, walked
-    one seed at a time, so no block is wider than
-    2^max(_CHUNK_LEVELS, depth - _CHUNK_LEVELS) columns.  A level's blocks
-    permute its columns, so sums over them change only by rounding; with one
-    seed (depth <= _CHUNK_LEVELS) every level is one whole row.  The table
-    cap of the mode is checked before the first level.
+    Levels up to 2^_BLOCK_LEVELS columns come as whole rows; a block of that width is
+    split into its column halves before its step, and each half's subtree is walked
+    before the next, so no block is wider than 2^_BLOCK_LEVELS and the stack holds one
+    pending half per level.  A level's blocks permute its columns, so sums over them
+    change only by rounding.  The table cap of the mode is checked before the first level.
     """
     _check_cap(depth, params)
     root, children, flip = stream(params)
-    top = max(depth - _CHUNK_LEVELS, 0)
     x = np.array(root, dtype=_dtype(params))[:, None]
     yield 0, x
-    for level in range(1, top + 1):
+    stack = [(1, x)] if depth else []  # (level, the block of level - 1 that steps to it)
+    while stack:
+        level, x = stack.pop()
         x = _step(x, children, flip)
         yield level, x
-    for j in range(x.shape[1]):
-        block = x[:, j : j + 1]
-        for level in range(top + 1, depth + 1):
-            block = _step(block, children, flip)
-            yield level, block
+        if level < depth:
+            parts = [x] if x.shape[1] < 1 << _BLOCK_LEVELS else np.hsplit(x, 2)
+            stack += [(level + 1, part) for part in parts]
 
 
 def _level_sums(stream, depth: int, params: Params, term) -> list:

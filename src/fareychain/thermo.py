@@ -327,12 +327,12 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
     (n dot products of length dim); the error of each point is that change,
     floored at the rounding floor.  The rows route (:func:`canonical_Z`,
     :func:`magnetization` with ``identity``) is the oracle.  ValueError, before
-    any work, for r outside [0, 1], n_max < 2, no s values or
-    n_max * len(s_values) > SWEEP_CAP; after the solve, before any point is
-    built, for a value that is not finite.  ArithmeticError past dim 384, naming
-    the run (dim 384 or its 3 dim/4 check) and the first (n, s) whose iterate f_n
-    at 1/2 is not positive and finite if that is why.
-    Points are ordered by s, then by n.
+    any work, for r outside [0, 1], n_max < 2, no s values, an s < 0 (where the
+    iterates grow steeply toward x = 1 and their rounding outgrows that floor) or
+    n_max * len(s_values) > SWEEP_CAP; after the solve, before any point is built,
+    for a value that is not finite.  ArithmeticError past dim 384, naming the run
+    (dim 384 or its 3 dim/4 check) and the first (n, s) whose iterate f_n at 1/2
+    is not positive and finite if that is why.  Points are ordered by s, then by n.
     """
     if not 0 <= r <= 1:
         raise ValueError(f"the operator sweep is computed for r in [0, 1], got r={r}")
@@ -340,6 +340,8 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
         raise ValueError("n must be >= 2")
     if not len(s_values):
         raise ValueError("the sweep needs at least one s value")
+    if min(s_values) < 0:
+        raise ValueError(f"the sweep's error bar is computed for s >= 0, got s={min(s_values)}")
     if n_max * len(s_values) > SWEEP_CAP:
         raise ValueError(f"n * len(s) = {n_max * len(s_values)} exceeds the sweep cap {SWEEP_CAP}")
     s = np.asarray(s_values, dtype=float)

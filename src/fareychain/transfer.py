@@ -27,9 +27,9 @@ SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
                                                                 SR (+) [[r-1, r rho], [1, rho]]
     _matrix_stream   leaf matrices X        root L              rows of X times L, R
 
-Every leaf sum reads one bounded-memory walk of its stream
-(:func:`spinchain._walk`), so large n costs time but not memory.  A series
-over n = 1 .. N sums a term per level of one walk.  Each quantity has one
+Every leaf sum reads one depth-first walk of its stream (:func:`spinchain._walk`) in blocks
+of at most 2^13 columns, so large n costs time but only one block of memory per level.
+A series over n = 1 .. N sums a term per level of one walk.  Each quantity has one
 fast route, one independent oracle, and a check comparing the two (a
 ``verify transfer`` check, or a test of tests/test_transfer.py):
 
@@ -259,9 +259,9 @@ def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> comp
         den^(-2s) [f(t) + f(1 - t)],   den = p r x + rho q,   t = (mu x + rho nu) / den,
 
     times rho^((k+1)s): t and 1 - t are the images of x under the vertex's two branch words, and
-    den^(-2s) their common weight.  The level is summed over the blocks of :func:`spinchain._walk`,
-    so the memory is bounded by the walk's blocks, not by the 2^k vertices.  ValueError, before
-    any work, for r outside [0, 2) or k + 1 outside the n of :func:`_require_leaf_n`.
+    den^(-2s) their common weight.  The level is summed over the depth-first blocks of
+    :func:`spinchain._walk`, so the memory is one block per level, not the 2^k vertices.
+    ValueError, before any work, for r outside [0, 2) or k + 1 outside the n of :func:`_require_leaf_n`.
     """
     return _iterate(x, TransferQuery(s, r, k + 1), lambda t: f(t) + f(1.0 - t))
 

@@ -419,7 +419,7 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
         "periodic_sums_xi": lambda: transfer.periodic_sums_xi(q.n, q.s, q.r)[-1],
     }
     whole = {name: f() for name, f in routes.items()}
-    monkeypatch.setattr(spinchain, "_CHUNK_LEVELS", 3)  # level 8 in 32 blocks of 2^3
+    monkeypatch.setattr(spinchain, "_BLOCK_LEVELS", 3)  # level 8 in 32 blocks of 2^3
     for name, f in routes.items():
         assert abs(f() - whole[name]) <= 1e-13 * abs(whole[name]), name
 
@@ -433,7 +433,7 @@ def test_general_iterate_memory_below_one_level_table(monkeypatch):
     # level 16 in 2^8 blocks of 2^8 vertices: far below one whole level-16 (p, q) table
     from fareychain import spinchain
 
-    monkeypatch.setattr(spinchain, "_CHUNK_LEVELS", 8)
+    monkeypatch.setattr(spinchain, "_BLOCK_LEVELS", 8)
     k = 16
     table_bytes = 2 * (1 << k) * 8
     tracemalloc.start()
@@ -457,22 +457,32 @@ def test_general_iterate_rejects_before_work(monkeypatch):
 def test_series_take_one_walk(monkeypatch):
     from fareychain import spinchain
 
-    steps = []
+    columns = []
     step = spinchain._step
 
-    def counted_step(*args):
-        steps.append(args)
-        return step(*args)
+    def counted_step(x, *args):
+        columns.append(x.shape[1])
+        return step(x, *args)
 
     monkeypatch.setattr(spinchain, "_step", counted_step)
-    transfer.fredholm_and_zeta(0.5, 1.0, 0.55, N=14)
-    assert len(steps) == 13
-    steps.clear()
-    transfer.trace_sums(18, 1.1, 0.6, signed=True)
-    assert len(steps) == 17
-    steps.clear()
-    transfer.periodic_sums_xi(18, 1.1, 0.6)
-    assert len(steps) == 17
+    # one walk steps each vertex above its last level once, however the levels are blocked
+    for series, depth in ((lambda: transfer.fredholm_and_zeta(0.5, 1.0, 0.55, N=14), 13),
+                          (lambda: transfer.trace_sums(18, 1.1, 0.6, signed=True), 17),
+                          (lambda: transfer.periodic_sums_xi(18, 1.1, 0.6), 17)):
+        columns.clear()
+        series()
+        assert sum(columns) == 2**depth - 1
+
+
+def test_iterate_memory_bounded_by_blocks():
+    # n = 20: one whole level-19 (p, q, mu, nu) row alone is 16 MB
+    tracemalloc.start()
+    try:
+        transfer.iterate_character(0.3, TransferQuery(1.1, 0.6, 20), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_series_reject_empty():

@@ -1,11 +1,12 @@
-"""Differential checks of the bounded-memory level walk, of the CLI's input checks, and
+"""Differential checks of the blocked depth-first level walk, of the CLI's input checks, and
 of the two routes to the critical exponent.
 
-Every leaf and row series reads spinchain._walk, which hands over levels
-past depth - _CHUNK_LEVELS one seed's subtree at a time.  With
-_CHUNK_LEVELS at 1..4 a level of n <= 12 comes in many blocks, so these
-draws run the many-seed walk that rows longer than 2^20 take, against the
-whole rows that the default chunk gives at this size.
+Every leaf and row series reads spinchain._walk, which hands over levels up to
+2^_BLOCK_LEVELS columns as whole rows and every wider level in blocks of that width,
+walked depth first, so its memory is one pending block per level, not one row.  With
+_BLOCK_LEVELS at 1..4 a level of n <= 12 comes in many blocks, so these draws run the
+blocked walk that rows wider than 2^13 take, against the whole rows that the default
+block gives at this size.
 """
 
 import contextlib
@@ -59,7 +60,7 @@ def _single_n(n, s, r):
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 0.95), st.floats(0.3, 2.5), st.integers(1, 12), st.integers(1, 4))
-def test_chunked_walk_matches_whole_rows(r, s, n, chunk):
+def test_chunked_walk_matches_whole_rows(r, s, n, block):
     whole = _series(n, s, r)
     widths = []
     step = spinchain._step
@@ -70,19 +71,19 @@ def test_chunked_walk_matches_whole_rows(r, s, n, chunk):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spinchain, "_CHUNK_LEVELS", chunk)
+        mp.setattr(spinchain, "_BLOCK_LEVELS", block)
         mp.setattr(spinchain, "_step", recorded_step)
-        chunked = _series(n, s, r)
+        blocked = _series(n, s, r)
         single = _single_n(n, s, r)
-    assert max(widths, default=1) <= 2 ** max(chunk, n - 1 - chunk)
-    for name, (values, scale) in chunked.items():
+    assert max(widths, default=1) <= 2**block  # every stepped block, and so every summed one
+    for name, (values, scale) in blocked.items():
         reference = whole[name][0]
         assert len(values) == len(reference), name
         for a, b, c in zip(values, reference, reference if scale is None else scale):
             assert abs(a - b) <= 1e-13 * abs(c), (name, a, b)
     rho_ns = transfer._cpow(2.0 - r, n * complex(s))
     for name, value in single.items():
-        assert rho_ns * chunked[name][0][-1] == value, name
+        assert rho_ns * blocked[name][0][-1] == value, name
 
 
 _finite = st.floats(-10.0, 10.0)
