@@ -15,6 +15,7 @@ Three arithmetic modes back every computation:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -207,22 +208,28 @@ class Params:
         return Params.floating(self.r_float)
 
 
-def balanced_sum(values, zero=0):
-    """Pairwise-balanced sum; near-linear for exact fractions.
+def _add(x, y):
+    """x + y for fractions as (numerator, denominator) pairs of ints, by Fraction's two-gcd rule."""
+    (na, da), (nb, db) = x, y
+    g = math.gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    t = na * (db // g) + nb * (da // g)
+    g2 = math.gcd(t, g)
+    return t // g2, da // g * (db // g2)
 
-    A running Fraction sum over unlike denominators costs quadratic
-    big-integer work; reducing in a balanced tree keeps intermediate
-    denominators small.  Also usable for any associative addition.
-    """
-    vals = list(values)
-    if not vals:
-        return zero
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+
+def power_sum(values, s: int):
+    """sum of v^(-s) over nonzero ints, exactly: a Fraction for s > 0, the int sum of v^|s| for s <= 0.
+    Equal values are raised once (at level 10 a tree row has 267 distinct denominators in 1024),
+    and the terms count / v^s are added as int pairs in a balanced tree, one Fraction made at the end."""
+    counts = Counter(values)
+    if s <= 0:
+        return sum(c * v**-s for v, c in counts.items())
+    terms = [(c, v**s) for v, c in counts.items()] or [(0, 1)]
+    while len(terms) > 1:  # an odd last term waits for the next round
+        terms = [_add(x, y) for x, y in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return Fraction(*terms[0])
 
 
 def csum_complex(values) -> complex:

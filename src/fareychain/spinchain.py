@@ -18,8 +18,9 @@ interaction -Q_k^ is ferromagnetic for r in [0, 1].
 Every row in the package comes from one two-child kernel (_step): a
 level has one column per word, and the next level holds A x in its
 first half and B x in its second, for fixed child matrices (A, B) over
-the active ring (float, Fraction or RhoPoly); in flip order the second
-half is written reversed.  With L = [[1, 0], [r, rho]],
+the ring of the mode: float64, RhoPoly, or in exact mode ints, level j scaled
+by D0 D^j (_integral); in flip order the second half is written reversed.
+The exact tables divide once per entry (_entries).  With L = [[1, 0], [r, rho]],
 R = [[1, rho], [0, rho]] and SR = [[r-1, rho], [r, rho]]:
 
     tree rows (p, q)    root (1, 2)         L, SR               flip
@@ -79,13 +80,32 @@ def _tree_stream(params: Params):
     return (params.one, 2 * params.one), (L, SR), True
 
 
-def _dtype(params: Params) -> type:
-    return float if params.mode == "float" else object
+def _integral(stream, params: Params):
+    """(root, children, flip, D0, D) of stream(params), the root as a (dim, 1) array.  In exact mode
+    the root is scaled by the lcm D0 of its denominators and the children by the lcm D of theirs,
+    to ints, so level j holds its values times D0 D^j; other modes run as they are, D0 = D = 1."""
+    root, children, flip = stream(params)
+    d0 = d = 1
+    if params.mode == "exact":
+        d0 = math.lcm(*(v.denominator for v in root))
+        d = math.lcm(*(v.denominator for m in children for row in m for v in row))
+        root = [int(v * d0) for v in root]
+        children = tuple(tuple(tuple(int(v * d) for v in row) for row in m) for m in children)
+    return np.array(root, dtype=float if params.mode == "float" else object)[:, None], children, flip, d0, d
+
+
+def _entries(rows, scale: int, params: Params):
+    """A level's rows as the tables return them: float arrays as they are, others as lists, in
+    exact mode of Fractions, the integer numerators over `scale` divided once per entry."""
+    if params.mode == "float":
+        return rows
+    rows = rows.tolist()
+    return [[Fraction(v, scale) for v in row] for row in rows] if params.mode == "exact" else rows
 
 
 def _combine(row, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """out = sum_j row[j] x[j], skipping zero terms and unit factors: this
-    spares exact mode its costliest no-ops and keeps float rows
+    spares the object modes their costliest no-ops and keeps float rows
     bit-identical to the two-term recursions."""
     terms = [(c, xj) for c, xj in zip(row, x) if c != 0]
     for j, (c, xj) in enumerate(terms):
@@ -117,12 +137,11 @@ def _step(x: np.ndarray, children, flip: bool) -> np.ndarray:
 def _levels(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
     """Yield levels 0 .. depth of a stream as (dim, 2^j) arrays.
 
-    ``stream(params)`` gives (root, (A, B), flip).  The table cap of the
-    mode is checked before the first level.
+    ``stream(params)`` gives (root, (A, B), flip), run in the ring of :func:`_integral`.
+    The table cap of the mode is checked before the first level.
     """
     _check_cap(depth, params)
-    root, children, flip = stream(params)
-    x = np.array(root, dtype=_dtype(params))[:, None]
+    x, children, flip, _d0, _d = _integral(stream, params)
     yield x
     for _ in range(depth):
         x = _step(x, children, flip)
@@ -139,8 +158,7 @@ def _walk(stream, depth: int, params: Params) -> Iterator[Tuple[int, np.ndarray]
     change only by rounding.  The table cap of the mode is checked before the first level.
     """
     _check_cap(depth, params)
-    root, children, flip = stream(params)
-    x = np.array(root, dtype=_dtype(params))[:, None]
+    x, children, flip, _d0, _d = _integral(stream, params)
     yield 0, x
     stack = [(1, x)] if depth else []  # (level, the block of level - 1 that steps to it)
     while stack:
@@ -171,8 +189,16 @@ def _last(levels: Iterator[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _table(k: int, p: np.ndarray, q: np.ndarray) -> "PQTable":
-    return PQTable(k, p, q) if p.dtype == float else PQTable(k, p.tolist(), q.tolist())
+def _level_tables(stream, depth: int, params: Params) -> Iterator:
+    """Levels 0 .. depth of a stream as the tables return them (:func:`_entries`)."""
+    d0, d = _integral(stream, params)[3:]
+    return (_entries(x, d0 * d**j, params) for j, x in enumerate(_levels(stream, depth, params)))
+
+
+def _last_table(stream, depth: int, params: Params):
+    """Level `depth` alone as the tables return it: the levels above are stepped, not divided."""
+    d0, d = _integral(stream, params)[3:]
+    return _entries(_last(_levels(stream, depth, params)), d0 * d**depth, params)
 
 
 @dataclass(frozen=True)
@@ -190,7 +216,7 @@ class PQTable:
 
 def pq_tables(k: int, params: Params) -> PQTable:
     """Tables of p_k, q_k over all of (Z/2Z)^k via the two-term recursions."""
-    return _table(k, *_last(_levels(_tree_stream, k, params)))
+    return PQTable(k, *_last_table(_tree_stream, k, params))
 
 
 def pc_qc_tables(k: int, params: Params) -> PQTable:
@@ -206,26 +232,31 @@ def pc_qc_tables(k: int, params: Params) -> PQTable:
     the tree rows.  The canonical partition function at level n is the
     plain sum of qc_n(sigma)^(-s) over all n-bit words.
     """
+    return PQTable(k, *_entries(*_cumulative(k, params), params))
+
+
+def _cumulative(k: int, params: Params):
+    """((pc_k, qc_k), scale): kernel rows over the one scale D0 D^(k-1) of level k - 1."""
     if k < 1:
         raise ValueError("cumulative tables start at k = 1")
     _check_cap(k, params)
-    pc = np.empty(1 << k, dtype=_dtype(params))
-    qc = np.empty_like(pc)
-    pc[0], qc[0] = params.one - params.one, params.one
-    for m, (p, q) in enumerate(_levels(_tree_stream, k - 1, params)):
+    root, _children, _flip, d0, d = _integral(_tree_stream, params)
+    scale, one = d0 * d ** (k - 1), 1 if params.mode == "exact" else params.one
+    table = np.empty((2, 1 << k), dtype=root.dtype)
+    table[:, 0] = one - one, one * scale
+    for m, x in enumerate(_levels(_tree_stream, k - 1, params)):
         j = k - 1 - m
-        pc[1 << j :: 2 << j] = p
-        qc[1 << j :: 2 << j] = q
-    return _table(k, pc, qc)
+        table[:, 1 << j :: 2 << j] = x if d == 1 else x * d**j  # level m is over D0 D^m
+    return table, scale
 
 
 def fourier_transform(values, k: int | None = None):
     """Hypercube Fourier transform f^(t) = 2^-k sum_sigma f(sigma) (-1)^(sigma.t).
 
     Fast Walsh butterflies over a numpy array: a float array stays one and
-    comes back as one; any other input (Fractions, ints) runs as an object
-    array and comes back as an exact list.  The transform is its own inverse
-    up to the 2^-k normalization.
+    comes back as one; any other input (Fractions, ints) runs on its integer
+    numerators over one common denominator and comes back as an exact list,
+    one division per output.  The transform is its own inverse up to 2^-k.
     """
     n = len(values)
     if k is None:
@@ -235,7 +266,9 @@ def fourier_transform(values, k: int | None = None):
     if k > FOURIER_CAP:
         raise ValueError(f"k={k} exceeds the transform cap {FOURIER_CAP}")
     floating = isinstance(values, np.ndarray) and values.dtype == float
-    a = np.array(values, dtype=float if floating else object)
+    d = 1 if floating else math.lcm(*(v.denominator for v in values))  # the common denominator
+    a = np.array(values if floating else [v.numerator * (d // v.denominator) for v in values],
+                 dtype=float if floating else object)
     h = 1
     while h < n:
         a = a.reshape(-1, 2 * h)
@@ -245,7 +278,7 @@ def fourier_transform(values, k: int | None = None):
         a[:, h:] = x - y
         h *= 2
     a = a.reshape(n)
-    return a / n if floating else (a * Fraction(1, n)).tolist()
+    return a / n if floating else [Fraction(v, d * n) for v in a.tolist()]
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .rings import Params, balanced_sum
-from .spinchain import _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
+from .rings import Params, power_sum
+from .spinchain import _cumulative, _integral, _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
 from .transfer import (RETURN_DIM, _adaptive, _log_iterates_at_half, _pair_stream, return_log_lambda, return_root,
                        spectral_radius)
 
@@ -100,14 +100,16 @@ def grand_Z(k: int, s, params: Params):
     s = _require_integer_exponent(s, params)
     if params.r == 0:
         return params.one * 2**k * (2 * params.one) ** (-s * (k + 1))
-    return _last_level_sum(_tree_stream, k, params, lambda block: _row_sum(block[1], s, params))
+    d0, d = _integral(_tree_stream, params)[3:]
+    return _last_level_sum(_tree_stream, k, params, lambda block: _row_sum(block[1], s, params, d0 * d**k))
 
 
-def _row_sum(values, s, params: Params):
-    """sum of values^(-s): numpy's pairwise sum, or a balanced exact sum."""
+def _row_sum(values, s, params: Params, scale: int):
+    """sum of (values / scale)^(-s): in float mode numpy's pairwise sum (scale 1); in exact mode rings.power_sum
+    of the kernel's integer numerators times scale^s, scale = D0 D^level (see :func:`spinchain._integral`)."""
     if params.mode == "float":
         return float(np.sum(np.asarray(values) ** (-float(s))))
-    return balanced_sum([Fraction(1) / v**s for v in values], Fraction(0))
+    return power_sum(values.tolist(), s) * Fraction(scale) ** s
 
 
 def _grand_sums(k_max: int, s_values: Sequence, params: Params) -> List[List]:
@@ -115,8 +117,10 @@ def _grand_sums(k_max: int, s_values: Sequence, params: Params) -> List[List]:
     exponents = [_require_integer_exponent(s, params) for s in s_values]
     if params.r == 0:
         return [[grand_Z(k, s, params) for k in range(k_max + 1)] for s in exponents]
+    d0, d = _integral(_tree_stream, params)[3:]
     sums = _level_sums(_tree_stream, k_max, params,  # a level's sums, one entry per s
-                       lambda _level, block: np.array([_row_sum(block[1], s, params) for s in exponents], dtype=object))
+                       lambda level, block: np.array([_row_sum(block[1], s, params, d0 * d**level) for s in exponents],
+                                                     dtype=object))
     return [list(row) for row in zip(*sums)]
 
 
@@ -128,8 +132,8 @@ def canonical_Z(n: int, s, params: Params, method: str = "rows"):
     * ``transfer``    -- (1 + sum_{k<=n} rho^(-k s/2) (P^k 1)(1)) / 2,
       the operator-iterate identity, evaluated over extended rows.
 
-    The three agree exactly in exact mode and to rounding in float
-    mode; tests exercise the agreement.
+    The three agree exactly in exact mode (any integer s) and to rounding
+    in float mode; tests exercise the agreement.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -138,7 +142,8 @@ def canonical_Z(n: int, s, params: Params, method: str = "rows"):
         return sum(zg, params.one)
     if method == "cumulative":
         s = _require_integer_exponent(s, params)
-        return _row_sum(pc_qc_tables(n, params).q, s, params)
+        (_pc, qc), scale = _cumulative(n, params)
+        return _row_sum(qc, s, params, scale)
     if method == "transfer":
         return _canonical_via_transfer(n, s, params)
     raise ValueError(f"unknown method {method!r}")
@@ -146,12 +151,13 @@ def canonical_Z(n: int, s, params: Params, method: str = "rows"):
 
 def _canonical_via_transfer(n: int, s, params: Params):
     """2 Z^C_n(s) = 1 + sum_{k=0}^{n} rho^(-k s/2) (P_{s/2}^k 1)(1), where
-    (P^k 1)(1) = 2 rho^(ks/2) sum over the k-th extended row of (p r + rho q)^(-s)."""
+    (P^k 1)(1) = 2 rho^(ks/2) sum over the k-th extended row of (p r + rho q)^(-s); the rho^(ks/2)
+    cancel, so exact mode admits any integer s.  (r, rho) is SR's second row, over D in exact mode."""
     s = _require_integer_exponent(s, params)
-    if params.mode == "exact" and s % 2 != 0:
-        raise ValueError("the exact transfer route needs an even integer s")
-    sums = _level_sums(_pair_stream, n - 1, params,  # the rho prefactors cancel
-                       lambda _level, block: _row_sum(block[0] * params.r + params.rho * block[1], s, params))
+    _root, (_R, SR), _flip, d0, d = _integral(_pair_stream, params)
+    r, rho = SR[1]
+    sums = _level_sums(_pair_stream, n - 1, params,
+                       lambda level, block: _row_sum(block[0] * r + rho * block[1], s, params, d0 * d ** (level + 1)))
     return sum(sums, params.one)  # (the leading 1 + (P^0 1)(1) = 1 + 2 sum(sums)) / 2
 
 

@@ -71,7 +71,7 @@ import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import FLOAT_TABLE_CAP, _generators, _last, _last_level_sum, _level_sums, _levels, _tree_stream
+from .spinchain import FLOAT_TABLE_CAP, _generators, _last_level_sum, _last_table, _level_sums, _tree_stream
 
 BRUTE_CAP = 20
 ZETA_TOL = 1e-9  # fredholm_and_zeta's zeta is converged when its two routes and the last two ratios agree to this
@@ -154,8 +154,7 @@ def extended_pairs(n: int, params: Params) -> List[Tuple]:
     n = 1 is the root pair (1, 1); used by cross-construction checks
     against the reflected tree rows.
     """
-    p, q = _last(_levels(_pair_stream, n - 1, params))
-    return list(zip(p.tolist(), q.tolist()))
+    return list(zip(*_last_table(_pair_stream, n - 1, params)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from .maps import involution_pair
 from .rings import Params, RhoPoly
-from .spinchain import _levels, _tree_stream, pq_tables
+from .spinchain import _level_tables, _tree_stream, pq_tables
 from .words import SpinWord, all_words, label
 
 # rho used only to order symbolic nodes; the order is the same for all
@@ -139,7 +139,7 @@ def build_rows(n: int, params: Params) -> List[TreeRow]:
     """Rows 1 .. n of the tree, from one walk down the recursions."""
     if n < 1:
         return []
-    return [_tree_row(k + 1, p, q) for k, (p, q) in enumerate(_levels(_tree_stream, n - 1, params))]
+    return [_tree_row(k + 1, p, q) for k, (p, q) in enumerate(_level_tables(_tree_stream, n - 1, params))]
 
 
 def _tree_row(n: int, p: Sequence, q: Sequence) -> TreeRow:

@@ -270,14 +270,9 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
 def suite_thermo(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
 
-    ok = True
-    for rq in (Fraction(1, 3), Fraction(1, 2)):
-        p = Params.exact(rq)
-        for n in range(1, 11):
-            a = thermo.canonical_Z(n, 4, p)
-            if not (a == thermo.canonical_Z(n, 4, p, "cumulative") == thermo.canonical_Z(n, 4, p, "transfer")):
-                ok = False
-    out.append(CheckResult("thermo", "canonical Z: three routes agree exactly (n<=10)", _exact(ok), 0.0))
+    ok = all(len({thermo.canonical_Z(n, s, Params.exact(rq), m) for m in ("rows", "cumulative", "transfer")}) == 1
+             for rq in (Fraction(1, 3), Fraction(1, 2)) for n in range(1, 11) for s in (3, 4))
+    out.append(CheckResult("thermo", "canonical Z: three routes agree exactly (n<=10, s=3,4)", _exact(ok), 0.0))
 
     resid = 0.0
     p = Params.floating(0.7)
