@@ -168,9 +168,9 @@ def cmd_spin(args) -> int:
     p = _params(args)
     k = args.k
     if args.table == "q":
-        values = map(str, spinchain.pq_tables(k, p).q)
+        values = map(str, spinchain.q_table(k, p))
     elif args.table == "qhat":
-        values = map(str, spinchain.fourier_transform(spinchain.pq_tables(k, p).q, k))
+        values = map(str, spinchain.q_hat_table(k, p))
     else:  # interaction
         q_hat = spinchain.interaction_coefficients(k, p)
         values = map(repr, (-q_hat).tolist())
@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, mode=False, fmt=False)
     sp.set_defaults(func=cmd_zeta)
 
-    sp = sub.add_parser("lambda", help="spectral radius of the transfer operator")
+    sp = sub.add_parser("lambda", help="spectral radius of the transfer operator, r in [0, 1]: the first-return "
+                        "root (method: with its evaluations) or the fixed point's rho^-s; error_estimate <= --tol")
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         "thermo", help="Z^C, F_n, M_n sweep from operator iterates",
         description="Z^C_n, F_n and M_n for n = 2 .. N, r in [0, 1], from the operator iterates "
         "Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_(k+1) = rho^(-s/2) P_(s/2) f_k, on an adaptive "
-        f"Chebyshev compression (dim {', '.join(map(str, transfer.COLLOCATION_DIMS))}, each checked against "
+        f"Chebyshev compression (dim {', '.join(map(str, thermo.SWEEP_DIMS))}, each checked against "
         "3 dim/4).  Columns: "
         "r, s, n, ZC, Fn, Mn, logZC, error (the relative error of ZC, the absolute error of logZC) "
         "and dim.  ZC is empty where Z^C_n exceeds the float range; logZC is always given.  "

@@ -219,6 +219,22 @@ def pq_tables(k: int, params: Params) -> PQTable:
     return PQTable(k, *_last_table(_tree_stream, k, params))
 
 
+def q_table(k: int, params: Params) -> Sequence:
+    """pq_tables(k, params).q alone: the p row is stepped, never divided."""
+    d0, d = _integral(_tree_stream, params)[3:]
+    return _entries(_last(_levels(_tree_stream, k, params))[1:], d0 * d**k, params)[0]
+
+
+def q_hat_table(k: int, params: Params) -> Sequence:
+    """fourier_transform(q_table(k, params), k); in exact mode the butterflies run on the kernel's integer
+    numerators over their scale D0 D^k, so no entry is divided before the output."""
+    d0, d = _integral(_tree_stream, params)[3:]
+    q = _last(_levels(_tree_stream, k, params))[1]
+    if params.mode != "exact":
+        return fourier_transform(q, k)
+    return [Fraction(v, d0 * d**k << k) for v in _butterflies(np.array(q)).tolist()]
+
+
 def pc_qc_tables(k: int, params: Params) -> PQTable:
     """Tables of the cumulative polynomials pc_k, qc_k over (Z/2Z)^k.
 
@@ -267,9 +283,14 @@ def fourier_transform(values, k: int | None = None):
         raise ValueError(f"k={k} exceeds the transform cap {FOURIER_CAP}")
     floating = isinstance(values, np.ndarray) and values.dtype == float
     d = 1 if floating else math.lcm(*(v.denominator for v in values))  # the common denominator
-    a = np.array(values if floating else [v.numerator * (d // v.denominator) for v in values],
-                 dtype=float if floating else object)
-    h = 1
+    a = _butterflies(np.array(values if floating else [v.numerator * (d // v.denominator) for v in values],
+                              dtype=float if floating else object))
+    return a / n if floating else [Fraction(v, d * n) for v in a.tolist()]
+
+
+def _butterflies(a: np.ndarray) -> np.ndarray:
+    """sum_sigma a(sigma) (-1)^(sigma.t) for every t, by fast Walsh butterflies in a's own dtype (a is reused)."""
+    n, h = len(a), 1
     while h < n:
         a = a.reshape(-1, 2 * h)
         x = a[:, :h].copy()
@@ -277,8 +298,7 @@ def fourier_transform(values, k: int | None = None):
         a[:, :h] = x + y
         a[:, h:] = x - y
         h *= 2
-    a = a.reshape(n)
-    return a / n if floating else [Fraction(v, d * n) for v in a.tolist()]
+    return a.reshape(n)
 
 
 @dataclass(frozen=True)

@@ -38,18 +38,19 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .rings import Params, power_sum
 from .spinchain import _cumulative, _integral, _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import (RETURN_DIM, _adaptive, _log_iterates_at_half, _pair_stream, return_log_lambda, return_root,
+from .transfer import (RETURN_DIM, _chandrupatla, _log_iterates_at_half, _pair_stream, return_log_lambda, return_root,
                        spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
 SWEEP_TOL = 1e-12  # relative change of every Z^C_n from the 3 dim/4 rerun, beyond rounding
+SWEEP_DIMS = (48, 96, 192, 384)  # the sweep's Chebyshev dimensions, each checked against 3 dim/4
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -219,34 +220,6 @@ def _identity_magnetization(zg: Sequence[float], n: int) -> float:
     return numer / zc
 
 
-def _chandrupatla(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, tol: float):
-    """Shrink a bracket with g_lo > 0 >= g_hi to width <= tol by Chandrupatla's method (Adv. Eng. Softw. 28,
-    1997).  With a the newer end, b the other and c the end last dropped, the next point is the root of the
-    inverse quadratic interpolant through the three where Chandrupatla's test phi^2 < xi, (1 - phi)^2 < 1 - xi
-    (xi = (a - b) / (c - b), phi = (g_a - g_b) / (g_c - g_b)) puts it inside the bracket, and the midpoint
-    otherwise; either is kept tol/4 inside the ends.  Returns (lo, hi, g_lo, g_hi, evals)."""
-    evals = 0
-    a, g_a, b, g_b = lo, g_lo, hi, g_hi
-    t = 0.5  # the next point is a + t (b - a)
-    while abs(b - a) > tol:
-        guard = tol / 4 / abs(b - a)
-        x = a + min(max(t, guard), 1.0 - guard) * (b - a)
-        g_x = g(x)
-        evals += 1
-        if (g_x > 0) == (g_a > 0):
-            c, g_c = a, g_a
-        else:
-            c, g_c, b, g_b = b, g_b, a, g_a
-        a, g_a = x, g_x
-        xi, phi = (a - b) / (c - b), (g_a - g_b) / (g_c - g_b)
-        t = 0.5
-        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-            t = g_a / (g_b - g_a) * g_c / (g_b - g_c) + (c - a) / (b - a) * g_a / (g_c - g_a) * g_b / (g_c - g_b)
-    if g_a > 0:
-        return a, b, g_a, g_b, evals
-    return b, a, g_b, g_a, evals
-
-
 def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     """The critical exponent s_cr(r), r in [0, 1]: the root of log lambda_K(s/2), lambda_K the Perron
     eigenvalue of the first-return operator (:func:`transfer.return_log_lambda`), where
@@ -352,22 +325,26 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
         raise ValueError(f"n * len(s) = {n_max * len(s_values)} exceeds the sweep cap {SWEEP_CAP}")
     s = np.asarray(s_values, dtype=float)
 
-    def solve(dim: int, check_dim: int):
+    for dim in SWEEP_DIMS:
         with np.errstate(all="ignore"):  # an iterate that is not positive at 1/2 gives nan, failing the test
             log_zc, log_w = _log_sums(r, s, n_max, dim)
-            check = _log_sums(r, s, n_max, check_dim)[0]
+            check = _log_sums(r, s, n_max, 3 * dim // 4)[0]
             shift = np.abs(log_zc - check)
         floor = np.arange(1.0, n_max + 2.0)[:, None] * dim * np.finfo(float).eps
-        first_nans = [(*np.argwhere(np.isnan(log))[0], d) for d, log in ((dim, log_zc), (check_dim, check))
-                      if np.isnan(log).any()]  # (row, column, dim) of each run's first nan
-        return (log_zc, log_w, np.maximum(shift, floor), first_nans), float(np.max(shift - floor))
-
-    def not_positive(result) -> str:  # a nan log Z^C_(n+1) of a run comes from its log f_n(1/2) of nan
-        row, j, run = min(result[3])
-        return (f"in the dim {run} run the iterate f_n at 1/2 is not positive and finite, "
-                f"first at n={row - 1}, s={s_values[j]}")
-
-    (log_zc, log_w, error, _nans), _term, dim = _adaptive(solve, SWEEP_TOL, f"Z^C at r={r}", not_positive)
+        term = float(np.max(shift - floor))
+        if term <= SWEEP_TOL:
+            break
+    else:
+        if math.isfinite(term):
+            raise ArithmeticError(f"Z^C at r={r}: dim vs 3 dim/4 term {term:.3g} > {SWEEP_TOL:.3g} at dim {dim}, "
+                                  "the top of the ladder")
+        # the first nan of each run: a nan log Z^C_(n+1) comes from a log f_n(1/2) of nan
+        row, j, run = min((*np.argwhere(np.isnan(log))[0], d) for d, log in ((dim, log_zc), (3 * dim // 4, check))
+                          if np.isnan(log).any())
+        raise ArithmeticError(f"Z^C at r={r}: dim vs 3 dim/4 term not finite at dim {dim}, the top of the ladder; "
+                              f"in the dim {run} run the iterate f_n at 1/2 is not positive and finite, "
+                              f"first at n={row - 1}, s={s_values[j]}")
+    error = np.maximum(shift, floor)
     n = np.arange(2.0, n_max + 1.0)[:, None]
     fn = (math.log(2.0) + log_zc[1:-1]) / n
     mn = 1.0 - np.exp(log_w[2:] - log_zc[2:]) / n

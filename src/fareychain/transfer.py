@@ -9,13 +9,13 @@ applied to any f collapses to a sum over the 2^(n-1) vertices of the
 n-th extended tree row, and its traces collapse to sums over tree leaves
 of the matrix-presentation traces (T_0, T_1).
 Every closed form here is paired with a brute-force branch-word oracle
-that sums over all 2^n inverse-branch compositions directly.  Spectral
-data come from the Chebyshev compression (:func:`collocation_spectrum`) at
-the first dim of COLLOCATION_DIMS that meets the tolerance against the
-3 dim/4 rerun (:func:`_adaptive`).  The critical exponent comes from the
-first-return operator K on [1/2, 1] (:func:`return_log_lambda`), one
-collocation of fixed size for every r in [0, 1], its sigma-independent arrays
-built in one pass per r and cached; the Chebyshev compression of P is its oracle.
+that sums over all 2^n inverse-branch compositions directly.  The leading
+eigenvalue and the critical exponent both come from the first-return operator
+K on [1/2, 1] (:func:`return_log_lambda`), one collocation of fixed size for
+every r in [0, 1], its sigma-independent arrays built in one pass per r and
+cached: s_cr is the root of log lambda_K in s, lambda_{s,r} its root in the
+weight e^(-eps m) of the m-th term.  The Chebyshev compression of P at a fixed
+dim (:func:`collocation_spectrum`) is the oracle of both.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -39,9 +39,9 @@ fast route, one independent oracle, and a check comparing the two (a
     trace(P^n)        trace_sums          trace_power_bruteforce    "trace leaf formula vs fixed-point oracle (n<=8)"
     Xi_n(s)           periodic_sums_xi    periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
     zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
-    lambda_{s,r}      spectral_radius     _power_radius             "power ratios vs collocation (r <= 0.9)"
+    lambda_{s,r}      spectral_radius     collocation_spectrum      "lambda: first-return operator vs Chebyshev compression"
     s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
-                      each rooted by Chandrupatla's bracketed search (thermo._chandrupatla)
+                      each rooted by Chandrupatla's bracketed search (:func:`_chandrupatla`)
 
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
@@ -71,11 +71,10 @@ import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import FLOAT_TABLE_CAP, _generators, _last_level_sum, _last_table, _level_sums, _tree_stream
+from .spinchain import FLOAT_TABLE_CAP, _generators, _last_level_sum, _last_table, _level_sums
 
 BRUTE_CAP = 20
 ZETA_TOL = 1e-9  # fredholm_and_zeta's zeta is converged when its two routes and the last two ratios agree to this
-COLLOCATION_DIMS = (48, 96, 192, 384)  # the adaptive ladder; dim d is checked against 3d/4
 
 
 @dataclass(frozen=True)
@@ -517,49 +516,8 @@ def trace_closed_n1(s: complex, r: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Spectral radius
+# Chebyshev compression
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralRadius:
-    value: float
-    error: float
-    method: str
-    dim: int
-
-
-def _power_sums(s: float, r: float, n_max: int) -> List[float]:
-    """a_n = (P^n 1)(1) = 2 rho^(ns) sum_sigma q_{n-1}(sigma)^(-2s), n = 1 .. n_max.
-
-    Row k+1 of q is r p_k + rho q_k followed by its reverse (L and SR
-    share their second row), so a_{k+2} = 4 rho^((k+2)s) sum (r p_k +
-    rho q_k)^(-2s) comes from row k and row n_max - 1 is never built.
-    """
-    rho = 2.0 - r
-    rows = [] if n_max < 2 else _level_sums(_tree_stream, n_max - 2, Params.floating(r),
-                                            lambda _level, x: float(np.sum((r * x[0] + rho * x[1]) ** (-2.0 * s))))
-    return [2.0 * rho**s * 2.0 ** (-2.0 * s)] + [4.0 * rho ** ((k + 2) * s) * row for k, row in enumerate(rows)]
-
-
-def _power_radius(s: float, r: float) -> float:
-    """The oracle of :func:`spectral_radius`: the ratios a_{k+1}/a_k, k < 20, of
-    :func:`_power_sums`, Aitken-transformed again only while that shrinks the
-    spread of the last two terms (past that floor the transforms settle on a
-    spurious limit).  The spread under-reports the error, so none is
-    returned; ``verify transfer`` holds the value to a fixed tolerance."""
-    a = np.array(_power_sums(s, r, 20))
-    seq = a[1:] / a[:-1]
-    spread = abs(float(seq[-1] - seq[-2]))
-    while len(seq) >= 5:
-        d1, d2 = seq[1:-1] - seq[:-2], seq[2:] - 2.0 * seq[1:-1] + seq[:-2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = seq[:-2] - d1 * d1 / d2  # Aitken's transform
-        nxt_spread = abs(float(nxt[-1] - nxt[-2]))
-        if not np.all(np.isfinite(nxt)) or nxt_spread >= spread:
-            break
-        seq, spread = nxt, nxt_spread
-    return float(seq[-1])
 
 
 def _chebyshev_nodes(dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -632,46 +590,8 @@ def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarr
     return np.cumsum(logs, axis=0)
 
 
-def _adaptive(solve: Callable, bound: float, what: str, not_finite: Optional[Callable] = None):
-    """(result, term, dim) at the first dim of COLLOCATION_DIMS where
-    ``solve(dim, 3 dim/4)`` = (result, term) has term <= bound, the term
-    measuring the change from the smaller dim; ArithmeticError past the last, naming
-    the term or that it is not finite, and then why, ``not_finite(result)``, if given."""
-    for dim in COLLOCATION_DIMS:
-        result, term = solve(dim, 3 * dim // 4)
-        if term <= bound:
-            return result, term, dim
-    if math.isfinite(term):
-        raise ArithmeticError(f"{what}: dim vs 3 dim/4 term {term:.3g} > {bound:.3g} at dim {dim}, the top of the ladder")
-    why = f"; {not_finite(result)}" if not_finite else ""
-    raise ArithmeticError(f"{what}: dim vs 3 dim/4 term not finite at dim {dim}, the top of the ladder{why}")
-
-
-def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
-    """Leading eigenvalue of P_{s,r} for real s, r < 1: the Perron eigenvalue
-    of :func:`collocation_spectrum` at the first dim of 48, 96, 192, 384 where
-    it moves by at most tol from the 3 dim/4 rerun; that change, floored at
-    1e-14, is the error.  The power ratios (:func:`_power_radius`) are its oracle.
-    ValueError, before any solve, for r >= 1 or a tol that is not finite or is below that floor.
-    """
-    if r >= 1:
-        raise ValueError("spectral radius requires r < 1")
-    if not 1e-14 <= tol < math.inf:  # the error is floored at 1e-14, so a smaller tol is never met
-        raise ValueError(f"tol={tol} must be finite and at least 1e-14")
-    if complex(s).imag != 0:
-        raise ValueError("spectral radius is defined here for real s")
-    s = complex(s).real
-
-    def solve(dim: int, check_dim: int):
-        lam = _collocation_lambda(s, r, dim)
-        return lam, max(abs(lam - _collocation_lambda(s, r, check_dim)), 1e-14)
-
-    lam, err, dim = _adaptive(solve, tol, f"lambda at s={s}, r={r}")
-    return SpectralRadius(lam, err, "collocation", dim)
-
-
 # ---------------------------------------------------------------------------
-# First-return operator on [1/2, 1]
+# First-return operator on [1/2, 1]: s_cr and the spectral radius
 # ---------------------------------------------------------------------------
 
 
@@ -690,6 +610,7 @@ def _gregory_weights(n: int) -> np.ndarray:
 
 
 _POINT_WEIGHTS = np.concatenate([np.ones(RETURN_DIRECT - 1), _gregory_weights(16)])  # m = 1 .. M + 15
+_POINT_M = np.arange(1.0, len(_POINT_WEIGHTS) + 1)
 
 
 def _tail_nodes(split: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -723,23 +644,32 @@ def _taylor_basis(dim: int) -> np.ndarray:
 
 
 class _ReturnOperator(NamedTuple):
-    """The sigma-independent arrays of K_sigma collocated at one (r, dim); n points, P tail nodes."""
+    """The sigma-independent arrays of K_sigma collocated at one (r, dim, cut); n points, P tail nodes."""
 
     log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
     rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
     log_dm: np.ndarray  # (dim,): log D_M(x_i)
     vander: np.ndarray  # (dim, dim): t_i^p, t = x_i / D_M
     lam: np.ndarray  # (dim,)
+    log_rho: np.ndarray  # (): L
     v: np.ndarray  # (P,)
+    weights: np.ndarray  # (P,): :func:`_tail_nodes`
     tail: np.ndarray  # (dim, P): node weights / (L + lam_i e^(-v))
     even: np.ndarray  # (P,): :func:`_tail_nodes`
     powers: np.ndarray  # (P, dim): e^(-p v)
     taylor: np.ndarray  # (dim, dim): :func:`_taylor_basis`
 
 
+def _tail_cut(eps: float) -> float:
+    """The v past which e^(-eps m) < 1/e at every x_i, log1p(1 / ((M + 1) eps)) rounded up to a half (m - M =
+    expm1(v) / t while D_m grows linearly, t <= 1 / (M + 1)); inf for eps <= 0."""
+    x = (RETURN_DIRECT + 1) * eps
+    return math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
+
+
 @lru_cache(maxsize=4)
-def _return_operator(r: float, dim: int) -> _ReturnOperator:
-    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], cached per (r, dim).
+def _return_operator(r: float, dim: int, cut: float = math.inf) -> _ReturnOperator:
+    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], cached per (r, dim, cut).
 
     With D_m = D_m(x_i), M = RETURN_DIRECT, t = x_i / D_M and L = log rho, the terms m < M + 16 enter
     one by one, Gregory's end weights from M on.  They stand in for the sum from M with the integral from
@@ -748,8 +678,9 @@ def _return_operator(r: float, dim: int) -> _ReturnOperator:
     polynomial in t e^(-v) is exact and, as t <= 1/(M + 1), well conditioned, so the integral needs only
     the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i.  They split at v* = log(lam / L),
     where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if lam <= L,
-    and at r = 1, where the first form holds throughout).  The basis is taken in distances from 1, so
-    1 - x_i/D_m does not round against 1.
+    and at r = 1, where the first form holds throughout), or at cut if that is lower (:func:`_tail_cut`):
+    past it a weight e^(-eps m) kills the integrand double-exponentially, faster than the middle of a long
+    tanh-sinh rule resolves.  The basis is taken in distances from 1, so 1 - x_i/D_m does not round against 1.
     """
     y, bw = _chebyshev_nodes(dim)
     y = 0.5 * y  # 1 - x
@@ -758,61 +689,179 @@ def _return_operator(r: float, dim: int) -> _ReturnOperator:
     D = r * x[:, None] * np.cumsum(rho_m[:-1]) + rho_m[1:]  # g_m = sum_{j<m} rho^j: no (rho^m - 1) / (1 - r)
     t = x / D[:, RETURN_DIRECT - 1]
     lam = r * t * (L / delta if delta else 1.0)
-    split = math.log(r * t[dim // 2] / delta) if r * t[dim // 2] > delta > 0 else 0.0
+    split = min(math.log(r * t[dim // 2] / delta), cut) if r * t[dim // 2] > delta > 0 else 0.0
     v, weights, even = _tail_nodes(split)
     op = _ReturnOperator(np.log(D), _barycentric(y, bw, x[:, None] / D), np.log(D[:, RETURN_DIRECT - 1]),
-                         np.vander(t, dim, increasing=True), lam, v, weights / (L + np.outer(lam, np.exp(-v))), even,
-                         np.exp(-np.outer(v, np.arange(dim))), _taylor_basis(dim))
+                         np.vander(t, dim, increasing=True), lam, np.array(L), v, weights,
+                         weights / (L + np.outer(lam, np.exp(-v))), even, np.exp(-np.outer(v, np.arange(dim))),
+                         _taylor_basis(dim))
     for a in op:
         a.flags.writeable = False
     return op
 
 
-def _return_matrix(op: _ReturnOperator, s: float, point_factor=1.0, tail_factor=1.0) -> np.ndarray:
-    """The collocation matrix of K_(s/2), the factors multiplying the point terms and the tail nodes."""
-    a = point_factor * _POINT_WEIGHTS * np.exp(-s * op.log_d)
-    b = tail_factor * op.tail * np.exp(-s * op.v) * np.exp(-s * op.log_dm)[:, None]
-    moments = (b @ op.powers) * op.vander
-    return np.matmul(a[:, None, :], op.rows)[:, 0] + moments @ op.taylor.T
+def _tail_m(op: _ReturnOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, u_line): u = m - M of the terms each tail node stands for, D_m = D_M e^v, log1p(c expm1(v)) / L with
+    c = L / (L + lam), and the intercept log(c) / L of its asymptote u_line + v / L; u = expm1(v) / t at r = 1."""
+    L = float(op.log_rho)
+    c = L / (L + op.lam)
+    if not L:
+        return np.outer(1.0 / op.lam, np.expm1(op.v)), c  # c = 0: no asymptote is used at r = 1
+    return np.log1p(np.outer(c, np.expm1(op.v))) / L, np.log(c) / L
+
+
+def _return_matrix(op: _ReturnOperator, s: float, eps: float = 0.0, rule=1.0, factors=(1.0, 1.0, 1.0, 0.0)):
+    """The collocation matrix of K_(s/2), its m-th term weighted by e^(-eps m), the tail node weights times rule,
+    and the point terms and tail nodes times factors (point, tail, alpha, beta), alpha + beta v the tail factor's
+    asymptote: the factors of d/ds or -d/d eps of each term give that derivative of K (:func:`return_root`).
+
+    For r < 1 the tail integrand decays like h e^(-(a + p) v), h = D_M^(-s) e^(-eps (M + u_line)) / L
+    (:func:`_tail_m`), a = s + eps / L, which the nodes integrate to rounding for a >= 1/2.  Below that (eps < 0,
+    toward the edge a = 0, where the terms' sum diverges) the nodes' sum of it times alpha + beta v is swapped
+    for the exact alpha / (a + p) + beta / (a + p)^2; the rest decays like e^(-(a + p + 1) v)."""
+    point, tail, alpha, beta = factors
+    u, u_line = _tail_m(op) if eps else (0.0, 0.0)  # eps = 0 (s_cr): no shifted exponent arrays are built
+    a = point * _POINT_WEIGHTS * np.exp(-s * op.log_d - eps * _POINT_M if eps else -s * op.log_d)
+    # e^(-eps M) joins D_M^(-s), so that e^(-eps u) stays finite
+    scale = np.exp(-s * op.log_dm - eps * RETURN_DIRECT if eps else -s * op.log_dm)
+    b = rule * tail * op.tail * np.exp(-s * op.v - eps * u if eps else -s * op.v) * scale[:, None]
+    moments = b @ op.powers
+    L = float(op.log_rho)
+    if L and s + eps / L < 0.5:
+        decay = s + eps / L + np.arange(len(scale))
+        nodes = (rule * op.weights)[:, None] * np.exp(-np.outer(op.v, decay))  # (P, dim)
+        h = scale * np.exp(-eps * u_line) / L
+        moments += np.outer(h * alpha, 1.0 / decay - nodes.sum(axis=0))
+        if beta:
+            moments += np.outer(h * beta, 1.0 / decay**2 - op.v @ nodes)
+    return np.matmul(a[:, None, :], op.rows)[:, 0] + (moments * op.vander) @ op.taylor.T
 
 
 def _perron(K: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(K).real))
 
 
-def return_log_lambda(s: float, r: float) -> float:
-    """log lambda_K(s/2), lambda_K the Perron eigenvalue of the first-return operator at RETURN_DIM points.
+def return_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
+    """log lambda_K(s/2), lambda_K the Perron eigenvalue of the first-return operator at RETURN_DIM points,
+    its m-th term weighted by e^(-eps m).
 
     K_sigma is the operator P_sigma induces on [1/2, 1]: the words Phi_1 Phi_0^(m-1) = 1 - Phi_0^m
     (:func:`maps.left_branch_power`), weighted by rho^(-m sigma) |(Phi_0^m)'|^sigma, give (K_sigma f)(x) =
     sum_{m>=1} D_m(x)^(-2 sigma) f(1 - x/D_m(x)), D_m = r (1 + rho + ... + rho^(m-1)) x + rho^m.
-    rho^(-sigma) P_sigma has spectral radius 1 exactly where lambda_K = 1, which makes s_cr the root.
+    rho^(-sigma) P_sigma has spectral radius e^eps exactly where lambda_K(eps) = 1, which makes s_cr the
+    root at eps = 0 and g = log lambda_sigma - sigma log rho the root in eps (:func:`spectral_radius`).
     The functions live away from the neutral fixed point and stay analytic as r -> 1, so one size serves
-    all of r in [0, 1] (2 sigma > 1 at r = 1, where K_1 is the Gauss-map operator, lambda_K = 1)."""
-    return math.log(_perron(_return_matrix(_return_operator(float(r), RETURN_DIM), s)))
+    all of r in [0, 1] (2 sigma > 1 at r = 1, eps = 0, where K_1 is the Gauss-map operator, lambda_K = 1)."""
+    return math.log(_perron(_return_matrix(_return_operator(float(r), RETURN_DIM, _tail_cut(eps)), s, eps)))
 
 
-def return_root(s: float, r: float) -> Tuple[float, float, float, float]:
-    """(d log lambda_K / ds, the mean return time d log lambda_K / d log z with z^m weighting the m-th term,
-    the dim term |log lambda_K at 3 dim/4 points - at dim|, the step term |by the 2h rule - by the h rule|)
-    at s.  The derivatives are Hellmann-Feynman's l K' v / (l K v) over the left and right Perron vectors.
-    The mean return time is infinite at r = 1, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
-    op = _return_operator(float(r), RETURN_DIM)
-    K = _return_matrix(op, s)
+def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, float, float]:
+    """(d log lambda_K / ds, the mean return time -d log lambda_K / d eps, the dim term |log lambda_K at
+    3 dim/4 points - at dim|, the step term |by the 2h rule - by the h rule|) at (s, eps).  The derivatives
+    are Hellmann-Feynman's l K' v / (l K v) over the left and right Perron vectors, K' from the factors
+    -log D_m and m of each term (:func:`_return_matrix`).  The mean return time is infinite at r = 1,
+    eps = 0, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
+    op, op_check = (_return_operator(float(r), dim, _tail_cut(eps)) for dim in (RETURN_DIM, 3 * RETURN_DIM // 4))
+    K = _return_matrix(op, s, eps)
     (vals, right), (vals_t, left) = np.linalg.eig(K), np.linalg.eig(K.T)
     lam, right, left = float(np.max(vals.real)), right[:, np.argmax(vals.real)], left[:, np.argmax(vals_t.real)]
 
-    def log_derivative(point_factor, tail_factor) -> float:
-        return float((left @ _return_matrix(op, s, point_factor, tail_factor) @ right / (left @ K @ right)).real)
+    def log_derivative(*factors) -> float:
+        return float((left @ _return_matrix(op, s, eps, 1.0, factors) @ right / (left @ K @ right)).real)
 
-    mean = math.inf
-    if r < 1:
-        L = math.log1p(1.0 - r)  # a node stands for the terms around m = M + u(v), D(M + u) = D_M e^v
-        m_tail = RETURN_DIRECT + np.log1p(np.outer(L / (L + op.lam), np.expm1(op.v))) / L
-        mean = log_derivative(np.arange(1.0, len(_POINT_WEIGHTS) + 1), m_tail)
-    step = abs(math.log(_perron(_return_matrix(op, s, 1.0, op.even)) / lam))
-    dim = abs(math.log(_perron(_return_matrix(_return_operator(float(r), 3 * RETURN_DIM // 4), s)) / lam))
-    return log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v)), mean, dim, step
+    mean, L = math.inf, float(op.log_rho)
+    if r < 1 or eps:
+        u, u_line = _tail_m(op)  # a node stands for the terms around m = M + u, u = u_line + v / L + ...
+        u += RETURN_DIRECT
+        mean = log_derivative(_POINT_M, u, RETURN_DIRECT + u_line, 1.0 / L if L else 0.0)
+    step = abs(math.log(_perron(_return_matrix(op, s, eps, op.even)) / lam))
+    dim = abs(math.log(_perron(_return_matrix(op_check, s, eps)) / lam))
+    return log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v), -op.log_dm, -1.0), mean, dim, step
+
+
+@dataclass(frozen=True)
+class SpectralRadius:
+    value: float
+    error: float
+    method: str
+    dim: int
+
+
+def _chandrupatla(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, tol: float):
+    """Shrink a bracket with g_lo > 0 >= g_hi to width <= tol by Chandrupatla's method (Adv. Eng. Softw. 28,
+    1997).  With a the newer end, b the other and c the end last dropped, the next point is the root of the
+    inverse quadratic interpolant through the three where Chandrupatla's test phi^2 < xi, (1 - phi)^2 < 1 - xi
+    (xi = (a - b) / (c - b), phi = (g_a - g_b) / (g_c - g_b)) puts it inside the bracket, and the midpoint
+    otherwise; either is kept tol/4 inside the ends.  Returns (lo, hi, g_lo, g_hi, evals)."""
+    evals = 0
+    a, g_a, b, g_b = lo, g_lo, hi, g_hi
+    t = 0.5  # the next point is a + t (b - a)
+    while abs(b - a) > tol:
+        guard = tol / 4 / abs(b - a)
+        x = a + min(max(t, guard), 1.0 - guard) * (b - a)
+        g_x = g(x)
+        evals += 1
+        if (g_x > 0) == (g_a > 0):
+            c, g_c = a, g_a
+        else:
+            c, g_c, b, g_b = b, g_b, a, g_a
+        a, g_a = x, g_x
+        xi, phi = (a - b) / (c - b), (g_a - g_b) / (g_c - g_b)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = g_a / (g_b - g_a) * g_c / (g_b - g_c) + (c - a) / (b - a) * g_a / (g_c - g_a) * g_b / (g_c - g_b)
+    if g_a > 0:
+        return a, b, g_a, g_b, evals
+    return b, a, g_b, g_a, evals
+
+
+def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
+    """Leading eigenvalue lambda_s of P_{s,r}, real s, r in [0, 1]: g = log lambda_s - s log rho is the root in
+    eps of log lambda_K(eps), :func:`return_log_lambda` at 2s with the m-th term weighted by e^(-eps m).
+
+    The terms sum above the edge eps = -2s log rho, where lambda_s meets mu_0 = rho^-s, the eigenvalue of the
+    fixed point 0.  :func:`_chandrupatla` shrinks [edge + w, edge + top] to 1/16 in log(eps - edge), where
+    log lambda_K is near linear however close to the edge the root lies, then to w in eps: w moves lambda_s by
+    tol / 4 or less (but is kept within 8 float spacings of eps and 1/16), top = log 2 + 1/4 (plus 2|s|
+    log(2 / rho) for s < 0) clears g, as lambda_s <= sup P_s 1.  Where log lambda_K(edge + w) <= 0, lambda_s
+    = mu_0 (so at r = 1 for s >= 1).  The error of g is the distance from the secant root to the far bracket
+    end plus the dim and 2h terms of :func:`return_root` over the mean return time |d log lambda_K / d eps|;
+    for mu_0, w plus what of those terms log lambda_K(edge + w) does not clear (the mean return time is >= 1).
+    ArithmeticError if lambda_s expm1(that) exceeds tol; ValueError, before any solve, for r outside [0, 1],
+    complex s, or a tol below 1e-14 or not finite.  :func:`collocation_spectrum` is the oracle."""
+    if not 0 <= r <= 1:
+        raise ValueError(f"the spectral radius is computed for r in [0, 1], got r={r}")
+    if not 1e-14 <= tol < math.inf:  # lambda is not resolved much below rounding
+        raise ValueError(f"tol={tol} must be finite and at least 1e-14")
+    if complex(s).imag != 0:
+        raise ValueError("spectral radius is defined here for real s")
+    s, L = complex(s).real, math.log1p(1.0 - r)
+    edge, top = -2.0 * s * L, math.log(2.0) + 0.25 + max(0.0, 2.0 * s * (L - math.log(2.0)))
+    g_tol = float(np.logaddexp(0.0, math.log(tol) - edge - top - s * L))  # log1p(tol / U), U = e^(edge + top + sL)
+    width = max(min(g_tol / 4.0, 1 / 16), 8.0 * math.ulp(abs(edge) + top))
+    g = lambda eps: return_log_lambda(2.0 * s, r, eps)
+    g_w = lambda w: g(edge + math.exp(w))  # w = log(eps - edge)
+    lo, hi = math.log(width), math.log(top)
+    g_lo = g_w(lo)
+    if g_lo <= 0:
+        dim_term, step_term = return_root(2.0 * s, r, edge + width)[2:]
+        root, error, method = edge, width + max(0.0, g_lo + dim_term + step_term), "fixed point 0: mu_0 = rho^-s"
+    else:
+        g_hi = g_w(hi)
+        if not g_hi < 0:
+            raise ArithmeticError(f"lambda at s={s}, r={r}: log lambda_K({edge + top}) = {g_hi} is not below 0")
+        lo, hi, g_lo, g_hi, evals = _chandrupatla(g_w, lo, hi, g_lo, g_hi, 1 / 16)
+        lo, hi, g_lo, g_hi, more = _chandrupatla(g, edge + math.exp(lo), edge + math.exp(hi), g_lo, g_hi, width)
+        root = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        _d_log, mean, dim_term, step_term = return_root(2.0 * s, r, root)
+        error = max(root - lo, hi - root) + (dim_term + step_term) / mean
+        method = f"first-return root; {evals + more + 2} evals"
+    value = math.exp(root + s * L)
+    error = value * math.expm1(error)
+    if not error <= tol:
+        raise ArithmeticError(f"lambda at s={s}, r={r}: error {error:.3g} > tol {tol:.3g} "
+                              f"(dim term {dim_term:.3g}, 2h term {step_term:.3g})")
+    return SpectralRadius(value, error, method, RETURN_DIM)
 
 
 def involution_residual(s: float, r: float, n: int = 16) -> float:

@@ -253,10 +253,11 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
         resid = max(resid, abs(transfer.spectral_radius(1.0, r, tol=1e-10).value - 1.0))
     out.append(CheckResult("transfer", "spectral radius: tent closed form and fixed density", resid, 1e-8))
 
-    # the power ratios converge too slowly past s = 1 near r = 0.9
-    resid = max(abs(transfer._power_radius(s, r) / transfer.spectral_radius(s, r, tol=1e-12).value - 1.0)
-                for r in (0.3, 0.6, 0.9) for s in (0.5, 1.0))
-    out.append(CheckResult("transfer", "power ratios vs collocation (r <= 0.9)", resid, 1e-7))
+    # then four points with g 2e-6 .. 4e-2 above the edge -2 s log rho, where the induced sum diverges, and r = 1
+    points = [(r, s) for r in (0.3, 0.6, 0.9, 0.99) for s in (0.5, 1.0, 1.5)]
+    resid = max(abs(transfer.spectral_radius(s, r, tol=1e-10).value - transfer._collocation_lambda(s, r, 384))
+                for r, s in points + [(0.9, 1.5), (0.5, 3.0), (0.99, 1.5), (0.9, 3.0), (1.0, 0.75)])
+    out.append(CheckResult("transfer", "lambda: first-return operator vs Chebyshev compression", resid, 1e-10))
 
     resid = max(
         transfer.involution_residual(1.0, 0.5, n=14),
@@ -329,7 +330,7 @@ def suite_thermo(seed: int = 0) -> List[CheckResult]:
         def g(s: float, r=r) -> float:
             return math.log(transfer._collocation_lambda(s / 2.0, r, 192)) - s / 2.0 * math.log(2.0 - r)
 
-        lo, hi, g_lo, g_hi, _evals = thermo._chandrupatla(g, 1e-3, 2.0, g(1e-3), g(2.0), 1e-11)
+        lo, hi, g_lo, g_hi, _evals = transfer._chandrupatla(g, 1e-3, 2.0, g(1e-3), g(2.0), 1e-11)
         s_cheb = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         resid = max(resid, abs(thermo.critical_line(Params.floating(r), tol=1e-10).s_cr - s_cheb))
     out.append(CheckResult("thermo", "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)", resid, 1e-9))

@@ -124,10 +124,13 @@ def test_thermo_sweep(capsys):
 
 
 def test_lambda_jsonl(capsys):
-    code, out = run(capsys, "lambda", "--s", "2", "--r", "0")
-    assert code == 0
-    rec = json.loads(out.splitlines()[1])
-    assert rec["value"] == pytest.approx(0.5, abs=1e-10)
+    # 2^(1-s) at r = 0; at r = 1 the induced root for s < 1, and from s = 1, where 2s = s_cr = 2, on the fixed
+    # point's mu_0 = 1
+    for r, s, value in (("0", "2", 0.5), ("1", "0.75", None), ("1", "1", 1.0), ("1", "1.5", 1.0)):
+        code, out = run(capsys, "lambda", "--s", s, "--r", r)
+        rec = json.loads(out.splitlines()[1])
+        assert code == 0 and rec["dim"] == 16 and math.isfinite(rec["error_estimate"]), rec
+        assert value is None or abs(rec["value"] - value) <= rec["error_estimate"] <= 1e-10, rec
 
 
 def test_zeta_number_theory_table_streams(monkeypatch):
@@ -204,7 +207,7 @@ def test_conjugacy_records_stream(monkeypatch):
 
 def test_spin_refuses_a_mode_its_table_is_not_computed_in(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(spinchain, "pq_tables", lambda *a: built.append(a))
+    monkeypatch.setattr(spinchain, "_levels", lambda *a: built.append(a))  # every table is built by it
     for argv in (("--mode", "symbolic", "--table", "qhat"),
                  ("--mode", "symbolic", "--table", "interaction"),
                  ("--mode", "exact", "--r", "1/3", "--table", "interaction")):

@@ -65,6 +65,9 @@ def test_tables_equal_fraction_recursion(r, k):
     levels = _tree_levels(k + 1, r)
     table = spinchain.pq_tables(k, params)
     assert (table.p, table.q) == levels[k] and _all_fractions(table.p, table.q)
+    q_hat = spinchain.q_hat_table(k, params)  # the butterflies on the integer numerators, one division each
+    assert spinchain.q_table(k, params) == table.q and q_hat == spinchain.fourier_transform(table.q, k)
+    assert _all_fractions(spinchain.q_table(k, params), q_hat)
     cumulative = spinchain.pc_qc_tables(k + 1, params)
     assert (cumulative.p, cumulative.q) == _cumulative(k + 1, levels)
     assert _all_fractions(cumulative.p, cumulative.q)

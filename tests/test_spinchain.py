@@ -111,6 +111,15 @@ def test_fourier_numpy_matches_exact():
     assert np.allclose(fl, [float(v) for v in exact], atol=1e-14)
 
 
+def test_q_tables_equal_the_pq_tables_row():
+    # exact mode: tests/test_exact.py
+    for k in (0, 1, 6):
+        q = spinchain.pq_tables(k, Params.floating(0.37)).q
+        assert np.array_equal(spinchain.q_table(k, Params.floating(0.37)), q)
+        assert np.array_equal(spinchain.q_hat_table(k, Params.floating(0.37)), spinchain.fourier_transform(q, k))
+        assert spinchain.q_table(k, Params.symbolic()) == spinchain.pq_tables(k, Params.symbolic()).q
+
+
 def test_qhat_vanishes_for_odd_weight():
     for r in (Fraction(1, 4), Fraction(4, 5)):
         p = Params.exact(r)

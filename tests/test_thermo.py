@@ -188,7 +188,7 @@ def test_chandrupatla_brackets_known_roots(power, p, log_root, lo_ratio, hi_rati
         c = math.log(math.expm1(root * math.log(2.0)))
         g = lambda s: c - math.log(math.expm1(s * math.log(2.0)))
     lo, hi = root * lo_ratio, root * hi_ratio
-    lo, hi, g_lo, g_hi, evals = thermo._chandrupatla(g, lo, hi, g(lo), g(hi), tol)
+    lo, hi, g_lo, g_hi, evals = transfer._chandrupatla(g, lo, hi, g(lo), g(hi), tol)
     assert g_lo > 0.0 >= g_hi and (g_lo, g_hi) == (g(lo), g(hi))
     assert lo - 1e-15 * root <= root <= hi + 1e-15 * root  # c carries a rounding error, so the root does too
     assert 0.0 < hi - lo <= tol

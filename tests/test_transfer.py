@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from fareychain import transfer
 from fareychain.rings import Params
-from fareychain.spinchain import pq_tables
 from fareychain.transfer import TransferQuery
 
 
@@ -255,38 +254,55 @@ def test_spectral_radius_error_bounds_reference():
     for r in (0.5, 0.9, 0.99):
         for s in (0.6, 1.0):
             res = transfer.spectral_radius(s, r, tol=1e-9)
-            assert res.error <= 1e-9 and res.method == "collocation"
+            assert res.error <= 1e-9 and res.method.startswith("first-return root; ") and res.dim == 16
             assert abs(res.value - transfer._collocation_lambda(s, r, 384)) <= res.error
 
 
-def test_spectral_radius_ladder_tops_out(monkeypatch):
-    with pytest.raises(ArithmeticError, match="dim 384"):
-        transfer.spectral_radius(1.0, 0.999, tol=1e-14)  # dim 384 vs 288 still differ by 2e-13
-    monkeypatch.setattr(transfer, "_collocation_lambda", lambda *a: pytest.fail("a refused tol was solved"))
-    for tol in (1e-15, 0.0, -1.0, math.nan, math.inf):  # below the 1e-14 error floor, or not finite
+def test_spectral_radius_refuses_bad_tol_before_any_solve(monkeypatch):
+    monkeypatch.setattr(transfer, "return_log_lambda", lambda *a: pytest.fail("a refused tol was solved"))
+    monkeypatch.setattr(transfer, "return_root", lambda *a: pytest.fail("a refused tol was solved"))
+    for tol in (1e-15, 0.0, -1.0, math.nan, math.inf):  # below the 1e-14 floor, or not finite
         with pytest.raises(ValueError, match="tol="):
             transfer.spectral_radius(1.0, 0.5, tol=tol)
+    for r in (-0.1, 1.0 + 1e-9, 1.5):
+        with pytest.raises(ValueError, match=r"r in \[0, 1\]"):
+            transfer.spectral_radius(1.0, r)
 
 
-def test_power_sums_from_one_level_up():
-    # a_n from row n - 2 equals the whole-row sum 2 rho^(ns) sum q_{n-1}^(-2s)
-    for r in (0.3, 0.7, 0.95):
-        rho = 2.0 - r
-        for s in (0.55, 0.9):
-            sums = list(transfer._power_sums(s, r, 20))
-            rows = [2.0 * rho ** ((k + 1) * s) * np.sum(pq_tables(k, Params.floating(r)).q ** (-2.0 * s))
-                    for k in range(20)]
-            assert len(sums) == len(rows) == 20
-            for a, b in zip(sums, rows):
-                assert abs(a - b) <= 1e-14 * b
-    assert list(transfer._power_sums(0.7, 0.5, 1)) == [2.0 * 1.5**0.7 * 2.0**-1.4]
+@pytest.mark.parametrize("r, s", [(0.9, 1.5), (0.5, 3.0), (0.99, 1.5), (0.9, 3.0)])
+def test_spectral_radius_at_the_edge_of_the_induced_sum(r, s):
+    # g = log lambda - s log rho lies 2e-6 .. 4e-2 above the edge -2 s log rho, toward which the tail of the
+    # induced sum decays ever slower, like e^(-a v), a -> 0: with that tail on the nodes alone, three of these
+    # fall back to mu_0 = rho^-s and (0.5, 3) reads 2e-7 low
+    res = transfer.spectral_radius(s, r, tol=1e-10)
+    gap = abs(res.value - transfer._collocation_lambda(s, r, 384))
+    assert res.method.startswith("first-return root; ") and gap <= 1e-11 and gap <= res.error, (res, gap)
+    assert res.value > (2.0 - r) ** -s + 1e-7
 
 
-def test_collocation_cross_checks_power_ratios():
-    for r, s in ((0.5, 1.0), (0.85, 0.8)):
-        lam_c = float(np.max(transfer.collocation_spectrum(s, r, dim=40).real))
-        lam_p = transfer._power_radius(s, r)
-        assert abs(lam_c - lam_p) <= 1e-5
+def test_spectral_radius_at_the_farey_map():
+    # r = 1: above s = 1 the induced root leaves the bracket and lambda is the fixed point's mu_0 = 1
+    for s in (1.0, 1.5):
+        res = transfer.spectral_radius(s, 1.0)
+        assert res.method.startswith("fixed point 0") and abs(res.value - 1.0) <= res.error <= 1e-10
+    res = transfer.spectral_radius(0.75, 1.0)
+    assert abs(res.value - transfer._collocation_lambda(0.75, 1.0, 384)) <= res.error + 1e-14
+    # toward it the weight e^(-eps m) cuts the tail early in the long tanh-sinh split (transfer._tail_cut)
+    for r in (1.0 - 1e-6, 1.0 - 1e-10):
+        assert abs(transfer.spectral_radius(0.9, r).value - transfer.spectral_radius(0.9, 1.0).value) <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.05, 4.0))
+def test_spectral_radius_matches_chebyshev_compression(r, s):
+    # lambda >= mu_0 = rho^-s, the fixed point's eigenvalue; for s > 1 and 1 - r below about 1e-3 the compression
+    # cannot resolve the eigenfunction at the near-neutral fixed point and falls up to 3e-5 below mu_0
+    res = transfer.spectral_radius(s, r, tol=1e-10)
+    mu_0 = (2.0 - r) ** -s
+    ref = transfer._collocation_lambda(s, r, 384)
+    ref_error = abs(ref - transfer._collocation_lambda(s, r, 288))
+    assert res.value >= mu_0 - res.error and res.error <= 1e-10, res
+    assert abs(res.value - max(ref, mu_0)) <= res.error + ref_error, (res, ref, ref_error)
 
 
 def test_compression_maps_chebyshev_polynomials():

@@ -44,7 +44,6 @@ def _series(n, s, r):
         "character m=2": (transfer._character_sums(X, s, r, 2, n), char0),
         "twisted rows m=0": (rows0, rows0),
         "twisted rows m=2": (twisted.twisted_sums(n, s, 2, p), rows0),
-        "power sums": (transfer._power_sums(s, r, n), None),
         "grand sums": (zg[0] + zg[1], None),
         "grand Z": ([thermo.grand_Z(n - 1, s, p)], None),
         "canonical transfer": ([thermo.canonical_Z(n, s, p, "transfer")], None),
