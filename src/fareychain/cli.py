@@ -243,7 +243,7 @@ def cmd_phase(args) -> int:
 def cmd_twisted(args) -> int:
     values = twisted.twisted_sums(args.n, args.s, args.m, Params.floating(args.r))
     fields = ["r", "s", "m", "n", "value", "method"]
-    rows = [(args.r, args.s, args.m, n, [val.real, val.imag], "tree-row sum") for n, val in enumerate(values, 1)]
+    rows = [(args.r, args.s, args.m, n, [val.real, val.imag], val.method) for n, val in enumerate(values, 1)]
     emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 

@@ -44,13 +44,11 @@ import numpy as np
 
 from .rings import Params, power_sum
 from .spinchain import _cumulative, _integral, _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import (RETURN_DIM, _chandrupatla, _log_iterates_at_half, _pair_stream, return_log_lambda, return_root,
-                       spectral_radius)
+from .transfer import (RETURN_DIM, SWEEP_DIMS, SWEEP_TOL, _chandrupatla, _log_iterates, _pair_stream, return_log_lambda,
+                       return_root, spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
-SWEEP_TOL = 1e-12  # relative change of every Z^C_n from the 3 dim/4 rerun, beyond rounding
-SWEEP_DIMS = (48, 96, 192, 384)  # the sweep's Chebyshev dimensions, each checked against 3 dim/4
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -282,7 +280,7 @@ def _log_sums(r: float, s: np.ndarray, n_max: int, dim: int) -> Tuple[np.ndarray
     """log Z^C_n and log sum_{m<n} (m+2) Z^G_m for n = 0 .. n_max (rows), one
     column per s, with log Z^G_k = log f_k(1/2) - s log 2 from the operator
     iterates at dim (row 0 of the second is -inf, the empty sum)."""
-    log_zg = _log_iterates_at_half(s, r, n_max, dim) - s * math.log(2.0)
+    log_zg = _log_iterates(s / 2.0, lambda y: np.ones((len(y), len(s))), r, n_max, dim, 0.5)[0] - s * math.log(2.0)
     start = np.zeros((1, len(s)))
     log_zc = np.logaddexp.accumulate(np.vstack([start, log_zg]), axis=0)
     log_weighted = np.log(np.arange(2.0, n_max + 2.0))[:, None] + log_zg

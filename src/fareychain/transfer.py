@@ -35,6 +35,7 @@ fast route, one independent oracle, and a check comparing the two (a
 
     (P^n 1)(x)        iterate_one         apply_bruteforce          "iterate of 1 vs branch-word oracle"
     (P^n e_m)(x)      iterate_character   apply_bruteforce          "character iterate vs branch-word oracle"
+                      operator iterates   leaf walk                 "character iterate: operator iterates vs leaf walk"
     (P^(k+1) f)(x)    iterate_general     apply_bruteforce          "general iterate vs branch-word oracle"
     trace(P^n)        trace_sums          trace_power_bruteforce    "trace leaf formula vs fixed-point oracle (n<=8)"
     Xi_n(s)           periodic_sums_xi    periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
@@ -43,16 +44,19 @@ fast route, one independent oracle, and a check comparing the two (a
     s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
                       each rooted by Chandrupatla's bracketed search (:func:`_chandrupatla`)
 
+The iterates of 1 and of characters, and the twisted sums of :mod:`twisted`, come on r in [0, 1] and x in
+[0, 1] from n products with the cached Chebyshev compression (:func:`_operator_iterates`, the loop
+:func:`_log_iterates` that the thermo sweep shares): O(n dim^2) work, dim from SWEEP_DIMS, each checked
+against 3 dim/4, reported with the dim and an error.  Where it does not reach (r > 1, x outside [0, 1]) or
+its ladder tops out they walk the leaves, and say so; iterate_general, whose f is any callable, always does.
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
-into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The iterates and
-the twisted sums (:func:`_character_sums`) share one vertex term (:func:`_vertex_sum`): a vertex
-of the n-th extended row, with den = p r x + rho q and t = (mu x + rho nu) / den, contributes
-den^(-2s) [f(t) + f(1 - t)].  f = 1 needs only the (p, q) of _pair_stream; every other f reads
-_quad_stream.  The iterates take their single n from the last level of the walk alone, so
-they cost no series; the iterates of characters equal rho^(ns) times the last entry of
-:func:`_character_sums` exactly (tests/test_walk.py).
+into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The walked iterates
+share one vertex term (:func:`_vertex_sum`): a vertex of the n-th extended row, with
+den = p r x + rho q and t = (mu x + rho nu) / den, contributes den^(-2s) [f(t) + f(1 - t)].
+f = 1 needs only the (p, q) of _pair_stream; every other f reads _quad_stream.  They take their
+single n from the last level of the walk alone, so they cost no series.
 
 For a character e_m with integer m, e_m(1 - t) is the conjugate of e_m(t), so each vertex pair
 is the real phase 2 cos(2 pi m t), and non-integer m is rejected.  Float reductions use numpy's
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -75,6 +80,8 @@ from .spinchain import FLOAT_TABLE_CAP, _generators, _last_level_sum, _last_tabl
 
 BRUTE_CAP = 20
 ZETA_TOL = 1e-9  # fredholm_and_zeta's zeta is converged when its two routes and the last two ratios agree to this
+SWEEP_TOL = 1e-12  # relative change of every operator-iterate value from the 3 dim/4 rerun, beyond rounding
+SWEEP_DIMS = (48, 96, 192, 384)  # the Chebyshev dimensions of the operator iterates, each checked against 3 dim/4
 
 
 @dataclass(frozen=True)
@@ -228,25 +235,37 @@ def _iterate(x: float, q: TransferQuery, pair: Optional[Callable]) -> complex:
     return _cpow(q.rho, q.n * s) * total
 
 
-def iterate_one(x: float, q: TransferQuery) -> complex:
-    """(P^n 1)(x) = 2 rho^(ns) * sum over the n-th extended row of
-    (p r x + rho q)^(-2s)."""
-    return _iterate(x, q, None)
+class Estimate(complex):
+    """A complex value with the route that computed it: `method` names the route (the operator iterates with
+    their dim, or the walk or row sum and why it was taken), `error` is the computed error bar, None on the walk
+    and row routes, which compute none."""
+
+    __slots__ = ("error", "method")
+
+    def __new__(cls, value: complex, error: Optional[float], method: str):
+        self = super().__new__(cls, value)
+        self.error, self.method = error, method
+        return self
 
 
-def iterate_character(x: float, q: TransferQuery, m: int) -> complex:
-    """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y): each extended-row vertex
-    contributes den^(-2s) 2 cos(2 pi m t) (:func:`_vertex_sum`, :func:`_character_pair`), which
-    needs integer m, so any other m raises ValueError.  m = 0 reduces to :func:`iterate_one`."""
-    return iterate_one(x, q) if m == 0 else _iterate(x, q, _character_pair(m))
+def iterate_one(x: float, q: TransferQuery) -> Estimate:
+    """(P^n 1)(x) = 2 rho^(ns) * sum over the n-th extended row of (p r x + rho q)^(-2s): :func:`iterate_character`
+    at m = 0."""
+    return iterate_character(x, q, 0)
 
 
-def _character_sums(x: float, s: complex, r: float, m: int, n_max: int) -> List[complex]:
-    """rho^(-ns) (P^n e_m)(x) for n = 1 .. n_max, from one walk down the extended rows."""
-    pair = _character_pair(m)
-    s = complex(s)
-    stream = _pair_stream if pair is None else _quad_stream
-    return _level_sums(stream, n_max - 1, Params.floating(r), lambda _level, b: _vertex_sum(b, x, s, r, pair))
+def iterate_character(x: float, q: TransferQuery, m: int) -> Estimate:
+    """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y): rho^(ns) T_n of :func:`_operator_iterates` on r and
+    x in [0, 1]; else on the walk, where each extended-row vertex contributes den^(-2s) 2 cos(2 pi m t)
+    (:func:`_vertex_sum`, :func:`_character_pair`).  That needs integer m, so any other m raises ValueError."""
+    pair = _character_pair(m)  # refuses a non-integer m on both routes
+    s = complex(q.s)
+    got = _operator_iterates(x, s, q.r, m, q.n, lambda T: T[-1:])
+    if got is None:
+        return Estimate(_iterate(x, q, pair), None, f"leaf walk ({_walk_reason(q.r, x)})")
+    (value,), (error,), dim = got
+    factor = _cpow(q.rho, q.n * s)
+    return Estimate(factor * value, abs(factor) * error, f"operator iterates, dim {dim}")
 
 
 def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> complex:
@@ -568,26 +587,75 @@ def _collocation_lambda(s: float, r: float, dim: int) -> float:
     return float(np.max(collocation_spectrum(s, r, dim).real))
 
 
-def _log_iterates_at_half(s: np.ndarray, r: float, n: int, dim: int) -> np.ndarray:
-    """log f_k(1/2), k = 0 .. n-1, one column per s: f_0 = 1 and
-    f_{k+1} = rho^(-s/2) P_{s/2, r} f_k = (rho + r x)^(-s) [f_k(Phi_0 x) + f_k(Phi_1 x)]
-    on the dim-point Chebyshev compression, read at 1/2 through the barycentric
-    interpolant.  Each iterate is divided by its value at 1/2 and the logs of
-    those values are summed, so nothing overflows however large n is; from the
-    first value that is not positive and finite on, the logs are nan."""
+def _log_iterates(sigma: np.ndarray, start: Callable[[np.ndarray], np.ndarray], r: float, n: int, dim: int, x: float,
+                  shared: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """(logs, values) of the iterates f_k, k = 0 .. n-1, one column per sigma: f_0 = start(nodes), the starting
+    columns at the dim Chebyshev nodes, and f_{k+1} = rho^(-sigma) P_{sigma, r} f_k = (rho + r y)^(-2 sigma)
+    [f_k(Phi_0 y) + f_k(Phi_1 y)] on the dim-point compression, read at x through the barycentric interpolant.
+    Each iterate is divided by its value at x (by column 0's value at x for every column if `shared`), so nothing
+    overflows however large n is: logs[k] sums the logs of those divisors, log f_k(x) of the dividing column (nan
+    from the first divisor that is not positive and finite on), and values[k] is f_k(x) over the divisors up to
+    k - 1.  If `shared`, values has one more column, sum_j |ell_j(x)| |f_k,0(x_j)| over the same divisors (ell the
+    interpolation row): the magnitude that the rounding of column 0's read-out scales with where it varies steeply
+    across the nodes."""
     C, log_w = _collocation_operator(float(r), dim)
-    x, w = _chebyshev_nodes(dim)
-    at_half = _barycentric(x, w, 0.5)
-    weights = np.exp(np.outer(log_w - math.log(2.0 - r), s / 2.0))
-    f = np.ones((dim, len(s)))
-    values = np.ones((n, len(s)))
+    nodes, w = _chebyshev_nodes(dim)
+    at_x = _barycentric(nodes, w, x)
+    weights = np.exp(np.outer(log_w - math.log(2.0 - r), sigma))
+    f = start(nodes)
+    values = np.ones((n, len(sigma) + shared), dtype=weights.dtype)
+    reads, divisors, spread = values[:, :len(sigma)], values[:, :1].real if shared else values, np.abs(at_x)
     for k in range(1, n):
         f = weights * (C @ f)
-        values[k] = at_half @ f
-        f /= values[k]
-    logs = np.log(values, out=values)
+        reads[k] = at_x @ f
+        if shared:
+            values[k, -1] = spread @ np.abs(f[:, 0])
+        f /= divisors[k]
+    logs = np.log(divisors)
     np.copyto(logs, np.nan, where=~np.isfinite(logs))
-    return np.cumsum(logs, axis=0)
+    return np.cumsum(logs, axis=0), values
+
+
+def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray]):
+    """(values, errors, dim): read(T) of T_k = rho^(-k sigma) (P_sigma^k e_m)(x), k = 1 .. n, from the Chebyshev
+    compression, or None where it does not reach (r > 1, x outside [0, 1]; :func:`_walk_reason`) and past the top of
+    SWEEP_DIMS.  read maps the n terms to the values wanted (the last term, or the partial sums of a series), and
+    the same read of S and A to their scales.
+
+    One run of :func:`_log_iterates` carries f_0 = cos(2 pi m y) at sigma (P_sigma kills the odd part i sin(2 pi m y)
+    of e_m, so their iterates agree from k = 1 on) beside f_0 = 1 at Re sigma, whose S_k = rho^(-k Re sigma)
+    (P_(Re sigma)^k 1)(x) scales the logs and bounds |T_k|, as |P_sigma^k e_m| <= P_(Re sigma)^k 1.  The dims climb
+    SWEEP_DIMS until every value moves from its 3 dim/4 rerun by at most SWEEP_TOL of read(S) beyond the sweep's
+    rounding floor (n + 1) dim eps read(S).  The error of each value is that change, floored at (n + 1) eps
+    read(max(dim S, A)): where S varies steeply across the nodes, the rounding of the read-out scales with the
+    magnitude A_k of :func:`_log_iterates`, not with S_k, and the change between two dims can miss it."""
+    if r > 1 or not 0 <= x <= 1:
+        return None
+    sigma = complex(sigma)
+    k = 2 if m or sigma.imag else 1  # the e_m column, unless it is the f = 1 column
+    sigmas = np.array([sigma.real, sigma if sigma.imag else sigma.real][:k])
+    two_pi_m = np.array([0.0, 2.0 * math.pi * m][:k])
+
+    def run(dim):
+        logs, values = _log_iterates(sigmas, lambda y: np.cos(np.outer(y, two_pi_m)), r, n + 1, dim, x, shared=True)
+        S = np.exp(logs[1:, 0])
+        ratio = values[1:] / values[1:, :1]
+        return read(S * ratio[:, -2]), S, S * ratio[:, -1].real
+
+    rounding = (n + 1) * np.finfo(float).eps
+    for dim in SWEEP_DIMS:
+        with np.errstate(all="ignore"):  # an overflowed run fails the test below
+            (value, S, A), check = run(dim), run(3 * dim // 4)[0]
+            change, scale = np.abs(value - check), read(S)
+            if np.max(change / scale - rounding * dim) <= SWEEP_TOL:
+                return value, np.maximum(change, rounding * read(np.maximum(dim * S, A))), dim
+    return None
+
+
+def _walk_reason(r: float, x: float = 1.0) -> str:
+    """Why a route that :func:`_operator_iterates` serves fell back to the walk."""
+    return ("r > 1" if r > 1 else "x outside [0, 1]" if not 0 <= x <= 1
+            else f"the operator ladder topped out at dim {SWEEP_DIMS[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +895,9 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
     = mu_0 (so at r = 1 for s >= 1).  The error of g is the distance from the secant root to the far bracket
     end plus the dim and 2h terms of :func:`return_root` over the mean return time |d log lambda_K / d eps|;
     for mu_0, w plus what of those terms log lambda_K(edge + w) does not clear (the mean return time is >= 1).
-    ArithmeticError if lambda_s expm1(that) exceeds tol; ValueError, before any solve, for r outside [0, 1],
-    complex s, or a tol below 1e-14 or not finite.  :func:`collocation_spectrum` is the oracle."""
+    ArithmeticError if lambda_s expm1(that) exceeds tol or lambda_s is below sys.float_info.min; ValueError,
+    before any solve, for r outside [0, 1], complex s, or a tol below 1e-14 or not finite.
+    :func:`collocation_spectrum` is the oracle."""
     if not 0 <= r <= 1:
         raise ValueError(f"the spectral radius is computed for r in [0, 1], got r={r}")
     if not 1e-14 <= tol < math.inf:  # lambda is not resolved much below rounding
@@ -856,7 +925,11 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
         _d_log, mean, dim_term, step_term = return_root(2.0 * s, r, root)
         error = max(root - lo, hi - root) + (dim_term + step_term) / mean
         method = f"first-return root; {evals + more + 2} evals"
-    value = math.exp(root + s * L)
+    log_value = root + s * L
+    if log_value < math.log(sys.float_info.min):  # exp would round to a subnormal or 0 and its error bar to 0
+        raise ArithmeticError(f"lambda at s={s}, r={r}: log lambda = {log_value:.6g} is below the float range "
+                              f"(lambda < {sys.float_info.min:.3g})")
+    value = math.exp(log_value)
     error = value * math.expm1(error)
     if not error <= tol:
         raise ArithmeticError(f"lambda at s={s}, r={r}: error {error:.3g} > tol {tol:.3g} "

@@ -24,7 +24,7 @@ import numpy as np
 
 from .rings import Params
 from .spinchain import _level_sums, _tree_stream
-from .transfer import _character_sums, _require_leaf_n
+from .transfer import Estimate, _character_pair, _operator_iterates, _require_leaf_n, _walk_reason
 
 SIEVE_LIMIT = 1_000_000
 
@@ -164,26 +164,33 @@ def dirichlet_partial(m: int, s: float, Q: int) -> Tuple[float, float]:
     return total, tail
 
 
-def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "rows") -> List[complex]:
-    """[Z_1^(m)(s), ..., Z_n^(m)(s)] from one walk down the rows, where
-    Z_n^(m)(s) = sum over tree vertices of q^(-s) e^(2 pi i m p/q)
-    (the vertex 1/1 contributes 1).
+def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transfer") -> List[Estimate]:
+    """[Z_1^(m)(s), ..., Z_n^(m)(s)], where Z_n^(m)(s) = sum over tree vertices of q^(-s) e^(2 pi i m p/q)
+    (the vertex 1/1 contributes 1), each an :class:`transfer.Estimate` naming its route.
 
-    ``rows`` sums the tree tables directly; ``transfer`` uses the
-    character-iterate identity 2 Z_n^(m)(2s) = 1 + sum_{k<=n}
-    rho^(-ks) (P^k e_m)(1), whose rho prefactors cancel.  m = 0 recovers
-    the canonical partition function.
+    ``transfer`` uses the character-iterate identity 2 Z_n^(m)(2 sigma) = 1 + sum_{k<=n} rho^(-k sigma)
+    (P_sigma^k e_m)(1), whose rho prefactors cancel: on r in [0, 1] one run of n products with the Chebyshev
+    compression gives the whole series (:func:`transfer._operator_iterates`, error against the 3 dim/4 rerun
+    relative to the m = 0 series at Re s, which bounds it); for r > 1, or past the top of the ladder, it falls
+    back to the tree-row sum and says why.  It needs integer m (ValueError otherwise).  ``rows`` sums the tree
+    rows directly, from one walk, and is the oracle.  m = 0 recovers the canonical partition function.
     """
     _require_leaf_n(n)
     r = params.as_float().r_float
-    if method == "rows":
-        two_pi_m = 2j * math.pi * m
-        rows = _level_sums(_tree_stream, n - 1, Params.floating(r),
-                           lambda _level, x: complex(np.sum(x[1] ** (-float(s)) * np.exp(two_pi_m * (x[0] / x[1])))))
-        return list(accumulate(rows, initial=1.0 + 0.0j))[1:]
     if method == "transfer":
-        # the leading 1 plus the k = 0 term e_m(1) = 1
-        totals = accumulate(_character_sums(1.0, s / 2.0, r, m, n), initial=2.0 + 0.0j)
-        return [total / 2.0 for total in totals][1:]
-    raise ValueError(f"unknown method {method!r}")
+        _character_pair(m)  # refuses a non-integer m
+        # Z_k = 1 + (1/2) sum_{j<=k} T_j: the leading 1 and the k = 0 term e_m(1) = 1, halved
+        got = _operator_iterates(1.0, s / 2.0, r, m, n, lambda T: 1.0 + np.cumsum(T) / 2.0)
+        if got is not None:
+            values, errors, dim = got
+            return [Estimate(z, e, f"operator iterates, dim {dim}") for z, e in zip(values.tolist(), errors.tolist())]
+        route = f"tree-row sum ({_walk_reason(r)})"
+    elif method == "rows":
+        route = "tree-row sum"
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    two_pi_m = 2j * math.pi * m
+    rows = _level_sums(_tree_stream, n - 1, Params.floating(r),
+                       lambda _level, x: complex(np.sum(x[1] ** (-float(s)) * np.exp(two_pi_m * (x[0] / x[1])))))
+    return [Estimate(z, None, route) for z in accumulate(rows, initial=1.0 + 0.0j)][1:]
 

@@ -200,6 +200,17 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
         resid = max(resid, abs(bf - transfer.iterate_character(x, q, m)) / max(abs(bf), 1e-12))
     out.append(CheckResult("transfer", "character iterate vs branch-word oracle", resid, 1e-11))
 
+    resid = 0.0  # relative to (P^n 1)(x), which bounds |P^n e_m|; 1 if the walk was taken
+    for r in (0.55, 0.99, 1.0):
+        q = transfer.TransferQuery(1.2, r, 20)
+        scale = abs(transfer.iterate_one(0.3, q))
+        for m in (0, 2):
+            value = transfer.iterate_character(0.3, q, m)
+            walk = transfer._iterate(0.3, q, transfer._character_pair(m))
+            resid = max(resid, abs(value - walk) / scale if value.method.startswith("operator") else 1.0)
+    name = "character iterate: operator iterates vs leaf walk (n = 20, r in {0.55, 0.99, 1})"
+    out.append(CheckResult("transfer", name, resid, 1e-11))
+
     resid = 0.0
     for _ in range(6):
         k = rng.randint(0, 6)
@@ -402,14 +413,17 @@ def suite_zeta(seed: int = 0) -> List[CheckResult]:
     resid = max(resid, abs(val0 - zeta2 / zeta3))
     out.append(CheckResult("zeta", "Dirichlet partials versus 1/zeta(2), zeta(2)/zeta(3)", resid, 1e-4))
 
-    resid = 0.0
-    p = Params.floating(0.6)
-    for m in (0, 1, 3):  # n = 2 .. 10
-        a = twisted.twisted_sums(10, 2.4, m, p)[1:]
-        b = twisted.twisted_sums(10, 2.4, m, p, "transfer")[1:]
-        resid = max(resid, *(abs(x - y) for x, y in zip(a, b)))
-    out.append(CheckResult("zeta", "twisted partition sum: rows vs character iterate", resid, 1e-11))
+    resid = 0.0  # 1 if the operator route fell back to the rows
+    for r in (0.6, 1.0):
+        p = Params.floating(r)
+        for m in (0, 1, 3):
+            a = twisted.twisted_sums(18, 2.4, m, p, "rows")
+            b = twisted.twisted_sums(18, 2.4, m, p)
+            resid = max(resid, *(abs(x - y) if y.method.startswith("operator") else 1.0 for x, y in zip(a, b)))
+    out.append(CheckResult("zeta", "twisted partition sum: rows vs character iterate (n=18, r in {0.6, 1})",
+                           resid, 1e-11))
 
+    p = Params.floating(0.6)
     resid = abs(twisted.twisted_sums(10, 3.0, 0, p)[-1] - thermo.canonical_Z(10, 3.0, p))
     out.append(CheckResult("zeta", "m=0 twisted sum equals canonical Z", resid, 1e-12))
 

@@ -178,6 +178,14 @@ def test_twisted_subcommand(capsys):
     assert recs[-1]["value"][0] > 1.0
 
 
+def test_twisted_names_its_route(capsys):
+    for r, route in (("0.6", r"operator iterates, dim \d+"), ("1.3", r"tree-row sum \(r > 1\)")):
+        code, out = run(capsys, "twisted", "--n", "8", "--s", "2", "--m", "1", "--r", r)
+        assert code == 0
+        recs = [json.loads(l) for l in out.splitlines()[1:]]
+        assert len(recs) == 8 and all(re.fullmatch(route, rec["method"]) for rec in recs), recs
+
+
 def test_code_and_conjugacy(capsys):
     code, out = run(capsys, "code", "--r", "0", "--x", "0.625", "--depth", "6")
     assert code == 0

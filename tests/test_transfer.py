@@ -71,6 +71,33 @@ def test_character_matches_bruteforce():
         assert abs(transfer.iterate_character(x, q, m) - bf) <= 1e-11 * max(abs(bf), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.3), st.builds(complex, st.floats(0.2, 2.5), st.floats(-1.5, 1.5)), st.integers(-5, 5),
+       st.integers(1, 10), st.floats(0.0, 1.0))
+def test_iterates_match_bruteforce_across_the_route_switch(r, s, m, n, x):
+    # the Chebyshev compression on r in [0, 1], the leaf walk above
+    q = TransferQuery(s, r, n)
+    for f, value in ((lambda y: 1.0, transfer.iterate_one(x, q)),
+                     (lambda y: cmath.exp(2j * math.pi * m * y), transfer.iterate_character(x, q, m))):
+        bf = transfer.apply_bruteforce(f, x, q)
+        assert abs(value - bf) <= 1e-11 * max(abs(bf), 1.0), (value, value.method, bf)
+        assert value.method.startswith("operator iterates, dim" if r <= 1 else "leaf walk (r > 1)"), value.method
+
+
+@pytest.mark.parametrize("r", [0.99, 0.999, 1.0])
+@pytest.mark.parametrize("s", [1.0, 3.0])
+def test_operator_iterate_error_covers_the_walk_toward_the_farey_map(r, s):
+    # near the neutral fixed point the iterates vary by 1e5 across [0, 1] at s = 3, and the change from
+    # 3 dim/4 points alone under-reports the rounding of the read-out where they are small
+    q = TransferQuery(s, r, 20)
+    for x in (0.0, 0.3):
+        for m in (0, 1, 3):
+            value = transfer.iterate_character(x, q, m)
+            walk = transfer._iterate(x, q, transfer._character_pair(m))
+            assert value.method.startswith("operator iterates, dim"), (x, m, value.method)
+            assert abs(value - walk) <= value.error, (x, m, value, walk, value.error)
+
+
 def test_general_iterate_base_case_arguments():
     # k = 0 evaluates f exactly at the two inverse branches
     from fareychain import maps
@@ -269,6 +296,13 @@ def test_spectral_radius_refuses_bad_tol_before_any_solve(monkeypatch):
             transfer.spectral_radius(1.0, r)
 
 
+@pytest.mark.parametrize("s", [1070.0, 1200.0])
+def test_spectral_radius_refuses_lambda_below_the_float_range(s):
+    # lambda = 2^(1-s) at r = 0: a subnormal at s = 1070, 0 at s = 1200, either with an error bar of 0
+    with pytest.raises(ArithmeticError, match=rf"s={s}, r=0.0: log lambda = -\d+\.?\d* is below the float range"):
+        transfer.spectral_radius(s, 0.0)
+
+
 @pytest.mark.parametrize("r, s", [(0.9, 1.5), (0.5, 3.0), (0.99, 1.5), (0.9, 3.0)])
 def test_spectral_radius_at_the_edge_of_the_induced_sum(r, s):
     # g = log lambda - s log rho lies 2e-6 .. 4e-2 above the edge -2 s log rho, toward which the tail of the
@@ -427,9 +461,10 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
     from fareychain import spinchain
 
     q = TransferQuery(1.3, 0.6, 9)
+    q_walk = TransferQuery(1.3, 1.3, 9)  # r > 1: iterate_one and iterate_character walk the leaves
     routes = {
-        "iterate_one": lambda: transfer.iterate_one(0.3, q),
-        "iterate_character": lambda: transfer.iterate_character(0.3, q, 2),
+        "iterate_one": lambda: transfer.iterate_one(0.3, q_walk),
+        "iterate_character": lambda: transfer.iterate_character(0.3, q_walk, 2),
         "iterate_general": lambda: transfer.iterate_general(lambda y: 0.5 - y + 2.0 * y**3, 0.3, q.s, q.r, q.n - 1),
         "trace_sums": lambda: transfer.trace_sums(q.n, q.s, q.r)[-1],
         "periodic_sums_xi": lambda: transfer.periodic_sums_xi(q.n, q.s, q.r)[-1],
@@ -491,10 +526,10 @@ def test_series_take_one_walk(monkeypatch):
 
 
 def test_iterate_memory_bounded_by_blocks():
-    # n = 20: one whole level-19 (p, q, mu, nu) row alone is 16 MB
+    # n = 20: one whole level-19 (p, q, mu, nu) row alone is 16 MB; r > 1 takes the walk
     tracemalloc.start()
     try:
-        transfer.iterate_character(0.3, TransferQuery(1.1, 0.6, 20), 3)
+        transfer.iterate_character(0.3, TransferQuery(1.1, 1.3, 20), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -108,7 +108,7 @@ def test_one_walk_equals_per_n_loop():
                     t = pq_tables(k, p)
                     total += complex(np.sum(t.q ** (-s) * np.exp(2j * math.pi * m * (t.p / t.q))))
                 per_n.append(total)
-            assert twisted.twisted_sums(N, s, m, p) == per_n
+            assert twisted.twisted_sums(N, s, m, p, "rows") == per_n
             via_transfer = twisted.twisted_sums(N, s, m, p, "transfer")
             assert len(via_transfer) == N
             assert max(abs(a - b) for a, b in zip(via_transfer, per_n)) <= 1e-12
@@ -128,3 +128,13 @@ def test_farey_twisted_approaches_inverse_zeta():
     val = twisted.twisted_sums(16, 6.0, 1, Params.floating(1.0))[-1]
     assert abs(val.real - 945.0 / math.pi**6) <= 1e-2
     assert abs(val.imag) <= 1e-12
+
+
+def test_farey_twisted_error_covers_the_row_sums():
+    # r = 1, where the compression converges slowest: every partial sum from the operator iterates, within its error
+    p = Params.floating(1.0)
+    for m in (0, 1, 2):
+        values, rows = (twisted.twisted_sums(16, 6.0, m, p, method) for method in ("transfer", "rows"))
+        for value, row in zip(values, rows):
+            assert value.method.startswith("operator iterates, dim"), value.method
+            assert abs(value - row) <= value.error, (m, value, row, value.error)

@@ -1,17 +1,22 @@
 """Differential checks of the blocked depth-first level walk, of the CLI's input checks, and
-of the two routes to the critical exponent.
+of the two routes to the critical exponent and to the character iterates.
 
 Every leaf and row series reads spinchain._walk, which hands over levels up to
 2^_BLOCK_LEVELS columns as whole rows and every wider level in blocks of that width,
 walked depth first, so its memory is one pending block per level, not one row.  With
 _BLOCK_LEVELS at 1..4 a level of n <= 12 comes in many blocks, so these draws run the
 blocked walk that rows wider than 2^13 take, against the whole rows that the default
-block gives at this size.
+block gives at this size.  The character iterates walk only through iterate_general (and
+the r > 1 fallback of iterate_one and iterate_character), and the twisted sums only through
+their rows route: on r in [0, 1] iterate_one, iterate_character and the default route of
+twisted_sums read the Chebyshev compression, which these draws check against the walk
+within its reported error.
 """
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,8 +36,8 @@ def _series(n, s, r):
     its terms are positive, its m = 0 or unsigned counterpart otherwise."""
     p = Params.floating(r)
     trace = transfer.trace_sums(n, s, r)
-    char0 = transfer._character_sums(X, s, r, 0, n)
-    rows0 = twisted.twisted_sums(n, s, 0, p)
+    char0 = [transfer.iterate_general(np.ones_like, X, s, r, n - 1)]
+    rows0 = twisted.twisted_sums(n, s, 0, p, "rows")
     fz = transfer.fredholm_and_zeta(0.3, s, r, N=n)
     zg = thermo._grand_sums(n - 1, [s, s + 1.0], p)
     return {
@@ -41,18 +46,17 @@ def _series(n, s, r):
         "xi": (transfer.periodic_sums_xi(n, s, r), None),
         "determinants": ([fz.det, fz.det_signed_shift], None),
         "character m=0": (char0, char0),
-        "character m=2": (transfer._character_sums(X, s, r, 2, n), char0),
+        "character m=2": ([transfer.iterate_general(lambda y: np.exp(4j * np.pi * y), X, s, r, n - 1)], char0),
         "twisted rows m=0": (rows0, rows0),
-        "twisted rows m=2": (twisted.twisted_sums(n, s, 2, p), rows0),
+        "twisted rows m=2": (twisted.twisted_sums(n, s, 2, p, "rows"), rows0),
         "grand sums": (zg[0] + zg[1], None),
         "grand Z": ([thermo.grand_Z(n - 1, s, p)], None),
         "canonical transfer": ([thermo.canonical_Z(n, s, p, "transfer")], None),
     }
 
 
-def _single_n(n, s, r):
-    """{series name: single-n iterate}: rho^(ns) times the series' last entry
-    must equal the iterate exactly (the character series carry no rho^(ns))."""
+def _operator_iterates(n, s, r):
+    """{series name: the same iterate from the Chebyshev compression}, within its error of the walk."""
     q = TransferQuery(s, r, n)
     return {"character m=0": transfer.iterate_one(X, q), "character m=2": transfer.iterate_character(X, q, 2)}
 
@@ -73,16 +77,17 @@ def test_chunked_walk_matches_whole_rows(r, s, n, block):
         mp.setattr(spinchain, "_BLOCK_LEVELS", block)
         mp.setattr(spinchain, "_step", recorded_step)
         blocked = _series(n, s, r)
-        single = _single_n(n, s, r)
+        operator = _operator_iterates(n, s, r)
     assert max(widths, default=1) <= 2**block  # every stepped block, and so every summed one
     for name, (values, scale) in blocked.items():
         reference = whole[name][0]
         assert len(values) == len(reference), name
         for a, b, c in zip(values, reference, reference if scale is None else scale):
             assert abs(a - b) <= 1e-13 * abs(c), (name, a, b)
-    rho_ns = transfer._cpow(2.0 - r, n * complex(s))
-    for name, value in single.items():
-        assert rho_ns * blocked[name][0][-1] == value, name
+    scale = abs(whole["character m=0"][0][0])
+    for name, value in operator.items():
+        assert value.method.startswith("operator iterates"), (name, value.method)
+        assert abs(value - blocked[name][0][0]) <= value.error + 1e-13 * scale, (name, value, value.error)
 
 
 _finite = st.floats(-10.0, 10.0)
