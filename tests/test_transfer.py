@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fareychain import transfer
 from fareychain.rings import Params
@@ -328,13 +328,16 @@ def test_spectral_radius_at_the_farey_map():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.05, 4.0))
+@example(1.0, 1.0)
 def test_spectral_radius_matches_chebyshev_compression(r, s):
     # lambda >= mu_0 = rho^-s, the fixed point's eigenvalue; for s > 1 and 1 - r below about 1e-3 the compression
-    # cannot resolve the eigenfunction at the near-neutral fixed point and falls up to 3e-5 below mu_0
+    # cannot resolve the eigenfunction at the near-neutral fixed point and falls up to 3e-5 below mu_0.  Toward
+    # r = s = 1 (eigenfunction 1/x) it converges only algebraically, and its last change under-reports its error
+    # (384 vs 288: 2.1e-7, off 2.4e-7 from the exact lambda = 1), so its bar spans the rungs 192, 288 and 384
     res = transfer.spectral_radius(s, r, tol=1e-10)
     mu_0 = (2.0 - r) ** -s
     ref = transfer._collocation_lambda(s, r, 384)
-    ref_error = abs(ref - transfer._collocation_lambda(s, r, 288))
+    ref_error = max(abs(ref - transfer._collocation_lambda(s, r, dim)) for dim in (288, 192))
     assert res.value >= mu_0 - res.error and res.error <= 1e-10, res
     assert abs(res.value - max(ref, mu_0)) <= res.error + ref_error, (res, ref, ref_error)
 
