@@ -47,8 +47,9 @@ fast route, one independent oracle, and a check comparing the two (a
 The iterates of 1 and of characters, and the twisted sums of :mod:`twisted`, come on r in [0, 1] and x in
 [0, 1] from n products with the cached Chebyshev compression (:func:`_operator_iterates`, the loop
 :func:`_log_iterates` that the thermo sweep shares): O(n dim^2) work, dim from SWEEP_DIMS, each checked
-against 3 dim/4, reported with the dim and an error.  Where it does not reach (r > 1, x outside [0, 1]) or
-its ladder tops out they walk the leaves, and say so; iterate_general, whose f is any callable, always does.
+against 3 dim/4, reported with the dim and an error.  Where it does not reach (r > 1, x outside [0, 1],
+Re s < 0) or its ladder tops out they walk the leaves, and say so; iterate_general, whose f is any callable,
+always does.
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
@@ -256,13 +257,14 @@ def iterate_one(x: float, q: TransferQuery) -> Estimate:
 
 def iterate_character(x: float, q: TransferQuery, m: int) -> Estimate:
     """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y): rho^(ns) T_n of :func:`_operator_iterates` on r and
-    x in [0, 1]; else on the walk, where each extended-row vertex contributes den^(-2s) 2 cos(2 pi m t)
-    (:func:`_vertex_sum`, :func:`_character_pair`).  That needs integer m, so any other m raises ValueError."""
+    x in [0, 1] with Re s >= 0; else on the walk, where each extended-row vertex contributes den^(-2s)
+    2 cos(2 pi m t) (:func:`_vertex_sum`, :func:`_character_pair`).  That needs integer m, so any other m raises
+    ValueError."""
     pair = _character_pair(m)  # refuses a non-integer m on both routes
     s = complex(q.s)
     got = _operator_iterates(x, s, q.r, m, q.n, lambda T: T[-1:])
     if got is None:
-        return Estimate(_iterate(x, q, pair), None, f"leaf walk ({_walk_reason(q.r, x)})")
+        return Estimate(_iterate(x, q, pair), None, f"leaf walk ({_walk_reason(q.r, x, s)})")
     (value,), (error,), dim = got
     factor = _cpow(q.rho, q.n * s)
     return Estimate(factor * value, abs(factor) * error, f"operator iterates, dim {dim}")
@@ -618,9 +620,9 @@ def _log_iterates(sigma: np.ndarray, start: Callable[[np.ndarray], np.ndarray], 
 
 def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray]):
     """(values, errors, dim): read(T) of T_k = rho^(-k sigma) (P_sigma^k e_m)(x), k = 1 .. n, from the Chebyshev
-    compression, or None where it does not reach (r > 1, x outside [0, 1]; :func:`_walk_reason`) and past the top of
-    SWEEP_DIMS.  read maps the n terms to the values wanted (the last term, or the partial sums of a series), and
-    the same read of S and A to their scales.
+    compression, or None where it does not reach (r > 1, x outside [0, 1], Re sigma < 0; :func:`_walk_reason`) and
+    past the top of SWEEP_DIMS.  read maps the n terms to the values wanted (the last term, or the partial sums of
+    a series), and the same read of S and A to their scales.
 
     One run of :func:`_log_iterates` carries f_0 = cos(2 pi m y) at sigma (P_sigma kills the odd part i sin(2 pi m y)
     of e_m, so their iterates agree from k = 1 on) beside f_0 = 1 at Re sigma, whose S_k = rho^(-k Re sigma)
@@ -628,10 +630,12 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
     SWEEP_DIMS until every value moves from its 3 dim/4 rerun by at most SWEEP_TOL of read(S) beyond the sweep's
     rounding floor (n + 1) dim eps read(S).  The error of each value is that change, floored at (n + 1) eps
     read(max(dim S, A)): where S varies steeply across the nodes, the rounding of the read-out scales with the
-    magnitude A_k of :func:`_log_iterates`, not with S_k, and the change between two dims can miss it."""
-    if r > 1 or not 0 <= x <= 1:
-        return None
+    magnitude A_k of :func:`_log_iterates`, not with S_k, and the change between two dims can miss it.  For
+    Re sigma < 0 the iterates grow steeply toward y = 1 and even that floor under-reports their rounding (13x at
+    sigma = -23, r = 1, n = 13), so they walk, as :func:`thermo.thermo_sweep` refuses s < 0."""
     sigma = complex(sigma)
+    if r > 1 or not 0 <= x <= 1 or sigma.real < 0:
+        return None
     k = 2 if m or sigma.imag else 1  # the e_m column, unless it is the f = 1 column
     sigmas = np.array([sigma.real, sigma if sigma.imag else sigma.real][:k])
     two_pi_m = np.array([0.0, 2.0 * math.pi * m][:k])
@@ -652,9 +656,9 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
     return None
 
 
-def _walk_reason(r: float, x: float = 1.0) -> str:
+def _walk_reason(r: float, x: float, sigma: complex) -> str:
     """Why a route that :func:`_operator_iterates` serves fell back to the walk."""
-    return ("r > 1" if r > 1 else "x outside [0, 1]" if not 0 <= x <= 1
+    return ("r > 1" if r > 1 else "x outside [0, 1]" if not 0 <= x <= 1 else "Re s < 0" if sigma.real < 0
             else f"the operator ladder topped out at dim {SWEEP_DIMS[-1]}")
 
 

@@ -171,8 +171,8 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transf
     ``transfer`` uses the character-iterate identity 2 Z_n^(m)(2 sigma) = 1 + sum_{k<=n} rho^(-k sigma)
     (P_sigma^k e_m)(1), whose rho prefactors cancel: on r in [0, 1] one run of n products with the Chebyshev
     compression gives the whole series (:func:`transfer._operator_iterates`, error against the 3 dim/4 rerun
-    relative to the m = 0 series at Re s, which bounds it); for r > 1, or past the top of the ladder, it falls
-    back to the tree-row sum and says why.  It needs integer m (ValueError otherwise).  ``rows`` sums the tree
+    relative to the m = 0 series at Re s, which bounds it); for r > 1, Re s < 0 or past the top of the ladder, it
+    falls back to the tree-row sum and says why.  It needs integer m (ValueError otherwise).  ``rows`` sums the tree
     rows directly, from one walk, and is the oracle.  m = 0 recovers the canonical partition function.
     """
     _require_leaf_n(n)
@@ -184,7 +184,7 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transf
         if got is not None:
             values, errors, dim = got
             return [Estimate(z, e, f"operator iterates, dim {dim}") for z, e in zip(values.tolist(), errors.tolist())]
-        route = f"tree-row sum ({_walk_reason(r)})"
+        route = f"tree-row sum ({_walk_reason(r, 1.0, s)})"
     elif method == "rows":
         route = "tree-row sum"
     else:

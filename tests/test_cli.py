@@ -179,8 +179,9 @@ def test_twisted_subcommand(capsys):
 
 
 def test_twisted_names_its_route(capsys):
-    for r, route in (("0.6", r"operator iterates, dim \d+"), ("1.3", r"tree-row sum \(r > 1\)")):
-        code, out = run(capsys, "twisted", "--n", "8", "--s", "2", "--m", "1", "--r", r)
+    for r, s, route in (("0.6", "2", r"operator iterates, dim \d+"), ("1.3", "2", r"tree-row sum \(r > 1\)"),
+                        ("0.6", "-1", r"tree-row sum \(Re s < 0\)")):
+        code, out = run(capsys, "twisted", "--n", "8", "--s", s, "--m", "1", "--r", r)
         assert code == 0
         recs = [json.loads(l) for l in out.splitlines()[1:]]
         assert len(recs) == 8 and all(re.fullmatch(route, rec["method"]) for rec in recs), recs

@@ -130,11 +130,12 @@ def test_farey_twisted_approaches_inverse_zeta():
     assert abs(val.imag) <= 1e-12
 
 
-def test_farey_twisted_error_covers_the_row_sums():
+@pytest.mark.parametrize("s", [0.0, 6.0])
+def test_farey_twisted_error_covers_the_row_sums(s):
     # r = 1, where the compression converges slowest: every partial sum from the operator iterates, within its error
     p = Params.floating(1.0)
     for m in (0, 1, 2):
-        values, rows = (twisted.twisted_sums(16, 6.0, m, p, method) for method in ("transfer", "rows"))
+        values, rows = (twisted.twisted_sums(16, s, m, p, method) for method in ("transfer", "rows"))
         for value, row in zip(values, rows):
             assert value.method.startswith("operator iterates, dim"), value.method
             assert abs(value - row) <= value.error, (m, value, row, value.error)
