@@ -348,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "thermo", help="Z^C, F_n, M_n sweep from operator iterates",
         description="Z^C_n, F_n and M_n for n = 2 .. N, r in [0, 1], from the operator iterates "
-        "Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_(k+1) = rho^(-s/2) P_(s/2) f_k, on an adaptive "
-        f"Chebyshev compression (dim {', '.join(map(str, thermo.SWEEP_DIMS))}, each checked against "
-        "3 dim/4).  Columns: "
+        "Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_(k+1) = rho^(-s/2) P_(s/2) f_k, on the Chebyshev "
+        f"compression at a dim of the ladder {', '.join(map(str, transfer.SWEEP_DIMS))} "
+        "(transfer._dim_ladder).  Columns: "
         "r, s, n, ZC, Fn, Mn, logZC, error (the relative error of ZC, the absolute error of logZC) "
         "and dim.  ZC is empty where Z^C_n exceeds the float range; logZC is always given.  "
         f"N times the number of s values is capped at {thermo.SWEEP_CAP}.",

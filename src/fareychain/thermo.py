@@ -17,14 +17,12 @@ reports the jump of dF/ds there by the renewal identity |d log lambda_K/ds| / (m
 at r = 1, where the mean return time diverges and the transition stops
 being first order.
 
-The row sums are also values of operator iterates,
-Z^G_k(s) = 2^(-s) (rho^(-ks/2) P_{s/2}^k 1)(1/2), so :func:`thermo_sweep`
-(and :func:`free_energy_limit`) read Z^C_n, F_n and M_n for every n <= n_max
-from n_max - 1 products with the cached Chebyshev compression of the
-operator, log-scaled so that n ~ 10^4 stays finite, with a computed error
-per point.  The row routes (:func:`grand_Z`, :func:`canonical_Z`,
-:func:`free_energy`, :func:`magnetization`, and all of exact mode) walk
-the 2^k-entry tree rows and are the sweep's independent oracle.
+The row sums are also values of operator iterates, Z^G_k(s) = 2^(-s) (rho^(-ks/2) P_{s/2}^k 1)(1/2), so
+:func:`thermo_sweep` (and :func:`free_energy_limit`) read Z^C_n, F_n and M_n for every n <= n_max from n_max - 1
+products with the cached Chebyshev compression of the operator, log-scaled so that n ~ 10^4 stays finite, at the dim
+of :func:`transfer._dim_ladder`, with a computed error per point.  The row routes (:func:`grand_Z`,
+:func:`canonical_Z`, :func:`free_energy`, :func:`magnetization`, and all of exact mode) walk the 2^k-entry tree rows
+and are the sweep's independent oracle.
 
 All limits are reported as finite-n estimates with explicit
 extrapolation and error bars; nothing here claims the n -> infinity
@@ -44,8 +42,8 @@ import numpy as np
 
 from .rings import Params, power_sum
 from .spinchain import _cumulative, _integral, _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import (RETURN_DIM, SWEEP_DIMS, SWEEP_TOL, _chandrupatla, _log_iterates, _pair_stream, return_log_lambda,
-                       return_root, spectral_radius)
+from .transfer import (RETURN_DIM, SWEEP_TOL, _chandrupatla, _dim_ladder, _log_iterates, _pair_stream,
+                       return_log_lambda, return_root, spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
@@ -291,25 +289,20 @@ def _log_sums(r: float, s: np.ndarray, n_max: int, dim: int) -> Tuple[np.ndarray
 def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[ThermoPoint]:
     """Z^C_n, F_n and M_n for every s in `s_values` and n = 2 .. n_max, r in [0, 1].
 
-    The row sums are values of operator iterates at 1/2:
-    Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1, f_{k+1} = rho^(-s/2) P_{s/2} f_k, which
-    is the identity 2 Z^C_n = 1 + sum_{k<=n} rho^(-ks/2) (P_{s/2}^k 1)(1) read
-    one level down.  The iterates come from n_max - 1 products with the cached
-    Chebyshev compression, log-scaled, for every s at once; then
-    Z^C_n = 1 + sum_{k<n} Z^G_k, F_n = log(2 Z^C_{n-1}) / n and, by the
+    The row sums are values of operator iterates at 1/2: Z^G_k(s) = 2^(-s) f_k(1/2), f_0 = 1,
+    f_{k+1} = rho^(-s/2) P_{s/2} f_k, which is the identity 2 Z^C_n = 1 + sum_{k<=n} rho^(-ks/2) (P_{s/2}^k 1)(1)
+    read one level down.  The iterates come from n_max - 1 products with the cached Chebyshev compression,
+    log-scaled, for every s at once; then Z^C_n = 1 + sum_{k<n} Z^G_k, F_n = log(2 Z^C_{n-1}) / n and, by the
     row-sum identity, M_n = 1 - sum_{m<n} (m+2) Z^G_m / (n Z^C_n), all in logs.
 
-    The dimension climbs 48, 96, 192, 384 until every log Z^C_n moves from the
-    3 dim/4 rerun by at most SWEEP_TOL beyond the rounding floor (n+1) dim eps
-    (n dot products of length dim); the error of each point is that change,
-    floored at the rounding floor.  The rows route (:func:`canonical_Z`,
-    :func:`magnetization` with ``identity``) is the oracle.  ValueError, before
-    any work, for r outside [0, 1], n_max < 2, no s values, an s < 0 (where the
-    iterates grow steeply toward x = 1 and their rounding outgrows that floor) or
-    n_max * len(s_values) > SWEEP_CAP; after the solve, before any point is built,
-    for a value that is not finite.  ArithmeticError past dim 384, naming the run
-    (dim 384 or its 3 dim/4 check) and the first (n, s) whose iterate f_n at 1/2
-    is not positive and finite if that is why.  Points are ordered by s, then by n.
+    The dim is :func:`transfer._dim_ladder`'s on the change of every log Z^C_n, a relative change of Z^C_n at scale
+    1; the error of each point is that change, floored at the ladder's rounding floor (n+1) dim eps.  The rows route
+    (:func:`canonical_Z`, :func:`magnetization` with ``identity``) is the oracle.  ValueError, before any work, for
+    r outside [0, 1], n_max < 2, no s values, an s not finite or < 0 (where the iterates grow steeply toward x = 1
+    and their rounding outgrows that floor) or n_max * len(s_values) > SWEEP_CAP; after the solve, before any point
+    is built, for a value that is not finite.  ArithmeticError where the ladder tops out, naming the run (dim 384 or
+    its 3 dim/4 check) and the first (n, s) whose iterate f_n at 1/2 is not positive and finite if that is why.
+    Points are ordered by s, then by n.
     """
     if not 0 <= r <= 1:
         raise ValueError(f"the operator sweep is computed for r in [0, 1], got r={r}")
@@ -317,32 +310,31 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
         raise ValueError("n must be >= 2")
     if not len(s_values):
         raise ValueError("the sweep needs at least one s value")
-    if min(s_values) < 0:
-        raise ValueError(f"the sweep's error bar is computed for s >= 0, got s={min(s_values)}")
+    for s_i in s_values:
+        if not 0 <= s_i < math.inf:
+            raise ValueError(f"the sweep's error bar is computed for s >= 0 and finite, got s={s_i}")
     if n_max * len(s_values) > SWEEP_CAP:
         raise ValueError(f"n * len(s) = {n_max * len(s_values)} exceeds the sweep cap {SWEEP_CAP}")
     s = np.asarray(s_values, dtype=float)
 
-    for dim in SWEEP_DIMS:
-        with np.errstate(all="ignore"):  # an iterate that is not positive at 1/2 gives nan, failing the test
-            log_zc, log_w = _log_sums(r, s, n_max, dim)
-            check = _log_sums(r, s, n_max, 3 * dim // 4)[0]
-            shift = np.abs(log_zc - check)
-        floor = np.arange(1.0, n_max + 2.0)[:, None] * dim * np.finfo(float).eps
-        term = float(np.max(shift - floor))
-        if term <= SWEEP_TOL:
-            break
-    else:
+    def run(dim):
+        log_zc, log_w = _log_sums(r, s, n_max, dim)
+        return log_zc, 1.0, log_w
+
+    rounds = np.arange(1.0, n_max + 2.0)[:, None]  # the dot products behind log Z^C_0 .. log Z^C_n_max
+    dim, (log_zc, _one, log_w), shift, term = _dim_ladder(run, rounds)
+    if not term <= SWEEP_TOL:
         if math.isfinite(term):
             raise ArithmeticError(f"Z^C at r={r}: dim vs 3 dim/4 term {term:.3g} > {SWEEP_TOL:.3g} at dim {dim}, "
                                   "the top of the ladder")
-        # the first nan of each run: a nan log Z^C_(n+1) comes from a log f_n(1/2) of nan
-        row, j, run = min((*np.argwhere(np.isnan(log))[0], d) for d, log in ((dim, log_zc), (3 * dim // 4, check))
-                          if np.isnan(log).any())
+        with np.errstate(all="ignore"):  # the first nan of each run: a nan log Z^C_(n+1) is a log f_n(1/2) of nan
+            check = _log_sums(r, s, n_max, 3 * dim // 4)[0]
+        row, j, failed = min((*np.argwhere(np.isnan(log))[0], d) for d, log in ((dim, log_zc), (3 * dim // 4, check))
+                             if np.isnan(log).any())
         raise ArithmeticError(f"Z^C at r={r}: dim vs 3 dim/4 term not finite at dim {dim}, the top of the ladder; "
-                              f"in the dim {run} run the iterate f_n at 1/2 is not positive and finite, "
+                              f"in the dim {failed} run the iterate f_n at 1/2 is not positive and finite, "
                               f"first at n={row - 1}, s={s_values[j]}")
-    error = np.maximum(shift, floor)
+    error = np.maximum(shift, rounds * dim * np.finfo(float).eps)
     n = np.arange(2.0, n_max + 1.0)[:, None]
     fn = (math.log(2.0) + log_zc[1:-1]) / n
     mn = 1.0 - np.exp(log_w[2:] - log_zc[2:]) / n

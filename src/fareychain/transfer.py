@@ -46,10 +46,9 @@ fast route, one independent oracle, and a check comparing the two (a
 
 The iterates of 1 and of characters, and the twisted sums of :mod:`twisted`, come on r in [0, 1] and x in
 [0, 1] from n products with the cached Chebyshev compression (:func:`_operator_iterates`, the loop
-:func:`_log_iterates` that the thermo sweep shares): O(n dim^2) work, dim from SWEEP_DIMS, each checked
-against 3 dim/4, reported with the dim and an error.  Where it does not reach (r > 1, x outside [0, 1],
-Re s < 0) or its ladder tops out they walk the leaves, and say so; iterate_general, whose f is any callable,
-always does.
+:func:`_log_iterates` and the dim ladder :func:`_dim_ladder` that the thermo sweep shares): O(n dim^2) work,
+reported with the dim and an error.  Where it does not serve they walk the leaves and say why; iterate_general,
+whose f is any callable, always does.
 The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
@@ -94,6 +93,8 @@ class TransferQuery:
     n: int
 
     def __post_init__(self):
+        if not cmath.isfinite(self.s):
+            raise ValueError(f"s must be finite, got s={self.s}")
         if not 0 <= self.r < 2:
             raise ValueError("r must lie in [0, 2)")
         _require_leaf_n(self.n)
@@ -256,18 +257,13 @@ def iterate_one(x: float, q: TransferQuery) -> Estimate:
 
 
 def iterate_character(x: float, q: TransferQuery, m: int) -> Estimate:
-    """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y): rho^(ns) T_n of :func:`_operator_iterates` on r and
-    x in [0, 1] with Re s >= 0; else on the walk, where each extended-row vertex contributes den^(-2s)
-    2 cos(2 pi m t) (:func:`_vertex_sum`, :func:`_character_pair`).  That needs integer m, so any other m raises
-    ValueError."""
+    """(P^n e_m)(x) for the character e_m(y) = exp(2 pi i m y): rho^(ns) T_n of :func:`_operator_iterates` where that
+    serves, else the walk, where each extended-row vertex contributes den^(-2s) 2 cos(2 pi m t) (:func:`_vertex_sum`,
+    :func:`_character_pair`).  That needs integer m, so any other m raises ValueError."""
     pair = _character_pair(m)  # refuses a non-integer m on both routes
     s = complex(q.s)
-    got = _operator_iterates(x, s, q.r, m, q.n, lambda T: T[-1:])
-    if got is None:
-        return Estimate(_iterate(x, q, pair), None, f"leaf walk ({_walk_reason(q.r, x, s)})")
-    (value,), (error,), dim = got
-    factor = _cpow(q.rho, q.n * s)
-    return Estimate(factor * value, abs(factor) * error, f"operator iterates, dim {dim}")
+    got = _operator_iterates(x, s, q.r, m, q.n, lambda T: T[-1:], _cpow(q.rho, q.n * s))
+    return Estimate(_iterate(x, q, pair), None, f"leaf walk ({got})") if isinstance(got, str) else got[0]
 
 
 def iterate_general(f: Callable, x: float, s: complex, r: float, k: int) -> complex:
@@ -330,7 +326,7 @@ def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[compl
     its matrix.  Trace-class only for r < 1; the all-left leaf term
     diverges as r -> 1.
     """
-    TransferQuery(s, r, n)  # validates r and n
+    TransferQuery(s, r, n)  # validates s, r and n
     if r >= 1:
         raise ValueError("traces require r < 1 (divergent as r -> 1)")
     s = complex(s)
@@ -345,7 +341,7 @@ def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
     m_j^(2s) (:func:`_leaf_roots`).  Unlike the traces this stays
     finite at r = 1.
     """
-    TransferQuery(s, r, n)  # validates r and n
+    TransferQuery(s, r, n)  # validates s, r and n
     if r > 1:
         raise ValueError("periodic sums implemented for r <= 1")
     s = complex(s)
@@ -482,7 +478,9 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> Fredholm
     """
     if r >= 1:
         raise ValueError("determinants require r < 1")
-    TransferQuery(s, r, N)  # validates r and N
+    TransferQuery(s, r, N)  # validates s, r and N
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got z={z}")
     s_c = complex(s)
 
     def terms(roots) -> np.ndarray:
@@ -618,24 +616,40 @@ def _log_iterates(sigma: np.ndarray, start: Callable[[np.ndarray], np.ndarray], 
     return np.cumsum(logs, axis=0), values
 
 
-def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray]):
-    """(values, errors, dim): read(T) of T_k = rho^(-k sigma) (P_sigma^k e_m)(x), k = 1 .. n, from the Chebyshev
-    compression, or None where it does not reach (r > 1, x outside [0, 1], Re sigma < 0; :func:`_walk_reason`) and
-    past the top of SWEEP_DIMS.  read maps the n terms to the values wanted (the last term, or the partial sums of
-    a series), and the same read of S and A to their scales.
+def _dim_ladder(run: Callable[[int], tuple], products) -> Tuple[int, tuple, np.ndarray, float]:
+    """The dim ladder of every operator-iterate route: (dim, run(dim), change, excess), run(dim) = (values, scale, ...)
+    on the dim-point compression.  The dims climb SWEEP_DIMS, each rerun at 3 dim/4, to the first whose excess
+    max(change / scale - products dim eps) is at most SWEEP_TOL, change = |values - the rerun's| and products (a
+    scalar or like values) the dot products of length dim behind each value: products dim eps floors the callers'
+    errors.  If none passes (an excess above SWEEP_TOL or nan, as from an overflowed run), this is dim 384's tuple."""
+    for dim in SWEEP_DIMS:
+        with np.errstate(all="ignore"):  # a run that overflows or turns nan fails the test
+            out = run(dim)
+            change = np.abs(out[0] - run(3 * dim // 4)[0])
+            excess = float(np.max(change / out[1] - products * dim * np.finfo(float).eps))
+        if excess <= SWEEP_TOL:
+            break
+    return dim, out, change, excess
+
+
+def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray],
+                       factor: complex = 1.0) -> List[Estimate] | str:
+    """The Estimates factor read(T) of T_k = rho^(-k sigma) (P_sigma^k e_m)(x), k = 1 .. n, from the Chebyshev
+    compression, with their errors and the method "operator iterates, dim N"; or, where this route does not serve,
+    why: "r > 1", "x outside [0, 1]", "Re s < 0" or that its ladder topped out at dim 384.  read maps the n terms to
+    the values wanted (the last term, or the partial sums of a series), and the same read of S and A to their scales.
 
     One run of :func:`_log_iterates` carries f_0 = cos(2 pi m y) at sigma (P_sigma kills the odd part i sin(2 pi m y)
     of e_m, so their iterates agree from k = 1 on) beside f_0 = 1 at Re sigma, whose S_k = rho^(-k Re sigma)
-    (P_(Re sigma)^k 1)(x) scales the logs and bounds |T_k|, as |P_sigma^k e_m| <= P_(Re sigma)^k 1.  The dims climb
-    SWEEP_DIMS until every value moves from its 3 dim/4 rerun by at most SWEEP_TOL of read(S) beyond the sweep's
-    rounding floor (n + 1) dim eps read(S).  The error of each value is that change, floored at (n + 1) eps
-    read(max(dim S, A)): where S varies steeply across the nodes, the rounding of the read-out scales with the
-    magnitude A_k of :func:`_log_iterates`, not with S_k, and the change between two dims can miss it.  For
-    Re sigma < 0 the iterates grow steeply toward y = 1 and even that floor under-reports their rounding (13x at
-    sigma = -23, r = 1, n = 13), so they walk, as :func:`thermo.thermo_sweep` refuses s < 0."""
+    (P_(Re sigma)^k 1)(x) scales the logs and bounds |T_k|, as |P_sigma^k e_m| <= P_(Re sigma)^k 1.  The dim is
+    :func:`_dim_ladder`'s on the change relative to read(S), n + 1 products per value.  The error is that change,
+    floored at (n + 1) eps read(max(dim S, A)): where S varies steeply across the nodes, the rounding of the read-out
+    scales with the magnitude A_k of :func:`_log_iterates`, which the change between two dims can miss.  For Re sigma
+    < 0 even that floor under-reports the rounding (13x at sigma = -23, r = 1, n = 13), so they walk."""
     sigma = complex(sigma)
-    if r > 1 or not 0 <= x <= 1 or sigma.real < 0:
-        return None
+    reason = "r > 1" if r > 1 else "x outside [0, 1]" if not 0 <= x <= 1 else "Re s < 0" if sigma.real < 0 else ""
+    if reason:
+        return reason
     k = 2 if m or sigma.imag else 1  # the e_m column, unless it is the f = 1 column
     sigmas = np.array([sigma.real, sigma if sigma.imag else sigma.real][:k])
     two_pi_m = np.array([0.0, 2.0 * math.pi * m][:k])
@@ -644,22 +658,14 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
         logs, values = _log_iterates(sigmas, lambda y: np.cos(np.outer(y, two_pi_m)), r, n + 1, dim, x, shared=True)
         S = np.exp(logs[1:, 0])
         ratio = values[1:] / values[1:, :1]
-        return read(S * ratio[:, -2]), S, S * ratio[:, -1].real
+        return read(S * ratio[:, -2]), read(S), S, S * ratio[:, -1].real
 
-    rounding = (n + 1) * np.finfo(float).eps
-    for dim in SWEEP_DIMS:
-        with np.errstate(all="ignore"):  # an overflowed run fails the test below
-            (value, S, A), check = run(dim), run(3 * dim // 4)[0]
-            change, scale = np.abs(value - check), read(S)
-            if np.max(change / scale - rounding * dim) <= SWEEP_TOL:
-                return value, np.maximum(change, rounding * read(np.maximum(dim * S, A))), dim
-    return None
-
-
-def _walk_reason(r: float, x: float, sigma: complex) -> str:
-    """Why a route that :func:`_operator_iterates` serves fell back to the walk."""
-    return ("r > 1" if r > 1 else "x outside [0, 1]" if not 0 <= x <= 1 else "Re s < 0" if sigma.real < 0
-            else f"the operator ladder topped out at dim {SWEEP_DIMS[-1]}")
+    dim, (values, _scale, S, A), change, excess = _dim_ladder(run, n + 1)
+    if not excess <= SWEEP_TOL:
+        return f"the operator ladder topped out at dim {dim}"
+    errors = np.maximum(change, (n + 1) * np.finfo(float).eps * read(np.maximum(dim * S, A)))
+    method = f"operator iterates, dim {dim}"
+    return [Estimate(factor * v, abs(factor) * e, method) for v, e in zip(values.tolist(), errors.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -900,14 +906,14 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
     end plus the dim and 2h terms of :func:`return_root` over the mean return time |d log lambda_K / d eps|;
     for mu_0, w plus what of those terms log lambda_K(edge + w) does not clear (the mean return time is >= 1).
     ArithmeticError if lambda_s expm1(that) exceeds tol or lambda_s is below sys.float_info.min; ValueError,
-    before any solve, for r outside [0, 1], complex s, or a tol below 1e-14 or not finite.
+    before any solve, for r outside [0, 1], an s that is complex or not finite, or a tol below 1e-14 or not finite.
     :func:`collocation_spectrum` is the oracle."""
     if not 0 <= r <= 1:
         raise ValueError(f"the spectral radius is computed for r in [0, 1], got r={r}")
     if not 1e-14 <= tol < math.inf:  # lambda is not resolved much below rounding
         raise ValueError(f"tol={tol} must be finite and at least 1e-14")
-    if complex(s).imag != 0:
-        raise ValueError("spectral radius is defined here for real s")
+    if complex(s).imag != 0 or not cmath.isfinite(s):
+        raise ValueError(f"spectral radius is defined here for real finite s, got s={s}")
     s, L = complex(s).real, math.log1p(1.0 - r)
     edge, top = -2.0 * s * L, math.log(2.0) + 0.25 + max(0.0, 2.0 * s * (L - math.log(2.0)))
     g_tol = float(np.logaddexp(0.0, math.log(tol) - edge - top - s * L))  # log1p(tol / U), U = e^(edge + top + sL)

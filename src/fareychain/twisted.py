@@ -14,6 +14,7 @@ rounding.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from itertools import accumulate
@@ -24,7 +25,7 @@ import numpy as np
 
 from .rings import Params
 from .spinchain import _level_sums, _tree_stream
-from .transfer import Estimate, _character_pair, _operator_iterates, _require_leaf_n, _walk_reason
+from .transfer import Estimate, _character_pair, _operator_iterates, _require_leaf_n
 
 SIEVE_LIMIT = 1_000_000
 
@@ -171,20 +172,21 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transf
     ``transfer`` uses the character-iterate identity 2 Z_n^(m)(2 sigma) = 1 + sum_{k<=n} rho^(-k sigma)
     (P_sigma^k e_m)(1), whose rho prefactors cancel: on r in [0, 1] one run of n products with the Chebyshev
     compression gives the whole series (:func:`transfer._operator_iterates`, error against the 3 dim/4 rerun
-    relative to the m = 0 series at Re s, which bounds it); for r > 1, Re s < 0 or past the top of the ladder, it
-    falls back to the tree-row sum and says why.  It needs integer m (ValueError otherwise).  ``rows`` sums the tree
-    rows directly, from one walk, and is the oracle.  m = 0 recovers the canonical partition function.
+    relative to the m = 0 series at Re s, which bounds it); where that route does not serve, it falls back to the
+    tree-row sum and says why.  It needs integer m and finite s (ValueError otherwise, before any work).  ``rows``
+    sums the tree rows directly, from one walk, and is the oracle.  m = 0 recovers the canonical partition function.
     """
     _require_leaf_n(n)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got s={s}")
     r = params.as_float().r_float
     if method == "transfer":
         _character_pair(m)  # refuses a non-integer m
         # Z_k = 1 + (1/2) sum_{j<=k} T_j: the leading 1 and the k = 0 term e_m(1) = 1, halved
         got = _operator_iterates(1.0, s / 2.0, r, m, n, lambda T: 1.0 + np.cumsum(T) / 2.0)
-        if got is not None:
-            values, errors, dim = got
-            return [Estimate(z, e, f"operator iterates, dim {dim}") for z, e in zip(values.tolist(), errors.tolist())]
-        route = f"tree-row sum ({_walk_reason(r, 1.0, s)})"
+        if not isinstance(got, str):
+            return got
+        route = f"tree-row sum ({got})"
     elif method == "rows":
         route = "tree-row sum"
     else:

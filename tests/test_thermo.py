@@ -355,7 +355,8 @@ def test_sweep_rejects_before_work(monkeypatch):
     monkeypatch.setattr(transfer, "_collocation_operator", lambda *a: calls.append(a))
     for r, s_values, n in ((1.3, [1.0], 10), (1.0 + 1e-9, [1.0], 10), (-0.1, [1.0], 10),
                            (0.5, [1.0], thermo.SWEEP_CAP + 1), (0.5, [1.0, 2.0], thermo.SWEEP_CAP // 2 + 1),
-                           (0.5, [], 10), (0.5, [1.0, -1e-300], 10)):
+                           (0.5, [], 10), (0.5, [1.0, -1e-300], 10), (0.5, [math.nan], 10), (0.5, [math.inf], 10),
+                           (0.5, [1.0, math.nan], 10)):
         with pytest.raises(ValueError):
             thermo.thermo_sweep(r, s_values, n)
     assert calls == []

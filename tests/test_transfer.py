@@ -470,6 +470,38 @@ def test_query_validation():
         TransferQuery(1.0, 2.0, 1)
     with pytest.raises(ValueError):
         TransferQuery(1.0, 0.5, 0)
+    for s in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(ValueError, match="s must be finite"):
+            TransferQuery(s, 0.5, 3)
+
+
+def test_non_finite_s_and_z_rejected_before_work(monkeypatch):
+    from fareychain import spinchain, twisted
+
+    for module, name in ((transfer, "_collocation_operator"), (transfer, "_return_operator"), (spinchain, "_step")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"a refused input reached {name}"))
+    p = Params.floating(0.5)
+    for s in (math.nan, math.inf, -math.inf):
+        for call in (lambda: transfer.iterate_one(0.3, TransferQuery(s, 0.5, 5)),
+                     lambda: transfer.iterate_character(0.3, TransferQuery(s, 0.5, 5), 2),
+                     lambda: transfer.iterate_general(np.cos, 0.3, s, 0.5, 4),
+                     lambda: transfer.trace_sums(5, s, 0.5),
+                     lambda: transfer.periodic_sums_xi(5, s, 0.5),
+                     lambda: transfer.fredholm_and_zeta(0.5, s, 0.5, N=5),
+                     lambda: transfer.fredholm_and_zeta(s, 1.0, 0.5, N=5),
+                     lambda: transfer.spectral_radius(s, 0.5),
+                     lambda: twisted.twisted_sums(5, s, 1, p),
+                     lambda: twisted.twisted_sums(5, s, 1, p, "rows")):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
+def test_topped_out_ladder_falls_back_to_the_walk():
+    # r = 1, s = 9: the compression does not resolve the iterates by dim 384, and the walk takes over
+    q = TransferQuery(9.0, 1.0, 20)
+    value = transfer.iterate_one(0.5, q)
+    assert value.method == "leaf walk (the operator ladder topped out at dim 384)"
+    assert value == transfer._iterate(0.5, q, None) and value.error is None
 
 
 def test_depth_first_blocks_match_whole_rows(monkeypatch):

@@ -139,3 +139,11 @@ def test_farey_twisted_error_covers_the_row_sums(s):
         for value, row in zip(values, rows):
             assert value.method.startswith("operator iterates, dim"), value.method
             assert abs(value - row) <= value.error, (m, value, row, value.error)
+
+
+def test_topped_out_ladder_falls_back_to_the_rows():
+    # r = 1, s = 18: the compression's ladder tops out, and the whole series comes from the tree rows
+    p = Params.floating(1.0)
+    values, rows = (twisted.twisted_sums(20, 18.0, 1, p, method) for method in ("transfer", "rows"))
+    assert all(v.method == "tree-row sum (the operator ladder topped out at dim 384)" for v in values)
+    assert values == rows and all(v.error is None for v in values)
