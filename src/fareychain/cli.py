@@ -180,21 +180,23 @@ def cmd_spin(args) -> int:
     return 0
 
 
+def _estimate_rows(head: tuple, values: List[transfer.Estimate]) -> List[tuple]:
+    """One record per n: head, n, the value as [re, im], its route and its error (None where the route has none)."""
+    return [(*head, n, [val.real, val.imag], val.method, val.error) for n, val in enumerate(values, 1)]
+
+
 @_series_command
 def cmd_trace(args) -> int:
-    values = transfer.trace_sums(args.n, args.s, args.r, signed=args.signed)
-    method = "leaf trace pairs" + (" (signed)" if args.signed else "")
-    fields = ["r", "s", "n", "value", "method"]
-    rows = [(args.r, args.s, n, [val.real, val.imag], method) for n, val in enumerate(values, 1)]
+    fields = ["r", "s", "n", "value", "method", "error_estimate"]
+    rows = _estimate_rows((args.r, args.s), transfer.trace_sums(args.n, args.s, args.r, signed=args.signed))
     emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 
 
 @_series_command
 def cmd_xi(args) -> int:
-    values = transfer.periodic_sums_xi(args.n, args.s, args.r)
-    fields = ["r", "s", "n", "value", "method"]
-    rows = [(args.r, args.s, n, [val.real, val.imag], "closed leaf sum") for n, val in enumerate(values, 1)]
+    fields = ["r", "s", "n", "value", "method", "error_estimate"]
+    rows = _estimate_rows((args.r, args.s), transfer.periodic_sums_xi(args.n, args.s, args.r))
     emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 
@@ -241,9 +243,9 @@ def cmd_phase(args) -> int:
 
 @_series_command
 def cmd_twisted(args) -> int:
+    fields = ["r", "s", "m", "n", "value", "method", "error_estimate"]
     values = twisted.twisted_sums(args.n, args.s, args.m, Params.floating(args.r))
-    fields = ["r", "s", "m", "n", "value", "method"]
-    rows = [(args.r, args.s, args.m, n, [val.real, val.imag], val.method) for n, val in enumerate(values, 1)]
+    rows = _estimate_rows((args.r, args.s, args.m), values)
     emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 
@@ -312,12 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_spin)
 
-    for name, fn, extra in (
-        ("trace", cmd_trace, ("signed",)),
-        ("xi", cmd_xi, ()),
+    for name, fn, extra, what in (
+        ("trace", cmd_trace, ("signed",), "trace(P_s^n), r in [0, 1) (--signed: of the signed operator)"),
+        ("xi", cmd_xi, (), "Xi_n(s), the sum over period-n points of |(F^n)'|^(-s), r in [0, 1]"),
     ):
-        sp = sub.add_parser(name, help=f"transfer-operator {name} values up to n")
-        sp.add_argument("--n", type=int, required=True)
+        sp = sub.add_parser(
+            name, help=f"{what}, for n = 1 .. N",
+            description=f"{what}, for n = 1 .. N <= {transfer.SERIES_CAP}, from the first-return block series at "
+            f"dim {transfer.SERIES_DIM} (transfer._return_series).  Each JSON line carries the value [re, im], "
+            f"its method (\"first-return series, dim {transfer.SERIES_DIM}\") and error_estimate, the change from "
+            "the 3 dim/4 rerun floored at rounding.")
+        sp.add_argument("--n", type=int, required=True, help=f"largest n, at most {transfer.SERIES_CAP}")
         sp.add_argument("--s", type=float, required=True)
         sp.add_argument("--r", type=float, required=True)
         if "signed" in extra:
@@ -367,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, mode=False)
     sp.set_defaults(func=cmd_phase)
 
-    sp = sub.add_parser("twisted", help="character-twisted partition sums Z_n^(m)")
+    sp = sub.add_parser("twisted", help="character-twisted partition sums Z_n^(m); each JSON line carries its method "
+                        "and error_estimate (null on the tree-row sum, which computes none)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--m", type=int, required=True)

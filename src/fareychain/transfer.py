@@ -37,8 +37,10 @@ fast route, one independent oracle, and a check comparing the two (a
     (P^n e_m)(x)      iterate_character   apply_bruteforce          "character iterate vs branch-word oracle"
                       operator iterates   leaf walk                 "character iterate: operator iterates vs leaf walk"
     (P^(k+1) f)(x)    iterate_general     apply_bruteforce          "general iterate vs branch-word oracle"
-    trace(P^n)        trace_sums          trace_power_bruteforce    "trace leaf formula vs fixed-point oracle (n<=8)"
-    Xi_n(s)           periodic_sums_xi    periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
+    trace(P^n), Xi_n  trace_sums,         leaf walk                 "traces and Xi_n: first-return series vs leaf walk"
+                      periodic_sums_xi
+                      leaf walk           trace_power_bruteforce    "trace leaf formula vs fixed-point oracle (n<=8)"
+                                          periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
     zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
     lambda_{s,r}      spectral_radius     collocation_spectrum      "lambda: first-return operator vs Chebyshev compression"
     s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
@@ -49,7 +51,12 @@ The iterates of 1 and of characters, and the twisted sums of :mod:`twisted`, com
 :func:`_log_iterates` and the dim ladder :func:`_dim_ladder` that the thermo sweep shares): O(n dim^2) work,
 reported with the dim and an error.  Where it does not serve they walk the leaves and say why; iterate_general,
 whose f is any callable, always does.
-The traces, Xi_n and both Fredholm determinants walk _matrix_stream and take
+Every periodic orbit but the fixed point 0 is a cyclic word of the first-return blocks Phi_1 Phi_0^(m-1), so the
+traces (r < 1) and Xi_n (r <= 1) are the fixed point's term plus the Taylor coefficients of log det(I -+ B_sigma(z)),
+B_sigma(z) = sum_m z^m rho^(m sigma) K_(sigma,m) over the blocks of the first-return operator K on [1/2, 1]
+(:func:`_return_series`): the coefficient of z^n needs the blocks m <= n only, so n <= SERIES_CAP costs O(n^2 dim^3)
+at dim SERIES_DIM, with the error of its 3 dim/4 rerun.  Their leaf walk (method="leaves", n <= 27) is the oracle;
+it and both Fredholm determinants walk _matrix_stream and take
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
 into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The walked iterates
@@ -318,34 +325,63 @@ def _xi_sum(roots, s: complex) -> complex:
     return complex(np.sum(_cpow(m0, 2.0 * s)) + np.sum(_cpow(m1, 2.0 * s)))
 
 
-def trace_sums(n: int, s: complex, r: float, signed: bool = False) -> List[complex]:
-    """[trace(P^1), ..., trace(P^n)] (or of the signed operator) from one walk.
+def _series_sigma(n: int, s: complex, r: float, method: str) -> complex:
+    """s as sigma for :func:`_return_series` (real where it is real), after refusing a non-finite s, r outside
+    [0, 2), n below 1, an unknown method and n above the cap of the route: SERIES_CAP for ``series``, the n of
+    :func:`_require_leaf_n` for ``leaves``; all before any work."""
+    if method not in ("series", "leaves"):
+        raise ValueError(f"unknown method {method!r}")
+    TransferQuery(s, r, 1)  # validates s and r
+    if method == "leaves":
+        _require_leaf_n(n)
+    elif n < 1:
+        raise ValueError("n must be >= 1")
+    elif n > SERIES_CAP:
+        raise ValueError(f"n={n} exceeds {SERIES_CAP}, the largest n of the first-return series")
+    s = complex(s)
+    return s if s.imag else s.real
 
-    Each leaf of tree row k contributes (+-1)^j rho^(k/2) m_j^(2s-1) / r_j,
-    j = 0, 1, to trace(P^k), with m_j and r_j the :func:`_leaf_roots` of
-    its matrix.  Trace-class only for r < 1; the all-left leaf term
-    diverges as r -> 1.
+
+def trace_sums(n: int, s: complex, r: float, signed: bool = False, method: str = "series") -> List[Estimate]:
+    """[trace(P_s^1), ..., trace(P_s^n)], or of the signed operator P~_s, each an :class:`Estimate`, r in [0, 1).
+
+    ``series`` (n <= SERIES_CAP): every periodic orbit but the fixed point 0 is a cyclic word of the first-return
+    blocks, so trace(P_s^k) = rho^(-ks) / (1 - rho^(-k)) + c_k(s, +) and the signed trace is rho^(-ks) /
+    (1 - rho^(-k)) - c_k(s, -), c of :func:`_return_series` (error of :func:`_series_estimates`); at n = SERIES_CAP
+    about 0.15 s and a 13 MB peak (2-core machine, BLAS on one thread).
+    ``leaves`` (n <= 27), the oracle, from one walk: each leaf of tree row k contributes (+-1)^j rho^(k/2)
+    m_j^(2s-1) / r_j, j = 0, 1, to trace(P^k), with m_j and r_j the :func:`_leaf_roots` of its matrix; no error.
+    Trace-class only for r < 1; the fixed point's term diverges as r -> 1.
     """
-    TransferQuery(s, r, n)  # validates s, r and n
+    sigma = _series_sigma(n, s, r, method)
     if r >= 1:
         raise ValueError("traces require r < 1 (divergent as r -> 1)")
-    s = complex(s)
-    sums = _pair_trace_sums(n, r, lambda roots: _trace_sum(roots, s, signed))
-    return [(2.0 - r) ** (k / 2.0) * total for k, total in enumerate(sums, 1)]
+    if method == "leaves":
+        sums = _pair_trace_sums(n, r, lambda roots: _trace_sum(roots, complex(s), signed))
+        return [Estimate((2.0 - r) ** (k / 2.0) * total, None, "leaf walk") for k, total in enumerate(sums, 1)]
+    k, L = np.arange(1, n + 1), math.log1p(1.0 - r)
+    sign = -1 if signed else 1
+    return _series_estimates(r, np.exp(-k * L * sigma) / -np.expm1(-k * L), [(sigma, sign, sign)])
 
 
-def periodic_sums_xi(n: int, s: complex, r: float) -> List[complex]:
-    """[Xi_1(s), ..., Xi_n(s)] from one walk: Xi_k(s) is the dynamical
-    partition function, the sum over period-k points of |(F^k)'|^(-s); in
-    leaf data of tree row k, the sum over leaves and j = 0, 1 of
-    m_j^(2s) (:func:`_leaf_roots`).  Unlike the traces this stays
-    finite at r = 1.
+def periodic_sums_xi(n: int, s: complex, r: float, method: str = "series") -> List[Estimate]:
+    """[Xi_1(s), ..., Xi_n(s)], each an :class:`Estimate`, r in [0, 1]: Xi_k(s) is the dynamical partition
+    function, the sum over period-k points of |(F^k)'|^(-s).  Unlike the traces it stays finite at r = 1.
+
+    ``series`` (n <= SERIES_CAP): Xi_k = trace(P_s^k) - trace(P~_(s+1)^k) = rho^(-ks) + c_k(s, +) + c_k(s + 1, -),
+    c of :func:`_return_series` (error of :func:`_series_estimates`); at n = SERIES_CAP about 0.25 s and a 13 MB
+    peak for real s, 0.65 s and 24 MB for complex s (2-core machine, BLAS on one thread).
+    ``leaves`` (n <= 27), the oracle, from one walk: in leaf data of tree row k, the sum over leaves and j = 0, 1 of
+    m_j^(2s) (:func:`_leaf_roots`); no error.
     """
-    TransferQuery(s, r, n)  # validates s, r and n
+    sigma = _series_sigma(n, s, r, method)
     if r > 1:
         raise ValueError("periodic sums implemented for r <= 1")
-    s = complex(s)
-    return [complex(total) for total in _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, s))]
+    if method == "leaves":
+        sums = _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, complex(s)))
+        return [Estimate(total, None, "leaf walk") for total in sums]
+    head = np.exp(-np.arange(1, n + 1) * math.log1p(1.0 - r) * sigma)
+    return _series_estimates(r, head, [(sigma, 1, 1), (sigma + 1, -1, 1)])
 
 
 def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, float]:
@@ -674,8 +710,11 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
 
 
 RETURN_DIM = 16  # Chebyshev points of the first-return collocation; checked against 3 dim/4
+SERIES_DIM = 40  # Chebyshev points of the first-return series of the traces and Xi_n (r = 0 needs 40); against 3 dim/4
+SERIES_CAP = 200  # the largest n of that series
 RETURN_DIRECT = 32  # M: the terms m < M are summed directly, the rest by Gregory's formula from an integral
-RETURN_STEP = 1.0 / 16  # step h of the double-exponential rules of that integral; checked against 2h
+RETURN_STEP = 1.0 / 16  # step h of the double-exponential rules of that integral at eps = 0; checked against 2h
+RETURN_STEP_EPS = 1.0 / 32  # the step at eps != 0 (spectral_radius): at 1/16 its 2h term reached 3.8e-9 at r = 1, s < 1
 
 
 def _gregory_weights(n: int) -> np.ndarray:
@@ -691,11 +730,11 @@ _POINT_WEIGHTS = np.concatenate([np.ones(RETURN_DIRECT - 1), _gregory_weights(16
 _POINT_M = np.arange(1.0, len(_POINT_WEIGHTS) + 1)
 
 
-def _tail_nodes(split: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes v, weights and 2h multipliers (2 on even nodes, 0 on odd) of int_0^inf dv at step RETURN_STEP:
+def _tail_nodes(split: float, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes v, weights and 2h multipliers (2 on even nodes, 0 on odd) of int_0^inf dv at step h:
     tanh-sinh on [0, split] (if split > 0), and v = split + exp(tau - e^(-tau)) on [split, inf) for
     integrands decaying like e^(-a v), a >= 1/2.  Past the tau ranges, weight times integrand is below rounding."""
-    h, parts = RETURN_STEP, []
+    parts = []
     if split > 0:
         k = np.arange(-round(3.2 / h), round(3.2 / h) + 1)
         u = np.pi / 2 * np.sinh(k * h)
@@ -721,8 +760,79 @@ def _taylor_basis(dim: int) -> np.ndarray:
     return C
 
 
+def _return_blocks(r: float, dim: int, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, D, rows): the dim Chebyshev points x_i of [1/2, 1], D[i, m-1] = D_m(x_i) = r (1 + rho + ... +
+    rho^(m-1)) x_i + rho^m and rows[i, m-1] the barycentric row at 1 - x_i/D_m(x_i), m = 1 .. count, so that the
+    m-th block of K_sigma is K_(sigma,m) = D[:, m-1, None]^(-2 sigma) rows[:, m-1].  The basis is taken in
+    distances from 1, so 1 - x_i/D_m does not round against 1."""
+    y, bw = _chebyshev_nodes(dim)
+    y = 0.5 * y  # 1 - x
+    x, L = 1.0 - y, math.log1p(1.0 - r)
+    rho_m = np.exp(L * np.arange(count + 1))
+    D = r * x[:, None] * np.cumsum(rho_m[:-1]) + rho_m[1:]  # g_m = sum_{j<m} rho^j: no (rho^m - 1) / (1 - r)
+    return x, D, _barycentric(y, bw, x[:, None] / D)
+
+
+@lru_cache(maxsize=4)
+def _series_blocks(r: float, dim: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(log D, rows) of :func:`_return_blocks` for m = 1 .. n, read-only, cached for the series of one (r, n)."""
+    _x, D, rows = _return_blocks(r, dim, n)
+    blocks = np.log(D), rows
+    for a in blocks:
+        a.flags.writeable = False
+    return blocks
+
+
+def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(c, a): c_k = k [z^k] (-sign log det(I - sign B_sigma(z))), k = 1 .. n, and a_k the sum of the moduli of
+    its terms, for B_sigma(z) = sum_m z^m b_m with the blocks b_m = rho^(m sigma) K_(sigma,m) of
+    :func:`_series_blocks` at dim points, m <= n only: the coefficient of z^k needs no other, so no tail enters.
+
+    z d/dz of that log det is tr((I - sign B)^(-1) z B'(z)); with the series R_0 = I, R_k = sign sum_(m<=k) b_m
+    R_(k-m) of (I - sign B)^(-1), c_k = sum_(m<=k) m tr(R_(k-m) b_m): n - 1 products of dim x k dim by k dim x dim
+    matrices, then one product for every tr(R_j b_m); on float64 for real sigma."""
+    log_d, rows = _series_blocks(r, dim, n)
+    m = np.arange(1, n + 1)
+    b = np.exp(sigma * (math.log1p(1.0 - r) * m - 2.0 * log_d))[:, :, None] * rows  # b[i, m-1, j] = b_m[i, j]
+    across = b.reshape(dim, n * dim) if sign > 0 else -b.reshape(dim, n * dim)  # [sign b_1, ..., sign b_n]
+    R = np.zeros((n * dim, dim), dtype=b.dtype)  # R_j in block n - 1 - j: R_(k-1) .. R_0 are the last k blocks
+    R[-dim:] = np.eye(dim)
+    for k in range(1, n):
+        lo = (n - k) * dim
+        np.matmul(across[:, :k * dim], R[lo:], out=R[lo - dim:lo])
+    # terms[p, m-1] = m tr(R_(n-1-p) b_m); c_k sums those with m - 1 - p = k - n, a diagonal of terms
+    terms = (R.reshape(n, dim * dim) @ b.transpose(1, 2, 0).reshape(n, dim * dim).T) * m
+    diagonal = (np.subtract.outer(m, m).T + n - 1).ravel()  # k - 1 = m - 1 - p + n - 1; k > n where m - 1 > p
+
+    def diagonal_sums(w: np.ndarray) -> np.ndarray:
+        return np.bincount(diagonal, w.ravel(), 2 * n - 1)[:n]
+
+    c = diagonal_sums(terms.real) + 1j * diagonal_sums(terms.imag) if np.iscomplexobj(terms) else diagonal_sums(terms)
+    return c, diagonal_sums(np.abs(terms))
+
+
+def _series_estimates(r: float, head: np.ndarray, parts: Sequence[Tuple[complex, int, int]]) -> List[Estimate]:
+    """The Estimates of head_k + sum factor c_k(sigma, sign) over parts (sigma, sign, factor), k = 1 .. len(head), c of
+    :func:`_return_series` at SERIES_DIM points: the error is the change from the 3 dim/4 rerun, floored at
+    (k + 1) dim eps times |head_k| plus the moduli of the terms."""
+    n = len(head)
+
+    def run(dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        value, scale = head, np.abs(head)
+        for sigma, sign, factor in parts:
+            c, a = _return_series(sigma, r, n, sign, dim)
+            value, scale = value + factor * c, scale + a
+        return value, scale
+
+    value, scale = run(SERIES_DIM)
+    floor = (np.arange(2, n + 2) * SERIES_DIM * np.finfo(float).eps) * scale
+    error = np.maximum(np.abs(value - run(3 * SERIES_DIM // 4)[0]), floor)
+    method = f"first-return series, dim {SERIES_DIM}"
+    return [Estimate(v, e, method) for v, e in zip(value.tolist(), error.tolist())]
+
+
 class _ReturnOperator(NamedTuple):
-    """The sigma-independent arrays of K_sigma collocated at one (r, dim, cut); n points, P tail nodes."""
+    """The sigma-independent arrays of K_sigma collocated at one (r, dim, cut, step); n points, P tail nodes."""
 
     log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
     rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
@@ -738,16 +848,19 @@ class _ReturnOperator(NamedTuple):
     taylor: np.ndarray  # (dim, dim): :func:`_taylor_basis`
 
 
-def _tail_cut(eps: float) -> float:
-    """The v past which e^(-eps m) < 1/e at every x_i, log1p(1 / ((M + 1) eps)) rounded up to a half (m - M =
-    expm1(v) / t while D_m grows linearly, t <= 1 / (M + 1)); inf for eps <= 0."""
+def _tail_rule(eps: float) -> Tuple[float, float]:
+    """(cut, step) of the tail integral at eps.  cut is the v past which e^(-eps m) < 1/e at every x_i,
+    log1p(1 / ((M + 1) eps)) rounded up to a half (m - M = expm1(v) / t while D_m grows linearly, t <= 1 / (M + 1)),
+    inf for eps <= 0.  step is RETURN_STEP at eps = 0, where s_cr is rooted, and RETURN_STEP_EPS otherwise."""
     x = (RETURN_DIRECT + 1) * eps
-    return math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
+    cut = math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
+    return cut, RETURN_STEP_EPS if eps else RETURN_STEP
 
 
 @lru_cache(maxsize=4)
-def _return_operator(r: float, dim: int, cut: float = math.inf) -> _ReturnOperator:
-    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], cached per (r, dim, cut).
+def _return_operator(r: float, dim: int, cut: float = math.inf, step: float = RETURN_STEP) -> _ReturnOperator:
+    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], cached per (r, dim, cut, step), step the h of
+    the tail rules.
 
     With D_m = D_m(x_i), M = RETURN_DIRECT, t = x_i / D_M and L = log rho, the terms m < M + 16 enter
     one by one, Gregory's end weights from M on.  They stand in for the sum from M with the integral from
@@ -756,20 +869,17 @@ def _return_operator(r: float, dim: int, cut: float = math.inf) -> _ReturnOperat
     polynomial in t e^(-v) is exact and, as t <= 1/(M + 1), well conditioned, so the integral needs only
     the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i.  They split at v* = log(lam / L),
     where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if lam <= L,
-    and at r = 1, where the first form holds throughout), or at cut if that is lower (:func:`_tail_cut`):
+    and at r = 1, where the first form holds throughout), or at cut if that is lower (:func:`_tail_rule`):
     past it a weight e^(-eps m) kills the integrand double-exponentially, faster than the middle of a long
-    tanh-sinh rule resolves.  The basis is taken in distances from 1, so 1 - x_i/D_m does not round against 1.
+    tanh-sinh rule resolves.  D_m and the basis rows come from :func:`_return_blocks`.
     """
-    y, bw = _chebyshev_nodes(dim)
-    y = 0.5 * y  # 1 - x
-    x, delta, L = 1.0 - y, 1.0 - r, math.log1p(1.0 - r)
-    rho_m = np.exp(L * np.arange(len(_POINT_WEIGHTS) + 1))
-    D = r * x[:, None] * np.cumsum(rho_m[:-1]) + rho_m[1:]  # g_m = sum_{j<m} rho^j: no (rho^m - 1) / (1 - r)
+    x, D, rows = _return_blocks(r, dim, len(_POINT_WEIGHTS))
+    delta, L = 1.0 - r, math.log1p(1.0 - r)
     t = x / D[:, RETURN_DIRECT - 1]
     lam = r * t * (L / delta if delta else 1.0)
     split = min(math.log(r * t[dim // 2] / delta), cut) if r * t[dim // 2] > delta > 0 else 0.0
-    v, weights, even = _tail_nodes(split)
-    op = _ReturnOperator(np.log(D), _barycentric(y, bw, x[:, None] / D), np.log(D[:, RETURN_DIRECT - 1]),
+    v, weights, even = _tail_nodes(split, step)
+    op = _ReturnOperator(np.log(D), rows, np.log(D[:, RETURN_DIRECT - 1]),
                          np.vander(t, dim, increasing=True), lam, np.array(L), v, weights,
                          weights / (L + np.outer(lam, np.exp(-v))), even, np.exp(-np.outer(v, np.arange(dim))),
                          _taylor_basis(dim))
@@ -830,7 +940,7 @@ def return_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
     root at eps = 0 and g = log lambda_sigma - sigma log rho the root in eps (:func:`spectral_radius`).
     The functions live away from the neutral fixed point and stay analytic as r -> 1, so one size serves
     all of r in [0, 1] (2 sigma > 1 at r = 1, eps = 0, where K_1 is the Gauss-map operator, lambda_K = 1)."""
-    return math.log(_perron(_return_matrix(_return_operator(float(r), RETURN_DIM, _tail_cut(eps)), s, eps)))
+    return math.log(_perron(_return_matrix(_return_operator(float(r), RETURN_DIM, *_tail_rule(eps)), s, eps)))
 
 
 def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, float, float]:
@@ -839,7 +949,7 @@ def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, flo
     are Hellmann-Feynman's l K' v / (l K v) over the left and right Perron vectors, K' from the factors
     -log D_m and m of each term (:func:`_return_matrix`).  The mean return time is infinite at r = 1,
     eps = 0, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
-    op, op_check = (_return_operator(float(r), dim, _tail_cut(eps)) for dim in (RETURN_DIM, 3 * RETURN_DIM // 4))
+    op, op_check = (_return_operator(float(r), dim, *_tail_rule(eps)) for dim in (RETURN_DIM, 3 * RETURN_DIM // 4))
     K = _return_matrix(op, s, eps)
     (vals, right), (vals_t, left) = np.linalg.eig(K), np.linalg.eig(K.T)
     lam, right, left = float(np.max(vals.real)), right[:, np.argmax(vals.real)], left[:, np.argmax(vals_t.real)]

@@ -227,14 +227,15 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
     for r in (0.0, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
             oracle = [transfer.trace_power_bruteforce(transfer.TransferQuery(s, r, n)) for n in range(1, 9)]
-            resid = max(resid, *(abs(a - b) / abs(b) for a, b in zip(transfer.trace_sums(8, s, r), oracle)))
+            leaves = transfer.trace_sums(8, s, r, method="leaves")
+            resid = max(resid, *(abs(a - b) / abs(b) for a, b in zip(leaves, oracle)))
     out.append(CheckResult("transfer", "trace leaf formula vs fixed-point oracle (n<=8)", resid, 1e-10))
 
     resid = 0.0
     for r in (0.0, 0.3, 0.6, 0.9):
         for s in (0.5, 1.0, 2.0):
             vals = (
-                transfer.trace_sums(1, s, r)[0],
+                transfer.trace_sums(1, s, r, method="leaves")[0],
                 transfer.trace_closed_n1(s, r),
                 transfer.trace_from_spectra(s, r),
             )
@@ -244,12 +245,33 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
     resid = 0.0
     for r in (0.0, 0.5, 1.0):
         oracle = [transfer.periodic_sum_bruteforce(transfer.TransferQuery(1.2, r, n)) for n in range(1, 8)]
-        resid = max(resid, *(abs(a - b) for a, b in zip(transfer.periodic_sums_xi(7, 1.2, r), oracle)))
+        resid = max(resid, *(abs(a - b) for a, b in zip(transfer.periodic_sums_xi(7, 1.2, r, method="leaves"), oracle)))
     out.append(CheckResult("transfer", "periodic-orbit sum vs fixed-point oracle", resid, 1e-10))
 
-    traces = zip(transfer.trace_sums(7, 0.8, 0.5), transfer.trace_sums(7, 1.8, 0.5, signed=True))
-    resid = max(abs(xi - (a - b)) for xi, (a, b) in zip(transfer.periodic_sums_xi(7, 0.8, 0.5), traces))
+    traces = zip(transfer.trace_sums(7, 0.8, 0.5, method="leaves"),
+                 transfer.trace_sums(7, 1.8, 0.5, signed=True, method="leaves"))
+    xis = transfer.periodic_sums_xi(7, 0.8, 0.5, method="leaves")
+    resid = max(abs(xi - (a - b)) for xi, (a, b) in zip(xis, traces))
     out.append(CheckResult("transfer", "Xi_n = trace - shifted signed trace", resid, 1e-11))
+
+    # relative to the moduli of the terms: the value itself for the trace and Xi (real s), the trace for the signed
+    # trace; 1 if a value lies outside its own error beyond the walk's rounding
+    resid = 0.0
+    for r in (0.0, 0.55, 0.99, 1.0):
+        for s in (0.5, 1.2, 2.5):
+            walk = transfer.periodic_sums_xi(20, s, r, method="leaves")
+            pairs = [(transfer.periodic_sums_xi(20, s, r), walk, walk)]
+            if r < 1:  # the traces diverge at r = 1
+                trace = transfer.trace_sums(20, s, r, method="leaves")
+                pairs += [(transfer.trace_sums(20, s, r), trace, trace),
+                          (transfer.trace_sums(20, s, r, signed=True), transfer.trace_sums(20, s, r, True, "leaves"),
+                           trace)]
+            for series, walk, scale in pairs:
+                for k, (a, b, c) in enumerate(zip(series, walk, scale), 1):
+                    outside = abs(a - b) > a.error + 8 * k * np.finfo(float).eps * abs(c)
+                    resid = max(resid, 1.0 if outside else abs(a - b) / abs(c))
+    name = "traces and Xi_n: first-return series vs leaf walk (n <= 20, r in {0, 0.55, 0.99, 1})"
+    out.append(CheckResult("transfer", name, resid, 1e-11))
 
     fz = transfer.fredholm_and_zeta(0.5, 1.0, 0.5, N=14)
     out.append(

@@ -133,7 +133,7 @@ def test_criterion_4_trace_formula():
     worst = 0.0
     for r in (0.0, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
-            for n, closed in enumerate(transfer.trace_sums(10, s, r), 1):
+            for n, closed in enumerate(transfer.trace_sums(10, s, r, method="leaves"), 1):
                 brute = transfer.trace_power_bruteforce(TransferQuery(s, r, n))
                 worst = max(worst, abs(closed - brute) / abs(brute))
     ok = worst <= 1e-10
@@ -141,7 +141,7 @@ def test_criterion_4_trace_formula():
     worst1 = 0.0
     for r in (0.0, 0.3, 0.5, 0.9):
         for s in (0.5, 1.0, 2.0):
-            leaf = transfer.trace_sums(1, s, r)[0]
+            leaf = transfer.trace_sums(1, s, r, method="leaves")[0]
             worst1 = max(worst1, abs(leaf - transfer.trace_closed_n1(s, r)))
             worst1 = max(worst1, abs(leaf - transfer.trace_from_spectra(s, r)))
     ok &= worst1 <= 1e-12
@@ -181,8 +181,9 @@ def test_criterion_5_iterate_formulas():
 
     worst_xi = 0.0
     for (s, r) in ((0.5, 0.5), (1.0, 0.3), (1.5, 0.8)):
-        traces = zip(transfer.trace_sums(8, s, r), transfer.trace_sums(8, s + 1, r, signed=True))
-        for lhs, (a, b) in zip(transfer.periodic_sums_xi(8, s, r), traces):
+        traces = zip(transfer.trace_sums(8, s, r, method="leaves"),
+                     transfer.trace_sums(8, s + 1, r, signed=True, method="leaves"))
+        for lhs, (a, b) in zip(transfer.periodic_sums_xi(8, s, r, method="leaves"), traces):
             worst_xi = max(worst_xi, abs(lhs - (a - b)))
     ok &= worst_xi <= 1e-11
     report(5, ok, "closed iterates vs branch-word oracle (n<=12, rel 1e-11); "

@@ -13,6 +13,7 @@ import pytest
 from fareychain import __version__, cli, coding, spinchain, thermo, transfer, verify
 from fareychain.cli import main, parse_values
 from fareychain.rings import Params
+from test_transfer import _closed_n1_reference
 
 
 def run(capsys, *argv):
@@ -281,16 +282,22 @@ def test_cap_violations_reported(capsys, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(spinchain, "_step", counted_step)
+    monkeypatch.setattr(transfer, "_series_blocks", lambda *a: pytest.fail("a refused n reached the series"))
     for rows in ("18", "30"):
         code = main(["tree", "--rows", rows, "--mode", "symbolic"])
         err = capsys.readouterr().err
         assert code == 2
         assert "cap" in err
-    for argv in (("trace", "--n", "28", "--s", "1", "--r", "0.5"), ("xi", "--n", "28", "--s", "1", "--r", "0.5"),
-                 ("zeta", "--N", "28"), ("twisted", "--n", "28", "--s", "1", "--m", "1", "--r", "0.5")):
+    for argv in (("zeta", "--N", "28"), ("twisted", "--n", "28", "--s", "1", "--m", "1", "--r", "0.5")):
         assert main(list(argv)) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "n=28 exceeds 27" in captured.err, argv
+    cap = transfer.SERIES_CAP + 1  # the first-return series of trace and xi
+    for argv in (("trace", "--n", str(cap), "--s", "1", "--r", "0.5"),
+                 ("xi", "--n", str(cap), "--s", "1", "--r", "0.5")):
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"n={cap} exceeds {cap - 1}" in captured.err, argv
     assert not levels  # the cap fails before any level is built
 
 
@@ -300,15 +307,20 @@ def test_missing_r_reported(capsys):
     assert captured.out == "" and "error: --r is required" in captured.err
 
 
-def test_leaf_records_carry_no_error_field(capsys):
-    for argv in (("trace", "--n", "3", "--s", "1", "--r", "0.5"),
-                 ("xi", "--n", "3", "--s", "1", "--r", "0.5"),
-                 ("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "0.5")):
+def test_records_carry_the_route_error(capsys):
+    # a finite error where the route computes one, null on the tree-row sum, which computes none
+    for argv, method in ((("trace", "--n", "3", "--s", "1", "--r", "0.5"), "first-return series, dim 40"),
+                         (("trace", "--n", "3", "--s", "1", "--r", "0.5", "--signed"), "first-return series, dim 40"),
+                         (("xi", "--n", "3", "--s", "1", "--r", "0.5"), "first-return series, dim 40"),
+                         (("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "0.5"), "operator iterates, dim 48"),
+                         (("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "1.3"), "tree-row sum (r > 1)")):
         code, out = run(capsys, *argv)
         assert code == 0
-        recs = [json.loads(l) for l in out.splitlines()[1:]]
-        assert len(recs) == 3
-        assert all("error_estimate" not in rec for rec in recs)
+        recs = [json.loads(l, parse_constant=lambda c: pytest.fail(f"non-finite {c}")) for l in out.splitlines()[1:]]
+        assert len(recs) == 3 and all(rec["method"] == method for rec in recs), (argv, recs)
+        for rec in recs:
+            err = rec["error_estimate"]
+            assert err is None if method.startswith("tree-row") else 0 < err <= 1e-9, (argv, rec)
 
 
 def test_empty_series_rejected(capsys):
@@ -343,7 +355,11 @@ def test_trace_near_farey_end(capsys):
     assert [rec["n"] for rec in recs] == [1, 2, 3]
     closed = transfer.trace_closed_n1(1.0, 0.999999999).real
     assert closed == pytest.approx(1e9, rel=1e-6)
-    assert recs[0]["value"][0] == pytest.approx(closed, rel=1e-13) and recs[0]["value"][1] == 0.0
+    leaf = transfer.trace_sums(3, 1.0, 0.999999999, method="leaves")[0]
+    assert leaf.real == pytest.approx(closed, rel=1e-13) and leaf.imag == 0.0
+    # the record is the series, which takes 1 - r exactly where the walk and the closed form round rho = 2 - r
+    reference = _closed_n1_reference(1.0, 0.999999999).real
+    assert recs[0]["value"][0] == pytest.approx(reference, rel=1e-13) and recs[0]["value"][1] == 0.0
 
 
 def test_float_only_subcommands_take_no_mode(capsys):

@@ -145,15 +145,34 @@ def test_trace_unit_interval_example():
     assert transfer.trace_power_bruteforce(TransferQuery(1.0, 0.0, 1)).real == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
+_N1_GRID = [(r, s) for r in (0.0, 0.25, 0.5, 0.75, 0.9, *(1.0 - 10.0**-k for k in range(1, 13)))
+            for s in (0.5, 1.0, 2.0, 1.5 + 0.5j)]
+
+
 def test_trace_closed_n1_three_way():
     # r = 1 - 10^-k: the trace grows like 1 / (1 - r), and no route may cancel on the way
-    for r in (0.0, 0.25, 0.5, 0.75, 0.9, *(1.0 - 10.0**-k for k in range(1, 13))):
-        for s in (0.5, 1.0, 2.0, 1.5 + 0.5j):
-            leaf = transfer.trace_sums(1, s, r)[0]
-            closed = transfer.trace_closed_n1(s, r)
-            spectral = transfer.trace_from_spectra(s, r)
-            assert abs(leaf - closed) <= 1e-13 * max(1.0, abs(closed)), (r, s)
-            assert abs(spectral - closed) <= 1e-13 * max(1.0, abs(closed)), (r, s)
+    for r, s in _N1_GRID:
+        leaf = transfer.trace_sums(1, s, r, method="leaves")[0]
+        closed = transfer.trace_closed_n1(s, r)
+        spectral = transfer.trace_from_spectra(s, r)
+        assert abs(leaf - closed) <= 1e-13 * max(1.0, abs(closed)), (r, s)
+        assert abs(spectral - closed) <= 1e-13 * max(1.0, abs(closed)), (r, s)
+
+
+def _closed_n1_reference(s, r):
+    """trace(P_s) in closed form (:func:`transfer.trace_closed_n1`) in 40-digit arithmetic at the float r itself:
+    the float routes that take rho = 2 - r rounded carry its rounding, up to eps / (1 - r) relative, in 1/(rho - 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rho, s = 2 - mpmath.mpf(r), mpmath.mpc(s)
+        root = mpmath.sqrt(1 + 4 * rho)
+        return complex(rho ** (1 - s) / (rho - 1) + rho**s / root * (2 / (1 + root)) ** (2 * s - 1))
+
+
+def test_trace_series_n1_against_high_precision():
+    for r, s in _N1_GRID:
+        value, ref = transfer.trace_sums(1, s, r)[0], _closed_n1_reference(s, r)
+        assert abs(value - ref) <= value.error + 4 * np.finfo(float).eps * abs(ref), (r, s, value, ref, value.error)
 
 
 def _check_traces_and_xi(s, r, n):
@@ -180,6 +199,30 @@ def test_trace_matches_fixed_point_oracle():
 @given(st.floats(0.0, 1.0 - 1e-5), st.floats(0.3, 2.5), st.integers(1, 9))
 def test_series_match_fixed_point_oracle_drawn(r, s, n):
     _check_traces_and_xi(s, r, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-3.0, 6.0), st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.integers(1, 12))
+@example(0.0, 1.0, 0.0, 12)
+@example(1.0, 1.5, 0.0, 12)
+@example(1.0 - 1e-9, 0.7, 1.2, 6)
+def test_first_return_series_match_fixed_point_oracle_drawn(r, re_s, im_s, n):
+    # the n-th value of each series (its entries k < n do not depend on n) within its own error plus the oracle's
+    # rounding: 64 n eps times the moduli of its terms, and, in the traces, 4 eps (n |s| + 1 / (1 - r)) times the
+    # fixed point 0's term rho^(-ns) / (1 - rho^(-n)), whose 1 - psi'(x*) cancels as r -> 1, with rho = 2 - r rounded
+    # (to 1 past r = 1 - 2^-53, where the oracle's trace divides by 0)
+    s, eps, q = complex(re_s, im_s), np.finfo(float).eps, TransferQuery(complex(re_s, im_s), r, n)
+    moduli = [(abs(deriv) ** re_s, abs(1.0 - deriv)) for _odd, deriv in transfer._fixed_point_derivatives(q)]
+    value = transfer.periodic_sums_xi(n, s, r)[-1]
+    rounding = 64 * n * eps * sum(a for a, _b in moduli)
+    assert abs(value - transfer.periodic_sum_bruteforce(q)) <= value.error + rounding, (value, value.error)
+    assert value.method == "first-return series, dim 40"
+    if 2.0 - r > 1.0:
+        head = abs((2.0 - r) ** (-n * s)) / -math.expm1(-n * math.log1p(1.0 - r))
+        rounding = 64 * n * eps * sum(a / b for a, b in moduli) + 4 * eps * head * (n * abs(s) + 1.0 / (1.0 - r))
+        for signed in (False, True):
+            value, oracle = transfer.trace_sums(n, s, r, signed)[-1], transfer.trace_power_bruteforce(q, signed)
+            assert abs(value - oracle) <= value.error + rounding, (signed, value, oracle, value.error)
 
 
 def test_fixed_point_oracle_at_tiny_r():
@@ -322,7 +365,7 @@ def test_spectral_radius_at_the_farey_map():
         assert res.method.startswith("fixed point 0") and abs(res.value - 1.0) <= res.error <= 1e-10
     res = transfer.spectral_radius(0.75, 1.0)
     assert abs(res.value - transfer._collocation_lambda(0.75, 1.0, 384)) <= res.error + 1e-14
-    # toward it the weight e^(-eps m) cuts the tail early in the long tanh-sinh split (transfer._tail_cut)
+    # toward it the weight e^(-eps m) cuts the tail early in the long tanh-sinh split (transfer._tail_rule)
     for r in (1.0 - 1e-6, 1.0 - 1e-10):
         assert abs(transfer.spectral_radius(0.9, r).value - transfer.spectral_radius(0.9, 1.0).value) <= 1e-5
 
@@ -342,6 +385,10 @@ def _compression_lambda(s, r):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.05, 4.0))
 @example(1.0, 1.0)
+@example(1.0, 0.99)  # s = 0.995 .. 0.9999 at r = 1: the 2h term of the tail rule refused tol 1e-10 at step 1/16
+@example(1.0, 0.995)
+@example(1.0, 0.999)
+@example(1.0, 0.9999)
 @example(1.0, 0.99999)
 @example(1.0 - 2.0**-53, 1.0 - 2.0**-53)
 def test_spectral_radius_matches_chebyshev_compression(r, s):
@@ -478,7 +525,8 @@ def test_query_validation():
 def test_non_finite_s_and_z_rejected_before_work(monkeypatch):
     from fareychain import spinchain, twisted
 
-    for module, name in ((transfer, "_collocation_operator"), (transfer, "_return_operator"), (spinchain, "_step")):
+    for module, name in ((transfer, "_collocation_operator"), (transfer, "_return_operator"),
+                         (transfer, "_series_blocks"), (spinchain, "_step")):
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"a refused input reached {name}"))
     p = Params.floating(0.5)
     for s in (math.nan, math.inf, -math.inf):
@@ -513,8 +561,8 @@ def test_depth_first_blocks_match_whole_rows(monkeypatch):
         "iterate_one": lambda: transfer.iterate_one(0.3, q_walk),
         "iterate_character": lambda: transfer.iterate_character(0.3, q_walk, 2),
         "iterate_general": lambda: transfer.iterate_general(lambda y: 0.5 - y + 2.0 * y**3, 0.3, q.s, q.r, q.n - 1),
-        "trace_sums": lambda: transfer.trace_sums(q.n, q.s, q.r)[-1],
-        "periodic_sums_xi": lambda: transfer.periodic_sums_xi(q.n, q.s, q.r)[-1],
+        "trace_sums": lambda: transfer.trace_sums(q.n, q.s, q.r, method="leaves")[-1],
+        "periodic_sums_xi": lambda: transfer.periodic_sums_xi(q.n, q.s, q.r, method="leaves")[-1],
     }
     whole = {name: f() for name, f in routes.items()}
     monkeypatch.setattr(spinchain, "_BLOCK_LEVELS", 3)  # level 8 in 32 blocks of 2^3
@@ -565,8 +613,8 @@ def test_series_take_one_walk(monkeypatch):
     monkeypatch.setattr(spinchain, "_step", counted_step)
     # one walk steps each vertex above its last level once, however the levels are blocked
     for series, depth in ((lambda: transfer.fredholm_and_zeta(0.5, 1.0, 0.55, N=14), 13),
-                          (lambda: transfer.trace_sums(18, 1.1, 0.6, signed=True), 17),
-                          (lambda: transfer.periodic_sums_xi(18, 1.1, 0.6), 17)):
+                          (lambda: transfer.trace_sums(18, 1.1, 0.6, signed=True, method="leaves"), 17),
+                          (lambda: transfer.periodic_sums_xi(18, 1.1, 0.6, method="leaves"), 17)):
         columns.clear()
         series()
         assert sum(columns) == 2**depth - 1

@@ -10,7 +10,9 @@ block gives at this size.  The character iterates walk only through iterate_gene
 the r > 1 fallback of iterate_one and iterate_character), and the twisted sums only through
 their rows route: on r in [0, 1] iterate_one, iterate_character and the default route of
 twisted_sums read the Chebyshev compression, which these draws check against the walk
-within its reported error.
+within its reported error.  The traces and Xi_n walk only as method="leaves"; their
+default route, the first-return series, is drawn against the fixed-point oracles in
+test_transfer.py.
 """
 
 import contextlib
@@ -35,15 +37,15 @@ def _series(n, s, r):
     from a new summation order is small against it: the series itself when
     its terms are positive, its m = 0 or unsigned counterpart otherwise."""
     p = Params.floating(r)
-    trace = transfer.trace_sums(n, s, r)
+    trace = transfer.trace_sums(n, s, r, method="leaves")
     char0 = [transfer.iterate_general(np.ones_like, X, s, r, n - 1)]
     rows0 = twisted.twisted_sums(n, s, 0, p, "rows")
     fz = transfer.fredholm_and_zeta(0.3, s, r, N=n)
     zg = thermo._grand_sums(n - 1, [s, s + 1.0], p)
     return {
         "trace": (trace, trace),
-        "signed trace": (transfer.trace_sums(n, s, r, signed=True), trace),
-        "xi": (transfer.periodic_sums_xi(n, s, r), None),
+        "signed trace": (transfer.trace_sums(n, s, r, signed=True, method="leaves"), trace),
+        "xi": (transfer.periodic_sums_xi(n, s, r, method="leaves"), None),
         "determinants": ([fz.det, fz.det_signed_shift], None),
         "character m=0": (char0, char0),
         "character m=2": ([transfer.iterate_general(lambda y: np.exp(4j * np.pi * y), X, s, r, n - 1)], char0),
