@@ -210,7 +210,7 @@ def cmd_zeta(args) -> int:
     fz = transfer.fredholm_and_zeta(complex(args.z), args.s, args.r, N=args.N)
     fields = ["r", "s", "z", "n", "det", "zeta_orbit_sum", "zeta_det_ratio", "method", "error_estimate", "converged"]
     row = (args.r, args.s, args.z, args.N, [fz.det.real, fz.det.imag], [fz.zeta_exp.real, fz.zeta_exp.imag],
-           [fz.zeta_ratio.real, fz.zeta_ratio.imag], "trace power series + orbit sums",
+           [fz.zeta_ratio.real, fz.zeta_ratio.imag], f"first-return series, dim {transfer.SERIES_DIM} + orbit sums",
            fz.tail_estimate if math.isfinite(fz.tail_estimate) else None, fz.converged)
     if row[-2] is None:
         fields.append("error_reason")
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=float, default=0.5)
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--r", type=float, default=0.5)
-    sp.add_argument("--N", type=int, default=14)
+    sp.add_argument("--N", type=int, default=14, help=f"the traces n <= N of the series, at most {transfer.SERIES_CAP}")
     sp.add_argument("--format", choices=("csv", "jsonl"), default=None,
                     help="default csv for the --m table, jsonl for the determinant record")
     _add_common(sp, mode=False, fmt=False)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
@@ -42,12 +41,11 @@ import numpy as np
 
 from .rings import Params, power_sum
 from .spinchain import _cumulative, _integral, _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import (RETURN_DIM, SWEEP_TOL, _chandrupatla, _dim_ladder, _log_iterates, _pair_stream,
-                       return_log_lambda, return_root, spectral_radius)
+from .transfer import (_LOG_FLOAT_MAX, RETURN_DIM, SWEEP_TOL, _chandrupatla, _dim_ladder, _log_iterates,
+                       _pair_stream, return_log_lambda, return_root, spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ThermoPoint(NamedTuple):
@@ -322,13 +320,12 @@ def thermo_sweep(r: float, s_values: Sequence[float], n_max: int) -> List[Thermo
         return log_zc, 1.0, log_w
 
     rounds = np.arange(1.0, n_max + 2.0)[:, None]  # the dot products behind log Z^C_0 .. log Z^C_n_max
-    dim, (log_zc, _one, log_w), shift, term = _dim_ladder(run, rounds)
+    dim, (log_zc, _one, log_w), (check, *_), shift, term = _dim_ladder(run, rounds)
     if not term <= SWEEP_TOL:
         if math.isfinite(term):
             raise ArithmeticError(f"Z^C at r={r}: dim vs 3 dim/4 term {term:.3g} > {SWEEP_TOL:.3g} at dim {dim}, "
                                   "the top of the ladder")
-        with np.errstate(all="ignore"):  # the first nan of each run: a nan log Z^C_(n+1) is a log f_n(1/2) of nan
-            check = _log_sums(r, s, n_max, 3 * dim // 4)[0]
+        # the first nan of each run: a nan log Z^C_(n+1) is a log f_n(1/2) of nan
         row, j, failed = min((*np.argwhere(np.isnan(log))[0], d) for d, log in ((dim, log_zc), (3 * dim // 4, check))
                              if np.isnan(log).any())
         raise ArithmeticError(f"Z^C at r={r}: dim vs 3 dim/4 term not finite at dim {dim}, the top of the ladder; "

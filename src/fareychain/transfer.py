@@ -41,7 +41,7 @@ fast route, one independent oracle, and a check comparing the two (a
                       periodic_sums_xi
                       leaf walk           trace_power_bruteforce    "trace leaf formula vs fixed-point oracle (n<=8)"
                                           periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
-    zeta(z)           fredholm_and_zeta: determinant ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
+    zeta(z)           fredholm_and_zeta on trace_sums: ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
     lambda_{s,r}      spectral_radius     collocation_spectrum      "lambda: first-return operator vs Chebyshev compression"
     s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
                       each rooted by Chandrupatla's bracketed search (:func:`_chandrupatla`)
@@ -55,8 +55,8 @@ Every periodic orbit but the fixed point 0 is a cyclic word of the first-return 
 traces (r < 1) and Xi_n (r <= 1) are the fixed point's term plus the Taylor coefficients of log det(I -+ B_sigma(z)),
 B_sigma(z) = sum_m z^m rho^(m sigma) K_(sigma,m) over the blocks of the first-return operator K on [1/2, 1]
 (:func:`_return_series`): the coefficient of z^n needs the blocks m <= n only, so n <= SERIES_CAP costs O(n^2 dim^3)
-at dim SERIES_DIM, with the error of its 3 dim/4 rerun.  Their leaf walk (method="leaves", n <= 27) is the oracle;
-it and both Fredholm determinants walk _matrix_stream and take
+at dim SERIES_DIM, with the error of its 3 dim/4 rerun; both Fredholm determinants and the orbit sums of zeta read
+the same series.  Their leaf walk (method="leaves", n <= 27) is the oracle; it walks _matrix_stream and takes
 the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
 into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The walked iterates
@@ -89,6 +89,7 @@ BRUTE_CAP = 20
 ZETA_TOL = 1e-9  # fredholm_and_zeta's zeta is converged when its two routes and the last two ratios agree to this
 SWEEP_TOL = 1e-12  # relative change of every operator-iterate value from the 3 dim/4 rerun, beyond rounding
 SWEEP_DIMS = (48, 96, 192, 384)  # the Chebyshev dimensions of the operator iterates, each checked against 3 dim/4
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -492,13 +493,14 @@ def _orbit_log_zeta(z: complex, xi: Sequence[complex], fit: bool) -> Tuple[compl
 
 
 def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> FredholmZeta:
-    """Evaluate det(1 - z P_s), the shifted signed determinant, and zeta.
+    """Evaluate det(1 - z P_s), the shifted signed determinant, and zeta, r in [0, 1), N <= SERIES_CAP.
 
     zeta is computed two independent ways: from the periodic-orbit sums
     as exp(sum z^n Xi_n / n), and as the determinant ratio
     det(1 - z P~_{s+1}) / det(1 - z P_s); inside the truncation-validated
-    radius the two must agree.  tr P_s^n, tr P~_{s+1}^n and Xi_n(s) for
-    n <= N come from one walk down the leaf matrices.
+    radius the two must agree.  tr P_s^n and tr P~_{s+1}^n for n <= N are
+    the first-return series of :func:`trace_sums`, and Xi_n(s) is their
+    difference, tr P_s^n - tr P~_{s+1}^n.
 
     The Xi_n converge geometrically, Xi_n ~ c g^n, so the exponential
     route adds the closed tail of the fitted geometric sequence
@@ -511,31 +513,28 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> Fredholm
     converges for every z.  ``converged`` says that zeta is known to
     ZETA_TOL: the two routes agree and the determinant ratio has settled,
     |orbit sum - ratio| + |ratio_N - ratio_(N-1)| <= ZETA_TOL.
+    ValueError before any work as :func:`trace_sums` or for z not finite; ArithmeticError for exp overflow or det 0.
     """
-    if r >= 1:
-        raise ValueError("determinants require r < 1")
-    TransferQuery(s, r, N)  # validates s, r and N
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got z={z}")
-    s_c = complex(s)
-
-    def terms(roots) -> np.ndarray:
-        return np.array([_trace_sum(roots, s_c, False), _trace_sum(roots, s_c + 1, True), _xi_sum(roots, s_c)])
-
-    sums = _pair_trace_sums(N, r, terms)
-    tr = [(2.0 - r) ** (k / 2.0) * complex(t[0]) for k, t in enumerate(sums, 1)]
-    tr_signed = [(2.0 - r) ** (k / 2.0) * complex(t[1]) for k, t in enumerate(sums, 1)]
-    xi = [complex(t[2]) for t in sums]
+    tr = trace_sums(N, s, r)
+    tr_signed = trace_sums(N, complex(s) + 1, r, signed=True)
+    xi = [a - b for a, b in zip(tr, tr_signed)]
     d = _newton_coefficients(tr)
     d_sgn = _newton_coefficients(tr_signed)
     powers = z ** np.arange(N + 1)
     det = complex(np.sum(d * powers))
     det_sgn = complex(np.sum(d_sgn * powers))
+    det_prev = complex(np.sum(d[:-1] * powers[:-1]))
+    if det == 0 or det_prev == 0:
+        raise ArithmeticError(f"det(1 - z P_s) truncated at N={N - (det != 0)} is exactly 0 at z={z}: no zeta ratio")
     zeta_ratio = det_sgn / det
-    ratio_prev = complex(np.sum(d_sgn[:-1] * powers[:-1])) / complex(np.sum(d[:-1] * powers[:-1]))
+    ratio_prev = complex(np.sum(d_sgn[:-1] * powers[:-1])) / det_prev
     # truncation N - 1 needs two Xi of its own for the fit
     log_zeta, fitted = _orbit_log_zeta(z, xi, N >= 3)
     log_prev, fitted_prev = _orbit_log_zeta(z, xi[:-1], N >= 3)
+    if max(log_zeta.real, log_prev.real) > _LOG_FLOAT_MAX:  # z outside the radius of the orbit sums
+        raise ArithmeticError(f"the orbit sum log zeta = {log_zeta:.6g} at z={z} is beyond exp's float range")
     zeta_exp = cmath.exp(log_zeta)
     tail = math.inf
     if fitted and fitted_prev:
@@ -558,16 +557,19 @@ def trace_from_spectra(s: complex, r: float) -> complex:
     integral-operator families, summed in closed form."""
     rho = 2.0 - r
     beta = 4.0 * rho / (1.0 + math.sqrt(1.0 + 4.0 * rho)) ** 2
-    return _cpow(rho, 1 - s) / (rho - 1.0) + _cpow(beta, s) / (1.0 + beta)
+    return _fixed_point_term(s, r) + _cpow(beta, s) / (1.0 + beta)
 
 
 def trace_closed_n1(s: complex, r: float) -> complex:
     """The closed n = 1 trace: rho^(1-s)/(rho-1) plus the branch-point term."""
     rho = 2.0 - r
     root = math.sqrt(1.0 + 4.0 * rho)
-    return _cpow(rho, 1 - s) / (rho - 1.0) + _cpow(rho, s) / root * _cpow(
-        2.0 / (1.0 + root), 2.0 * s - 1.0
-    )
+    return _fixed_point_term(s, r) + _cpow(rho, s) / root * _cpow(2.0 / (1.0 + root), 2.0 * s - 1.0)
+
+
+def _fixed_point_term(s: complex, r: float) -> complex:
+    """The fixed point 0's term rho^(1-s)/(rho-1) of trace(P_s), from 1 - r: exact on [1/2, 1], where 2.0 - r rounds."""
+    return np.exp((1 - s) * math.log1p(1.0 - r)) / (1.0 - r)
 
 
 # ---------------------------------------------------------------------------
@@ -652,20 +654,20 @@ def _log_iterates(sigma: np.ndarray, start: Callable[[np.ndarray], np.ndarray], 
     return np.cumsum(logs, axis=0), values
 
 
-def _dim_ladder(run: Callable[[int], tuple], products) -> Tuple[int, tuple, np.ndarray, float]:
-    """The dim ladder of every operator-iterate route: (dim, run(dim), change, excess), run(dim) = (values, scale, ...)
-    on the dim-point compression.  The dims climb SWEEP_DIMS, each rerun at 3 dim/4, to the first whose excess
-    max(change / scale - products dim eps) is at most SWEEP_TOL, change = |values - the rerun's| and products (a
-    scalar or like values) the dot products of length dim behind each value: products dim eps floors the callers'
+def _dim_ladder(run: Callable[[int], tuple], products) -> Tuple[int, tuple, tuple, np.ndarray, float]:
+    """The dim ladder of every operator-iterate route: (dim, run(dim), run(3 dim/4), change, excess), run(dim) =
+    (values, scale, ...) on the dim-point compression.  The dims climb SWEEP_DIMS to the first whose excess
+    max(change / scale - products dim eps) is at most SWEEP_TOL, change = |values - the 3 dim/4 rerun's| and products
+    (a scalar or like values) the dot products of length dim behind each value: products dim eps floors the callers'
     errors.  If none passes (an excess above SWEEP_TOL or nan, as from an overflowed run), this is dim 384's tuple."""
     for dim in SWEEP_DIMS:
         with np.errstate(all="ignore"):  # a run that overflows or turns nan fails the test
-            out = run(dim)
-            change = np.abs(out[0] - run(3 * dim // 4)[0])
+            out, check = run(dim), run(3 * dim // 4)
+            change = np.abs(out[0] - check[0])
             excess = float(np.max(change / out[1] - products * dim * np.finfo(float).eps))
         if excess <= SWEEP_TOL:
             break
-    return dim, out, change, excess
+    return dim, out, check, change, excess
 
 
 def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray],
@@ -696,7 +698,7 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
         ratio = values[1:] / values[1:, :1]
         return read(S * ratio[:, -2]), read(S), S, S * ratio[:, -1].real
 
-    dim, (values, _scale, S, A), change, excess = _dim_ladder(run, n + 1)
+    dim, (values, _scale, S, A), _check, change, excess = _dim_ladder(run, n + 1)
     if not excess <= SWEEP_TOL:
         return f"the operator ladder topped out at dim {dim}"
     errors = np.maximum(change, (n + 1) * np.finfo(float).eps * read(np.maximum(dim * S, A)))
@@ -773,7 +775,7 @@ def _return_blocks(r: float, dim: int, count: int) -> Tuple[np.ndarray, np.ndarr
     return x, D, _barycentric(y, bw, x[:, None] / D)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)  # trace, xi and zeta calls over 3 (r, n) pairs take 6 keys: each (r, n) at dims 40 and 30
 def _series_blocks(r: float, dim: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(log D, rows) of :func:`_return_blocks` for m = 1 .. n, read-only, cached for the series of one (r, n)."""
     _x, D, rows = _return_blocks(r, dim, n)

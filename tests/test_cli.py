@@ -156,6 +156,15 @@ def test_zeta_dynamical(capsys):
     assert rec["zeta_orbit_sum"][0] == pytest.approx(rec["zeta_det_ratio"][0], abs=1e-8)
 
 
+def test_zeta_outside_the_orbit_sum_radius_names_the_cause(capsys):
+    # z = 3 is far outside the radius of sum z^n Xi_n / n: exp of the orbit sum overflows, and the refusal says so
+    code = main(["zeta", "--z", "3", "--s", "0.5", "--r", "0.5", "--N", "14"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    message = r"error: the orbit sum log zeta = \S+ at z=\(3\+0j\) is beyond exp's float range\n"
+    assert re.fullmatch(message, captured.err), captured.err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
@@ -288,13 +297,13 @@ def test_cap_violations_reported(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 2
         assert "cap" in err
-    for argv in (("zeta", "--N", "28"), ("twisted", "--n", "28", "--s", "1", "--m", "1", "--r", "0.5")):
-        assert main(list(argv)) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == "" and "n=28 exceeds 27" in captured.err, argv
-    cap = transfer.SERIES_CAP + 1  # the first-return series of trace and xi
+    argv = ("twisted", "--n", "28", "--s", "1", "--m", "1", "--r", "0.5")
+    assert main(list(argv)) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n=28 exceeds 27" in captured.err, argv
+    cap = transfer.SERIES_CAP + 1  # the first-return series of trace, xi and zeta
     for argv in (("trace", "--n", str(cap), "--s", "1", "--r", "0.5"),
-                 ("xi", "--n", str(cap), "--s", "1", "--r", "0.5")):
+                 ("xi", "--n", str(cap), "--s", "1", "--r", "0.5"), ("zeta", "--N", str(cap))):
         assert main(list(argv)) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and f"n={cap} exceeds {cap - 1}" in captured.err, argv
@@ -355,11 +364,14 @@ def test_trace_near_farey_end(capsys):
     assert [rec["n"] for rec in recs] == [1, 2, 3]
     closed = transfer.trace_closed_n1(1.0, 0.999999999).real
     assert closed == pytest.approx(1e9, rel=1e-6)
+    # the walk holds rho = 2.0 - r rounded: it matches the closed form at the r of that rho, 2.0 - rho (exact)
     leaf = transfer.trace_sums(3, 1.0, 0.999999999, method="leaves")[0]
-    assert leaf.real == pytest.approx(closed, rel=1e-13) and leaf.imag == 0.0
-    # the record is the series, which takes 1 - r exactly where the walk and the closed form round rho = 2 - r
+    at_walk_rho = transfer.trace_closed_n1(1.0, 2.0 - (2.0 - 0.999999999)).real
+    assert leaf.real == pytest.approx(at_walk_rho, rel=1e-13) and leaf.imag == 0.0
+    # the record is the series, which takes 1 - r exactly, as the closed form does, where the walk rounds rho = 2 - r
     reference = _closed_n1_reference(1.0, 0.999999999).real
     assert recs[0]["value"][0] == pytest.approx(reference, rel=1e-13) and recs[0]["value"][1] == 0.0
+    assert closed == pytest.approx(reference, rel=1e-15)
 
 
 def test_float_only_subcommands_take_no_mode(capsys):

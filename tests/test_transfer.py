@@ -150,23 +150,37 @@ _N1_GRID = [(r, s) for r in (0.0, 0.25, 0.5, 0.75, 0.9, *(1.0 - 10.0**-k for k i
 
 
 def test_trace_closed_n1_three_way():
-    # r = 1 - 10^-k: the trace grows like 1 / (1 - r), and no route may cancel on the way
+    # r = 1 - 10^-k: the trace grows like 1 / (1 - r), and no route may cancel on the way.  The walk holds
+    # rho = 2.0 - r rounded, the closed forms take rho - 1 as 1 - r exactly: so the walk is compared with the closed
+    # form at the r of its rho, 2.0 - rho, which is exact (the closed forms at r itself are checked in 40 digits below)
     for r, s in _N1_GRID:
         leaf = transfer.trace_sums(1, s, r, method="leaves")[0]
         closed = transfer.trace_closed_n1(s, r)
         spectral = transfer.trace_from_spectra(s, r)
-        assert abs(leaf - closed) <= 1e-13 * max(1.0, abs(closed)), (r, s)
+        at_walk_rho = transfer.trace_closed_n1(s, 2.0 - (2.0 - r))
+        assert abs(leaf - at_walk_rho) <= 1e-13 * max(1.0, abs(at_walk_rho)), (r, s)
         assert abs(spectral - closed) <= 1e-13 * max(1.0, abs(closed)), (r, s)
 
 
 def _closed_n1_reference(s, r):
     """trace(P_s) in closed form (:func:`transfer.trace_closed_n1`) in 40-digit arithmetic at the float r itself:
-    the float routes that take rho = 2 - r rounded carry its rounding, up to eps / (1 - r) relative, in 1/(rho - 1)."""
+    the float routes that take rho = 2 - r rounded (the leaf walk, the fixed-point oracles) carry its rounding, up
+    to eps / (1 - r) relative, in 1/(rho - 1)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         rho, s = 2 - mpmath.mpf(r), mpmath.mpc(s)
         root = mpmath.sqrt(1 + 4 * rho)
         return complex(rho ** (1 - s) / (rho - 1) + rho**s / root * (2 / (1 + root)) ** (2 * s - 1))
+
+
+def test_trace_closed_forms_near_farey_end_against_high_precision():
+    # rho - 1 taken as 1 - r (exact on [1/2, 1]) and rho^(1-s) from log1p(1 - r): 2.0 - r rounded was 1.1e-4 off
+    # at 1 - r = 1e-12 and 1.1e-7 off at 1 - r = 1e-9
+    for r in (1.0 - 1e-9, 1.0 - 1e-12):
+        for s in (0.5, 1.0, 2.0, 1.5 + 0.5j):
+            ref = _closed_n1_reference(s, r)
+            for value in (transfer.trace_closed_n1(s, r), transfer.trace_from_spectra(s, r)):
+                assert abs(value - ref) <= 4 * np.finfo(float).eps * abs(ref), (r, s, value, ref)
 
 
 def test_trace_series_n1_against_high_precision():
@@ -612,12 +626,20 @@ def test_series_take_one_walk(monkeypatch):
 
     monkeypatch.setattr(spinchain, "_step", counted_step)
     # one walk steps each vertex above its last level once, however the levels are blocked
-    for series, depth in ((lambda: transfer.fredholm_and_zeta(0.5, 1.0, 0.55, N=14), 13),
-                          (lambda: transfer.trace_sums(18, 1.1, 0.6, signed=True, method="leaves"), 17),
+    for series, depth in ((lambda: transfer.trace_sums(18, 1.1, 0.6, signed=True, method="leaves"), 17),
                           (lambda: transfer.periodic_sums_xi(18, 1.1, 0.6, method="leaves"), 17)):
         columns.clear()
         series()
         assert sum(columns) == 2**depth - 1
+    # zeta walks no leaves: its determinants take the traces of the first-return series, bit for bit
+    columns.clear()
+    traces = []
+    newton = transfer._newton_coefficients
+    monkeypatch.setattr(transfer, "_newton_coefficients", lambda tr: traces.append(tr) or newton(tr))
+    transfer.fredholm_and_zeta(0.5, 1.0, 0.55, N=14)
+    assert columns == []
+    expected = (transfer.trace_sums(14, 1.0, 0.55), transfer.trace_sums(14, 2.0, 0.55, signed=True))
+    assert [[complex(v) for v in tr] for tr in traces] == [[complex(v) for v in tr] for tr in expected]
 
 
 def test_iterate_memory_bounded_by_blocks():
@@ -683,6 +705,20 @@ def test_character_order_must_be_integer():
     with pytest.raises(ValueError):
         twisted.twisted_sums(4, 1.4, 0.5, Params.floating(0.3), "transfer")
     assert transfer.iterate_character(0.3, q, 2.0) == transfer.iterate_character(0.3, q, 2)
+
+
+def test_zeta_past_the_leaf_cap_converges():
+    # N = 60 is past the walk's n <= 27; the orbit sum and the determinant ratio both read 12.1525739503
+    fz = transfer.fredholm_and_zeta(0.9, 1.0, 0.55, N=60)
+    assert fz.converged
+    assert abs(fz.zeta_ratio - 12.1525739503) <= 1e-9 and abs(fz.zeta_exp - 12.1525739503) <= 1e-9
+
+
+def test_zeta_refuses_an_exactly_zero_determinant(monkeypatch):
+    # every trace 1 makes det(1 - z P) = exp(-sum z^n / n) = 1 - z, exactly 0 at z = 1 at every truncation
+    monkeypatch.setattr(transfer, "trace_sums", lambda n, *args, **kwargs: [1.0] * n)
+    with pytest.raises(ArithmeticError, match=r"truncated at N=14 is exactly 0 at z=1.0"):
+        transfer.fredholm_and_zeta(1.0, 1.0, 0.5, N=14)
 
 
 def test_zeta_error_bar_bounds_route_gap():

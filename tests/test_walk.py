@@ -40,13 +40,11 @@ def _series(n, s, r):
     trace = transfer.trace_sums(n, s, r, method="leaves")
     char0 = [transfer.iterate_general(np.ones_like, X, s, r, n - 1)]
     rows0 = twisted.twisted_sums(n, s, 0, p, "rows")
-    fz = transfer.fredholm_and_zeta(0.3, s, r, N=n)
     zg = thermo._grand_sums(n - 1, [s, s + 1.0], p)
     return {
         "trace": (trace, trace),
         "signed trace": (transfer.trace_sums(n, s, r, signed=True, method="leaves"), trace),
         "xi": (transfer.periodic_sums_xi(n, s, r, method="leaves"), None),
-        "determinants": ([fz.det, fz.det_signed_shift], None),
         "character m=0": (char0, char0),
         "character m=2": ([transfer.iterate_general(lambda y: np.exp(4j * np.pi * y), X, s, r, n - 1)], char0),
         "twisted rows m=0": (rows0, rows0),
