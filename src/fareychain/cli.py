@@ -140,7 +140,17 @@ def cmd_tree(args) -> int:
     return 0
 
 
+def _require_path_args(args) -> None:
+    """Refuse, before any work, what the path descent of `code` and `conjugacy` cannot take: symbolic mode,
+    whose vertices have no value to compare x with, and a --depth outside 1..63, the lengths of a SpinWord."""
+    if args.mode == "symbolic":
+        raise ValueError(f"--mode symbolic has no vertex values to compare x with; {args.command} takes float or exact")
+    if not 1 <= args.depth <= 63:
+        raise ValueError(f"--depth {args.depth} is outside 1..63, the lengths of a path word")
+
+
 def cmd_code(args) -> int:
+    _require_path_args(args)
     p = _params(args)
     xs = parse_values(args.x, "--x")
     records = [(repr(x), "".join(map(str, coding.encode_point(x, p, args.depth).bits))) for x in xs]
@@ -151,6 +161,7 @@ def cmd_code(args) -> int:
 def cmd_conjugacy(args) -> int:
     if args.grid >= thermo.SWEEP_CAP:
         raise ValueError(f"--grid {args.grid} gives {args.grid + 1} points, more than {thermo.SWEEP_CAP}")
+    _require_path_args(args)
     p = _params(args)
     xs = (i / args.grid for i in range(args.grid + 1))
     records = ((repr(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs)
@@ -204,6 +215,7 @@ def cmd_xi(args) -> int:
 @_series_command
 def cmd_zeta(args) -> int:
     if args.m is not None:
+        twisted.sieve_size(args.qmax, "--qmax")  # checked first: the table streams, a later refusal follows the header
         records = ((q, twisted.mu_twisted(args.m, q)) for q in range(1, args.qmax + 1))
         emit(records, ["q", "mu_m"], args)
         return 0
@@ -334,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("zeta", help="dynamical zeta/determinant, or mu^(m) tables with --m")
     sp.add_argument("--m", type=int, default=None, help="emit the twisted Moebius table instead")
-    sp.add_argument("--qmax", type=int, default=100)
+    sp.add_argument("--qmax", type=int, default=100,
+                    help=f"largest q of the --m table, at most the sieve cap {twisted.SIEVE_CAP}")
     sp.add_argument("--z", type=float, default=0.5)
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--r", type=float, default=0.5)

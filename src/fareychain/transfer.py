@@ -178,12 +178,12 @@ def extended_pairs(n: int, params: Params) -> List[Tuple]:
 # ---------------------------------------------------------------------------
 
 
-def apply_bruteforce(f: Callable, x: float, q: TransferQuery, signed: bool = False) -> complex:
+def apply_bruteforce(f: Callable, x: float, q: TransferQuery) -> complex:
     """(P^n f)(x) summed directly over all 2^n inverse-branch words.
 
     The independent oracle for every closed iterate formula: each word
     contributes prod |Phi'|^s along the composition times f at the
-    composed point (times (-1)^(#right-branches) when `signed`).
+    composed point.
     """
     if q.n > BRUTE_CAP:
         raise ValueError(f"n={q.n} exceeds the brute-force cap {BRUTE_CAP}")
@@ -199,10 +199,7 @@ def apply_bruteforce(f: Callable, x: float, q: TransferQuery, signed: bool = Fal
             y = y / den
             if bit:
                 y = 1.0 - y
-        weight = cmath.exp(s * log_weight)
-        if signed and word.bit_count() % 2 == 1:
-            weight = -weight
-        terms.append(weight * f(y))
+        terms.append(cmath.exp(s * log_weight) * f(y))
     return csum_complex(terms)
 
 

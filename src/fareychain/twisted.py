@@ -27,12 +27,13 @@ from .rings import Params
 from .spinchain import _level_sums, _tree_stream
 from .transfer import Estimate, _character_pair, _operator_iterates, _require_leaf_n
 
-SIEVE_LIMIT = 1_000_000
+SIEVE_CAP = 1 << 20  # the largest q or Q that phi, mu and the Dirichlet partials serve
 
 
 @lru_cache(maxsize=4)
 def _sieve(limit: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sieve phi and mu up to `limit` (vectorized over prime strides)."""
+    """Sieve phi and mu up to `limit` (vectorized over prime strides).  Callers ask for the next power of two
+    >= their q or Q, at least 2^12 (:func:`sieve_size`), so the small requests of one run share one table."""
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, int(limit**0.5) + 1):
@@ -50,50 +51,22 @@ def _sieve(limit: int) -> Tuple[np.ndarray, np.ndarray]:
     return phi, mu
 
 
+def sieve_size(q: int, name: str = "q") -> int:
+    """The size of the sieve that reaches q: the next power of two >= q, at least 2^12.  Builds nothing, and
+    refuses q outside 1..SIEVE_CAP, so a caller can check a request before any work."""
+    if not 1 <= q <= SIEVE_CAP:
+        raise ValueError(f"{name}={q} is outside 1..{SIEVE_CAP}, the sieve cap 2^{SIEVE_CAP.bit_length() - 1}")
+    return max(1 << 12, 1 << (q - 1).bit_length())
+
+
 def euler_phi(q: int) -> int:
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q <= SIEVE_LIMIT:
-        return int(_sieve(SIEVE_LIMIT)[0][q])
-    return _phi_factored(q)
+    """Euler's totient, read from the sieve at :func:`sieve_size` (q); q <= SIEVE_CAP."""
+    return int(_sieve(sieve_size(q))[0][q])
 
 
 def moebius(q: int) -> int:
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q <= SIEVE_LIMIT:
-        return int(_sieve(SIEVE_LIMIT)[1][q])
-    return _mu_factored(q)
-
-
-def _factor(q: int):
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            e = 0
-            while q % d == 0:
-                q //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if q > 1:
-        out.append((q, 1))
-    return out
-
-
-def _phi_factored(q: int) -> int:
-    out = 1
-    for p, e in _factor(q):
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def _mu_factored(q: int) -> int:
-    fs = _factor(q)
-    if any(e > 1 for _p, e in fs):
-        return 0
-    return -1 if len(fs) % 2 else 1
+    """The Moebius function, read from the same sieve as :func:`euler_phi`."""
+    return int(_sieve(sieve_size(q))[1][q])
 
 
 def mu_twisted(m: int, q: int, method: str = "closed") -> int:
@@ -107,9 +80,9 @@ def mu_twisted(m: int, q: int, method: str = "closed") -> int:
     if q < 1:
         raise ValueError("q must be >= 1")
     if method == "closed":
-        g = gcd(abs(m), q)
-        q_red = q // g
-        return euler_phi(q) // euler_phi(q_red) * moebius(q_red)
+        phi, mu = _sieve(sieve_size(q))  # q' <= q: one table serves the three reads
+        q_red = q // gcd(abs(m), q)
+        return int(phi[q] // phi[q_red] * mu[q_red])
     if method == "direct":
         total = complex(unit_exponential_sums(q, [m])[0])
         if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
@@ -139,24 +112,20 @@ def dirichlet_partial(m: int, s: float, Q: int) -> Tuple[float, float]:
     For m != 0 the values are bounded by |m| (the totient ratio is at
     most |m| and the Moebius factor is at most 1 in modulus), so the
     tail is below |m| Q^(1-s)/(s-1) for s > 1; for m = 0 the summand is
-    phi(q) q^(-s) and the bound needs s > 2.
+    phi(q) q^(-s) and the bound needs s > 2.  The values come from one
+    sieve sized to Q: a Q above SIEVE_CAP raises ValueError.
     """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
     if m == 0:
         if s <= 2:
             raise ValueError("m = 0 requires s > 2 for convergence")
     elif s <= 1:
         raise ValueError("m != 0 requires s > 1 for convergence")
-    limit = min(Q, SIEVE_LIMIT)
-    phi, mu = _sieve(SIEVE_LIMIT)
-    qs = np.arange(1, limit + 1, dtype=np.int64)
+    phi, mu = _sieve(sieve_size(Q, "Q"))
+    qs = np.arange(1, Q + 1, dtype=np.int64)
     g = np.gcd(abs(m), qs)
     q_red = qs // g
     vals = (phi[qs] // phi[q_red]) * mu[q_red]
     total = float(np.sum(vals * qs ** (-float(s))))
-    for q in range(limit + 1, Q + 1):  # beyond the sieve: factor on demand
-        total += mu_twisted(m, q) * q ** (-s)
     bound = max(abs(m), 1)
     if m == 0:
         tail = Q ** (2.0 - s) / (s - 2.0)

@@ -56,11 +56,40 @@ def test_totient_ratio_bound():
             assert twisted.euler_phi(q) // twisted.euler_phi(q // g) <= m
 
 
-def test_factored_fallback_beyond_sieve():
-    # primes above the sieve limit go through trial division
-    assert twisted._phi_factored(97) == 96
-    assert twisted._mu_factored(30) == -1
-    assert twisted._mu_factored(12) == 0
+def test_phi_and_mu_from_the_sieve_up_to_the_cap():
+    assert twisted.euler_phi(97) == 96
+    assert twisted.moebius(30) == -1
+    assert twisted.moebius(12) == 0
+    assert twisted.euler_phi(2**20) == 2**19  # the cap itself is served
+
+
+def test_above_the_cap_refused_before_any_table(monkeypatch):
+    def no_table(limit):
+        raise AssertionError(f"a table of {limit} entries was built")
+
+    monkeypatch.setattr(twisted, "_sieve", no_table)
+    cap = twisted.SIEVE_CAP
+    for call in (lambda: twisted.euler_phi(cap + 1), lambda: twisted.moebius(cap + 1),
+                 lambda: twisted.mu_twisted(1, cap + 1), lambda: twisted.dirichlet_partial(1, 2.0, cap + 1)):
+        with pytest.raises(ValueError, match=f"outside 1..{cap}"):
+            call()
+
+
+def test_small_requests_share_the_smallest_table(monkeypatch):
+    asked = []
+    sieve = twisted._sieve
+    monkeypatch.setattr(twisted, "_sieve", lambda limit: asked.append(limit) or sieve(limit))
+    assert twisted.mu_twisted(1, 10) == 1
+    assert asked and max(asked) <= 2**12
+
+
+def test_closed_mu_twisted_reads_one_table(monkeypatch):
+    # q = 9000 needs 2^14 entries, q' = 9000/gcd(30, 9000) = 300 only 2^12: all three reads take q's table
+    asked = []
+    sieve = twisted._sieve
+    monkeypatch.setattr(twisted, "_sieve", lambda limit: asked.append(limit) or sieve(limit))
+    assert twisted.mu_twisted(30, 9000) == twisted.mu_twisted(30, 9000, "direct")
+    assert asked == [2**14]
 
 
 def test_dirichlet_partials():

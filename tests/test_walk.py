@@ -20,7 +20,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fareychain import cli, spinchain, thermo, transfer, twisted
 from fareychain.rings import Params
@@ -118,7 +118,15 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_PATH_COMMANDS = (["code", "--r", "0.5", "--x", "0.3"], ["conjugacy", "--r", "0.5", "--grid", "4"])
+
+
 @settings(max_examples=80, deadline=None)
+@example(["zeta", "--m", "1", "--qmax=1048577"])  # one above the sieve cap 2^20
+@example([*_PATH_COMMANDS[0], "--depth=64"])  # a path word holds at most 63 steps
+@example([*_PATH_COMMANDS[1], "--depth=64"])
+@example([*_PATH_COMMANDS[0], "--mode=symbolic"])  # a symbolic vertex has no value to compare x with
+@example([*_PATH_COMMANDS[1], "--mode=symbolic"])
 @given(st.one_of(
     _bad_grids.map(lambda g: ["thermo", "--r", "0.5", f"--s={g}", "--n", "4"]),
     _bad_grids.map(lambda g: ["phase", f"--r-grid={g}"]),
@@ -129,6 +137,10 @@ def _run_cli(argv):
     st.integers(max_value=0).map(lambda k: ["conjugacy", "--r", "0.5", f"--grid={k}"]),
     st.integers(max_value=-1).map(lambda k: ["spin", f"--k={k}", "--r", "0.5"]),
     st.integers(max_value=0).map(lambda k: ["zeta", "--m", "1", f"--qmax={k}"]),
+    st.integers(min_value=twisted.SIEVE_CAP + 1).map(lambda k: ["zeta", "--m", "1", f"--qmax={k}"]),
+    st.tuples(st.sampled_from(_PATH_COMMANDS), st.one_of(st.integers(max_value=0), st.integers(min_value=64))).map(
+        lambda cd: [*cd[0], f"--depth={cd[1]}"]),
+    st.sampled_from(_PATH_COMMANDS).map(lambda argv: [*argv, "--mode=symbolic"]),
     _bad_lists.map(lambda v: ["thermo", "--r", "0.5", f"--s={v}", "--n", "4"]),
     _bad_lists.map(lambda v: ["code", "--r", "0.5", f"--x={v}"]),
     _non_finite.map(lambda v: ["thermo", f"--r={v}", "--s", "1", "--n", "4"]),
