@@ -5,7 +5,9 @@ Three arithmetic modes back every computation:
 * ``"symbolic"`` -- integer-coefficient polynomials in the variable
   rho = 2 - r (:class:`RhoPoly`).  All tree identities are polynomial
   identities in rho, so this mode turns tolerance checks into exact
-  equality checks.
+  equality checks.  The two-child kernel runs them as ints, each packed
+  as its value at rho = 2^64, and decodes a table's coefficients from
+  the base-2^64 digits (:func:`spinchain._entries`).
 * ``"exact"`` -- :class:`fractions.Fraction` arithmetic at a rational
   value of r.
 * ``"float"`` -- plain ``float`` / numpy ``float64``, used for the large
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -125,23 +128,27 @@ class RhoPoly:
             acc = acc * x + c
         return acc
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "RhoPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*rho" if c != 1 else "rho")
-            else:
-                terms.append(f"{c}*rho^{i}" if c != 1 else f"rho^{i}")
-        return f"RhoPoly({' + '.join(terms)})"
+    @classmethod
+    def _stripped(cls, coeffs: tuple) -> "RhoPoly":
+        """The polynomial of a tuple that already has no trailing zero, taken as it is."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     def __str__(self):
-        return repr(self)[8:-1]
+        """The nonzero terms c*rho^i joined by " + ", a unit coefficient left out; "0" for zero."""
+        suffixes, units = _term_texts(len(self.coeffs))
+        return " + ".join([u if c == 1 else f"{c}{s}" for c, s, u in zip(self.coeffs, suffixes, units) if c]) or "0"
+
+    def __repr__(self):
+        return f"RhoPoly({self})"
+
+
+@lru_cache(maxsize=64)
+def _term_texts(n: int) -> tuple:
+    """Per degree i < n, the text after a coefficient ("", "*rho", "*rho^2", ...) and a unit term's text."""
+    suffixes = ("", "*rho")[:n] + tuple(f"*rho^{i}" for i in range(2, n))
+    return suffixes, ("1",) + tuple(s[1:] for s in suffixes[1:])
 
 
 RHO = RhoPoly((0, 1))

@@ -18,9 +18,11 @@ interaction -Q_k^ is ferromagnetic for r in [0, 1].
 Every row in the package comes from one two-child kernel (_step): a
 level has one column per word, and the next level holds A x in its
 first half and B x in its second, for fixed child matrices (A, B) over
-the ring of the mode: float64, RhoPoly, or in exact mode ints, level j scaled
-by D0 D^j (_integral); in flip order the second half is written reversed.
-The exact tables divide once per entry (_entries).  With L = [[1, 0], [r, rho]],
+the ring of the mode: float64, or ints, in exact mode level j scaled by
+D0 D^j, in symbolic mode each polynomial packed as its value at rho = 2^64
+(_integral); in flip order the second half is written reversed.  The exact
+tables divide once per entry, the symbolic ones decode each table's base-2^64
+digits to RhoPolys (_entries).  With L = [[1, 0], [r, rho]],
 R = [[1, rho], [0, rho]] and SR = [[r-1, rho], [r, rho]]:
 
     tree rows (p, q)    root (1, 2)         L, SR               flip
@@ -53,13 +55,14 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .rings import Params
+from .rings import Params, RhoPoly
 from .words import SpinWord
 
 EXACT_TABLE_CAP = 16
 FLOAT_TABLE_CAP = 26
 FOURIER_CAP = 24
 _BLOCK_LEVELS = 13
+_DIGIT, _HALF_DIGIT = 1 << 64, 1 << 63  # symbolic mode packs a RhoPoly as its value at rho = _DIGIT
 
 
 def _check_cap(k: int, p: Params) -> None:
@@ -83,7 +86,11 @@ def _tree_stream(params: Params):
 def _integral(stream, params: Params):
     """(root, children, flip, D0, D) of stream(params), the root as a (dim, 1) array.  In exact mode
     the root is scaled by the lcm D0 of its denominators and the children by the lcm D of theirs,
-    to ints, so level j holds its values times D0 D^j; other modes run as they are, D0 = D = 1."""
+    to ints, so level j holds its values times D0 D^j.  In symbolic mode every RhoPoly is packed as
+    its int value at rho = 2^64 (Kronecker substitution), D0 = D = 1, and :func:`_entries` reads the
+    coefficients back as base-2^64 digits; a stream is refused unless they stay below 2^63 at the mode
+    cap, by the bound (the root's largest |coefficient|) (the largest child row's sum of |coefficients|)^cap.
+    Float mode runs as it is, D0 = D = 1."""
     root, children, flip = stream(params)
     d0 = d = 1
     if params.mode == "exact":
@@ -91,23 +98,46 @@ def _integral(stream, params: Params):
         d = math.lcm(*(v.denominator for m in children for row in m for v in row))
         root = [int(v * d0) for v in root]
         children = tuple(tuple(tuple(int(v * d) for v in row) for row in m) for m in children)
+    elif params.mode == "symbolic":
+        top = max((abs(c) for v in root for c in v.coeffs), default=0)
+        growth = max(sum(abs(c) for v in row for c in v.coeffs) for m in children for row in m)
+        if top * growth**EXACT_TABLE_CAP >= _HALF_DIGIT:
+            raise ValueError(f"the stream's coefficients could reach 2^63 by level {EXACT_TABLE_CAP}")
+        root = [v(_DIGIT) for v in root]
+        children = tuple(tuple(tuple(v(_DIGIT) for v in row) for row in m) for m in children)
     return np.array(root, dtype=float if params.mode == "float" else object)[:, None], children, flip, d0, d
 
 
 def _entries(rows, scale: int, params: Params):
     """A level's rows as the tables return them: float arrays as they are, others as lists, in
-    exact mode of Fractions, the integer numerators over `scale` divided once per entry."""
+    exact mode of Fractions, the integer numerators over `scale` divided once per entry, in symbolic
+    mode of RhoPolys, one per distinct packed value, decoded from its base-2^64 digits at once."""
     if params.mode == "float":
         return rows
     rows = rows.tolist()
-    return [[Fraction(v, scale) for v in row] for row in rows] if params.mode == "exact" else rows
+    if params.mode == "exact":
+        return [[Fraction(v, scale) for v in row] for row in rows]
+    polys = dict.fromkeys(v for row in rows for v in row)
+    # every coefficient is in (-2^63, 2^63), so a value of bit length b has at most b // 64 + 1 digits;
+    # adding 2^63 to each digit makes them all nonnegative, uint64 bytes numpy reads in one pass
+    width = max(map(abs, polys)).bit_length() // 64 + 1
+    shift = _HALF_DIGIT * (_DIGIT**width - 1) // (_DIGIT - 1)
+    data = b"".join((v + shift).to_bytes(8 * width, "little") for v in polys)
+    digits = (np.frombuffer(data, np.uint64).reshape(-1, width) - np.uint64(_HALF_DIGIT)).view(np.int64)
+    lengths = width - np.argmax(digits[:, ::-1] != 0, axis=1)
+    lengths[~digits.any(axis=1)] = 0
+    for v, coeffs, n in zip(polys, digits.tolist(), lengths.tolist()):
+        polys[v] = RhoPoly._stripped(tuple(coeffs[:n]))
+    return [[polys[v] for v in row] for row in rows]
 
 
 def _combine(row, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """out = sum_j row[j] x[j], skipping zero terms and unit factors: this
     spares the object modes their costliest no-ops and keeps float rows
-    bit-identical to the two-term recursions."""
+    bit-identical to the two-term recursions.  An all-zero row writes zeros."""
     terms = [(c, xj) for c, xj in zip(row, x) if c != 0]
+    if not terms:
+        out[...] = 0
     for j, (c, xj) in enumerate(terms):
         if c != 1:
             xj = np.multiply(c, xj, out=scratch if j else out)
@@ -228,6 +258,8 @@ def q_table(k: int, params: Params) -> Sequence:
 def q_hat_table(k: int, params: Params) -> Sequence:
     """fourier_transform(q_table(k, params), k); in exact mode the butterflies run on the kernel's integer
     numerators over their scale D0 D^k, so no entry is divided before the output."""
+    if params.mode == "symbolic":
+        raise ValueError("the transform divides by 2^k; use exact or float mode")
     d0, d = _integral(_tree_stream, params)[3:]
     q = _last(_levels(_tree_stream, k, params))[1]
     if params.mode != "exact":
@@ -257,9 +289,9 @@ def _cumulative(k: int, params: Params):
         raise ValueError("cumulative tables start at k = 1")
     _check_cap(k, params)
     root, _children, _flip, d0, d = _integral(_tree_stream, params)
-    scale, one = d0 * d ** (k - 1), 1 if params.mode == "exact" else params.one
+    scale = d0 * d ** (k - 1)
     table = np.empty((2, 1 << k), dtype=root.dtype)
-    table[:, 0] = one - one, one * scale
+    table[:, 0] = 0, scale
     for m, x in enumerate(_levels(_tree_stream, k - 1, params)):
         j = k - 1 - m
         table[:, 1 << j :: 2 << j] = x if d == 1 else x * d**j  # level m is over D0 D^m

@@ -33,21 +33,30 @@ SIEVE_CAP = 1 << 20  # the largest q or Q that phi, mu and the Dirichlet partial
 @lru_cache(maxsize=4)
 def _sieve(limit: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sieve phi and mu up to `limit` (vectorized over prime strides).  Callers ask for the next power of two
-    >= their q or Q, at least 2^12 (:func:`sieve_size`), so the small requests of one run share one table."""
-    is_prime = np.ones(limit + 1, dtype=bool)
+    >= their q or Q, at least 2^12 (:func:`sieve_size`), so the small requests of one run share one table.
+    Only the primes <= sqrt(limit) are strided; they are divided out of `rest`, and what is left above 1 is
+    the one prime factor of n above sqrt(limit), applied to every such n in one pass."""
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    primes = np.flatnonzero(is_prime)
     phi = np.arange(limit + 1, dtype=np.int64)
+    rest = phi.copy()
     mu = np.ones(limit + 1, dtype=np.int64)
     mu[0] = 0
-    for p in primes:
+    for p in np.flatnonzero(is_prime).tolist():
         phi[p::p] -= phi[p::p] // p
         mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
+        mu[p * p :: p * p] = 0
+        power = p
+        while power <= limit:
+            rest[power::power] //= p
+            power *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    mu[big] *= -1
     return phi, mu
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fareychain.rings import ONE, RHO, Params, RhoPoly, csum_complex
 
@@ -12,6 +12,46 @@ def test_trailing_zeros_stripped():
     assert RhoPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert RhoPoly((0, 0)).coeffs == ()
     assert RhoPoly().degree == -1
+
+
+def _sliced_repr(coeffs):
+    """The earlier formatter: the repr's terms, and str as the repr without "RhoPoly(" and ")"."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append(f"{c}*rho" if c != 1 else "rho")
+        else:
+            terms.append(f"{c}*rho^{i}" if c != 1 else f"rho^{i}")
+    text = f"RhoPoly({' + '.join(terms)})" if terms else "RhoPoly(0)"
+    return text[8:-1], text
+
+
+def _parse(text):
+    coeffs = {}
+    for term in [] if text == "0" else text.split(" + "):
+        head, has_rho, power = term.partition("rho")
+        degree = int(power[1:] or 1) if has_rho else 0
+        coeffs[degree] = int(head.rstrip("*") or 1) if has_rho else int(head)
+    return tuple(coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1))
+
+
+@given(st.lists(st.one_of(st.integers(-(2**40), 2**40), st.sampled_from((0, 1, -1))), max_size=24),
+       st.integers(0, 3))
+@example([], 0)
+@example([0, 0], 2)
+@example([1, 1, 1], 0)
+@example([-1, -1, 0, -1], 1)
+def test_one_formatter_writes_the_sliced_repr(coeffs, trailing_zeros):
+    p = RhoPoly(coeffs + [0] * trailing_zeros)
+    old_str, old_repr = _sliced_repr(p.coeffs)
+    assert str(p) == old_str and repr(p) == old_repr == f"RhoPoly({p})"
+    assert _parse(str(p)) == p.coeffs
+    if not p.coeffs:
+        assert (str(p), repr(p)) == ("0", "RhoPoly(0)")
 
 
 def test_basic_arithmetic():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fareychain import spinchain, transfer
 from fareychain.rings import ONE, RHO, Params, RhoPoly
@@ -261,8 +261,72 @@ def test_float_stream_equals_symbolic_stream(name, r):
     stream = STREAMS[name]
     rho = 2.0 - r
     evaluate = np.vectorize(lambda v: float(v(rho)), otypes=[float])
-    floats = spinchain._levels(stream, 8, Params.floating(r))
-    polys = spinchain._levels(stream, 8, SYM)
+    floats = spinchain._level_tables(stream, 8, Params.floating(r))
+    polys = spinchain._level_tables(stream, 8, SYM)
     for k, (fl, sym) in enumerate(zip(floats, polys)):
+        sym = np.array(sym, dtype=object)
         assert fl.shape == sym.shape == (fl.shape[0], 1 << k)
         assert np.allclose(fl, evaluate(sym), rtol=1e-13, atol=0.0)
+
+
+def _products(root, children, flip, depth):
+    """Levels 0 .. depth of a stream as row lists, from RhoPoly products of its child matrices."""
+    a, b = children
+    columns, levels = [root], []
+    for _ in range(depth + 1):
+        levels.append([list(row) for row in zip(*columns)])
+        first = [tuple(sum((m * v for m, v in zip(row, c)), RhoPoly()) for row in a) for c in columns]
+        second = [tuple(sum((m * v for m, v in zip(row, c)), RhoPoly()) for row in b) for c in columns]
+        columns = first + (second[::-1] if flip else second)
+    return levels
+
+
+def _decoded_levels_equal_products(stream, depth):
+    levels = list(spinchain._level_tables(stream, depth, SYM))
+    assert levels == _products(*stream(SYM), depth)
+    assert all(type(v) is RhoPoly and v.coeffs[-1:] != (0,) for level in levels for row in level for v in row)
+    return levels
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+@pytest.mark.parametrize("depth", [0, 1, 6])
+def test_packed_levels_equal_rhopoly_products(name, depth):
+    """The kernel steps the symbolic streams as ints packed at rho = 2^64; each level, decoded, is the
+    RhoPoly product of the stream's child matrices, and the copied rows share one object per entry."""
+    levels = _decoded_levels_equal_products(STREAMS[name], depth)
+    if name == "tree rows":
+        assert all(q[i] is q[-1 - i] for _p, q in levels for i in range(len(q)))  # q(sigma) = q(bar sigma)
+
+
+_extreme = st.lists(st.integers(-(2**63) + 1, 2**63 - 1), max_size=4).map(RhoPoly)
+_monomial_row = st.tuples(st.integers(0, 1), st.sampled_from((-1, 1)), st.integers(0, 3)).map(
+    lambda t: tuple(t[1] * RHO**t[2] if j == t[0] else RhoPoly() for j in range(2)))
+_monomial_matrix = st.tuples(_monomial_row, st.one_of(_monomial_row, st.just((RhoPoly(), RhoPoly()))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_extreme, _extreme), _monomial_matrix, _monomial_matrix, st.booleans())
+@example((poly(2**63 - 1, 0, -(2**63) + 1, 1), poly(-(2**63) + 1)), ((RHO, poly()), (poly(), -ONE)),
+         ((poly(), -RHO**3), (RHO, poly())), True)
+def test_packed_digits_decode_coefficients_up_to_2_63(root, a, b, flip):
+    """Rows of one signed monomial keep every coefficient's size, so any coefficient below 2^63,
+    of either sign, reaches the decoded levels unchanged."""
+    _decoded_levels_equal_products(lambda params: (root, (a, b), flip), 4)
+
+
+def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
+    steps = []
+    step = spinchain._step
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(spinchain, "_step", counted_step)
+    list(spinchain._levels(spinchain._tree_stream, 2, SYM))  # the tree stream's bound is 2 * 4^16 = 2^33
+    assert len(steps) == 2
+    one, three = RhoPoly((1,)), RhoPoly((0, 3))  # 2^32 * (1 + 3)^16 = 2^64 at the cap
+    for root, (a, b) in (((2**32 * one,), (((one + three,),), ((one,),))), ((2**62 * one,), (((2 * one,),), ((one,),)))):
+        with pytest.raises(ValueError, match="2\\^63"):
+            list(spinchain._levels(lambda params: (root, (a, b), False), 1, SYM))
+    assert len(steps) == 2

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,28 @@ def test_phi_and_mu_from_the_sieve_up_to_the_cap():
     assert twisted.moebius(30) == -1
     assert twisted.moebius(12) == 0
     assert twisted.euler_phi(2**20) == 2**19  # the cap itself is served
+
+
+def _by_trial_division(n):
+    """(phi(n), mu(n)) from the prime factors of n."""
+    phi, mu, p = n, 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            phi, mu = phi - phi // p, 0 if e > 1 else -mu
+        p += 1
+    return (phi - phi // n, -mu) if n > 1 else (phi, mu)
+
+
+def test_sieve_equals_trial_division():
+    """The sieve strides only the primes <= 2^10 at 2^20; the one larger factor comes from the remainder."""
+    phi, mu = twisted._sieve(1 << 20)
+    rng = random.Random(20)
+    large = [1021 * 1024, 1031 * 1013, 2 * 524287, 1048573, 2**20]  # 1031, 524287 and 1048573 are prime
+    for n in [*range(1, 2000), *large, *rng.sample(range(1, 2**20 + 1), 500)]:
+        assert (phi[n], mu[n]) == _by_trial_division(n), n
 
 
 def test_above_the_cap_refused_before_any_table(monkeypatch):
