@@ -33,6 +33,8 @@ def _params(args) -> Params:
     mode = getattr(args, "mode", "float")
     r = getattr(args, "r", None)
     if mode == "symbolic":
+        if r is not None:
+            raise ValueError(f"--r {r} does nothing in symbolic mode, whose entries are polynomials in rho = 2 - r")
         return Params.symbolic()
     if r is None:
         raise ValueError("--r is required in numeric modes")
@@ -127,15 +129,17 @@ def emit(rows: Iterable[Sequence], fieldnames: Sequence[str], args, default_form
 
 
 def cmd_tree(args) -> int:
+    if args.adjacency and args.extended:
+        raise ValueError("--extended does nothing with --adjacency, whose JSON holds the tree rows alone")
     p = _params(args)
+    try:  # the records stream, so the table cap is refused here, before the header
+        records = treemod.row_records(args.rows, p, args.extended)
+    except ValueError as exc:
+        raise ValueError(f"--rows {args.rows}: {exc}") from None
     if args.adjacency:
         with _open_out(args.out) as fh:
-            fh.write(json.dumps(treemod.tree_adjacency(args.rows, p), indent=1) + "\n")
+            fh.write(json.dumps(treemod.tree_adjacency(records), indent=1) + "\n")
         return 0
-    rows = treemod.build_rows(args.rows, p)
-    if args.extended:
-        rows = [treemod.extend_row(row, p) for row in rows]
-    records = (tuple(rec.values()) for row in rows for rec in treemod.node_records(row))
     emit(records, ["level", "sigma", "p", "q", "value"], args)
     return 0
 

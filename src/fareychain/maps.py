@@ -98,12 +98,3 @@ def involution_s(x, p: Params):
         raise ValueError("x is the pole of the involution")
     return ((r - 1) * x + 2 - r) / den
 
-
-def involution_pair(p_num, q_den, p: Params):
-    """Numerator/denominator form of the involution on a fraction.
-
-    Maps (p, q) with 0 <= p/q <= 1 to ((r-1)p + (2-r)q, rp + (1-r)q),
-    the exact form used to reflect tree rows.
-    """
-    r = p.r
-    return (r - 1) * p_num + (2 - r) * q_den, r * p_num + (1 - r) * q_den

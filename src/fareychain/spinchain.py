@@ -35,7 +35,10 @@ R = [[1, rho], [0, rho]] and SR = [[r-1, rho], [r, rho]]:
 is copied, not recomputed: the second rows of L and SR coincide, which
 is the symmetry q_k(sigma) = q_k(bar sigma).  The cumulative tables are
 no separate recursion: pc_{k+1} interleaves pc_k with p_k, and qc_{k+1}
-interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).
+interleaves qc_k with q_k, from pc_0 = (0) and qc_0 = (1).  The reflection
+into the extended tree is one more flip-order step of a tree level by
+(I, S), S = [[r-1, rho], [r, 1-r]], in the same ring (_reflection,
+_scaled_levels): the level, then its vertices' mirrors.
 
 The kernel is walked two ways: _levels yields whole rows, for the tables
 that need them; every leaf and row sum reads _walk, which yields the same
@@ -78,34 +81,47 @@ def _generators(params: Params):
     return ((one, zero), (r, rho)), ((one, rho), (zero, rho)), ((r - one, rho), (r, rho))
 
 
+def _reflection(params: Params):
+    """The child matrices (I, S) of the reflection step, S = [[r-1, rho], [r, 1-r]] (det -1, S^2 = I): in flip
+    order a tree level steps to itself followed by its vertices' mirrors in the extended tree, last vertex first."""
+    one, r, rho, zero = params.one, params.r, params.rho, params.one - params.one
+    return ((one, zero), (zero, one)), ((r - one, rho), (r, one - r))
+
+
 def _tree_stream(params: Params):
     L, _R, SR = _generators(params)
     return (params.one, 2 * params.one), (L, SR), True
 
 
-def _integral(stream, params: Params):
-    """(root, children, flip, D0, D) of stream(params), the root as a (dim, 1) array.  In exact mode
-    the root is scaled by the lcm D0 of its denominators and the children by the lcm D of theirs,
-    to ints, so level j holds its values times D0 D^j.  In symbolic mode every RhoPoly is packed as
-    its int value at rho = 2^64 (Kronecker substitution), D0 = D = 1, and :func:`_entries` reads the
-    coefficients back as base-2^64 digits; a stream is refused unless they stay below 2^63 at the mode
-    cap, by the bound (the root's largest |coefficient|) (the largest child row's sum of |coefficients|)^cap.
-    Float mode runs as it is, D0 = D = 1."""
+def _integral(stream, params: Params, after=None):
+    """(root, children, flip, D0, D) of stream(params) in the ring of :func:`_ring`, the root as a (dim, 1) array:
+    level j holds its values times D0 D^j, D0 and D the root's and the children's scale.  A symbolic stream is refused
+    unless its coefficients stay below 2^63 at the mode cap, by the bound (the root's largest |coefficient|)
+    (the children's :func:`_growth`)^cap, times the growth of the children `after` of one more step if one follows."""
     root, children, flip = stream(params)
-    d0 = d = 1
-    if params.mode == "exact":
-        d0 = math.lcm(*(v.denominator for v in root))
-        d = math.lcm(*(v.denominator for m in children for row in m for v in row))
-        root = [int(v * d0) for v in root]
-        children = tuple(tuple(tuple(int(v * d) for v in row) for row in m) for m in children)
-    elif params.mode == "symbolic":
+    if params.mode == "symbolic":
         top = max((abs(c) for v in root for c in v.coeffs), default=0)
-        growth = max(sum(abs(c) for v in row for c in v.coeffs) for m in children for row in m)
-        if top * growth**EXACT_TABLE_CAP >= _HALF_DIGIT:
+        if top * _growth(children) ** EXACT_TABLE_CAP * (_growth(after) if after else 1) >= _HALF_DIGIT:
             raise ValueError(f"the stream's coefficients could reach 2^63 by level {EXACT_TABLE_CAP}")
-        root = [v(_DIGIT) for v in root]
-        children = tuple(tuple(tuple(v(_DIGIT) for v in row) for row in m) for m in children)
+    ((root,),), d0 = _ring(((root,),), params)
+    children, d = _ring(children, params)
     return np.array(root, dtype=float if params.mode == "float" else object)[:, None], children, flip, d0, d
+
+
+def _growth(matrices) -> int:
+    """The largest row sum of |coefficients| of symbolic matrices: a step by them raises no coefficient bound more."""
+    return max(sum(abs(c) for v in row for c in v.coeffs) for m in matrices for row in m)
+
+
+def _ring(matrices, params: Params):
+    """(matrices, D): the matrices (tuples of row tuples) in the kernel's ring.  Exact mode scales them to ints by the
+    lcm D of their denominators; symbolic mode packs each RhoPoly as its int value at rho = 2^64 (Kronecker
+    substitution, read back by :func:`_entries`), D = 1; float mode takes them as they are, D = 1."""
+    if params.mode == "float":
+        return matrices, 1
+    exact = params.mode == "exact"
+    d = math.lcm(*(v.denominator for m in matrices for row in m for v in row)) if exact else 1
+    return tuple(tuple(tuple(int(v * d) if exact else v(_DIGIT) for v in row) for row in m) for m in matrices), d
 
 
 def _entries(rows, scale: int, params: Params):
@@ -213,22 +229,31 @@ def _last_level_sum(stream, depth: int, params: Params, term):
     return sum((term(block) for level, block in _walk(stream, depth, params) if level == depth), 0)
 
 
-def _last(levels: Iterator[np.ndarray]) -> np.ndarray:
+def _last(levels: Iterator):
     for x in levels:
         pass
     return x
 
 
+def _scaled_levels(stream, depth: int, params: Params, after=None) -> Iterator[Tuple[np.ndarray, int]]:
+    """(level, scale) for levels 0 .. depth of a stream in the ring of :func:`_integral`, level j over D0 D^j; with
+    child matrices `after`, each level takes one more flip-order :func:`_step` by them and is over D0 D^j D_a, D_a
+    their scale.  The table cap and the packing bound, with that step, are checked before this returns."""
+    _check_cap(depth, params)
+    d0, d = _integral(stream, params, after)[3:]
+    after, da = _ring(after, params) if after else (None, 1)
+    return ((x if after is None else _step(x, after, True), d0 * d**j * da)
+            for j, x in enumerate(_levels(stream, depth, params)))
+
+
 def _level_tables(stream, depth: int, params: Params) -> Iterator:
     """Levels 0 .. depth of a stream as the tables return them (:func:`_entries`)."""
-    d0, d = _integral(stream, params)[3:]
-    return (_entries(x, d0 * d**j, params) for j, x in enumerate(_levels(stream, depth, params)))
+    return (_entries(x, scale, params) for x, scale in _scaled_levels(stream, depth, params))
 
 
 def _last_table(stream, depth: int, params: Params):
     """Level `depth` alone as the tables return it: the levels above are stepped, not divided."""
-    d0, d = _integral(stream, params)[3:]
-    return _entries(_last(_levels(stream, depth, params)), d0 * d**depth, params)
+    return _entries(*_last(_scaled_levels(stream, depth, params)), params)
 
 
 @dataclass(frozen=True)
@@ -251,8 +276,8 @@ def pq_tables(k: int, params: Params) -> PQTable:
 
 def q_table(k: int, params: Params) -> Sequence:
     """pq_tables(k, params).q alone: the p row is stepped, never divided."""
-    d0, d = _integral(_tree_stream, params)[3:]
-    return _entries(_last(_levels(_tree_stream, k, params))[1:], d0 * d**k, params)[0]
+    x, scale = _last(_scaled_levels(_tree_stream, k, params))
+    return _entries(x[1:], scale, params)[0]
 
 
 def q_hat_table(k: int, params: Params) -> Sequence:
@@ -260,11 +285,10 @@ def q_hat_table(k: int, params: Params) -> Sequence:
     numerators over their scale D0 D^k, so no entry is divided before the output."""
     if params.mode == "symbolic":
         raise ValueError("the transform divides by 2^k; use exact or float mode")
-    d0, d = _integral(_tree_stream, params)[3:]
-    q = _last(_levels(_tree_stream, k, params))[1]
+    x, scale = _last(_scaled_levels(_tree_stream, k, params))
     if params.mode != "exact":
-        return fourier_transform(q, k)
-    return [Fraction(v, d0 * d**k << k) for v in _butterflies(np.array(q)).tolist()]
+        return fourier_transform(x[1], k)
+    return [Fraction(v, scale << k) for v in _butterflies(np.array(x[1])).tolist()]
 
 
 def pc_qc_tables(k: int, params: Params) -> PQTable:

@@ -652,19 +652,20 @@ def _log_iterates(sigma: np.ndarray, start: Callable[[np.ndarray], np.ndarray], 
 
 
 def _dim_ladder(run: Callable[[int], tuple], products) -> Tuple[int, tuple, tuple, np.ndarray, float]:
-    """The dim ladder of every operator-iterate route: (dim, run(dim), run(3 dim/4), change, excess), run(dim) =
-    (values, scale, ...) on the dim-point compression.  The dims climb SWEEP_DIMS to the first whose excess
-    max(change / scale - products dim eps) is at most SWEEP_TOL, change = |values - the 3 dim/4 rerun's| and products
-    (a scalar or like values) the dot products of length dim behind each value: products dim eps floors the callers'
-    errors.  If none passes (an excess above SWEEP_TOL or nan, as from an overflowed run), this is dim 384's tuple."""
+    """The dim ladder of every operator-iterate route: (dim, run(dim), run(3 dim/4), change, term), run(dim) =
+    (values, scale, ...) on the dim-point compression, change = |values - the 3 dim/4 rerun's|.  The dims climb
+    SWEEP_DIMS to the first whose term, the largest change / scale above its floor products dim eps (0 if none), is
+    at most SWEEP_TOL; products (a scalar or like values) counts the dot products of length dim behind each value, and
+    that floor also floors the callers' errors.  If none passes (a term above SWEEP_TOL or nan), this is dim 384's."""
     for dim in SWEEP_DIMS:
         with np.errstate(all="ignore"):  # a run that overflows or turns nan fails the test
             out, check = run(dim), run(3 * dim // 4)
             change = np.abs(out[0] - check[0])
-            excess = float(np.max(change / out[1] - products * dim * np.finfo(float).eps))
-        if excess <= SWEEP_TOL:
+            relative = change / out[1]
+            term = float(np.max(np.where(relative <= products * dim * np.finfo(float).eps, 0.0, relative)))
+        if term <= SWEEP_TOL:
             break
-    return dim, out, check, change, excess
+    return dim, out, check, change, term
 
 
 def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray],
@@ -695,8 +696,8 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
         ratio = values[1:] / values[1:, :1]
         return read(S * ratio[:, -2]), read(S), S, S * ratio[:, -1].real
 
-    dim, (values, _scale, S, A), _check, change, excess = _dim_ladder(run, n + 1)
-    if not excess <= SWEEP_TOL:
+    dim, (values, _scale, S, A), _check, change, term = _dim_ladder(run, n + 1)
+    if not term <= SWEEP_TOL:
         return f"the operator ladder topped out at dim {dim}"
     errors = np.maximum(change, (n + 1) * np.finfo(float).eps * read(np.maximum(dim * S, A)))
     method = f"operator iterates, dim {dim}"

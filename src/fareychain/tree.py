@@ -12,17 +12,24 @@ the two generator matrices
 both of determinant rho.  The involution matrix S (det -1, S^2 = I)
 reflects the tree into the extended, Stern-Brocot-like tree whose rows
 also cover (1, infinity).
+
+The rows come from the two-child kernel of :mod:`spinchain`, where the
+reflection is one more step of each level; :func:`row_records` streams
+the ``tree`` records level by level, one str per distinct entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .maps import involution_pair
+import numpy as np
+
 from .rings import Params, RhoPoly
-from .spinchain import _level_tables, _tree_stream, pq_tables
+from .spinchain import (_entries, _generators, _last, _level_tables, _reflection, _scaled_levels, _tree_stream,
+                        pq_tables)
 from .words import SpinWord, all_words, label
 
 # rho used only to order symbolic nodes; the order is the same for all
@@ -59,21 +66,15 @@ class Mat2:
 
 
 def mat_L(params: Params) -> Mat2:
-    one = params.one
-    rho = params.rho
-    return Mat2(one, one - one, 2 * one - rho, rho)
+    return Mat2(*sum(_generators(params)[0], ()))
 
 
 def mat_R(params: Params) -> Mat2:
-    one = params.one
-    rho = params.rho
-    return Mat2(one, rho, one - one, rho)
+    return Mat2(*sum(_generators(params)[1], ()))
 
 
 def mat_S(params: Params) -> Mat2:
-    one = params.one
-    rho = params.rho
-    return Mat2(one - rho, rho, 2 * one - rho, rho - one)
+    return Mat2(*sum(_reflection(params)[1], ()))
 
 
 @dataclass(frozen=True)
@@ -94,18 +95,13 @@ class FareyNode:
 
     def value(self):
         if isinstance(self.p, RhoPoly):
-            raise ValueError("symbolic node: use value_at(rho)")
+            raise ValueError("a symbolic node has no value; order_key orders it")
         if isinstance(self.p, Fraction) or isinstance(self.q, Fraction):
             return Fraction(self.p) / Fraction(self.q)
         return self.p / self.q
 
-    def value_at(self, rho):
-        pv = self.p(rho) if isinstance(self.p, RhoPoly) else self.p
-        qv = self.q(rho) if isinstance(self.q, RhoPoly) else self.q
-        return pv / qv
-
     def order_key(self):
-        return self.value_at(_ORDER_RHO) if isinstance(self.p, RhoPoly) else self.value()
+        return self.p(_ORDER_RHO) / self.q(_ORDER_RHO) if isinstance(self.p, RhoPoly) else self.value()
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,12 @@ def build_rows(n: int, params: Params) -> List[TreeRow]:
 
 
 def _tree_row(n: int, p: Sequence, q: Sequence) -> TreeRow:
-    return TreeRow(n, [FareyNode(p[w.index], q[w.index], n, w) for w in all_words(n - 1)])
+    """Row n from a decoded level: 2^(n-1) vertices in path order, then any further columns as their mirrors."""
+    words = list(all_words(n - 1))
+    nodes = [FareyNode(p[w.index], q[w.index], n, w) for w in words]
+    if len(p) > len(words):
+        nodes += [FareyNode(p[-1 - w.index], q[-1 - w.index], n, w, reflected=True) for w in reversed(words)]
+    return TreeRow(n, nodes)
 
 
 def full_tree(n: int, params: Params) -> List[FareyNode]:
@@ -210,62 +211,40 @@ def matrix_presentation(sigma: SpinWord, params: Params) -> Mat2:
 
 
 def extended_row(n: int, params: Params) -> TreeRow:
-    """Row n of the extended tree: the tree row plus its reflection.
-
-    The reflection applies the involution to each vertex, producing the
-    values in (1, infinity); for r = 1 the rows of the classical
-    Stern-Brocot tree appear.  Nodes are ordered increasingly, the
-    reflected half after the tree half.
-    """
-    return extend_row(build_row(n, params), params)
+    """Row n of the extended tree: the tree row, then its reflection by the involution, mirror of the last vertex
+    first, with values in (1, infinity); for r = 1 the rows of the classical Stern-Brocot tree appear."""
+    if n < 1:
+        raise ValueError("rows start at n = 1")
+    x, scale = _last(_scaled_levels(_tree_stream, n - 1, params, _reflection(params)))
+    return _tree_row(n, *_entries(x, scale, params))
 
 
-def extend_row(row: TreeRow, params: Params) -> TreeRow:
-    """The tree row followed by its reflection, as in :func:`extended_row`."""
-    reflected = []
-    for node in reversed(row.nodes):
-        p2, q2 = involution_pair(node.p, node.q, params)
-        reflected.append(FareyNode(p2, q2, row.level, node.path, reflected=True))
-    return TreeRow(row.level, list(row.nodes) + reflected)
+def row_records(n: int, params: Params, extended: bool = False) -> Iterator[tuple]:
+    """(level, sigma, p, q, value) for rows 1 .. n, one row at a time: a row's vertices in path order, then with
+    `extended` their mirrors, last vertex first, sigma starred.  p and q are texts, one str per distinct entry of a
+    row; value is repr(p/q) from one array division (exact mode divides the kernel's integers, correctly rounded),
+    empty in symbolic mode.  The table cap is refused before this returns."""
+    if n < 1:
+        raise ValueError("rows start at n = 1")
+    levels = _scaled_levels(_tree_stream, n - 1, params, _reflection(params) if extended else None)
+    return (rec for j, (x, scale) in enumerate(levels) for rec in _level_records(j, x, scale, params))
 
 
-def node_records(row: TreeRow) -> List[dict]:
-    """Flat dict records for CSV/JSON export."""
-    out = []
-    for node in row.nodes:
-        sigma = "" if node.path is None else label(node.path.bits, node.path.k)
-        if isinstance(node.p, RhoPoly):
-            rec = {"level": row.level, "sigma": sigma, "p": str(node.p), "q": str(node.q), "value": ""}
-        else:
-            rec = {
-                "level": row.level,
-                "sigma": sigma,
-                "p": str(node.p),
-                "q": str(node.q),
-                "value": repr(float(node.value())),
-            }
-        if node.reflected:
-            rec["sigma"] = sigma + "*"
-        out.append(rec)
-    return out
+def _level_records(j: int, x, scale: int, params: Params) -> Iterator[tuple]:
+    """The records of kernel level j (:func:`row_records`), possibly followed by its reflection."""
+    raw = x.tolist()
+    distinct = list(dict.fromkeys(raw[0] + raw[1]))
+    texts = dict(zip(distinct, map(str, _entries(np.array([distinct], dtype=x.dtype), scale, params)[0])))
+    sigmas = [label(i, j) for i in range(1 << j)]
+    if len(raw[0]) > len(sigmas):
+        sigmas += [sigma + "*" for sigma in reversed(sigmas)]
+    values = repeat("") if params.mode == "symbolic" else map(repr, (x[0] / x[1]).tolist())
+    return zip(repeat(j + 1), sigmas, map(texts.get, raw[0]), map(texts.get, raw[1]), values)
 
 
-def tree_adjacency(n: int, params: Params) -> dict:
-    """Rooted-tree JSON structure: nodes keyed by path word, parent links."""
-    nodes = []
-    edges = []
-    for row in build_rows(n, params):
-        for node in row.nodes:
-            sigma = label(node.path.bits, node.path.k)
-            nodes.append(
-                {
-                    "id": sigma or "root",
-                    "level": row.level,
-                    "p": str(node.p),
-                    "q": str(node.q),
-                }
-            )
-            if row.level > 1:
-                parent = sigma[:-1] or "root"
-                edges.append({"parent": parent, "child": sigma or "root", "bit": int(sigma[-1])})
-    return {"nodes": nodes, "edges": edges}
+def tree_adjacency(records: Iterable[tuple]) -> dict:
+    """Rooted-tree JSON structure from :func:`row_records` (not extended): nodes keyed by path word, parent links."""
+    records = list(records)
+    return {"nodes": [{"id": sigma or "root", "level": level, "p": p, "q": q} for level, sigma, p, q, _ in records],
+            "edges": [{"parent": sigma[:-1] or "root", "child": sigma, "bit": int(sigma[-1])}
+                      for level, sigma, *_ in records if level > 1]}

@@ -325,8 +325,14 @@ def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
     monkeypatch.setattr(spinchain, "_step", counted_step)
     list(spinchain._levels(spinchain._tree_stream, 2, SYM))  # the tree stream's bound is 2 * 4^16 = 2^33
     assert len(steps) == 2
+    reflection = spinchain._reflection(SYM)  # I, and S with rows (1 - rho, rho), (2 - rho, rho - 1): sums 3 and 5
+    assert spinchain._growth(reflection) == 5
+    list(spinchain._scaled_levels(spinchain._tree_stream, 2, SYM, reflection))  # the reflected rows: 2^33 * 5 < 2^63
+    assert len(steps) == 7  # two steps down, and a reflection step per level
+    with pytest.raises(ValueError, match="2\\^63"):  # 2^33 (2^30 + 1) >= 2^63
+        spinchain._scaled_levels(spinchain._tree_stream, 2, SYM, (reflection[0], ((2**30 * ONE, ONE), (ONE, ONE))))
     one, three = RhoPoly((1,)), RhoPoly((0, 3))  # 2^32 * (1 + 3)^16 = 2^64 at the cap
     for root, (a, b) in (((2**32 * one,), (((one + three,),), ((one,),))), ((2**62 * one,), (((2 * one,),), ((one,),)))):
         with pytest.raises(ValueError, match="2\\^63"):
             list(spinchain._levels(lambda params: (root, (a, b), False), 1, SYM))
-    assert len(steps) == 2
+    assert len(steps) == 7

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fareychain import spinchain, transfer
 from fareychain import tree as treemod
@@ -193,14 +194,16 @@ def test_extended_row_general_r():
 
 def test_reflection_preserves_descendant_denominator():
     # r p' + rho q' = r p + rho q for the reflected vertex; at p/q = 1/2 both are 4 - r
-    from fareychain.maps import involution_pair
-
     r_sym, rho = SYM.r, SYM.rho
-    p2, q2 = involution_pair(ONE, poly(2), SYM)
-    assert r_sym * p2 + rho * q2 == r_sym * ONE + rho * poly(2) == poly(2, 1)
-    for node in treemod.build_row(4, SYM).nodes:
-        rp, rq = involution_pair(node.p, node.q, SYM)
-        assert r_sym * rp + rho * rq == r_sym * node.p + rho * node.q
+    (half,) = treemod.extended_row(1, SYM).nodes[1:]
+    assert r_sym * half.p + rho * half.q == r_sym * ONE + rho * poly(2) == poly(2, 1)
+    for n in range(1, 5):
+        nodes = treemod.extended_row(n, SYM).nodes
+        tree_half, reflected = nodes[: len(nodes) // 2], nodes[len(nodes) // 2 :]
+        assert all(m.reflected for m in reflected) and not any(node.reflected for node in tree_half)
+        for node, mirror in zip(tree_half, reversed(reflected)):
+            assert mirror.path == node.path and mirror.rank == node.rank == n
+            assert r_sym * mirror.p + rho * mirror.q == r_sym * node.p + rho * node.q
 
 
 def test_extended_row_matches_pair_recursion_exact():
@@ -211,16 +214,44 @@ def test_extended_row_matches_pair_recursion_exact():
         assert row_pairs == rec_pairs
 
 
+_ratios = st.integers(1, 1000).flatmap(lambda b: st.integers(0, 2 * b - 1).map(lambda a: Fraction(a, b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(SYM), _ratios.map(Params.exact), st.floats(0.0, 2.0, exclude_max=True).map(Params.floating)),
+       st.integers(1, 10))
+@example(Params.floating(1.0), 10)
+@example(Params.floating(0.0), 10)
+@example(Params.exact(Fraction(999, 1000)), 10)
+@example(SYM, 10)
+def test_kernel_reflection_is_the_involution_per_vertex(params, n):
+    """Each kernel level mirrored by S, decoded, is the tree level followed by ((r-1)p + (2-r)q, rp + (1-r)q)
+    of its vertices in reverse order, in every mode."""
+    r = params.r
+    stream = spinchain._tree_stream
+    mirrored = spinchain._scaled_levels(stream, n - 1, params, spinchain._reflection(params))
+    for (p, q), (x, scale) in zip(spinchain._level_tables(stream, n - 1, params), mirrored, strict=True):
+        p2, q2 = spinchain._entries(x, scale, params)
+        half = len(p)
+        assert len(p2) == 2 * half and list(p2[:half]) == list(p) and list(q2[:half]) == list(q)
+        want = [((r - 1) * a + (2 - r) * b, r * a + (1 - r) * b) for a, b in zip(p, q)]
+        assert list(zip(p2[half:], q2[half:])) == want[::-1]
+        assert all(type(v) is type(w) for v, w in zip(p2[half:], p))
+
+
 def test_symbolic_row_cap():
     with pytest.raises(ValueError):
         treemod.build_row(20, SYM)
 
 
 def test_node_records_and_adjacency():
-    recs = treemod.node_records(treemod.build_row(2, Params.floating(1.0)))
-    assert recs[0]["sigma"] == "0" and recs[1]["sigma"] == "1"
-    assert float(recs[0]["value"]) == pytest.approx(1 / 3)
-    adj = treemod.tree_adjacency(3, Params.floating(0.5))
+    recs = list(treemod.row_records(2, Params.floating(1.0), extended=True))
+    assert [(level, sigma) for level, sigma, *_ in recs] == [
+        (1, ""), (1, "*"), (2, "0"), (2, "1"), (2, "1*"), (2, "0*")]
+    assert recs[2][2:4] == ("1.0", "3.0") and float(recs[2][4]) == pytest.approx(1 / 3)
+    assert recs[-1][2:] == ("3.0", "1.0", "3.0")  # S(1/3) = 3 at the Farey map
+    assert list(treemod.row_records(2, Params.floating(1.0))) == recs[:1] + recs[2:4]
+    adj = treemod.tree_adjacency(treemod.row_records(3, Params.floating(0.5)))
     assert len(adj["nodes"]) == 1 + 2 + 4
     assert len(adj["edges"]) == 6
     parents = {e["child"]: e["parent"] for e in adj["edges"]}

@@ -127,6 +127,10 @@ _PATH_COMMANDS = (["code", "--r", "0.5", "--x", "0.3"], ["conjugacy", "--r", "0.
 @example([*_PATH_COMMANDS[1], "--depth=64"])
 @example([*_PATH_COMMANDS[0], "--mode=symbolic"])  # a symbolic vertex has no value to compare x with
 @example([*_PATH_COMMANDS[1], "--mode=symbolic"])
+@example(["tree", "--rows=28", "--r", "0.5"])  # past the float-mode table cap: refused before the header
+@example(["tree", "--rows=18", "--mode", "symbolic"])
+@example(["tree", "--rows", "3", "--mode", "symbolic", "--r=0.5"])  # a symbolic row has no r to use
+@example(["tree", "--rows", "3", "--r", "0.5", "--adjacency", "--extended"])  # the adjacency JSON has no reflection
 @given(st.one_of(
     _bad_grids.map(lambda g: ["thermo", "--r", "0.5", f"--s={g}", "--n", "4"]),
     _bad_grids.map(lambda g: ["phase", f"--r-grid={g}"]),
@@ -134,6 +138,7 @@ _PATH_COMMANDS = (["code", "--r", "0.5", "--x", "0.3"], ["conjugacy", "--r", "0.
     _bad_tols(1e-12).map(lambda t: ["phase", "--r-grid", "0:0.5:0.25", f"--tol={t}"]),
     _bad_tols(1e-14).map(lambda t: ["lambda", "--s", "1", "--r", "0.5", f"--tol={t}"]),
     st.integers(max_value=0).map(lambda k: ["tree", f"--rows={k}", "--r", "0.5"]),
+    st.integers(min_value=spinchain.FLOAT_TABLE_CAP + 2).map(lambda k: ["tree", f"--rows={k}", "--r", "0.5"]),
     st.integers(max_value=0).map(lambda k: ["conjugacy", "--r", "0.5", f"--grid={k}"]),
     st.integers(max_value=-1).map(lambda k: ["spin", f"--k={k}", "--r", "0.5"]),
     st.integers(max_value=0).map(lambda k: ["zeta", "--m", "1", f"--qmax={k}"]),
@@ -157,7 +162,7 @@ def test_malformed_grid_or_tol_exits_2_before_output(argv):
     assert out == "", argv
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
-    flag = next(a for a in argv if "=" in a).partition("=")[0]  # the one bad argument
+    flag = next((a for a in argv if "=" in a), argv[-1]).partition("=")[0]  # the one bad argument, else the last
     assert flag in lines[0] or f"{flag.lstrip('-')}=" in lines[0], (argv, err)
 
 
