@@ -10,9 +10,10 @@ positive below it; s_cr is the smallest positive solution of
 lambda_{s/2, r} = rho^(s/2) in terms of the transfer-operator spectral
 radius, running from 1 at r = 0 to 2 at r = 1.  :func:`critical_line` finds
 it on all of r in [0, 1] as the root of the log Perron eigenvalue of the
-first-return operator on [1/2, 1], by Chandrupatla's bracketed search
-(inverse quadratic interpolation where that is safe, bisection otherwise;
-five to eight evaluations, one eigen-solve each, at tol 1e-3 to 1e-12).  It
+first-return operator on [1/2, 1], by Chandrupatla's bracketed search at
+12 points (inverse quadratic interpolation where that is safe, bisection
+otherwise; five to eight evaluations, one eigen-solve each, at tol 1e-3 to
+1e-12) and one Newton step at 16 points, whose size is the dim term.  It
 reports the jump of dF/ds there by the renewal identity |d log lambda_K/ds| / (mean return time), which falls to 0
 at r = 1, where the mean return time diverges and the transition stops
 being first order.
@@ -41,8 +42,8 @@ import numpy as np
 
 from .rings import Params, power_sum
 from .spinchain import _cumulative, _integral, _last_level_sum, _level_sums, _tree_stream, pc_qc_tables
-from .transfer import (_LOG_FLOAT_MAX, RETURN_DIM, SWEEP_TOL, _chandrupatla, _dim_ladder, _log_iterates,
-                       _pair_stream, return_log_lambda, return_root, spectral_radius)
+from .transfer import (_LOG_FLOAT_MAX, RETURN_DIM, SEARCH_DIM, SWEEP_TOL, _chandrupatla, _dim_ladder, _log_iterates,
+                       _pair_stream, _search_log_lambda, return_root, spectral_radius)
 
 DIRECT_MAGNETIZATION_CAP = 22
 SWEEP_CAP = 200_000  # n_max * len(s_values), the rows of a sweep (a ThermoPoint with its floats holds ~250 bytes)
@@ -216,15 +217,15 @@ def _identity_magnetization(zg: Sequence[float], n: int) -> float:
 
 def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     """The critical exponent s_cr(r), r in [0, 1]: the root of log lambda_K(s/2), lambda_K the Perron
-    eigenvalue of the first-return operator (:func:`transfer.return_log_lambda`), where
-    lambda_{s/2, r} = rho^(s/2).  ValueError, before any solve, for r outside [0, 1] or a tol that is
-    not finite or is below 1e-12.
+    eigenvalue of the first-return operator, where lambda_{s/2, r} = rho^(s/2).  ValueError, before any solve,
+    for r outside [0, 1] or a tol that is not finite or is below 1e-12.
 
     :func:`_chandrupatla` shrinks [0.999 + 0.002 r, 2.5] (2 sigma > 1 keeps K finite at r = 1) to width tol/2,
-    one eigen-solve per point; s_cr is the secant point of the final bracket.  The error is the larger
-    distance from s_cr to a bracket end plus the changes of log lambda_K from 3 dim/4 points and from the
-    2h rule, each divided by |d log lambda_K / ds| (:func:`transfer.return_root`); an error above tol raises
-    ArithmeticError.
+    one eigen-solve of the SEARCH_DIM-point operator per point (:func:`transfer._search_log_lambda`).  From the
+    secant point s' of the final bracket one Newton step at RETURN_DIM points (:func:`transfer.return_root`)
+    gives s_cr = s' - log lambda_K(s') / (d log lambda_K / ds).  The error is the larger distance from s' to a
+    bracket end plus the dim term |log lambda_K(s')|, the size of that step, and the change of log lambda_K
+    from the 2h rule, each divided by |d log lambda_K / ds|; an error above tol raises ArithmeticError.
     The slope, the jump of dF/ds at the transition, is the renewal identity
     |g'(s_cr)| = |d log lambda_K / ds| / (mean return time), 0 at r = 1, where that mean diverges.
     """
@@ -234,18 +235,20 @@ def critical_line(params: Params, tol: float = 1e-6) -> CriticalPoint:
     if not 1e-12 <= tol < math.inf:  # narrower brackets reach the float spacing of s, and stall
         raise ValueError(f"tol={tol} must be finite and at least 1e-12")
     lo, hi = 0.999 + 0.002 * r, 2.5
-    g_lo, g_hi = return_log_lambda(lo, r), return_log_lambda(hi, r)
+    g_lo, g_hi = _search_log_lambda(lo, r), _search_log_lambda(hi, r)
     if not g_lo > 0 > g_hi:
         raise ArithmeticError(f"bracket failure at r={r}: g({lo})={g_lo}, g({hi})={g_hi}")
-    lo, hi, g_lo, g_hi, evals = _chandrupatla(lambda s: return_log_lambda(s, r), lo, hi, g_lo, g_hi, tol / 2)
-    s_cr = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    d_log, mean_return, dim_term, step_term = return_root(s_cr, r)
-    error = max(s_cr - lo, hi - s_cr) + (dim_term + step_term) / abs(d_log)
+    lo, hi, g_lo, g_hi, evals = _chandrupatla(lambda s: _search_log_lambda(s, r), lo, hi, g_lo, g_hi, tol / 2)
+    search = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    log_lambda, d_log, mean_return, step_term = return_root(search, r)
+    s_cr, dim_term = search - log_lambda / d_log, abs(log_lambda)
+    error = max(search - lo, hi - search) + (dim_term + step_term) / abs(d_log)
     if not error <= tol:
         raise ArithmeticError(f"s_cr at r={r}: error {error:.3g} > tol {tol:.3g} "
                               f"(dim term {dim_term:.3g}, 2h term {step_term:.3g})")
     return CriticalPoint(r, s_cr, error, abs(d_log) / mean_return,
-                         f"chandrupatla on log lambda_K; {evals + 2} evals; first return at dim {RETURN_DIM}")
+                         f"chandrupatla on log lambda_K at dim {SEARCH_DIM}; {evals + 2} evals; "
+                         f"one Newton step at dim {RETURN_DIM}")
 
 
 def sandwich_bounds(s: float, r: float, n: int, levels: Sequence[int]) -> List[Tuple[int, float, float, float]]:

@@ -11,11 +11,14 @@ of the matrix-presentation traces (T_0, T_1).
 Every closed form here is paired with a brute-force branch-word oracle
 that sums over all 2^n inverse-branch compositions directly.  The leading
 eigenvalue and the critical exponent both come from the first-return operator
-K on [1/2, 1] (:func:`return_log_lambda`), one collocation of fixed size for
-every r in [0, 1], its sigma-independent arrays built in one pass per r and
-cached: s_cr is the root of log lambda_K in s, lambda_{s,r} its root in the
-weight e^(-eps m) of the m-th term.  The Chebyshev compression of P at a fixed
-dim (:func:`collocation_spectrum`) is the oracle of both.
+K on [1/2, 1], one collocation of fixed size for every r in [0, 1], its
+sigma-independent arrays built in one pass per r and cached: s_cr is the root
+of log lambda_K in s, lambda_{s,r} its root in the weight e^(-eps m) of the
+m-th term.  Each root is searched on the 3 dim/4 collocation
+(:func:`_search_log_lambda`) and finished by one Newton step at dim
+(:func:`return_root`), whose size is the dim term of its error.  The Chebyshev
+compression of P at a fixed dim (:func:`collocation_spectrum`) is the oracle of
+both.
 
 Every leaf sum reads one stream of the two-child kernel of
 :mod:`spinchain`, which takes a root to level n - 1 through two child
@@ -43,8 +46,9 @@ fast route, one independent oracle, and a check comparing the two (a
                                           periodic_sum_bruteforce   "periodic-orbit sum vs fixed-point oracle"
     zeta(z)           fredholm_and_zeta on trace_sums: ratio vs orbit sum, "zeta: orbit-sum route vs determinant ratio"
     lambda_{s,r}      spectral_radius     collocation_spectrum      "lambda: first-return operator vs Chebyshev compression"
-    s_cr(r)           return_log_lambda   collocation_spectrum      "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
-                      each rooted by Chandrupatla's bracketed search (:func:`_chandrupatla`)
+    s_cr(r)           thermo.critical_line collocation_spectrum     "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
+                      each rooted by Chandrupatla's bracketed search (:func:`_chandrupatla`) on
+                      _search_log_lambda at SEARCH_DIM = 12, then one Newton step at RETURN_DIM = 16 (return_root)
 
 The iterates of 1 and of characters, and the twisted sums of :mod:`twisted`, come on r in [0, 1] and x in
 [0, 1] from n products with the cached Chebyshev compression (:func:`_operator_iterates`, the loop
@@ -583,13 +587,16 @@ def _chebyshev_nodes(dim: int) -> Tuple[np.ndarray, np.ndarray]:
 def _barycentric(x: np.ndarray, w: np.ndarray, y) -> np.ndarray:
     """The interpolation rows, shape y.shape + (len(x),), from the nodes x, barycentric weights w, to the
     points y of any shape; a point on a node gets that node's indicator row.  Built in the one array of
-    differences, so the only other temporaries are a boolean of that size and the row sums."""
+    differences: a point on node j has w_j / 0 = +-inf there and so an infinite row sum, which leaves nan at j
+    and zeros elsewhere after the division; only those rows are rewritten."""
     B = np.subtract(np.asarray(y, dtype=float)[..., None], x)
-    off = B != 0.0
-    on_node = ~off.all(axis=-1)
-    np.divide(w, B, out=B, where=off)
-    np.divide(B, B.sum(axis=-1, keepdims=True), out=B, where=~on_node[..., None])
-    B[on_node] = ~off[on_node]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, B, out=B)
+        total = B.sum(axis=-1, keepdims=True)
+        B /= total
+    on_node = np.isinf(total[..., 0])
+    if on_node.any():
+        B[on_node] = np.isnan(B[on_node])
     return B
 
 
@@ -709,7 +716,8 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
 # ---------------------------------------------------------------------------
 
 
-RETURN_DIM = 16  # Chebyshev points of the first-return collocation; checked against 3 dim/4
+RETURN_DIM = 16  # Chebyshev points of the first-return collocation, where the roots take their Newton step
+SEARCH_DIM = 3 * RETURN_DIM // 4  # the roots' bracketed search runs at 3 dim/4; the Newton step's size is the dim term
 SERIES_DIM = 40  # Chebyshev points of the first-return series of the traces and Xi_n (r = 0 needs 40); against 3 dim/4
 SERIES_CAP = 200  # the largest n of that series
 RETURN_DIRECT = 32  # M: the terms m < M are summed directly, the rest by Gregory's formula from an integral
@@ -929,9 +937,10 @@ def _perron(K: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(K).real))
 
 
-def return_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
-    """log lambda_K(s/2), lambda_K the Perron eigenvalue of the first-return operator at RETURN_DIM points,
-    its m-th term weighted by e^(-eps m).
+def _search_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
+    """log lambda_K(s/2), lambda_K the Perron eigenvalue of the first-return operator at SEARCH_DIM points, its
+    m-th term weighted by e^(-eps m): the function the roots of :func:`thermo.critical_line` and
+    :func:`spectral_radius` are searched on.
 
     K_sigma is the operator P_sigma induces on [1/2, 1]: the words Phi_1 Phi_0^(m-1) = 1 - Phi_0^m
     (:func:`maps.left_branch_power`), weighted by rho^(-m sigma) |(Phi_0^m)'|^sigma, give (K_sigma f)(x) =
@@ -940,19 +949,23 @@ def return_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
     root at eps = 0 and g = log lambda_sigma - sigma log rho the root in eps (:func:`spectral_radius`).
     The functions live away from the neutral fixed point and stay analytic as r -> 1, so one size serves
     all of r in [0, 1] (2 sigma > 1 at r = 1, eps = 0, where K_1 is the Gauss-map operator, lambda_K = 1)."""
-    return math.log(_perron(_return_matrix(_return_operator(float(r), RETURN_DIM, *_tail_rule(eps)), s, eps)))
+    return math.log(_perron(_return_matrix(_return_operator(float(r), SEARCH_DIM, *_tail_rule(eps)), s, eps)))
 
 
 def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, float, float]:
-    """(d log lambda_K / ds, the mean return time -d log lambda_K / d eps, the dim term |log lambda_K at
-    3 dim/4 points - at dim|, the step term |by the 2h rule - by the h rule|) at (s, eps).  The derivatives
-    are Hellmann-Feynman's l K' v / (l K v) over the left and right Perron vectors, K' from the factors
-    -log D_m and m of each term (:func:`_return_matrix`).  The mean return time is infinite at r = 1,
+    """(log lambda_K, d log lambda_K / ds, the mean return time -d log lambda_K / d eps, the step term
+    |log lambda_K by the 2h rule - by the h rule|) at (s, eps), lambda_K at RETURN_DIM points: the Newton step
+    that finishes a root searched at SEARCH_DIM points (:func:`_search_log_lambda`), whose size is the dim term.
+    One eigen-solve gives lambda_K, the right Perron vector v and, from the inverse of the eigenvector matrix
+    (one linear solve), the left one l; the derivatives are Hellmann-Feynman's l K' v / (l K v), K' from the
+    factors -log D_m and m of each term (:func:`_return_matrix`).  The mean return time is infinite at r = 1,
     eps = 0, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
-    op, op_check = (_return_operator(float(r), dim, *_tail_rule(eps)) for dim in (RETURN_DIM, 3 * RETURN_DIM // 4))
+    op = _return_operator(float(r), RETURN_DIM, *_tail_rule(eps))
     K = _return_matrix(op, s, eps)
-    (vals, right), (vals_t, left) = np.linalg.eig(K), np.linalg.eig(K.T)
-    lam, right, left = float(np.max(vals.real)), right[:, np.argmax(vals.real)], left[:, np.argmax(vals_t.real)]
+    vals, vectors = np.linalg.eig(K)
+    j = int(np.argmax(vals.real))
+    lam, right = float(vals[j].real), vectors[:, j]
+    left = np.linalg.solve(vectors.T, np.eye(RETURN_DIM)[j])  # row j of the inverse: l K = lam l
 
     def log_derivative(*factors) -> float:
         return float((left @ _return_matrix(op, s, eps, 1.0, factors) @ right / (left @ K @ right)).real)
@@ -963,8 +976,7 @@ def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, flo
         u += RETURN_DIRECT
         mean = log_derivative(_POINT_M, u, RETURN_DIRECT + u_line, 1.0 / L if L else 0.0)
     step = abs(math.log(_perron(_return_matrix(op, s, eps, op.even)) / lam))
-    dim = abs(math.log(_perron(_return_matrix(op_check, s, eps)) / lam))
-    return log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v), -op.log_dm, -1.0), mean, dim, step
+    return math.log(lam), log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v), -op.log_dm, -1.0), mean, step
 
 
 @dataclass(frozen=True)
@@ -1005,16 +1017,19 @@ def _chandrupatla(g: Callable[[float], float], lo: float, hi: float, g_lo: float
 
 def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
     """Leading eigenvalue lambda_s of P_{s,r}, real s, r in [0, 1]: g = log lambda_s - s log rho is the root in
-    eps of log lambda_K(eps), :func:`return_log_lambda` at 2s with the m-th term weighted by e^(-eps m).
+    eps of log lambda_K(eps), lambda_K of the first-return operator at 2s with the m-th term weighted by e^(-eps m).
 
     The terms sum above the edge eps = -2s log rho, where lambda_s meets mu_0 = rho^-s, the eigenvalue of the
     fixed point 0.  :func:`_chandrupatla` shrinks [edge + w, edge + top] to 1/16 in log(eps - edge), where
-    log lambda_K is near linear however close to the edge the root lies, then to w in eps: w moves lambda_s by
+    log lambda_K is near linear however close to the edge the root lies, then to w in eps, both on
+    :func:`_search_log_lambda` at SEARCH_DIM points; the secant point of that bracket takes one Newton step at
+    RETURN_DIM points (:func:`return_root`), the mean return time its slope: w moves lambda_s by
     tol / 4 or less (but is kept within 8 float spacings of eps and 1/16), top = log 2 + 1/4 (plus 2|s|
     log(2 / rho) for s < 0) clears g, as lambda_s <= sup P_s 1.  Where log lambda_K(edge + w) <= 0, lambda_s
-    = mu_0 (so at r = 1 for s >= 1).  The error of g is the distance from the secant root to the far bracket
-    end plus the dim and 2h terms of :func:`return_root` over the mean return time |d log lambda_K / d eps|;
-    for mu_0, w plus what of those terms log lambda_K(edge + w) does not clear (the mean return time is >= 1).
+    = mu_0 (so at r = 1 for s >= 1).  The error of g is the distance from the secant point to the far bracket
+    end plus the dim term, |log lambda_K| at RETURN_DIM points there (the Newton step's size), and the 2h term
+    over the mean return time |d log lambda_K / d eps|; for mu_0, w plus what of log lambda_K(edge + w) at
+    RETURN_DIM points, its change from SEARCH_DIM and the 2h term does not clear (the mean return time is >= 1).
     ArithmeticError if lambda_s expm1(that) exceeds tol or lambda_s is below sys.float_info.min; ValueError,
     before any solve, for r outside [0, 1], an s that is complex or not finite, or a tol below 1e-14 or not finite.
     :func:`collocation_spectrum` is the oracle."""
@@ -1028,23 +1043,27 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
     edge, top = -2.0 * s * L, math.log(2.0) + 0.25 + max(0.0, 2.0 * s * (L - math.log(2.0)))
     g_tol = float(np.logaddexp(0.0, math.log(tol) - edge - top - s * L))  # log1p(tol / U), U = e^(edge + top + sL)
     width = max(min(g_tol / 4.0, 1 / 16), 8.0 * math.ulp(abs(edge) + top))
-    g = lambda eps: return_log_lambda(2.0 * s, r, eps)
+    g = lambda eps: _search_log_lambda(2.0 * s, r, eps)
     g_w = lambda w: g(edge + math.exp(w))  # w = log(eps - edge)
     lo, hi = math.log(width), math.log(top)
     g_lo = g_w(lo)
     if g_lo <= 0:
-        dim_term, step_term = return_root(2.0 * s, r, edge + width)[2:]
-        root, error, method = edge, width + max(0.0, g_lo + dim_term + step_term), "fixed point 0: mu_0 = rho^-s"
+        log_lambda, _d_log, _mean, step_term = return_root(2.0 * s, r, edge + width)
+        dim_term = abs(log_lambda - g_lo)
+        root, error = edge, width + max(0.0, log_lambda + dim_term + step_term)
+        method = "fixed point 0: mu_0 = rho^-s"
     else:
         g_hi = g_w(hi)
         if not g_hi < 0:
             raise ArithmeticError(f"lambda at s={s}, r={r}: log lambda_K({edge + top}) = {g_hi} is not below 0")
         lo, hi, g_lo, g_hi, evals = _chandrupatla(g_w, lo, hi, g_lo, g_hi, 1 / 16)
         lo, hi, g_lo, g_hi, more = _chandrupatla(g, edge + math.exp(lo), edge + math.exp(hi), g_lo, g_hi, width)
-        root = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        _d_log, mean, dim_term, step_term = return_root(2.0 * s, r, root)
-        error = max(root - lo, hi - root) + (dim_term + step_term) / mean
-        method = f"first-return root; {evals + more + 2} evals"
+        search = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        log_lambda, _d_log, mean, step_term = return_root(2.0 * s, r, search)
+        root, dim_term = search + log_lambda / mean, abs(log_lambda)
+        error = max(search - lo, hi - search) + (dim_term + step_term) / mean
+        method = (f"first-return root; chandrupatla at dim {SEARCH_DIM}, {evals + more + 2} evals; "
+                  f"one Newton step at dim {RETURN_DIM}")
     log_value = root + s * L
     if log_value < math.log(sys.float_info.min):  # exp would round to a subnormal or 0 and its error bar to 0
         raise ArithmeticError(f"lambda at s={s}, r={r}: log lambda = {log_value:.6g} is below the float range "

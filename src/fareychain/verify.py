@@ -292,6 +292,21 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
                 for r, s in points + [(0.9, 1.5), (0.5, 3.0), (0.99, 1.5), (0.9, 3.0), (1.0, 0.75)])
     out.append(CheckResult("transfer", "lambda: first-return operator vs Chebyshev compression", resid, 1e-10))
 
+    # K itself, relative: at r = 1, s = 2 it is the Gauss-map operator, whose second eigenvalue is Wirsing's constant
+    # (Acta Arith. 24 (1974)), good to 2.4e-12 at dim 16 and 1.2e-15 at dim 24; at r = 0 the blocks are affine and
+    # the eigenvalues are (-1)^k / (2^(s+k) - 1), k < 4 at dim 16 (k = 4, 5 are off by up to 4.9e-12 there)
+    def spectrum(r: float, s: float, dim: int) -> np.ndarray:
+        ev = np.linalg.eigvals(transfer._return_matrix(transfer._return_operator(r, dim), s))
+        return ev[np.argsort(-np.abs(ev))]
+
+    wirsing = -0.30366300289873265859744812190155623
+    resid = abs(spectrum(1.0, 2.0, 24)[1] - wirsing) / abs(wirsing)
+    for s in (1.0, 1.7, 3.0):
+        exact = np.array([(-1.0) ** k / (2.0 ** (s + k) - 1.0) for k in range(4)])
+        resid = max(resid, float(np.max(np.abs(spectrum(0.0, s, 16)[:4] - exact) / np.abs(exact))))
+    name = "first-return spectrum: Wirsing's constant at r = 1, (-1)^k/(2^(s+k) - 1) at r = 0"
+    out.append(CheckResult("transfer", name, resid, 1e-12))
+
     resid = max(
         transfer.involution_residual(1.0, 0.5, n=14),
         transfer.involution_residual(0.8, 0.5, n=16),

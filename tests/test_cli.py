@@ -79,7 +79,7 @@ def test_phase_grid(capsys):
     assert vals == sorted(vals)
     for row in rows:
         assert len(row) == 5
-        assert re.fullmatch(r"chandrupatla on log lambda_K; \d+ evals; first return at dim 16", row[4])
+        assert re.fullmatch(r"chandrupatla on log lambda_K at dim 12; \d+ evals; one Newton step at dim 16", row[4])
         assert 0.0 < float(row[2]) < 1e-4
         assert 0.0 < float(row[3]) < 1.0  # |g'(s_cr)|, ln 2 at r = 0
 

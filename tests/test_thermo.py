@@ -159,20 +159,44 @@ def test_critical_error_bounds_reference():
         assert abs(cp.s_cr - _reference_critical_s(r)) <= cp.error
 
 
-def test_critical_search_eigen_budget(monkeypatch):
-    calls = []
-    for name in ("eigvals", "eig"):
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, name=name, f=solve: calls.append((name, a.shape)) or f(a))
+METHOD = r"chandrupatla on log lambda_K at dim 12; (\d+) evals; one Newton step at dim 16"
+
+
+def test_critical_search_eigen_budget(linalg_calls):
     for r in (0.3, 0.95, 1.0):
-        calls.clear()
+        linalg_calls.clear()
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
-        # one dim-16 solve per search evaluation; at the root the right and left Perron vectors,
-        # the 2h rule and dim 12
-        evals = int(re.fullmatch(r"chandrupatla on log lambda_K; (\d+) evals; first return at dim 16", cp.method)[1])
+        # one dim-12 solve per search evaluation; at the secant point one dim-16 eig for the Newton step, its
+        # left Perron vector from one solve with the eigenvectors, and the 2h rule: no dim-12 solve after the search
+        evals = int(re.fullmatch(METHOD, cp.method)[1])
         assert evals <= 8
-        assert calls == ([("eigvals", (16, 16))] * evals + [("eig", (16, 16))] * 2
-                         + [("eigvals", (16, 16)), ("eigvals", (12, 12))])
+        assert linalg_calls == [("eigvals", (12, 12))] * evals + [("eig", (16, 16)), ("solve", (16, 16)),
+                                                                   ("eigvals", (16, 16))]
+
+
+def _dim16_critical_s(r: float) -> float:
+    """The s_cr route before the Newton step: Chandrupatla on log lambda_K of the dim-16 first-return matrix
+    over the same bracket, here to width 1e-12, and the secant point of the final bracket."""
+    op = transfer._return_operator(r, 16)
+    g = lambda s: math.log(float(np.max(np.linalg.eigvals(transfer._return_matrix(op, s)).real)))
+    lo, hi = 0.999 + 0.002 * r, 2.5
+    lo, hi, g_lo, g_hi, _evals = transfer._chandrupatla(g, lo, hi, g(lo), g(hi), 1e-12)
+    return lo - g_lo * (hi - lo) / (g_hi - g_lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-10.0, -4.0))
+@example(0.95, -10.0)
+@example(1.0, -10.0)
+@example(0.0, -4.0)
+def test_newton_step_lands_on_the_dim16_root(r, log_tol):
+    # the dim-12 search and one dim-16 Newton step against the dim-16 search: within the reported error, and
+    # within rounding plus the square of the bracket width that the step starts from
+    tol = 10.0**log_tol
+    cp = thermo.critical_line(Params.floating(r), tol=tol)
+    assert re.fullmatch(METHOD, cp.method) and 0.0 < cp.error <= tol
+    gap = abs(cp.s_cr - _dim16_critical_s(r))
+    assert gap <= cp.error and gap <= 1e-13 + tol**2, (cp, gap)
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,7 +225,7 @@ def test_critical_point_near_one():
     for r in (0.98, 0.99, 0.995):
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
         assert math.isfinite(cp.error) and 0.0 < cp.error <= 1e-6
-        assert re.fullmatch(r"chandrupatla on log lambda_K; \d+ evals; first return at dim 16", cp.method)
+        assert re.fullmatch(METHOD, cp.method)
         assert abs(cp.s_cr - _reference_critical_s(r, dim=192)) <= cp.error
 
 
@@ -218,7 +242,7 @@ def test_critical_point_at_one_and_beyond_the_chebyshev_reach():
 
 def test_critical_line_rejects_r_outside_unit_interval_before_work(monkeypatch):
     calls = []
-    for name in ("eigvals", "eig", "inv"):
+    for name in ("eigvals", "eig", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, lambda *a, name=name: calls.append(name))
     for r in (1.5, 1.0 + 1e-9, 1.99):
         with pytest.raises(ValueError, match=r"r in \[0, 1\]"):
@@ -230,7 +254,7 @@ def test_critical_line_rejects_bad_tol_before_work(monkeypatch):
     def no_solve(*args):
         raise AssertionError("eigen-solve before the tol check")
 
-    monkeypatch.setattr(thermo, "return_log_lambda", no_solve)
+    monkeypatch.setattr(thermo, "_search_log_lambda", no_solve)
     monkeypatch.setattr(thermo, "return_root", no_solve)
     for tol in (0.0, -1.0, 1e-300, 1e-13, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tol"):
@@ -238,11 +262,13 @@ def test_critical_line_rejects_bad_tol_before_work(monkeypatch):
 
 
 def test_critical_error_terms_are_live():
-    # at r = 0.95 dims 16 and 12 differ by ~2e-12 in s_cr: tol 1e-12 cannot be met, tol 1e-10 carries the term
+    # at r = 0.95 dims 16 and 12 differ by ~2e-12 in s_cr, the Newton step from the dim-12 root: tol 1e-12 cannot
+    # be met, tol 1e-10 carries the term
     with pytest.raises(ArithmeticError, match="dim term"):
         thermo.critical_line(Params.floating(0.95), tol=1e-12)
     cp = thermo.critical_line(Params.floating(0.95), tol=1e-10)
-    d_log, _mean, dim_term, step_term = transfer.return_root(cp.s_cr, 0.95)
+    log_lambda, d_log, _mean, step_term = transfer.return_root(cp.s_cr, 0.95)
+    dim_term = abs(transfer._search_log_lambda(cp.s_cr, 0.95) - log_lambda)  # log lambda_K at dim 12 - at dim 16
     assert cp.error >= (dim_term + step_term) / abs(d_log) > 1e-12
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -344,7 +345,7 @@ def test_spectral_radius_error_bounds_reference():
 
 
 def test_spectral_radius_refuses_bad_tol_before_any_solve(monkeypatch):
-    monkeypatch.setattr(transfer, "return_log_lambda", lambda *a: pytest.fail("a refused tol was solved"))
+    monkeypatch.setattr(transfer, "_search_log_lambda", lambda *a: pytest.fail("a refused tol was solved"))
     monkeypatch.setattr(transfer, "return_root", lambda *a: pytest.fail("a refused tol was solved"))
     for tol in (1e-15, 0.0, -1.0, math.nan, math.inf):  # below the 1e-14 floor, or not finite
         with pytest.raises(ValueError, match="tol="):
@@ -413,6 +414,59 @@ def test_spectral_radius_matches_chebyshev_compression(r, s):
     ref, ref_error = _compression_lambda(s, r)
     assert res.value >= mu_0 - res.error and res.error <= 1e-10, res
     assert abs(res.value - max(ref, mu_0)) <= res.error + ref_error, (res, ref, ref_error)
+
+
+LAMBDA_METHOD = r"first-return root; chandrupatla at dim 12, (\d+) evals; one Newton step at dim 16"
+
+
+def _dim16_log_lambda(s, r, tol):
+    """log lambda by the route before the Newton step, spectral_radius's brackets written out: Chandrupatla on
+    log lambda_K of the dim-16 first-return matrix in log(eps - edge), then in eps to 1/16 of its width (at least 8
+    float spacings), and the secant point of the final bracket; mu_0 where log lambda_K(edge + width) <= 0."""
+    L = math.log1p(1.0 - r)
+    edge, top = -2.0 * s * L, math.log(2.0) + 0.25 + max(0.0, 2.0 * s * (L - math.log(2.0)))
+    g_tol = float(np.logaddexp(0.0, math.log(tol) - edge - top - s * L))
+    floor = 8.0 * math.ulp(abs(edge) + top)
+    width = max(min(g_tol / 4.0, 1 / 16), floor)
+
+    def g(eps):
+        K = transfer._return_matrix(transfer._return_operator(r, 16, *transfer._tail_rule(eps)), 2.0 * s, eps)
+        return math.log(float(np.max(np.linalg.eigvals(K).real)))
+
+    g_w = lambda w: g(edge + math.exp(w))
+    lo, hi = math.log(width), math.log(top)
+    g_lo = g_w(lo)
+    if g_lo <= 0:
+        return edge + s * L
+    lo, hi, g_lo, g_hi, _evals = transfer._chandrupatla(g_w, lo, hi, g_lo, g_w(hi), 1 / 16)
+    lo, hi, g_lo, g_hi, _evals = transfer._chandrupatla(g, edge + math.exp(lo), edge + math.exp(hi), g_lo, g_hi,
+                                                        max(width / 16, floor))
+    return lo - g_lo * (hi - lo) / (g_hi - g_lo) + s * L
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.05, 4.0), st.floats(-10.0, -4.0))
+@example(1.0, 0.75, -10.0)
+@example(1.0, 0.9999, -10.0)
+@example(0.0, 4.0, -4.0)
+def test_newton_step_lands_on_the_dim16_lambda(r, s, log_tol):
+    # the dim-12 search and one dim-16 Newton step in eps against the dim-16 search: within the reported error
+    tol = 10.0**log_tol
+    res = transfer.spectral_radius(s, r, tol=tol)
+    assert re.fullmatch(LAMBDA_METHOD, res.method) or res.method == "fixed point 0: mu_0 = rho^-s"
+    assert abs(res.value - math.exp(_dim16_log_lambda(s, r, tol))) <= res.error <= tol, res
+
+
+def test_spectral_radius_eigen_budget(linalg_calls):
+    finish = [("eig", (16, 16)), ("solve", (16, 16)), ("eigvals", (16, 16))]  # Newton step, left vector, 2h rule
+    for r, s in ((0.5, 0.75), (0.9, 3.0), (1.0, 0.75)):
+        linalg_calls.clear()
+        res = transfer.spectral_radius(s, r)
+        evals = int(re.fullmatch(LAMBDA_METHOD, res.method)[1])
+        assert linalg_calls == [("eigvals", (12, 12))] * evals + finish, (r, s)
+    linalg_calls.clear()
+    res = transfer.spectral_radius(1.5, 1.0)  # mu_0: one dim-12 point at the edge, then its dim-16 terms
+    assert res.method.startswith("fixed point 0") and linalg_calls == [("eigvals", (12, 12))] + finish
 
 
 def test_compression_maps_chebyshev_polynomials():
@@ -499,11 +553,13 @@ def test_return_collocation_at_r_one_matches_hurwitz_zeta():
 
 
 def test_return_operator_eigenvalue_closed_forms():
-    # r = 0: D_m = 2^m, lambda_K = 1 / (2^s - 1), so s_cr = 1; r = 1, s = 2: the Gauss-map operator, lambda_K = 1
+    # r = 0: D_m = 2^m, lambda_K = 1 / (2^s - 1) at dims 12 and 16, so s_cr = 1; r = 1, s = 2: the Gauss-map
+    # operator, lambda_K = 1
     for s in (0.999, 1.0, 1.5, 2.5):
-        assert abs(transfer.return_log_lambda(s, 0.0) + math.log(2.0**s - 1.0)) <= 1e-14
-    assert abs(transfer.return_log_lambda(2.0, 1.0)) <= 1e-14
-    d_log, mean_return, _dim, _step = transfer.return_root(2.0, 1.0)
+        assert abs(transfer._search_log_lambda(s, 0.0) + math.log(2.0**s - 1.0)) <= 1e-14
+        assert abs(transfer.return_root(s, 0.0)[0] + math.log(2.0**s - 1.0)) <= 1e-14
+    log_lambda, d_log, mean_return, _step = transfer.return_root(2.0, 1.0)
+    assert abs(log_lambda) <= 1e-14
     assert abs(d_log + math.pi**2 / (12.0 * math.log(2.0))) <= 1e-12  # half the Gauss-map Lyapunov exponent
     assert mean_return == math.inf
 
