@@ -59,9 +59,11 @@ Every periodic orbit but the fixed point 0 is a cyclic word of the first-return 
 traces (r < 1) and Xi_n (r <= 1) are the fixed point's term plus the Taylor coefficients of log det(I -+ B_sigma(z)),
 B_sigma(z) = sum_m z^m rho^(m sigma) K_(sigma,m) over the blocks of the first-return operator K on [1/2, 1]
 (:func:`_return_series`): the coefficient of z^n needs the blocks m <= n only, so n <= SERIES_CAP costs O(n^2 dim^3)
-at dim SERIES_DIM, with the error of its 3 dim/4 rerun; both Fredholm determinants and the orbit sums of zeta read
-the same series.  Their leaf walk (method="leaves", n <= 27) is the oracle; it walks _matrix_stream and takes
-the roots of each block of leaf matrices once, from :func:`_leaf_roots`
+at dim SERIES_DIM, with the error of its 3 dim/4 rerun.  The one-block words enter in closed form, each block's
+trace from its fixed point by Ruelle's formula (:func:`_block_traces`): collocated, they would converge only like
+|psi_1'(x*)|^dim (1/2 per point at r = 0), the words of two or more blocks at least twice as fast.  Both Fredholm
+determinants and the orbit sums of zeta read the same series.  Their leaf walk (method="leaves", n <= 27) is the
+oracle; it walks _matrix_stream and takes the roots of each block of leaf matrices once, from :func:`_leaf_roots`
 (m_j, r_j, j = 0, 1, free of cancellation up to r = 1, with rho^(n/2) folded
 into m_j): a trace term is rho^(n/2) m_j^(2s-1) / r_j, a Xi_n term m_j^(2s).  The walked iterates
 share one vertex term (:func:`_vertex_sum`): a vertex of the n-th extended row, with
@@ -350,7 +352,7 @@ def trace_sums(n: int, s: complex, r: float, signed: bool = False, method: str =
     ``series`` (n <= SERIES_CAP): every periodic orbit but the fixed point 0 is a cyclic word of the first-return
     blocks, so trace(P_s^k) = rho^(-ks) / (1 - rho^(-k)) + c_k(s, +) and the signed trace is rho^(-ks) /
     (1 - rho^(-k)) - c_k(s, -), c of :func:`_return_series` (error of :func:`_series_estimates`); at n = SERIES_CAP
-    about 0.15 s and a 13 MB peak (2-core machine, BLAS on one thread).
+    about 0.035 s and a 5 MB peak (r = 0.6, s = 1.2; 2-core machine, BLAS on one thread).
     ``leaves`` (n <= 27), the oracle, from one walk: each leaf of tree row k contributes (+-1)^j rho^(k/2)
     m_j^(2s-1) / r_j, j = 0, 1, to trace(P^k), with m_j and r_j the :func:`_leaf_roots` of its matrix; no error.
     Trace-class only for r < 1; the fixed point's term diverges as r -> 1.
@@ -371,8 +373,9 @@ def periodic_sums_xi(n: int, s: complex, r: float, method: str = "series") -> Li
     function, the sum over period-k points of |(F^k)'|^(-s).  Unlike the traces it stays finite at r = 1.
 
     ``series`` (n <= SERIES_CAP): Xi_k = trace(P_s^k) - trace(P~_(s+1)^k) = rho^(-ks) + c_k(s, +) + c_k(s + 1, -),
-    c of :func:`_return_series` (error of :func:`_series_estimates`); at n = SERIES_CAP about 0.25 s and a 13 MB
-    peak for real s, 0.65 s and 24 MB for complex s (2-core machine, BLAS on one thread).
+    c of :func:`_return_series` (error of :func:`_series_estimates`); at n = SERIES_CAP about 0.07 s and a 5 MB
+    peak for real s, 0.2 s and 9 MB for complex s (r = 0.6, s = 1.2 and 1.2 + 0.5i; 2-core machine, BLAS on one
+    thread).
     ``leaves`` (n <= 27), the oracle, from one walk: in leaf data of tree row k, the sum over leaves and j = 0, 1 of
     m_j^(2s) (:func:`_leaf_roots`); no error.
     """
@@ -718,7 +721,7 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
 
 RETURN_DIM = 16  # Chebyshev points of the first-return collocation, where the roots take their Newton step
 SEARCH_DIM = 3 * RETURN_DIM // 4  # the roots' bracketed search runs at 3 dim/4; the Newton step's size is the dim term
-SERIES_DIM = 40  # Chebyshev points of the first-return series of the traces and Xi_n (r = 0 needs 40); against 3 dim/4
+SERIES_DIM = 24  # Chebyshev points of the first-return series of the traces and Xi_n; against 3 dim/4
 SERIES_CAP = 200  # the largest n of that series
 RETURN_DIRECT = 32  # M: the terms m < M are summed directly, the rest by Gregory's formula from an integral
 RETURN_STEP = 1.0 / 16  # step h of the double-exponential rules of that integral at eps = 0; checked against 2h
@@ -781,7 +784,7 @@ def _return_blocks(r: float, dim: int, count: int) -> Tuple[np.ndarray, np.ndarr
     return x, D, _barycentric(y, bw, x[:, None] / D)
 
 
-@lru_cache(maxsize=8)  # trace, xi and zeta calls over 3 (r, n) pairs take 6 keys: each (r, n) at dims 40 and 30
+@lru_cache(maxsize=8)  # trace, xi and zeta calls over 3 (r, n) pairs take 6 keys: each (r, n) at dims 24 and 18
 def _series_blocks(r: float, dim: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(log D, rows) of :func:`_return_blocks` for m = 1 .. n, read-only, cached for the series of one (r, n)."""
     _x, D, rows = _return_blocks(r, dim, n)
@@ -791,6 +794,26 @@ def _series_blocks(r: float, dim: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return blocks
 
 
+def _block_fixed_points(r: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(x*, D*), m = 1 .. n: the fixed point x* in [1/2, 1] of the block's Moebius map psi_m(x) = 1 - x/D_m(x) and
+    D* = D_m(x*).  x* = 1 - x*/D* gives x* = D*/(1 + D*), so D* is the positive root of D^2 - f D - rho^m = 0,
+    f = r g_m + rho^m - 1 >= 0, g_m = 1 + rho + ... + rho^(m-1): (f + sqrt(f^2 + 4 rho^m)) / 2, a sum of terms
+    >= 0 that does not cancel on all of r in [0, 1]."""
+    L = math.log1p(1.0 - r)
+    rho_m = np.exp(L * np.arange(n + 1))
+    f = r * np.cumsum(rho_m[:-1]) + np.expm1(L * np.arange(1, n + 1))
+    D = 0.5 * (f + np.sqrt(f * f + 4.0 * rho_m[1:]))
+    return D / (1.0 + D), D
+
+
+def _block_traces(sigma: complex, r: float, n: int) -> np.ndarray:
+    """tr b_m, m = 1 .. n, in closed form: b_m f = rho^(m sigma) D_m^(-2 sigma) f(psi_m) with psi_m' = -rho^m / D_m^2
+    contracting [1/2, 1], so by Ruelle's trace formula (Invent. Math. 34 (1976)) tr b_m = rho^(m sigma) D*^(-2 sigma)
+    / (1 + rho^m / D*^2) at the fixed point of :func:`_block_fixed_points`, taken in logs as the blocks are."""
+    log_mu = math.log1p(1.0 - r) * np.arange(1, n + 1) - 2.0 * np.log(_block_fixed_points(r, n)[1])  # log |psi_m'(x*)|
+    return np.exp(sigma * log_mu - np.log1p(np.exp(log_mu)))
+
+
 def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """(c, a): c_k = k [z^k] (-sign log det(I - sign B_sigma(z))), k = 1 .. n, and a_k the sum of the moduli of
     its terms, for B_sigma(z) = sum_m z^m b_m with the blocks b_m = rho^(m sigma) K_(sigma,m) of
@@ -798,7 +821,8 @@ def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tup
 
     z d/dz of that log det is tr((I - sign B)^(-1) z B'(z)); with the series R_0 = I, R_k = sign sum_(m<=k) b_m
     R_(k-m) of (I - sign B)^(-1), c_k = sum_(m<=k) m tr(R_(k-m) b_m): n - 1 products of dim x k dim by k dim x dim
-    matrices, then one product for every tr(R_j b_m); on float64 for real sigma."""
+    matrices, then one product for every tr(R_j b_m); on float64 for real sigma.  The one-block terms m tr(b_m),
+    which enter c_m with + for either sign, are the exact ones of :func:`_block_traces`."""
     log_d, rows = _series_blocks(r, dim, n)
     m = np.arange(1, n + 1)
     b = np.exp(sigma * (math.log1p(1.0 - r) * m - 2.0 * log_d))[:, :, None] * rows  # b[i, m-1, j] = b_m[i, j]
@@ -810,6 +834,7 @@ def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tup
         np.matmul(across[:, :k * dim], R[lo:], out=R[lo - dim:lo])
     # terms[p, m-1] = m tr(R_(n-1-p) b_m); c_k sums those with m - 1 - p = k - n, a diagonal of terms
     terms = (R.reshape(n, dim * dim) @ b.transpose(1, 2, 0).reshape(n, dim * dim).T) * m
+    terms[-1] = m * _block_traces(sigma, r, n)  # R_0 = I: the row of the one-block terms
     diagonal = (np.subtract.outer(m, m).T + n - 1).ravel()  # k - 1 = m - 1 - p + n - 1; k > n where m - 1 > p
 
     def diagonal_sums(w: np.ndarray) -> np.ndarray:

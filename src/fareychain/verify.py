@@ -271,7 +271,7 @@ def suite_transfer(seed: int = 0) -> List[CheckResult]:
                     outside = abs(a - b) > a.error + 8 * k * np.finfo(float).eps * abs(c)
                     resid = max(resid, 1.0 if outside else abs(a - b) / abs(c))
     name = "traces and Xi_n: first-return series vs leaf walk (n <= 20, r in {0, 0.55, 0.99, 1})"
-    out.append(CheckResult("transfer", name, resid, 1e-11))
+    out.append(CheckResult("transfer", name, resid, 1e-13))
 
     fz = transfer.fredholm_and_zeta(0.5, 1.0, 0.5, N=14)
     out.append(

@@ -318,9 +318,10 @@ def test_missing_r_reported(capsys):
 
 def test_records_carry_the_route_error(capsys):
     # a finite error where the route computes one, null on the tree-row sum, which computes none
-    for argv, method in ((("trace", "--n", "3", "--s", "1", "--r", "0.5"), "first-return series, dim 40"),
-                         (("trace", "--n", "3", "--s", "1", "--r", "0.5", "--signed"), "first-return series, dim 40"),
-                         (("xi", "--n", "3", "--s", "1", "--r", "0.5"), "first-return series, dim 40"),
+    series = f"first-return series, dim {transfer.SERIES_DIM}"
+    for argv, method in ((("trace", "--n", "3", "--s", "1", "--r", "0.5"), series),
+                         (("trace", "--n", "3", "--s", "1", "--r", "0.5", "--signed"), series),
+                         (("xi", "--n", "3", "--s", "1", "--r", "0.5"), series),
                          (("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "0.5"), "operator iterates, dim 48"),
                          (("twisted", "--n", "3", "--s", "2", "--m", "1", "--r", "1.3"), "tree-row sum (r > 1)")):
         code, out = run(capsys, *argv)

@@ -231,7 +231,7 @@ def test_first_return_series_match_fixed_point_oracle_drawn(r, re_s, im_s, n):
     value = transfer.periodic_sums_xi(n, s, r)[-1]
     rounding = 64 * n * eps * sum(a for a, _b in moduli)
     assert abs(value - transfer.periodic_sum_bruteforce(q)) <= value.error + rounding, (value, value.error)
-    assert value.method == "first-return series, dim 40"
+    assert value.method == f"first-return series, dim {transfer.SERIES_DIM}"
     if 2.0 - r > 1.0:
         head = abs((2.0 - r) ** (-n * s)) / -math.expm1(-n * math.log1p(1.0 - r))
         rounding = 64 * n * eps * sum(a / b for a, b in moduli) + 4 * eps * head * (n * abs(s) + 1.0 / (1.0 - r))
@@ -245,6 +245,43 @@ def test_fixed_point_oracle_at_tiny_r():
     for r in (0.0, 1e-300, 2.220446049250313e-16, 1e-15, 1e-13, 1e-10, 0.3, 0.7, 0.95):
         for s in (0.5, 1.0, 2.0):
             _check_traces_and_xi(s, r, 9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_traces_closed_forms_at_tent_and_farey():
+    m = np.arange(1, 41)
+    for sigma in (0.5, 1.0, 2.5, complex(1.2, -3.0)):
+        # r = 0: the blocks are affine, D_m = 2^m, x* = 2^m / (2^m + 1)
+        want = np.exp(-m * math.log(2.0) * sigma) / (1.0 + 2.0**-m)
+        assert np.allclose(transfer._block_traces(sigma, 0.0, 40), want, rtol=4e-15, atol=0), sigma
+        # r = 1: D_m = m x + 1, so x* solves m x^2 + (2 - m) x - 1 = 0
+        x, D = transfer._block_fixed_points(1.0, 40)
+        assert np.all(np.abs(m * x * x + (2 - m) * x - 1.0) <= 8 * np.finfo(float).eps * m)
+        assert np.allclose(D, m * x + 1.0, rtol=4e-16, atol=0) and 0.5 <= x.min() and x.max() <= 1.0
+        assert D[0] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=2e-16)  # the golden mean
+        want = np.exp(-2.0 * sigma * np.log(D)) / (1.0 + D**-2.0)
+        assert np.allclose(transfer._block_traces(sigma, 1.0, 40), want, rtol=16e-15, atol=0), sigma
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-1.5, 3.0), st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), st.integers(1, 40))
+@example(1e-300, 1.0, 0.0, 40)
+@example(1e-15, -1.5, 2.0, 40)
+@example(1.0 - 1e-9, 3.0, -5.0, 40)
+@example(1.0, 2.0, 0.0, 40)
+def test_block_traces_match_collocated_traces_at_dim_64(r, re_sigma, im_sigma, n):
+    # the collocated trace of b_m = rho^(m sigma) K_(sigma,m) converges like |psi_m'(x*)|^dim, below rounding at
+    # dim 64; its rounding: (dim + |sigma| |log |psi_m'(x*)||) eps times the moduli of its diagonal, the second
+    # term from exp of sigma times the logs that both sides take
+    sigma, dim, m = (complex(re_sigma, im_sigma) if im_sigma else re_sigma), 64, np.arange(1, n + 1)
+    _x, D, rows = transfer._return_blocks(r, dim, n)
+    L = math.log1p(1.0 - r)
+    diagonal = np.exp(sigma * (L * m - 2.0 * np.log(D))) * np.einsum("imi->im", rows)
+    exact = transfer._block_traces(sigma, r, n)
+    log_mu = L * m - 2.0 * np.log(transfer._block_fixed_points(r, n)[1])
+    bound = 2.0 * (dim + abs(sigma) * np.abs(log_mu)) * np.finfo(float).eps * np.abs(diagonal).sum(axis=0)
+    assert np.all(np.abs(exact - diagonal.sum(axis=0)) <= bound), (exact, diagonal.sum(axis=0), bound)
 
 
 def test_series_at_large_s_match_fixed_point_oracle():
