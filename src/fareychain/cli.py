@@ -63,7 +63,7 @@ def parse_values(spec: str, arg: str = "grid") -> List[float]:
     return values
 
 
-_COUNT_MINIMUM = {"rows": 1, "grid": 1, "k": 0, "qmax": 1}
+_COUNT_MINIMUM = {"rows": 1, "grid": 1, "k": 0}
 
 
 def _require_valid_args(args) -> None:
@@ -216,13 +216,24 @@ def cmd_xi(args) -> int:
     return 0
 
 
+_ZETA_DEFAULTS = {"z": 0.5, "s": 1.0, "r": 0.5, "N": 14}  # of the determinant record; the --m table's is --qmax 100
+
+
 @_series_command
 def cmd_zeta(args) -> int:
+    """The --m table or the determinant record, each echoing only the arguments it uses; a flag of the other refused."""
+    given = [key for key in _ZETA_DEFAULTS if getattr(args, key) is not None]
     if args.m is not None:
+        if given:
+            raise ValueError(f"--{given[0]} does nothing with --m, whose table takes --qmax alone")
+        args = argparse.Namespace(**{**vars(args), "qmax": 100 if args.qmax is None else args.qmax})
         twisted.sieve_size(args.qmax, "--qmax")  # checked first: the table streams, a later refusal follows the header
         records = ((q, twisted.mu_twisted(args.m, q)) for q in range(1, args.qmax + 1))
         emit(records, ["q", "mu_m"], args)
         return 0
+    if args.qmax is not None:
+        raise ValueError(f"--qmax {args.qmax} does nothing without --m, the table it bounds")
+    args = argparse.Namespace(**{**vars(args), **{key: val for key, val in _ZETA_DEFAULTS.items() if key not in given}})
     fz = transfer.fredholm_and_zeta(complex(args.z), args.s, args.r, N=args.N)
     fields = ["r", "s", "z", "n", "det", "zeta_orbit_sum", "zeta_det_ratio", "method", "error_estimate", "converged"]
     row = (args.r, args.s, args.z, args.N, [fz.det.real, fz.det.imag], [fz.zeta_exp.real, fz.zeta_exp.imag],
@@ -350,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("zeta", help="dynamical zeta/determinant, or mu^(m) tables with --m")
     sp.add_argument("--m", type=int, default=None, help="emit the twisted Moebius table instead")
-    sp.add_argument("--qmax", type=int, default=100,
-                    help=f"largest q of the --m table, at most the sieve cap {twisted.SIEVE_CAP}")
-    sp.add_argument("--z", type=float, default=0.5)
-    sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--r", type=float, default=0.5)
-    sp.add_argument("--N", type=int, default=14, help=f"the traces n <= N of the series, at most {transfer.SERIES_CAP}")
+    sp.add_argument("--qmax", type=int, help=f"largest q of the --m table (default 100), at most the sieve cap "
+                    f"{twisted.SIEVE_CAP}")
+    sp.add_argument("--z", type=float, help="default 0.5")
+    sp.add_argument("--s", type=float, help="default 1.0")
+    sp.add_argument("--r", type=float, help="default 0.5")
+    sp.add_argument("--N", type=int, help=f"the traces n <= N of the series (default 14), at most {transfer.SERIES_CAP}")
     sp.add_argument("--format", choices=("csv", "jsonl"), default=None,
                     help="default csv for the --m table, jsonl for the determinant record")
     _add_common(sp, mode=False, fmt=False)

@@ -43,14 +43,6 @@ class RhoPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RhoPoly is immutable")
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention degree(0) = -1."""
-        return len(self.coeffs) - 1
-
-    def has_nonnegative_coeffs(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     def _coerce(self, other) -> "RhoPoly":
         if isinstance(other, RhoPoly):
             return other

@@ -19,15 +19,14 @@ at r = 1, where the mean return time diverges and the transition stops
 being first order.
 
 The row sums are also values of operator iterates, Z^G_k(s) = 2^(-s) (rho^(-ks/2) P_{s/2}^k 1)(1/2), so
-:func:`thermo_sweep` (and :func:`free_energy_limit`) read Z^C_n, F_n and M_n for every n <= n_max from n_max - 1
-products with the cached Chebyshev compression of the operator, log-scaled so that n ~ 10^4 stays finite, at the dim
-of :func:`transfer._dim_ladder`, with a computed error per point.  The row routes (:func:`grand_Z`,
-:func:`canonical_Z`, :func:`free_energy`, :func:`magnetization`, and all of exact mode) walk the 2^k-entry tree rows
-and are the sweep's independent oracle.
+:func:`thermo_sweep` reads Z^C_n, F_n and M_n for every n <= n_max from n_max - 1 products with the cached Chebyshev
+compression of the operator, log-scaled so that n ~ 10^4 stays finite, at the dim of :func:`transfer._dim_ladder`,
+with a computed error per point.  The row routes (:func:`grand_Z`, :func:`canonical_Z`, :func:`free_energy`,
+:func:`magnetization`, and all of exact mode) walk the 2^k-entry tree rows and are the sweep's independent oracle.
 
-All limits are reported as finite-n estimates with explicit
-extrapolation and error bars; nothing here claims the n -> infinity
-value beyond its stated tolerance.
+At n = infinity nothing is extrapolated: the free energy is the pressure, F = max(0, g) with
+g = log lambda_{s/2} - (s/2) log rho (:func:`free_energy_limit`), and it, s_cr, the slope and the sandwich rates all
+read the first-return operator, each with the error bar its solve computes.
 """
 
 from __future__ import annotations
@@ -165,20 +164,14 @@ def free_energy(n: int, s: float, params: Params) -> float:
     return math.log(2.0 * zc) / n
 
 
-def free_energy_limit(n: int, s: float, params: Params) -> Tuple[float, float]:
-    """Richardson-extrapolated F(s) estimate with an error bar.
-
-    F_n = F + c/n + (geometric), so n F_n - (n-1) F_{n-1} kills the 1/n
-    term; the error bar is the change from the previous extrapolant plus the
-    :func:`thermo_sweep` errors of log Z^C_{n-1} and log Z^C_{n-2}, whose
-    difference the extrapolant is.
-    """
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    z = thermo_sweep(params.r_float, [s], n)[-3:]  # F_k = log(2 Z^C_{k-1}) / k, k = n-2, n-1, n
-    ext_prev = (n - 1) * z[1].Fn - (n - 2) * z[0].Fn
-    ext = n * z[2].Fn - (n - 1) * z[1].Fn
-    return ext, abs(ext - ext_prev) + z[1].error + z[0].error
+def free_energy_limit(s: float, params: Params) -> Tuple[float, float]:
+    """F(s) = lim (1/n) log Z^C_n(s) = max(0, g), g = log lambda_{s/2} - (s/2) log rho the pressure, with its error:
+    lambda from :func:`transfer.spectral_radius` at its default tol, whose relative error carries into g as
+    -log1p(-error / lambda).  The refusals are spectral_radius's."""
+    r = params.r_float
+    lam = spectral_radius(s / 2.0, r)
+    g = math.log(lam.value) - 0.5 * s * math.log1p(1.0 - r)
+    return max(0.0, g), -math.log1p(-lam.error / lam.value)
 
 
 def magnetization(n: int, s: float, params: Params, method: str = "direct") -> float:

@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .rings import Params, RhoPoly
-from .spinchain import (_entries, _generators, _last, _level_tables, _reflection, _scaled_levels, _tree_stream,
-                        pq_tables)
+from .spinchain import _entries, _generators, _last, _level_tables, _reflection, _scaled_levels, _tree_stream
 from .words import SpinWord, all_words, label
 
 # rho used only to order symbolic nodes; the order is the same for all
@@ -53,9 +52,6 @@ class Mat2:
             self.c * o.a + self.d * o.c,
             self.c * o.b + self.d * o.d,
         )
-
-    def trace(self):
-        return self.a + self.d
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -117,18 +113,6 @@ def root_endpoints(params: Params) -> List[FareyNode]:
     one = params.one
     zero = one - one
     return [FareyNode(zero, one, 0), FareyNode(one, one, 0)]
-
-
-def build_row(n: int, params: Params) -> TreeRow:
-    """Row n of the tree (rank-n vertices, left to right).
-
-    Vertices come from the spin-word recursions in lexicographic order
-    of the path word, which coincides with the spatial order.
-    """
-    if n < 1:
-        raise ValueError("rows start at n = 1")
-    table = pq_tables(n - 1, params)
-    return _tree_row(n, table.p, table.q)
 
 
 def build_rows(n: int, params: Params) -> List[TreeRow]:

@@ -384,6 +384,14 @@ def suite_thermo(seed: int = 0) -> List[CheckResult]:
     out.append(CheckResult("thermo", "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)", resid, 1e-9))
 
     resid = 0.0
+    for r in (0.5, 0.7, 0.9):  # nearer r = 1 the compression falls below mu_0 for s > 2
+        for s in (0.5, 1.0, 1.3, 1.6, 2.0, 2.5):
+            g = math.log(transfer._collocation_lambda(s / 2.0, r, 192)) - s / 2.0 * math.log1p(1.0 - r)
+            resid = max(resid, abs(thermo.free_energy_limit(s, Params.floating(r))[0] - max(0.0, g)))
+    out.append(CheckResult("thermo", "free energy: first-return pressure vs Chebyshev compression (r in {0.5, 0.7, 0.9})",
+                           resid, 1e-10))
+
+    resid = 0.0
     rows = thermo.sandwich_bounds(1.2, 0.5, 12, [4, 6, 8, 10])
     for _l, lower, mid, upper in rows:
         resid = max(resid, max(lower - mid, mid - upper))

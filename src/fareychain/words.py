@@ -68,12 +68,6 @@ class SpinWord:
             raise ValueError("length mismatch")
         return SpinWord(self.k, self.bits ^ other.bits)
 
-    def dot(self, other: "SpinWord") -> int:
-        """Mod-2 inner product sigma . t."""
-        if self.k != other.k:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
     def inner(self, other: "SpinWord") -> int:
         """Integer inner product sum_i sigma_i t_i (not reduced mod 2)."""
         if self.k != other.k:

@@ -146,11 +146,13 @@ def test_zeta_number_theory_table(capsys):
     assert code == 0
     rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
     assert rows == ["1,1", "2,-1", "3,-1", "4,0", "5,-1", "6,1"]
+    assert "# args: --command=zeta --m=1 --qmax=6\n" in out  # the determinant record's flags are not echoed
 
 
 def test_zeta_dynamical(capsys):
     code, out = run(capsys, "zeta", "--z", "0.5", "--s", "1", "--r", "0.5", "--N", "14")
     assert code == 0
+    assert json.loads(out.splitlines()[0])["meta"]["args"] == "--N=14 --command=zeta --r=0.5 --s=1.0 --z=0.5"
     rec = json.loads(out.splitlines()[1])
     assert rec["converged"] is True
     assert rec["zeta_orbit_sum"][0] == pytest.approx(rec["zeta_det_ratio"][0], abs=1e-8)

@@ -11,7 +11,6 @@ coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
 def test_trailing_zeros_stripped():
     assert RhoPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert RhoPoly((0, 0)).coeffs == ()
-    assert RhoPoly().degree == -1
 
 
 def _sliced_repr(coeffs):

@@ -70,12 +70,25 @@ def test_farey_limit_toward_zeta_ratio():
 
 
 def test_free_energy_tent_values():
-    p = Params.floating(0.0)
-    est, err = thermo.free_energy_limit(40, 0.5, p)
-    assert abs(est - 0.5 * math.log(2.0)) <= 1e-3
-    assert err <= 1e-3
-    est2, _ = thermo.free_energy_limit(40, 2.0, p)
-    assert abs(est2) <= 1e-3
+    # at r = 0, F(s) = max(0, (1 - s) log 2)
+    for s in (0.5, 1.0, 2.0):
+        est, err = thermo.free_energy_limit(s, Params.floating(0.0))
+        assert abs(est - max(0.0, (1.0 - s) * math.log(2.0))) <= err <= 1e-10, s
+
+
+def test_free_energy_limit_where_the_richardson_fit_failed():
+    # F_n = log(n + 1)/n at (r, s) = (0, 1), the transition: an extrapolation in 1/n missed there by 40x its bar
+    est, err = thermo.free_energy_limit(1.0, Params.floating(0.0))
+    assert abs(est) <= err <= 1e-10
+    # next to the Farey map, against the Chebyshev compression at dims 192 and 144
+    r, s = 0.99, 1.9
+    est, err = thermo.free_energy_limit(s, Params.floating(r))
+    g192, g144 = (math.log(transfer._collocation_lambda(s / 2.0, r, d)) - 0.5 * s * math.log1p(1.0 - r)
+                  for d in (192, 144))
+    assert est > 0 and abs(est - g192) <= err + abs(g192 - g144) and err <= 1e-10
+    # at the Farey map above s_cr = 2 F is 0 exactly, where the sweep at n = 1000 tops out of its dim ladder
+    est, err = thermo.free_energy_limit(2.5, Params.floating(1.0))
+    assert est == 0.0 and err <= 1e-10
 
 
 def test_free_energy_positive_convex():
@@ -423,7 +436,7 @@ def test_free_energy_limit_matches_spectral_gap():
     # r = 0.7, s_cr ~ 1.4308: F(s) = max(0, g(s)), g(s) = log lambda_{s/2} - (s/2) log rho
     r, rho = 0.7, 1.3
     for s in (1.0, 1.2, 1.6, 1.8):
-        est, err = thermo.free_energy_limit(10**4, s, Params.floating(r))
+        est, err = thermo.free_energy_limit(s, Params.floating(r))
         g48, g36 = (math.log(transfer._collocation_lambda(s / 2.0, r, d)) - 0.5 * s * math.log(rho) for d in (48, 36))
         assert abs(est - max(0.0, g48)) <= err + abs(g48 - g36), s
         assert err <= 1e-9

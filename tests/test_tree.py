@@ -18,7 +18,7 @@ def poly(*coeffs):
 
 
 def test_row_two_polynomials():
-    row = treemod.build_row(2, SYM)
+    row = treemod.build_rows(2, SYM)[-1]
     assert [(n.p, n.q) for n in row.nodes] == [
         (poly(1), poly(2, 1)),
         (poly(1, 1), poly(2, 1)),
@@ -26,7 +26,7 @@ def test_row_two_polynomials():
 
 
 def test_row_three_polynomials():
-    row = treemod.build_row(3, SYM)
+    row = treemod.build_rows(3, SYM)[-1]
     assert [(n.p, n.q) for n in row.nodes] == [
         (poly(1), poly(2, 1, 1)),
         (poly(1, 1), poly(2, 3)),
@@ -36,15 +36,14 @@ def test_row_three_polynomials():
 
 
 def test_row_four_tent_gives_odd_dyadics():
-    row = treemod.build_row(4, Params.exact(Fraction(0)))
+    row = treemod.build_rows(4, Params.exact(Fraction(0)))[-1]
     assert row.values() == [Fraction(k, 16) for k in range(1, 16, 2)]
 
 
 def test_row_nodes_have_positive_coefficients():
     for n in range(1, 11):
-        for node in treemod.build_row(n, SYM).nodes:
-            assert node.p.has_nonnegative_coeffs()
-            assert node.q.has_nonnegative_coeffs()
+        for node in treemod.build_rows(n, SYM)[-1].nodes:
+            assert all(c >= 0 for c in node.p.coeffs + node.q.coeffs)
 
 
 def test_child_of_root_pair_and_first_row():
@@ -85,7 +84,7 @@ def test_child_rule_regenerates_next_row():
         for a, b in zip(nodes, nodes[1:]):
             lo, hi = (a, b) if a.rank <= b.rank else (b, a)
             children.append(treemod.child_of_neighbours(lo, hi, SYM))
-        expected = treemod.build_row(n + 1, SYM).nodes
+        expected = treemod.build_rows(n + 1, SYM)[-1].nodes
         got = sorted(children, key=treemod.FareyNode.order_key)
         assert [(c.p, c.q, c.path) for c in got] == [(e.p, e.q, e.path) for e in expected]
 
@@ -94,7 +93,7 @@ def test_rows_strictly_increasing_float():
     for r in (0.0, 0.25, 0.5, 0.75, 1.0):
         p = Params.floating(r)
         for n in range(1, 13):
-            vals = treemod.build_row(n, p).values()
+            vals = treemod.build_rows(n, p)[-1].values()
             assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
@@ -104,7 +103,7 @@ def test_row_mesh_shrinks():
         prev = 1.0
         for n in range(1, 17):
             vals = np.sort(np.concatenate([[0.0, 1.0]] + [
-                np.asarray(treemod.build_row(m, p).values()) for m in range(1, n + 1)
+                np.asarray(row.values()) for row in treemod.build_rows(n, p)
             ]))
             mesh = float(np.max(np.diff(vals)))
             assert mesh <= prev + 1e-15
@@ -139,7 +138,8 @@ def test_presentation_matches_tables_and_determinant():
 
 def _trace_pair(X, params):
     """(T0, T1) = (trace X, trace XS) of a leaf matrix X."""
-    return X.trace(), (X @ treemod.mat_S(params)).trace()
+    XS = X @ treemod.mat_S(params)
+    return X.a + X.d, XS.a + XS.d
 
 
 def test_trace_pair_left_powers():
@@ -241,7 +241,7 @@ def test_kernel_reflection_is_the_involution_per_vertex(params, n):
 
 def test_symbolic_row_cap():
     with pytest.raises(ValueError):
-        treemod.build_row(20, SYM)
+        treemod.build_rows(20, SYM)
 
 
 def test_node_records_and_adjacency():

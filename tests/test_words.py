@@ -33,7 +33,6 @@ def test_group_structure():
     a = SpinWord.from_bits((1, 1, 0))
     b = SpinWord.from_bits((0, 1, 1))
     assert (a + b).to_bits() == (1, 0, 1)
-    assert a.dot(b) == 1
     assert a.inner(b) == 1
     assert a.append(1).to_bits() == (1, 1, 0, 1)
     assert a.ones() == (1, 2)
