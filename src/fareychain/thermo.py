@@ -12,8 +12,10 @@ radius, running from 1 at r = 0 to 2 at r = 1.  :func:`critical_line` finds
 it on all of r in [0, 1] as the root of the log Perron eigenvalue of the
 first-return operator on [1/2, 1], by Chandrupatla's bracketed search at
 12 points (inverse quadratic interpolation where that is safe, bisection
-otherwise; five to eight evaluations, one eigen-solve each, at tol 1e-3 to
-1e-12) and one Newton step at 16 points, whose size is the dim term.  It
+otherwise; five to eight evaluations, one eigvals each, at tol 1e-3 to
+1e-12) and one Newton step at 16 points, whose size is the dim term: one eig
+and one linear solve, whose Perron vectors give the slope, the mean return
+time and the 2h term as forms, with no further eigen-solve.  It
 reports the jump of dF/ds there by the renewal identity |d log lambda_K/ds| / (mean return time), which falls to 0
 at r = 1, where the mean return time diverges and the transition stops
 being first order.
@@ -167,11 +169,12 @@ def free_energy(n: int, s: float, params: Params) -> float:
 def free_energy_limit(s: float, params: Params) -> Tuple[float, float]:
     """F(s) = lim (1/n) log Z^C_n(s) = max(0, g), g = log lambda_{s/2} - (s/2) log rho the pressure, with its error:
     lambda from :func:`transfer.spectral_radius` at its default tol, whose relative error carries into g as
-    -log1p(-error / lambda).  The refusals are spectral_radius's."""
+    -log1p(-error / lambda).  Where g plus that error is below 0, F = 0 holds exactly and its error is 0 (the tol of
+    spectral_radius is absolute, so where lambda is small that error is loose).  The refusals are spectral_radius's."""
     r = params.r_float
     lam = spectral_radius(s / 2.0, r)
-    g = math.log(lam.value) - 0.5 * s * math.log1p(1.0 - r)
-    return max(0.0, g), -math.log1p(-lam.error / lam.value)
+    g, error = math.log(lam.value) - 0.5 * s * math.log1p(1.0 - r), -math.log1p(-lam.error / lam.value)
+    return (0.0, 0.0) if g + error < 0 else (max(0.0, g), error)
 
 
 def magnetization(n: int, s: float, params: Params, method: str = "direct") -> float:

@@ -603,6 +603,13 @@ def _barycentric(x: np.ndarray, w: np.ndarray, y) -> np.ndarray:
     return B
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, made read-only: each is cached, so shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=8)
 def _collocation_operator(r: float, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """(C, log w), read-only: on dim Chebyshev points x of [0, 1], P_{s,r} compresses to
@@ -613,8 +620,7 @@ def _collocation_operator(r: float, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     phi0 = x / (rho + r * x)
     C = _barycentric(x, w, phi0) + _barycentric(x, w, 1.0 - phi0)
     log_w = math.log(rho) - 2.0 * np.log(rho + r * x)
-    C.flags.writeable = log_w.flags.writeable = False
-    return C, log_w
+    return _read_only(C, log_w)
 
 
 def collocation_spectrum(s: float, r: float, dim: int) -> np.ndarray:
@@ -741,10 +747,11 @@ _POINT_WEIGHTS = np.concatenate([np.ones(RETURN_DIRECT - 1), _gregory_weights(16
 _POINT_M = np.arange(1.0, len(_POINT_WEIGHTS) + 1)
 
 
-def _tail_nodes(split: float, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes v, weights and 2h multipliers (2 on even nodes, 0 on odd) of int_0^inf dv at step h:
-    tanh-sinh on [0, split] (if split > 0), and v = split + exp(tau - e^(-tau)) on [split, inf) for
-    integrands decaying like e^(-a v), a >= 1/2.  Past the tau ranges, weight times integrand is below rounding."""
+@lru_cache(maxsize=8)  # at eps = 0 the split is 0 for r <= 0.97 and at r = 1: every such r shares one key per dim
+def _tail_nodes(split: float, h: float, dim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes v, weights, 2h multipliers (2 on even nodes, 0 on odd) of int_0^inf dv at step h, and e^(-p v), p < dim,
+    read-only, cached per (split, h, dim): tanh-sinh on [0, split] if split > 0, v = split + exp(tau - e^(-tau)) on
+    [split, inf) for integrands like e^(-a v), a >= 1/2; past the tau ranges the terms are below rounding."""
     parts = []
     if split > 0:
         k = np.arange(-round(3.2 / h), round(3.2 / h) + 1)
@@ -753,7 +760,7 @@ def _tail_nodes(split: float, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndar
     k = np.arange(-round(3.6 / h), round(4.5 / h) + 1)
     e = np.exp(k * h - np.exp(-k * h))
     k, v, w = map(np.concatenate, zip(*parts, (k, split + e, h * (1.0 + np.exp(-k * h)) * e)))
-    return v, w, 2.0 * (k % 2 == 0)
+    return _read_only(v, w, 2.0 * (k % 2 == 0), np.exp(-np.outer(v, np.arange(dim))))
 
 
 @lru_cache(maxsize=2)
@@ -788,10 +795,7 @@ def _return_blocks(r: float, dim: int, count: int) -> Tuple[np.ndarray, np.ndarr
 def _series_blocks(r: float, dim: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(log D, rows) of :func:`_return_blocks` for m = 1 .. n, read-only, cached for the series of one (r, n)."""
     _x, D, rows = _return_blocks(r, dim, n)
-    blocks = np.log(D), rows
-    for a in blocks:
-        a.flags.writeable = False
-    return blocks
+    return _read_only(np.log(D), rows)
 
 
 def _block_fixed_points(r: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -865,7 +869,7 @@ def _series_estimates(r: float, head: np.ndarray, parts: Sequence[Tuple[complex,
 
 
 class _ReturnOperator(NamedTuple):
-    """The sigma-independent arrays of K_sigma collocated at one (r, dim, cut, step); n points, P tail nodes."""
+    """The sigma-independent arrays of K_sigma collocated at one (r, dim, split, step); n points, P tail nodes."""
 
     log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
     rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
@@ -873,11 +877,12 @@ class _ReturnOperator(NamedTuple):
     vander: np.ndarray  # (dim, dim): t_i^p, t = x_i / D_M
     lam: np.ndarray  # (dim,)
     log_rho: np.ndarray  # (): L
+    split: np.ndarray  # (): min(v*, cut), :func:`_return_operator`
     v: np.ndarray  # (P,)
     weights: np.ndarray  # (P,): :func:`_tail_nodes`
     tail: np.ndarray  # (dim, P): node weights / (L + lam_i e^(-v))
     even: np.ndarray  # (P,): :func:`_tail_nodes`
-    powers: np.ndarray  # (P, dim): e^(-p v)
+    powers: np.ndarray  # (P, dim): :func:`_tail_nodes`
     taylor: np.ndarray  # (dim, dim): :func:`_taylor_basis`
 
 
@@ -890,35 +895,37 @@ def _tail_rule(eps: float) -> Tuple[float, float]:
     return cut, RETURN_STEP_EPS if eps else RETURN_STEP
 
 
-@lru_cache(maxsize=4)
 def _return_operator(r: float, dim: int, cut: float = math.inf, step: float = RETURN_STEP) -> _ReturnOperator:
-    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], cached per (r, dim, cut, step), step the h of
-    the tail rules.
+    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], read-only, cached per (r, dim, split, step), step the
+    h of the tail rules: every cut >= the split v* shares the operator of cut = inf (all cuts for r <= 0.97, r = 1).
 
     With D_m = D_m(x_i), M = RETURN_DIRECT, t = x_i / D_M and L = log rho, the terms m < M + 16 enter
     one by one, Gregory's end weights from M on.  They stand in for the sum from M with the integral from
     M, which D(M + u) = D_M e^v turns into D_M^(-2 sigma) int_0^inf e^(-2 sigma v) f(1 - t e^(-v)) /
     (L + lam e^(-v)) dv, lam = r t L / (1 - r) (r t at r = 1).  Here f is a basis function; its Taylor
     polynomial in t e^(-v) is exact and, as t <= 1/(M + 1), well conditioned, so the integral needs only
-    the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i.  They split at v* = log(lam / L),
-    where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if lam <= L,
-    and at r = 1, where the first form holds throughout), or at cut if that is lower (:func:`_tail_rule`):
-    past it a weight e^(-eps m) kills the integrand double-exponentially, faster than the middle of a long
-    tanh-sinh rule resolves.  D_m and the basis rows come from :func:`_return_blocks`.
+    the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i (:func:`_tail_nodes`).  They split at
+    v* = log(lam / L), where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if
+    lam <= L, and at r = 1, where the first form holds throughout), or at cut if that is lower (:func:`_tail_rule`):
+    past it a weight e^(-eps m) kills the integrand double-exponentially, faster than tanh-sinh resolves.
     """
+    op = _collocate_return(r, dim, math.inf, step)
+    return op if op.split <= cut else _collocate_return(r, dim, cut, step)
+
+
+@lru_cache(maxsize=4)
+def _collocate_return(r: float, dim: int, cut: float, step: float) -> _ReturnOperator:
+    """:func:`_return_operator` split at min(v*, cut), D_m and the basis rows from :func:`_return_blocks`."""
     x, D, rows = _return_blocks(r, dim, len(_POINT_WEIGHTS))
     delta, L = 1.0 - r, math.log1p(1.0 - r)
     t = x / D[:, RETURN_DIRECT - 1]
     lam = r * t * (L / delta if delta else 1.0)
     split = min(math.log(r * t[dim // 2] / delta), cut) if r * t[dim // 2] > delta > 0 else 0.0
-    v, weights, even = _tail_nodes(split, step)
-    op = _ReturnOperator(np.log(D), rows, np.log(D[:, RETURN_DIRECT - 1]),
-                         np.vander(t, dim, increasing=True), lam, np.array(L), v, weights,
-                         weights / (L + np.outer(lam, np.exp(-v))), even, np.exp(-np.outer(v, np.arange(dim))),
-                         _taylor_basis(dim))
-    for a in op:
-        a.flags.writeable = False
-    return op
+    v, weights, even, powers = _tail_nodes(split, step, dim)
+    return _ReturnOperator(*_read_only(np.log(D), rows, np.log(D[:, RETURN_DIRECT - 1]),
+                                       np.vander(t, dim, increasing=True), lam, np.array(L), np.array(split), v,
+                                       weights, weights / (L + np.outer(lam, np.exp(-v))), even, powers,
+                                       _taylor_basis(dim)))
 
 
 def _tail_m(op: _ReturnOperator) -> Tuple[np.ndarray, np.ndarray]:
@@ -931,35 +938,40 @@ def _tail_m(op: _ReturnOperator) -> Tuple[np.ndarray, np.ndarray]:
     return np.log1p(np.outer(c, np.expm1(op.v))) / L, np.log(c) / L
 
 
-def _return_matrix(op: _ReturnOperator, s: float, eps: float = 0.0, rule=1.0, factors=(1.0, 1.0, 1.0, 0.0)):
-    """The collocation matrix of K_(s/2), its m-th term weighted by e^(-eps m), the tail node weights times rule,
-    and the point terms and tail nodes times factors (point, tail, alpha, beta), alpha + beta v the tail factor's
-    asymptote: the factors of d/ds or -d/d eps of each term give that derivative of K (:func:`return_root`).
-
+def _return_terms(op: _ReturnOperator, s: float, eps: float = 0.0):
+    """(K, a, b, edge): the collocation matrix of K_(s/2), its m-th term weighted by e^(-eps m), from the weights
+    a[i, m-1] of its basis rows and b[i, k] of its tail nodes, the tail's moments at x_i sum_k b[i, k] e^(-p v_k).
     For r < 1 the tail integrand decays like h e^(-(a + p) v), h = D_M^(-s) e^(-eps (M + u_line)) / L
     (:func:`_tail_m`), a = s + eps / L, which the nodes integrate to rounding for a >= 1/2.  Below that (eps < 0,
-    toward the edge a = 0, where the terms' sum diverges) the nodes' sum of it times alpha + beta v is swapped
-    for the exact alpha / (a + p) + beta / (a + p)^2; the rest decays like e^(-(a + p + 1) v)."""
-    point, tail, alpha, beta = factors
+    toward the edge a = 0, where the terms' sum diverges) edge = (h, a + p, e^(-(a + p) v)) (:func:`_tail_moments`)."""
     u, u_line = _tail_m(op) if eps else (0.0, 0.0)  # eps = 0 (s_cr): no shifted exponent arrays are built
-    a = point * _POINT_WEIGHTS * np.exp(-s * op.log_d - eps * _POINT_M if eps else -s * op.log_d)
+    a = _POINT_WEIGHTS * np.exp(-s * op.log_d - eps * _POINT_M if eps else -s * op.log_d)
     # e^(-eps M) joins D_M^(-s), so that e^(-eps u) stays finite
     scale = np.exp(-s * op.log_dm - eps * RETURN_DIRECT if eps else -s * op.log_dm)
-    b = rule * tail * op.tail * np.exp(-s * op.v - eps * u if eps else -s * op.v) * scale[:, None]
-    moments = b @ op.powers
-    L = float(op.log_rho)
+    b = op.tail * np.exp(-s * op.v - eps * u if eps else -s * op.v) * scale[:, None]
+    L, edge = float(op.log_rho), None
     if L and s + eps / L < 0.5:
         decay = s + eps / L + np.arange(len(scale))
-        nodes = (rule * op.weights)[:, None] * np.exp(-np.outer(op.v, decay))  # (P, dim)
-        h = scale * np.exp(-eps * u_line) / L
+        edge = scale * np.exp(-eps * u_line) / L, decay, np.exp(-np.outer(op.v, decay))
+    return np.matmul(a[:, None, :], op.rows)[:, 0] + (_tail_moments(op, b, edge) * op.vander) @ op.taylor.T, a, b, edge
+
+
+def _tail_moments(op: _ReturnOperator, b: np.ndarray, edge, rule=1.0, alpha=1.0, beta=0.0) -> np.ndarray:
+    """The tail's moments sum_k b[i, k] e^(-p v_k) (:func:`_return_terms`); at the edge the nodes' sum (weights times
+    rule) of h e^(-(a + p) v) (alpha + beta v) becomes alpha / (a + p) + beta / (a + p)^2, the rest decaying faster."""
+    moments = b @ op.powers
+    if edge:
+        h, decay, decays = edge
+        nodes = (rule * op.weights)[:, None] * decays  # (P, dim)
         moments += np.outer(h * alpha, 1.0 / decay - nodes.sum(axis=0))
         if beta:
             moments += np.outer(h * beta, 1.0 / decay**2 - op.v @ nodes)
-    return np.matmul(a[:, None, :], op.rows)[:, 0] + (moments * op.vander) @ op.taylor.T
+    return moments
 
 
-def _perron(K: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(K).real))
+def _return_matrix(op: _ReturnOperator, s: float, eps: float = 0.0) -> np.ndarray:
+    """The collocation matrix of K_(s/2), its m-th term weighted by e^(-eps m) (:func:`_return_terms`)."""
+    return _return_terms(op, s, eps)[0]
 
 
 def _search_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
@@ -974,34 +986,37 @@ def _search_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
     root at eps = 0 and g = log lambda_sigma - sigma log rho the root in eps (:func:`spectral_radius`).
     The functions live away from the neutral fixed point and stay analytic as r -> 1, so one size serves
     all of r in [0, 1] (2 sigma > 1 at r = 1, eps = 0, where K_1 is the Gauss-map operator, lambda_K = 1)."""
-    return math.log(_perron(_return_matrix(_return_operator(float(r), SEARCH_DIM, *_tail_rule(eps)), s, eps)))
+    K = _return_matrix(_return_operator(float(r), SEARCH_DIM, *_tail_rule(eps)), s, eps)
+    return math.log(float(np.max(np.linalg.eigvals(K).real)))
 
 
 def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, float, float]:
     """(log lambda_K, d log lambda_K / ds, the mean return time -d log lambda_K / d eps, the step term
     |log lambda_K by the 2h rule - by the h rule|) at (s, eps), lambda_K at RETURN_DIM points: the Newton step
     that finishes a root searched at SEARCH_DIM points (:func:`_search_log_lambda`), whose size is the dim term.
-    One eigen-solve gives lambda_K, the right Perron vector v and, from the inverse of the eigenvector matrix
-    (one linear solve), the left one l; the derivatives are Hellmann-Feynman's l K' v / (l K v), K' from the
-    factors -log D_m and m of each term (:func:`_return_matrix`).  The mean return time is infinite at r = 1,
-    eps = 0, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
+    One eigen-solve gives lambda_K, the right Perron vector v and, from the inverse of the eigenvector matrix (one
+    linear solve), the left one l; the rest are forms l X v / (l K v), X K's terms (:func:`_return_terms`) times
+    factors: Hellmann-Feynman's derivatives, X = dK/ds from the factors -log D_m of each term, -dK/d eps from m, and
+    K_2h, whose form is lambda_K by the 2h rule to first order in K_2h - K (~1e-8 relative), so to rounding.  No X is
+    built: the point terms act on v as rows @ v, the tail's moments through taylor.T @ v.  The mean return time is
+    infinite at r = 1, eps = 0, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
     op = _return_operator(float(r), RETURN_DIM, *_tail_rule(eps))
-    K = _return_matrix(op, s, eps)
+    K, a, b, edge = _return_terms(op, s, eps)
     vals, vectors = np.linalg.eig(K)
     j = int(np.argmax(vals.real))
-    lam, right = float(vals[j].real), vectors[:, j]
-    left = np.linalg.solve(vectors.T, np.eye(RETURN_DIM)[j])  # row j of the inverse: l K = lam l
+    lam, right = float(vals[j].real), vectors[:, j].real  # real, as lambda_K is
+    left = np.linalg.solve(vectors.T, np.eye(RETURN_DIM)[j]).real[:, None]  # row j of the inverse: l K = lam l
+    points, taylor = left * a * (op.rows @ right), left * op.vander * (op.taylor.T @ right)  # l K v, term by term
 
-    def log_derivative(*factors) -> float:
-        return float((left @ _return_matrix(op, s, eps, 1.0, factors) @ right / (left @ K @ right)).real)
+    def form(point, tail, rule=1.0, alpha=1.0, beta=0.0) -> float:  # l X v, X K's terms times point and tail
+        return np.sum(point * points) + np.sum(taylor * _tail_moments(op, tail * b, edge, rule, alpha, beta))
 
-    mean, L = math.inf, float(op.log_rho)
+    norm, mean, L = form(1.0, 1.0), math.inf, float(op.log_rho)
     if r < 1 or eps:
         u, u_line = _tail_m(op)  # a node stands for the terms around m = M + u, u = u_line + v / L + ...
-        u += RETURN_DIRECT
-        mean = log_derivative(_POINT_M, u, RETURN_DIRECT + u_line, 1.0 / L if L else 0.0)
-    step = abs(math.log(_perron(_return_matrix(op, s, eps, op.even)) / lam))
-    return math.log(lam), log_derivative(-op.log_d, -np.add.outer(op.log_dm, op.v), -op.log_dm, -1.0), mean, step
+        mean = float(form(_POINT_M, u + RETURN_DIRECT, 1.0, RETURN_DIRECT + u_line, 1 / L if L else 0.0) / norm)
+    d_log = float(form(-op.log_d, -np.add.outer(op.log_dm, op.v), 1.0, -op.log_dm, -1.0) / norm)
+    return math.log(lam), d_log, mean, abs(math.log(form(1.0, op.even, op.even) / norm))
 
 
 @dataclass(frozen=True)

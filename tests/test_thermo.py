@@ -91,6 +91,16 @@ def test_free_energy_limit_where_the_richardson_fit_failed():
     assert est == 0.0 and err <= 1e-10
 
 
+def test_free_energy_limit_is_exactly_zero_below_its_bar():
+    # where g + error < 0, F = 0 exactly and its error is 0: lambda's error is absolute, so loose where lambda is small
+    # (it read 6.7e-2 at r = 0.5, s = 600 and 9.7e-3 at r = 0, s = 100)
+    for r, s in ((0.5, 600.0), (0.0, 100.0)):
+        assert thermo.free_energy_limit(s, Params.floating(r)) == (0.0, 0.0), (r, s)
+    # at the Farey map above s_cr = 2, g = 0 itself: F = 0 keeps lambda's finite bar
+    est, err = thermo.free_energy_limit(2.5, Params.floating(1.0))
+    assert est == 0.0 and 0.0 < err <= 1e-10
+
+
 def test_free_energy_positive_convex():
     p = Params.floating(0.4)
     grid = np.linspace(0.2, 3.0, 12)
@@ -179,12 +189,12 @@ def test_critical_search_eigen_budget(linalg_calls):
     for r in (0.3, 0.95, 1.0):
         linalg_calls.clear()
         cp = thermo.critical_line(Params.floating(r), tol=1e-6)
-        # one dim-12 solve per search evaluation; at the secant point one dim-16 eig for the Newton step, its
-        # left Perron vector from one solve with the eigenvectors, and the 2h rule: no dim-12 solve after the search
+        # one dim-12 solve per search evaluation; at the secant point one dim-16 eig for the Newton step and its
+        # left Perron vector from one solve with the eigenvectors: the slope, the mean return time and the 2h term
+        # are forms of those vectors, so no dim-12 solve after the search and no second dim-16 one
         evals = int(re.fullmatch(METHOD, cp.method)[1])
         assert evals <= 8
-        assert linalg_calls == [("eigvals", (12, 12))] * evals + [("eig", (16, 16)), ("solve", (16, 16)),
-                                                                   ("eigvals", (16, 16))]
+        assert linalg_calls == [("eigvals", (12, 12))] * evals + [("eig", (16, 16)), ("solve", (16, 16))]
 
 
 def _dim16_critical_s(r: float) -> float:

@@ -456,6 +456,10 @@ def test_spectral_radius_matches_chebyshev_compression(r, s):
 LAMBDA_METHOD = r"first-return root; chandrupatla at dim 12, (\d+) evals; one Newton step at dim 16"
 
 
+def _log_lambda16(op, s, eps):
+    return math.log(float(np.max(np.linalg.eigvals(transfer._return_matrix(op, s, eps)).real)))
+
+
 def _dim16_log_lambda(s, r, tol):
     """log lambda by the route before the Newton step, spectral_radius's brackets written out: Chandrupatla on
     log lambda_K of the dim-16 first-return matrix in log(eps - edge), then in eps to 1/16 of its width (at least 8
@@ -466,10 +470,7 @@ def _dim16_log_lambda(s, r, tol):
     floor = 8.0 * math.ulp(abs(edge) + top)
     width = max(min(g_tol / 4.0, 1 / 16), floor)
 
-    def g(eps):
-        K = transfer._return_matrix(transfer._return_operator(r, 16, *transfer._tail_rule(eps)), 2.0 * s, eps)
-        return math.log(float(np.max(np.linalg.eigvals(K).real)))
-
+    g = lambda eps: _log_lambda16(transfer._return_operator(r, 16, *transfer._tail_rule(eps)), 2.0 * s, eps)
     g_w = lambda w: g(edge + math.exp(w))
     lo, hi = math.log(width), math.log(top)
     g_lo = g_w(lo)
@@ -495,7 +496,7 @@ def test_newton_step_lands_on_the_dim16_lambda(r, s, log_tol):
 
 
 def test_spectral_radius_eigen_budget(linalg_calls):
-    finish = [("eig", (16, 16)), ("solve", (16, 16)), ("eigvals", (16, 16))]  # Newton step, left vector, 2h rule
+    finish = [("eig", (16, 16)), ("solve", (16, 16))]  # Newton step and left vector; no eigen-solve for the 2h rule
     for r, s in ((0.5, 0.75), (0.9, 3.0), (1.0, 0.75)):
         linalg_calls.clear()
         res = transfer.spectral_radius(s, r)
@@ -504,6 +505,60 @@ def test_spectral_radius_eigen_budget(linalg_calls):
     linalg_calls.clear()
     res = transfer.spectral_radius(1.5, 1.0)  # mu_0: one dim-12 point at the edge, then its dim-16 terms
     assert res.method.startswith("fixed point 0") and linalg_calls == [("eigvals", (12, 12))] + finish
+
+
+def test_return_operator_is_keyed_by_its_split(monkeypatch):
+    # the eps cut of the tail rules enters the operator only through its split min(v*, cut), and v* = 0 for r <= 0.97
+    # and at r = 1: there one spectral_radius call builds one operator per (dim, step) it uses, not one per cut, and
+    # its value and error are those of building one per cut
+    keyed = transfer._return_operator
+    for r, s in ((0.5, 0.5), (1.0, 0.75)):
+        uses = []
+
+        def record(r, dim, cut=math.inf, step=transfer.RETURN_STEP):
+            uses.append((dim, cut, step))
+            return keyed(r, dim, cut, step)
+
+        transfer._collocate_return.cache_clear()
+        monkeypatch.setattr(transfer, "_return_operator", record)
+        res = transfer.spectral_radius(s, r)
+        builds = transfer._collocate_return.cache_info().misses
+        assert builds == len({(dim, step) for dim, _cut, step in uses}) < len(set(uses)), (r, s, uses)
+        monkeypatch.setattr(transfer, "_return_operator", transfer._collocate_return.__wrapped__)  # a build per call
+        assert transfer.spectral_radius(s, r) == res, (r, s)
+
+
+def _central_difference(f, x, h):
+    """f'(x) from the central differences at steps h and h/2, Richardson-extrapolated: O(h^4)."""
+    d = [(f(x + k) - f(x - k)) / (2.0 * k) for k in (h, h / 2.0)]
+    return (4.0 * d[1] - d[0]) / 3.0
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.55, 0.9, 0.99, 1 - 1e-6, 1.0])
+def test_return_root_forms_match_independent_routes(r):
+    # return_root reads the slope, the mean return time and the 2h term from its Perron vectors: the first two against
+    # central differences of log lambda_K on the same dim-16 operator (within 4e-10 relative here), the 2h term, first
+    # order in K_2h - K, against the eigenvalue of the operator built at step 2h (2e-5 at r = 1, s = 1.1, else < 1e-12)
+    L = math.log1p(1.0 - r)
+    for s in (1.1, 1.5):
+        for eps in (0.0, 0.01) + (((0.05 - s) * L,) if L else ()):  # s + eps / L = 1/20: the edge's exact terms count
+            cut, step = transfer._tail_rule(eps)
+            op = transfer._return_operator(r, 16, cut, step)
+            _log_lambda, d_log, mean, step_term = transfer.return_root(s, r, eps)
+            a = s + eps / L if L else math.inf  # the steps stay well inside the distance a to the edge
+            d_s = _central_difference(lambda x: _log_lambda16(op, x, eps), s, 2e-3 * min(0.5, a))
+            assert abs(d_s - d_log) <= 1e-7 * abs(d_log), (r, s, eps, d_s, d_log)
+            if r < 1 or eps:
+                h = 2e-3 * min(0.01, a * L if L else 0.01)
+                d_eps = _central_difference(lambda x: _log_lambda16(op, s, x), eps, h)
+                assert abs(-d_eps - mean) <= 1e-7 * mean, (r, s, eps, -d_eps, mean)
+            else:
+                assert mean == math.inf
+            coarse = transfer._return_operator(r, 16, cut, 2.0 * step)
+            two = abs(_log_lambda16(coarse, s, eps) - _log_lambda16(op, s, eps))
+            assert abs(step_term - two) <= 1e-14 + two**2, (r, s, eps, step_term, two)
+            nodes = transfer._tail_nodes(float(op.split), step, 16)  # cached, so read-only
+            assert nodes[3] is op.powers and not any(arr.flags.writeable for arr in (*op, *nodes))
 
 
 def test_compression_maps_chebyshev_polynomials():
