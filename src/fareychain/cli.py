@@ -38,9 +38,11 @@ def _params(args) -> Params:
         return Params.symbolic()
     if r is None:
         raise ValueError("--r is required in numeric modes")
-    if mode == "exact":
-        return Params.exact(Fraction(r))
-    return Params.floating(float(Fraction(r)))
+    try:
+        value = Fraction(r) if mode == "exact" else float(Fraction(r))
+    except (ValueError, ArithmeticError) as exc:  # not a number, p/0, or past the float range
+        raise ValueError(f"--r {r} is not a finite rational or float ({exc})") from None
+    return Params.exact(value) if mode == "exact" else Params.floating(value)
 
 
 def parse_values(spec: str, arg: str = "grid") -> List[float]:
@@ -376,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "root (method: with its evaluations) or the fixed point's rho^-s; error_estimate <= --tol")
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=1e-10, help="bound on the absolute error of lambda, at least 1e-14; "
+                    "below about 1e-10 the dim term can exceed it, and the run refuses, naming the term")
     _add_common(sp, mode=False, fmt=False)
     sp.set_defaults(func=cmd_lambda)
 

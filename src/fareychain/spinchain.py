@@ -40,11 +40,10 @@ into the extended tree is one more flip-order step of a tree level by
 (I, S), S = [[r-1, rho], [r, 1-r]], in the same ring (_reflection,
 _scaled_levels): the level, then its vertices' mirrors.
 
-The kernel is walked two ways: _levels yields whole rows, for the tables
-that need them; every leaf and row sum reads _walk, which yields the same
-levels depth first in cache-sized blocks of at most 2^_BLOCK_LEVELS columns
-(256 KB for four rows), one block pending per level, summed per level by
-_level_sums or, for the single-n iterates (P^n f)(x) of transfer (f = 1, a
+The kernel has one walk, _walk, depth first: whole rows in order for the tables
+(_scaled_levels, _cumulative); for every leaf and row sum, cache-sized blocks of at most
+2^_BLOCK_LEVELS columns (256 KB for four rows), one block pending per level, summed per
+level by _level_sums or, for the single-n iterates (P^n f)(x) of transfer (f = 1, a
 character e_m, or any f), over the last level alone by _last_level_sum.
 Nothing else calls _walk.
 """
@@ -54,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -180,31 +180,18 @@ def _step(x: np.ndarray, children, flip: bool) -> np.ndarray:
     return out
 
 
-def _levels(stream, depth: int, params: Params) -> Iterator[np.ndarray]:
-    """Yield levels 0 .. depth of a stream as (dim, 2^j) arrays.
+def _walk(stream, depth: int, params: Params, width=None) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (level, block) for levels 0 .. depth of a stream, depth first, in the ring of :func:`_integral`.
 
-    ``stream(params)`` gives (root, (A, B), flip), run in the ring of :func:`_integral`.
-    The table cap of the mode is checked before the first level.
+    ``stream(params)`` gives (root, (A, B), flip).  A block of `width` (by default 2^_BLOCK_LEVELS) or more
+    columns is split into its column halves before its step, and each half's subtree is walked before the next,
+    so the stack holds one pending half per level; with width math.inf every level comes whole and in order.
+    A level's blocks permute its columns, so sums over them change only by rounding.  The table cap of the mode
+    is checked before the first level; a yielded block is held no longer than its pending halves.
     """
     _check_cap(depth, params)
     x, children, flip, _d0, _d = _integral(stream, params)
-    yield x
-    for _ in range(depth):
-        x = _step(x, children, flip)
-        yield x
-
-
-def _walk(stream, depth: int, params: Params) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (level, block) for levels 0 .. depth of a stream, depth first.
-
-    Levels up to 2^_BLOCK_LEVELS columns come as whole rows; a block of that width is
-    split into its column halves before its step, and each half's subtree is walked
-    before the next, so no block is wider than 2^_BLOCK_LEVELS and the stack holds one
-    pending half per level.  A level's blocks permute its columns, so sums over them
-    change only by rounding.  The table cap of the mode is checked before the first level.
-    """
-    _check_cap(depth, params)
-    x, children, flip, _d0, _d = _integral(stream, params)
+    width = width or 1 << _BLOCK_LEVELS
     yield 0, x
     stack = [(1, x)] if depth else []  # (level, the block of level - 1 that steps to it)
     while stack:
@@ -212,8 +199,7 @@ def _walk(stream, depth: int, params: Params) -> Iterator[Tuple[int, np.ndarray]
         x = _step(x, children, flip)
         yield level, x
         if level < depth:
-            parts = [x] if x.shape[1] < 1 << _BLOCK_LEVELS else np.hsplit(x, 2)
-            stack += [(level + 1, part) for part in parts]
+            stack += [(level + 1, part) for part in ([x] if x.shape[1] < width else np.hsplit(x, 2))]
 
 
 def _level_sums(stream, depth: int, params: Params, term) -> list:
@@ -229,31 +215,17 @@ def _last_level_sum(stream, depth: int, params: Params, term):
     return sum((term(block) for level, block in _walk(stream, depth, params) if level == depth), 0)
 
 
-def _last(levels: Iterator):
-    for x in levels:
-        pass
-    return x
-
-
-def _scaled_levels(stream, depth: int, params: Params, after=None) -> Iterator[Tuple[np.ndarray, int]]:
-    """(level, scale) for levels 0 .. depth of a stream in the ring of :func:`_integral`, level j over D0 D^j; with
-    child matrices `after`, each level takes one more flip-order :func:`_step` by them and is over D0 D^j D_a, D_a
-    their scale.  The table cap and the packing bound, with that step, are checked before this returns."""
+def _scaled_levels(stream, depth: int, params: Params, after=None, last=False) -> Iterator[Tuple[np.ndarray, int]]:
+    """(level, scale) for levels 0 .. depth of a stream, or with `last` for level depth alone, in the ring of
+    :func:`_integral`, level j over D0 D^j; with child matrices `after`, each level yielded takes one more flip-order
+    :func:`_step` by them and is over D0 D^j D_a, D_a their scale.  The table cap and the packing bound, with that
+    step, are checked before this returns."""
     _check_cap(depth, params)
     d0, d = _integral(stream, params, after)[3:]
     after, da = _ring(after, params) if after else (None, 1)
+    levels = _walk(stream, depth, params, math.inf)
     return ((x if after is None else _step(x, after, True), d0 * d**j * da)
-            for j, x in enumerate(_levels(stream, depth, params)))
-
-
-def _level_tables(stream, depth: int, params: Params) -> Iterator:
-    """Levels 0 .. depth of a stream as the tables return them (:func:`_entries`)."""
-    return (_entries(x, scale, params) for x, scale in _scaled_levels(stream, depth, params))
-
-
-def _last_table(stream, depth: int, params: Params):
-    """Level `depth` alone as the tables return it: the levels above are stepped, not divided."""
-    return _entries(*_last(_scaled_levels(stream, depth, params)), params)
+            for j, x in (islice(levels, depth, None) if last else levels))
 
 
 @dataclass(frozen=True)
@@ -271,12 +243,13 @@ class PQTable:
 
 def pq_tables(k: int, params: Params) -> PQTable:
     """Tables of p_k, q_k over all of (Z/2Z)^k via the two-term recursions."""
-    return PQTable(k, *_last_table(_tree_stream, k, params))
+    (x, scale), = _scaled_levels(_tree_stream, k, params, last=True)
+    return PQTable(k, *_entries(x, scale, params))
 
 
 def q_table(k: int, params: Params) -> Sequence:
     """pq_tables(k, params).q alone: the p row is stepped, never divided."""
-    x, scale = _last(_scaled_levels(_tree_stream, k, params))
+    (x, scale), = _scaled_levels(_tree_stream, k, params, last=True)
     return _entries(x[1:], scale, params)[0]
 
 
@@ -285,7 +258,7 @@ def q_hat_table(k: int, params: Params) -> Sequence:
     numerators over their scale D0 D^k, so no entry is divided before the output."""
     if params.mode == "symbolic":
         raise ValueError("the transform divides by 2^k; use exact or float mode")
-    x, scale = _last(_scaled_levels(_tree_stream, k, params))
+    (x, scale), = _scaled_levels(_tree_stream, k, params, last=True)
     if params.mode != "exact":
         return fourier_transform(x[1], k)
     return [Fraction(v, scale << k) for v in _butterflies(np.array(x[1])).tolist()]
@@ -316,7 +289,7 @@ def _cumulative(k: int, params: Params):
     scale = d0 * d ** (k - 1)
     table = np.empty((2, 1 << k), dtype=root.dtype)
     table[:, 0] = 0, scale
-    for m, x in enumerate(_levels(_tree_stream, k - 1, params)):
+    for m, x in _walk(_tree_stream, k - 1, params, math.inf):
         j = k - 1 - m
         table[:, 1 << j :: 2 << j] = x if d == 1 else x * d**j  # level m is over D0 D^m
     return table, scale

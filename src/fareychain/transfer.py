@@ -30,8 +30,9 @@ SR = [[r-1, rho], [r, rho]], (+) the block-diagonal sum):
                                                                 SR (+) [[r-1, r rho], [1, rho]]
     _matrix_stream   leaf matrices X        root L              rows of X times L, R
 
-Every leaf sum reads one depth-first walk of its stream (:func:`spinchain._walk`) in blocks
-of at most 2^13 columns, so large n costs time but only one block of memory per level.
+Every leaf sum reads the kernel's one walk of its stream (:func:`spinchain._walk`) depth first in blocks
+of at most 2^13 columns, so large n costs time but only one block of memory per level; extended_pairs
+reads its last level as a whole row.
 A series over n = 1 .. N sums a term per level of one walk.  Each quantity has one
 fast route, one independent oracle, and a check comparing the two (a
 ``verify transfer`` check, or a test of tests/test_transfer.py):
@@ -89,7 +90,7 @@ import numpy as np
 
 from .maps import involution_s
 from .rings import Params, csum_complex
-from .spinchain import FLOAT_TABLE_CAP, _generators, _last_level_sum, _last_table, _level_sums
+from .spinchain import FLOAT_TABLE_CAP, _entries, _generators, _last_level_sum, _level_sums, _scaled_levels
 
 BRUTE_CAP = 20
 ZETA_TOL = 1e-9  # fredholm_and_zeta's zeta is converged when its two routes and the last two ratios agree to this
@@ -176,7 +177,8 @@ def extended_pairs(n: int, params: Params) -> List[Tuple]:
     n = 1 is the root pair (1, 1); used by cross-construction checks
     against the reflected tree rows.
     """
-    return list(zip(*_last_table(_pair_stream, n - 1, params)))
+    (x, scale), = _scaled_levels(_pair_stream, n - 1, params, last=True)
+    return list(zip(*_entries(x, scale, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +450,9 @@ def periodic_sum_bruteforce(q: TransferQuery) -> complex:
 
 @dataclass(frozen=True)
 class FredholmZeta:
-    """det(1 - z P_s), det(1 - z P~_{s+1}), and the zeta function both ways."""
+    """det(1 - z P_s) and the zeta function both ways."""
 
-    z: complex
-    s: complex
-    r: float
-    truncation: int
     det: complex
-    det_signed_shift: complex
     zeta_exp: complex
     zeta_ratio: complex
     tail_estimate: float
@@ -517,10 +514,13 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> Fredholm
     converges for every z.  ``converged`` says that zeta is known to
     ZETA_TOL: the two routes agree and the determinant ratio has settled,
     |orbit sum - ratio| + |ratio_N - ratio_(N-1)| <= ZETA_TOL.
-    ValueError before any work as :func:`trace_sums` or for z not finite; ArithmeticError for exp overflow or det 0.
+    ValueError before any work as :func:`trace_sums`, for z not finite or for |z|^N beyond the float range;
+    ArithmeticError for exp overflow or det 0.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got z={z}")
+    if abs(z) > 1 and N * math.log(abs(z)) > _LOG_FLOAT_MAX:
+        raise ValueError(f"z={z}: |z|^N is beyond the float range at N={N}")
     tr = trace_sums(N, s, r)
     tr_signed = trace_sums(N, complex(s) + 1, r, signed=True)
     xi = [a - b for a, b in zip(tr, tr_signed)]
@@ -544,8 +544,7 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> Fredholm
     if fitted and fitted_prev:
         tail = max(abs(zeta_exp - cmath.exp(log_prev)), N * np.finfo(float).eps * abs(zeta_exp))
     return FredholmZeta(
-        z=z, s=s, r=r, truncation=N, det=det, det_signed_shift=det_sgn,
-        zeta_exp=zeta_exp, zeta_ratio=zeta_ratio, tail_estimate=tail,
+        det=det, zeta_exp=zeta_exp, zeta_ratio=zeta_ratio, tail_estimate=tail,
         converged=abs(zeta_exp - zeta_ratio) + abs(zeta_ratio - ratio_prev) <= ZETA_TOL,
     )
 
@@ -1070,6 +1069,8 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
     end plus the dim term, |log lambda_K| at RETURN_DIM points there (the Newton step's size), and the 2h term
     over the mean return time |d log lambda_K / d eps|; for mu_0, w plus what of log lambda_K(edge + w) at
     RETURN_DIM points, its change from SEARCH_DIM and the 2h term does not clear (the mean return time is >= 1).
+    tol bounds the absolute error of lambda_s; below about 1e-10 the dim term alone can exceed it (on an 11 x 12
+    grid of (r, s), at 5 of 132 points for tol 1e-11, 36 for 1e-14), and the call refuses, naming the term.
     ArithmeticError if lambda_s expm1(that) exceeds tol or lambda_s is below sys.float_info.min; ValueError,
     before any solve, for r outside [0, 1], an s that is complex or not finite, or a tol below 1e-14 or not finite.
     :func:`collocation_spectrum` is the oracle."""

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .rings import Params, RhoPoly
-from .spinchain import _entries, _generators, _last, _level_tables, _reflection, _scaled_levels, _tree_stream
+from .spinchain import _entries, _generators, _reflection, _scaled_levels, _tree_stream
 from .words import SpinWord, all_words, label
 
 # rho used only to order symbolic nodes; the order is the same for all
@@ -119,7 +119,8 @@ def build_rows(n: int, params: Params) -> List[TreeRow]:
     """Rows 1 .. n of the tree, from one walk down the recursions."""
     if n < 1:
         return []
-    return [_tree_row(k + 1, p, q) for k, (p, q) in enumerate(_level_tables(_tree_stream, n - 1, params))]
+    levels = _scaled_levels(_tree_stream, n - 1, params)
+    return [_tree_row(k + 1, *_entries(x, scale, params)) for k, (x, scale) in enumerate(levels)]
 
 
 def _tree_row(n: int, p: Sequence, q: Sequence) -> TreeRow:
@@ -199,7 +200,7 @@ def extended_row(n: int, params: Params) -> TreeRow:
     first, with values in (1, infinity); for r = 1 the rows of the classical Stern-Brocot tree appear."""
     if n < 1:
         raise ValueError("rows start at n = 1")
-    x, scale = _last(_scaled_levels(_tree_stream, n - 1, params, _reflection(params)))
+    (x, scale), = _scaled_levels(_tree_stream, n - 1, params, _reflection(params), last=True)
     return _tree_row(n, *_entries(x, scale, params))
 
 

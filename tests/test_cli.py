@@ -228,7 +228,7 @@ def test_conjugacy_records_stream(monkeypatch):
 
 def test_spin_refuses_a_mode_its_table_is_not_computed_in(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(spinchain, "_levels", lambda *a: built.append(a))  # every table is built by it
+    monkeypatch.setattr(spinchain, "_walk", lambda *a: built.append(a))  # every table is built by it
     for argv in (("--mode", "symbolic", "--table", "qhat"),
                  ("--mode", "symbolic", "--table", "interaction"),
                  ("--mode", "exact", "--r", "1/3", "--table", "interaction")):

@@ -5,6 +5,7 @@ level; these tests recompute every exact table and sum with Fractions
 directly, over rational r = a/b with 1 <= b <= 1000 and 0 <= a < 2b.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -134,7 +135,7 @@ def test_integer_levels_equal_fraction_products(name, r):
     d0, d = spinchain._integral(stream, params)[3:]
     assert d % r.denominator == 0
     columns = [root]
-    for level, x in enumerate(spinchain._levels(stream, 3, params)):
+    for level, x in spinchain._walk(stream, 3, params, math.inf):
         assert [[Fraction(v, d0 * d**level) for v in row] for row in x.tolist()] == [list(c) for c in zip(*columns)]
         assert all(type(v) is int for row in x.tolist() for v in row)
         first = [tuple(sum(m * v for m, v in zip(row, c)) for row in a) for c in columns]

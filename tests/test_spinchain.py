@@ -255,14 +255,19 @@ STREAMS = {
 }
 
 
+def _tables(stream, depth, params):
+    """Levels 0 .. depth of a stream as the tables return them."""
+    return (spinchain._entries(x, scale, params) for x, scale in spinchain._scaled_levels(stream, depth, params))
+
+
 @pytest.mark.parametrize("name", sorted(STREAMS))
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 def test_float_stream_equals_symbolic_stream(name, r):
     stream = STREAMS[name]
     rho = 2.0 - r
     evaluate = np.vectorize(lambda v: float(v(rho)), otypes=[float])
-    floats = spinchain._level_tables(stream, 8, Params.floating(r))
-    polys = spinchain._level_tables(stream, 8, SYM)
+    floats = _tables(stream, 8, Params.floating(r))
+    polys = _tables(stream, 8, SYM)
     for k, (fl, sym) in enumerate(zip(floats, polys)):
         sym = np.array(sym, dtype=object)
         assert fl.shape == sym.shape == (fl.shape[0], 1 << k)
@@ -282,7 +287,7 @@ def _products(root, children, flip, depth):
 
 
 def _decoded_levels_equal_products(stream, depth):
-    levels = list(spinchain._level_tables(stream, depth, SYM))
+    levels = list(_tables(stream, depth, SYM))
     assert levels == _products(*stream(SYM), depth)
     assert all(type(v) is RhoPoly and v.coeffs[-1:] != (0,) for level in levels for row in level for v in row)
     return levels
@@ -323,7 +328,7 @@ def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(spinchain, "_step", counted_step)
-    list(spinchain._levels(spinchain._tree_stream, 2, SYM))  # the tree stream's bound is 2 * 4^16 = 2^33
+    list(spinchain._walk(spinchain._tree_stream, 2, SYM, math.inf))  # the tree stream's bound is 2 * 4^16 = 2^33
     assert len(steps) == 2
     reflection = spinchain._reflection(SYM)  # I, and S with rows (1 - rho, rho), (2 - rho, rho - 1): sums 3 and 5
     assert spinchain._growth(reflection) == 5
@@ -334,5 +339,5 @@ def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
     one, three = RhoPoly((1,)), RhoPoly((0, 3))  # 2^32 * (1 + 3)^16 = 2^64 at the cap
     for root, (a, b) in (((2**32 * one,), (((one + three,),), ((one,),))), ((2**62 * one,), (((2 * one,),), ((one,),)))):
         with pytest.raises(ValueError, match="2\\^63"):
-            list(spinchain._levels(lambda params: (root, (a, b), False), 1, SYM))
+            list(spinchain._walk(lambda params: (root, (a, b), False), 1, SYM, math.inf))
     assert len(steps) == 7

@@ -230,7 +230,8 @@ def test_kernel_reflection_is_the_involution_per_vertex(params, n):
     r = params.r
     stream = spinchain._tree_stream
     mirrored = spinchain._scaled_levels(stream, n - 1, params, spinchain._reflection(params))
-    for (p, q), (x, scale) in zip(spinchain._level_tables(stream, n - 1, params), mirrored, strict=True):
+    for (x0, scale0), (x, scale) in zip(spinchain._scaled_levels(stream, n - 1, params), mirrored, strict=True):
+        p, q = spinchain._entries(x0, scale0, params)
         p2, q2 = spinchain._entries(x, scale, params)
         half = len(p)
         assert len(p2) == 2 * half and list(p2[:half]) == list(p) and list(q2[:half]) == list(q)

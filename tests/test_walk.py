@@ -17,6 +17,9 @@ test_transfer.py.
 
 import contextlib
 import io
+import math
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +93,21 @@ def test_chunked_walk_matches_whole_rows(r, s, n, block):
         assert abs(value - blocked[name][0][0]) <= value.error + 1e-13 * scale, (name, value, value.error)
 
 
+@pytest.mark.parametrize("width", [None, math.inf], ids=["default width", "whole rows"])
+@pytest.mark.parametrize("params", [Params.floating(0.5), Params.exact(Fraction(1, 3)), Params.symbolic()],
+                         ids=lambda p: p.mode)
+@pytest.mark.parametrize("stream", [spinchain._tree_stream, transfer._pair_stream, transfer._quad_stream,
+                                    transfer._matrix_stream], ids=lambda stream: stream.__name__)
+def test_walk_frees_each_level(stream, params, width):
+    """Once the walk yields a level and the caller holds no earlier one, no earlier level is alive: at depth 12
+    every level is one whole row at both widths, so the walk keeps at most the level it last yielded."""
+    levels = []
+    for level, x in spinchain._walk(stream, 12, params, width):
+        assert [j for j, ref in enumerate(levels) if ref() is not None] == [], level
+        levels.append(weakref.ref(x))
+    assert len(levels) == 13 and x.shape[1] == 1 << 12
+
+
 _finite = st.floats(-10.0, 10.0)
 _step = st.floats(1e-3, 10.0)
 _bad_grids = st.one_of(
@@ -133,6 +151,8 @@ _PATH_COMMANDS = (["code", "--r", "0.5", "--x", "0.3"], ["conjugacy", "--r", "0.
 @example(["tree", "--rows=18", "--mode", "symbolic"])
 @example(["tree", "--rows", "3", "--mode", "symbolic", "--r=0.5"])  # a symbolic row has no r to use
 @example(["tree", "--rows", "3", "--r", "0.5", "--adjacency", "--extended"])  # the adjacency JSON has no reflection
+@example(["zeta", "--z=1e100"])  # |z|^N past the float range: refused before the series
+@example(["tree", "--rows", "3", "--r=1/0"])  # not a number: refused before any row
 @given(st.one_of(
     _bad_grids.map(lambda g: ["thermo", "--r", "0.5", f"--s={g}", "--n", "4"]),
     _bad_grids.map(lambda g: ["phase", f"--r-grid={g}"]),
