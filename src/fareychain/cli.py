@@ -46,9 +46,9 @@ def _params(args) -> Params:
 
 
 def parse_values(spec: str, arg: str = "grid") -> List[float]:
-    """Parse '0.5', '0.5,1,2' or 'start:stop:step' (stop inclusive) given for `arg`.  A list
-    or grid that is not finite, cannot reach stop or has over thermo.SWEEP_CAP points raises
-    ValueError."""
+    """Parse '0.5', '0.5,1,2' or 'start:stop:step' given for `arg`: the last point is the last one not past
+    stop beyond the rounding of (stop - start) / step, 4 eps (|start| + |stop|) / |step|.  A list or grid that
+    is not finite, cannot reach stop or has over thermo.SWEEP_CAP points raises ValueError."""
     if ":" in spec:
         start, stop, step = (float(x) for x in spec.split(":"))
         if not all(math.isfinite(v) for v in (start, stop, step)) or step == 0:
@@ -56,9 +56,10 @@ def parse_values(spec: str, arg: str = "grid") -> List[float]:
         span = (stop - start) / step
         if span < 0:
             raise ValueError(f"{arg} {spec!r}: the step leads away from stop")
-        if not span < thermo.SWEEP_CAP - 0.5:  # round(span) + 1 points; also refuses an overflowed span
+        span += 4.0 * sys.float_info.epsilon * (abs(start) + abs(stop)) / abs(step)
+        if not span < thermo.SWEEP_CAP:  # floor(span) + 1 points; also refuses an overflowed span
             raise ValueError(f"{arg} {spec!r} has more than {thermo.SWEEP_CAP} points")
-        return [start + i * step for i in range(round(span) + 1)]
+        return [start + i * step for i in range(math.floor(span) + 1)]
     values = [float(x) for x in spec.split(",")]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{arg} {spec!r} has an entry that is not finite")

@@ -75,6 +75,9 @@ single n from the last level of the walk alone, so they cost no series.
 For a character e_m with integer m, e_m(1 - t) is the conjugate of e_m(t), so each vertex pair
 is the real phase 2 cos(2 pi m t), and non-integer m is rejected.  Float reductions use numpy's
 pairwise summation (scalar accumulations use compensated sums).
+
+Every entry that takes s decides its arithmetic once, where s enters (:func:`_real_or_complex`): s is a float
+where Im s = 0, so real s runs in float64 throughout, and a complex otherwise; every power is then base ** s.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class TransferQuery:
-    """Evaluation request: weight exponent s, parameter r, power n."""
+    """Evaluation request: weight exponent s (kept as :func:`_real_or_complex` gives it), parameter r, power n."""
 
     s: complex
     r: float
@@ -110,6 +113,7 @@ class TransferQuery:
     def __post_init__(self):
         if not cmath.isfinite(self.s):
             raise ValueError(f"s must be finite, got s={self.s}")
+        object.__setattr__(self, "s", _real_or_complex(self.s))
         if not 0 <= self.r < 2:
             raise ValueError("r must lie in [0, 2)")
         _require_leaf_n(self.n)
@@ -127,17 +131,10 @@ def _require_leaf_n(n: int) -> None:
         raise ValueError(f"n={n} exceeds {FLOAT_TABLE_CAP + 1}, the largest n of the leaf sums")
 
 
-def _cpow(base, expo):
-    """base**expo for positive real base and complex expo (principal branch)."""
-    if isinstance(expo, complex) and expo.imag == 0:
-        expo = expo.real
-    if isinstance(base, np.ndarray):
-        if isinstance(expo, complex):
-            return np.exp(expo * np.log(base))
-        return base**expo
-    if isinstance(expo, complex):
-        return cmath.exp(expo * math.log(base))
-    return base**expo
+def _real_or_complex(s: complex) -> float | complex:
+    """s as a float where Im s = 0, else as a complex: the one place an entry decides the arithmetic of s."""
+    s = complex(s)
+    return s if s.imag else s.real
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def apply_bruteforce(f: Callable, x: float, q: TransferQuery) -> complex:
     """
     if q.n > BRUTE_CAP:
         raise ValueError(f"n={q.n} exceeds the brute-force cap {BRUTE_CAP}")
-    r, rho, s, n = q.r, q.rho, complex(q.s), q.n
+    r, rho, s, n = q.r, q.rho, q.s, q.n
     terms = []
     for word in range(1 << n):
         y = x
@@ -237,17 +234,16 @@ def _vertex_sum(level, x: float, s: complex, r: float, pair: Optional[Callable])
     rho = 2.0 - r
     den = level[0] * (r * x) + rho * level[1]
     if pair is None:
-        return complex(2.0 * np.sum(_cpow(den, -2.0 * s)))
+        return complex(2.0 * np.sum(den ** (-2.0 * s)))
     values = pair((level[2] * x + rho * level[3]) / den)  # first: its temporaries are freed before the weights
-    return complex(np.sum(_cpow(den, -2.0 * s) * values))
+    return complex(np.sum(den ** (-2.0 * s) * values))
 
 
 def _iterate(x: float, q: TransferQuery, pair: Optional[Callable]) -> complex:
     """(P^n f)(x): rho^(ns) times the :func:`_vertex_sum` terms of pair over the last level of the walk."""
-    s = complex(q.s)
     stream = _pair_stream if pair is None else _quad_stream
-    total = _last_level_sum(stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, s, q.r, pair))
-    return _cpow(q.rho, q.n * s) * total
+    total = _last_level_sum(stream, q.n - 1, Params.floating(q.r), lambda b: _vertex_sum(b, x, q.s, q.r, pair))
+    return q.rho ** (q.n * q.s) * total
 
 
 class Estimate(complex):
@@ -274,8 +270,7 @@ def iterate_character(x: float, q: TransferQuery, m: int) -> Estimate:
     serves, else the walk, where each extended-row vertex contributes den^(-2s) 2 cos(2 pi m t) (:func:`_vertex_sum`,
     :func:`_character_pair`).  That needs integer m, so any other m raises ValueError."""
     pair = _character_pair(m)  # refuses a non-integer m on both routes
-    s = complex(q.s)
-    got = _operator_iterates(x, s, q.r, m, q.n, lambda T: T[-1:], _cpow(q.rho, q.n * s))
+    got = _operator_iterates(x, q.s, q.r, m, q.n, lambda T: T[-1:], q.rho ** (q.n * q.s))
     return Estimate(_iterate(x, q, pair), None, f"leaf walk ({got})") if isinstance(got, str) else got[0]
 
 
@@ -321,31 +316,30 @@ def _pair_trace_sums(n: int, r: float, term) -> list:
 def _trace_sum(roots, s: complex, signed: bool) -> complex:
     """The leaf terms of rho^(-n/2) trace(P^n), m_j^(2s-1) / r_j, summed over a block of :func:`_leaf_roots`."""
     m0, r0, m1, r1 = roots
-    term0, term1 = np.sum(_cpow(m0, 2.0 * s - 1.0) / r0), np.sum(_cpow(m1, 2.0 * s - 1.0) / r1)
+    term0, term1 = np.sum(m0 ** (2.0 * s - 1.0) / r0), np.sum(m1 ** (2.0 * s - 1.0) / r1)
     return complex(term0 - term1 if signed else term0 + term1)
 
 
 def _xi_sum(roots, s: complex) -> complex:
     """The leaf terms of Xi_n(s), m_j^(2s), summed over a block of :func:`_leaf_roots`."""
     m0, _r0, m1, _r1 = roots
-    return complex(np.sum(_cpow(m0, 2.0 * s)) + np.sum(_cpow(m1, 2.0 * s)))
+    return complex(np.sum(m0 ** (2.0 * s)) + np.sum(m1 ** (2.0 * s)))
 
 
-def _series_sigma(n: int, s: complex, r: float, method: str) -> complex:
-    """s as sigma for :func:`_return_series` (real where it is real), after refusing a non-finite s, r outside
+def _series_sigma(n: int, s: complex, r: float, method: str) -> float | complex:
+    """s as sigma for :func:`_return_series` (:func:`_real_or_complex`), after refusing a non-finite s, r outside
     [0, 2), n below 1, an unknown method and n above the cap of the route: SERIES_CAP for ``series``, the n of
     :func:`_require_leaf_n` for ``leaves``; all before any work."""
     if method not in ("series", "leaves"):
         raise ValueError(f"unknown method {method!r}")
-    TransferQuery(s, r, 1)  # validates s and r
+    sigma = TransferQuery(s, r, 1).s  # validates s and r
     if method == "leaves":
         _require_leaf_n(n)
     elif n < 1:
         raise ValueError("n must be >= 1")
     elif n > SERIES_CAP:
         raise ValueError(f"n={n} exceeds {SERIES_CAP}, the largest n of the first-return series")
-    s = complex(s)
-    return s if s.imag else s.real
+    return sigma
 
 
 def trace_sums(n: int, s: complex, r: float, signed: bool = False, method: str = "series") -> List[Estimate]:
@@ -363,7 +357,7 @@ def trace_sums(n: int, s: complex, r: float, signed: bool = False, method: str =
     if r >= 1:
         raise ValueError("traces require r < 1 (divergent as r -> 1)")
     if method == "leaves":
-        sums = _pair_trace_sums(n, r, lambda roots: _trace_sum(roots, complex(s), signed))
+        sums = _pair_trace_sums(n, r, lambda roots: _trace_sum(roots, sigma, signed))
         return [Estimate((2.0 - r) ** (k / 2.0) * total, None, "leaf walk") for k, total in enumerate(sums, 1)]
     k, L = np.arange(1, n + 1), math.log1p(1.0 - r)
     sign = -1 if signed else 1
@@ -385,7 +379,7 @@ def periodic_sums_xi(n: int, s: complex, r: float, method: str = "series") -> Li
     if r > 1:
         raise ValueError("periodic sums implemented for r <= 1")
     if method == "leaves":
-        sums = _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, complex(s)))
+        sums = _pair_trace_sums(n, r, lambda roots: _xi_sum(roots, sigma))
         return [Estimate(total, None, "leaf walk") for total in sums]
     head = np.exp(-np.arange(1, n + 1) * math.log1p(1.0 - r) * sigma)
     return _series_estimates(r, head, [(sigma, 1, 1), (sigma + 1, -1, 1)])
@@ -432,15 +426,13 @@ def _fixed_point_derivatives(q: TransferQuery):
 def trace_power_bruteforce(q: TransferQuery, signed: bool = False) -> complex:
     """Fixed-point oracle of :func:`trace_sums`: sum over branch words of
     |psi'(x*)|^s / (1 - psi'(x*)), odd words negated when `signed`."""
-    s = complex(q.s)
-    return csum_complex([(-1.0 if signed and odd else 1.0) * _cpow(abs(deriv), s) / (1.0 - deriv)
+    return csum_complex([(-1.0 if signed and odd else 1.0) * abs(deriv) ** q.s / (1.0 - deriv)
                          for odd, deriv in _fixed_point_derivatives(q)])
 
 
 def periodic_sum_bruteforce(q: TransferQuery) -> complex:
     """Periodic-point oracle of :func:`periodic_sums_xi`: sum over branch words of |psi'(x*)|^s."""
-    s = complex(q.s)
-    return csum_complex([_cpow(abs(deriv), s) for _odd, deriv in _fixed_point_derivatives(q)])
+    return csum_complex([abs(deriv) ** q.s for _odd, deriv in _fixed_point_derivatives(q)])
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +514,7 @@ def fredholm_and_zeta(z: complex, s: complex, r: float, N: int = 14) -> Fredholm
     if abs(z) > 1 and N * math.log(abs(z)) > _LOG_FLOAT_MAX:
         raise ValueError(f"z={z}: |z|^N is beyond the float range at N={N}")
     tr = trace_sums(N, s, r)
-    tr_signed = trace_sums(N, complex(s) + 1, r, signed=True)
+    tr_signed = trace_sums(N, s + 1, r, signed=True)
     xi = [a - b for a, b in zip(tr, tr_signed)]
     d = _newton_coefficients(tr)
     d_sgn = _newton_coefficients(tr_signed)
@@ -558,16 +550,16 @@ def trace_from_spectra(s: complex, r: float) -> complex:
     """trace(P_{s,r}) = sum mu_k + sum nu_k over the eigenvalues mu_k = rho^-(s+k)
     and nu_k = (-1)^k beta^(s+k), beta = 4 rho / (1 + sqrt(1 + 4 rho))^2, of two
     integral-operator families, summed in closed form."""
-    rho = 2.0 - r
+    s, rho = _real_or_complex(s), 2.0 - r
     beta = 4.0 * rho / (1.0 + math.sqrt(1.0 + 4.0 * rho)) ** 2
-    return _fixed_point_term(s, r) + _cpow(beta, s) / (1.0 + beta)
+    return _fixed_point_term(s, r) + beta**s / (1.0 + beta)
 
 
 def trace_closed_n1(s: complex, r: float) -> complex:
     """The closed n = 1 trace: rho^(1-s)/(rho-1) plus the branch-point term."""
-    rho = 2.0 - r
+    s, rho = _real_or_complex(s), 2.0 - r
     root = math.sqrt(1.0 + 4.0 * rho)
-    return _fixed_point_term(s, r) + _cpow(rho, s) / root * _cpow(2.0 / (1.0 + root), 2.0 * s - 1.0)
+    return _fixed_point_term(s, r) + rho**s / root * (2.0 / (1.0 + root)) ** (2.0 * s - 1.0)
 
 
 def _fixed_point_term(s: complex, r: float) -> complex:
@@ -683,12 +675,13 @@ def _dim_ladder(run: Callable[[int], tuple], products) -> Tuple[int, tuple, tupl
     return dim, out, check, change, term
 
 
-def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read: Callable[[np.ndarray], np.ndarray],
-                       factor: complex = 1.0) -> List[Estimate] | str:
-    """The Estimates factor read(T) of T_k = rho^(-k sigma) (P_sigma^k e_m)(x), k = 1 .. n, from the Chebyshev
-    compression, with their errors and the method "operator iterates, dim N"; or, where this route does not serve,
-    why: "r > 1", "x outside [0, 1]", "Re s < 0" or that its ladder topped out at dim 384.  read maps the n terms to
-    the values wanted (the last term, or the partial sums of a series), and the same read of S and A to their scales.
+def _operator_iterates(x: float, sigma: float | complex, r: float, m: int, n: int,
+                       read: Callable[[np.ndarray], np.ndarray], factor: complex = 1.0) -> List[Estimate] | str:
+    """The Estimates factor read(T) of T_k = rho^(-k sigma) (P_sigma^k e_m)(x), k = 1 .. n, sigma as
+    :func:`_real_or_complex` gives it, from the Chebyshev compression, with their errors and the method "operator
+    iterates, dim N"; or, where this route does not serve, why: "r > 1", "x outside [0, 1]", "Re s < 0" or that its
+    ladder topped out at dim 384.  read maps the n terms to the values wanted (the last term, or the partial sums of a
+    series), and the same read of S and A to their scales.
 
     One run of :func:`_log_iterates` carries f_0 = cos(2 pi m y) at sigma (P_sigma kills the odd part i sin(2 pi m y)
     of e_m, so their iterates agree from k = 1 on) beside f_0 = 1 at Re sigma, whose S_k = rho^(-k Re sigma)
@@ -697,12 +690,11 @@ def _operator_iterates(x: float, sigma: complex, r: float, m: int, n: int, read:
     floored at (n + 1) eps read(max(dim S, A)): where S varies steeply across the nodes, the rounding of the read-out
     scales with the magnitude A_k of :func:`_log_iterates`, which the change between two dims can miss.  For Re sigma
     < 0 even that floor under-reports the rounding (13x at sigma = -23, r = 1, n = 13), so they walk."""
-    sigma = complex(sigma)
     reason = "r > 1" if r > 1 else "x outside [0, 1]" if not 0 <= x <= 1 else "Re s < 0" if sigma.real < 0 else ""
     if reason:
         return reason
     k = 2 if m or sigma.imag else 1  # the e_m column, unless it is the f = 1 column
-    sigmas = np.array([sigma.real, sigma if sigma.imag else sigma.real][:k])
+    sigmas = np.array([sigma.real, sigma][:k])
     two_pi_m = np.array([0.0, 2.0 * math.pi * m][:k])
 
     def run(dim):
@@ -872,7 +864,6 @@ class _ReturnOperator(NamedTuple):
 
     log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
     rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
-    log_dm: np.ndarray  # (dim,): log D_M(x_i)
     vander: np.ndarray  # (dim, dim): t_i^p, t = x_i / D_M
     lam: np.ndarray  # (dim,)
     log_rho: np.ndarray  # (): L
@@ -885,18 +876,12 @@ class _ReturnOperator(NamedTuple):
     taylor: np.ndarray  # (dim, dim): :func:`_taylor_basis`
 
 
-def _tail_rule(eps: float) -> Tuple[float, float]:
-    """(cut, step) of the tail integral at eps.  cut is the v past which e^(-eps m) < 1/e at every x_i,
-    log1p(1 / ((M + 1) eps)) rounded up to a half (m - M = expm1(v) / t while D_m grows linearly, t <= 1 / (M + 1)),
-    inf for eps <= 0.  step is RETURN_STEP at eps = 0, where s_cr is rooted, and RETURN_STEP_EPS otherwise."""
-    x = (RETURN_DIRECT + 1) * eps
-    cut = math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
-    return cut, RETURN_STEP_EPS if eps else RETURN_STEP
-
-
-def _return_operator(r: float, dim: int, cut: float = math.inf, step: float = RETURN_STEP) -> _ReturnOperator:
-    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1], read-only, cached per (r, dim, split, step), step the
-    h of the tail rules: every cut >= the split v* shares the operator of cut = inf (all cuts for r <= 0.97, r = 1).
+def _return_operator(r: float, dim: int, eps: float = 0.0) -> _ReturnOperator:
+    """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1] for the weight e^(-eps m), read-only, cached per
+    (r, dim, split, step), with the tail rules' cut and step h taken from eps: cut is the v past which e^(-eps m) < 1/e
+    at every x_i, log1p(1 / ((M + 1) eps)) rounded up to a half (m - M = expm1(v) / t while D_m grows linearly,
+    t <= 1 / (M + 1)), inf for eps <= 0; h is RETURN_STEP at eps = 0, where s_cr is rooted, and RETURN_STEP_EPS
+    otherwise.  Every cut >= the split v* shares the operator of cut = inf (all cuts for r <= 0.97, r = 1).
 
     With D_m = D_m(x_i), M = RETURN_DIRECT, t = x_i / D_M and L = log rho, the terms m < M + 16 enter
     one by one, Gregory's end weights from M on.  They stand in for the sum from M with the integral from
@@ -905,9 +890,12 @@ def _return_operator(r: float, dim: int, cut: float = math.inf, step: float = RE
     polynomial in t e^(-v) is exact and, as t <= 1/(M + 1), well conditioned, so the integral needs only
     the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i (:func:`_tail_nodes`).  They split at
     v* = log(lam / L), where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if
-    lam <= L, and at r = 1, where the first form holds throughout), or at cut if that is lower (:func:`_tail_rule`):
-    past it a weight e^(-eps m) kills the integrand double-exponentially, faster than tanh-sinh resolves.
+    lam <= L, and at r = 1, where the first form holds throughout), or at cut if that is lower: past it the weight
+    e^(-eps m) kills the integrand double-exponentially, faster than tanh-sinh resolves.
     """
+    x = (RETURN_DIRECT + 1) * eps
+    cut = math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
+    step = RETURN_STEP_EPS if eps else RETURN_STEP
     op = _collocate_return(r, dim, math.inf, step)
     return op if op.split <= cut else _collocate_return(r, dim, cut, step)
 
@@ -921,10 +909,9 @@ def _collocate_return(r: float, dim: int, cut: float, step: float) -> _ReturnOpe
     lam = r * t * (L / delta if delta else 1.0)
     split = min(math.log(r * t[dim // 2] / delta), cut) if r * t[dim // 2] > delta > 0 else 0.0
     v, weights, even, powers = _tail_nodes(split, step, dim)
-    return _ReturnOperator(*_read_only(np.log(D), rows, np.log(D[:, RETURN_DIRECT - 1]),
-                                       np.vander(t, dim, increasing=True), lam, np.array(L), np.array(split), v,
-                                       weights, weights / (L + np.outer(lam, np.exp(-v))), even, powers,
-                                       _taylor_basis(dim)))
+    return _ReturnOperator(*_read_only(np.log(D), rows, np.vander(t, dim, increasing=True), lam, np.array(L),
+                                       np.array(split), v, weights, weights / (L + np.outer(lam, np.exp(-v))), even,
+                                       powers, _taylor_basis(dim)))
 
 
 def _tail_m(op: _ReturnOperator) -> Tuple[np.ndarray, np.ndarray]:
@@ -943,11 +930,10 @@ def _return_terms(op: _ReturnOperator, s: float, eps: float = 0.0):
     For r < 1 the tail integrand decays like h e^(-(a + p) v), h = D_M^(-s) e^(-eps (M + u_line)) / L
     (:func:`_tail_m`), a = s + eps / L, which the nodes integrate to rounding for a >= 1/2.  Below that (eps < 0,
     toward the edge a = 0, where the terms' sum diverges) edge = (h, a + p, e^(-(a + p) v)) (:func:`_tail_moments`)."""
-    u, u_line = _tail_m(op) if eps else (0.0, 0.0)  # eps = 0 (s_cr): no shifted exponent arrays are built
-    a = _POINT_WEIGHTS * np.exp(-s * op.log_d - eps * _POINT_M if eps else -s * op.log_d)
-    # e^(-eps M) joins D_M^(-s), so that e^(-eps u) stays finite
-    scale = np.exp(-s * op.log_dm - eps * RETURN_DIRECT if eps else -s * op.log_dm)
-    b = op.tail * np.exp(-s * op.v - eps * u if eps else -s * op.v) * scale[:, None]
+    u, u_line = _tail_m(op) if eps else (0.0, 0.0)  # eps = 0 (s_cr): the exponents of b stay (P,), not (dim, P)
+    a = _POINT_WEIGHTS * np.exp(-s * op.log_d - eps * _POINT_M)
+    scale = np.exp(-s * op.log_d[:, RETURN_DIRECT - 1] - eps * RETURN_DIRECT)  # e^(-eps M): e^(-eps u) stays finite
+    b = op.tail * np.exp(-s * op.v - eps * u) * scale[:, None]
     L, edge = float(op.log_rho), None
     if L and s + eps / L < 0.5:
         decay = s + eps / L + np.arange(len(scale))
@@ -985,7 +971,7 @@ def _search_log_lambda(s: float, r: float, eps: float = 0.0) -> float:
     root at eps = 0 and g = log lambda_sigma - sigma log rho the root in eps (:func:`spectral_radius`).
     The functions live away from the neutral fixed point and stay analytic as r -> 1, so one size serves
     all of r in [0, 1] (2 sigma > 1 at r = 1, eps = 0, where K_1 is the Gauss-map operator, lambda_K = 1)."""
-    K = _return_matrix(_return_operator(float(r), SEARCH_DIM, *_tail_rule(eps)), s, eps)
+    K = _return_matrix(_return_operator(float(r), SEARCH_DIM, eps), s, eps)
     return math.log(float(np.max(np.linalg.eigvals(K).real)))
 
 
@@ -999,7 +985,7 @@ def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, flo
     K_2h, whose form is lambda_K by the 2h rule to first order in K_2h - K (~1e-8 relative), so to rounding.  No X is
     built: the point terms act on v as rows @ v, the tail's moments through taylor.T @ v.  The mean return time is
     infinite at r = 1, eps = 0, where sum_m m D_m^(-s) diverges for s <= 2 = s_cr."""
-    op = _return_operator(float(r), RETURN_DIM, *_tail_rule(eps))
+    op = _return_operator(float(r), RETURN_DIM, eps)
     K, a, b, edge = _return_terms(op, s, eps)
     vals, vectors = np.linalg.eig(K)
     j = int(np.argmax(vals.real))
@@ -1014,7 +1000,8 @@ def return_root(s: float, r: float, eps: float = 0.0) -> Tuple[float, float, flo
     if r < 1 or eps:
         u, u_line = _tail_m(op)  # a node stands for the terms around m = M + u, u = u_line + v / L + ...
         mean = float(form(_POINT_M, u + RETURN_DIRECT, 1.0, RETURN_DIRECT + u_line, 1 / L if L else 0.0) / norm)
-    d_log = float(form(-op.log_d, -np.add.outer(op.log_dm, op.v), 1.0, -op.log_dm, -1.0) / norm)
+    log_dm = op.log_d[:, RETURN_DIRECT - 1]
+    d_log = float(form(-op.log_d, -np.add.outer(log_dm, op.v), 1.0, -log_dm, -1.0) / norm)
     return math.log(lam), d_log, mean, abs(math.log(form(1.0, op.even, op.even) / norm))
 
 
@@ -1078,9 +1065,9 @@ def spectral_radius(s: float, r: float, tol: float = 1e-10) -> SpectralRadius:
         raise ValueError(f"the spectral radius is computed for r in [0, 1], got r={r}")
     if not 1e-14 <= tol < math.inf:  # lambda is not resolved much below rounding
         raise ValueError(f"tol={tol} must be finite and at least 1e-14")
-    if complex(s).imag != 0 or not cmath.isfinite(s):
+    s, L = _real_or_complex(s), math.log1p(1.0 - r)
+    if isinstance(s, complex) or not math.isfinite(s):
         raise ValueError(f"spectral radius is defined here for real finite s, got s={s}")
-    s, L = complex(s).real, math.log1p(1.0 - r)
     edge, top = -2.0 * s * L, math.log(2.0) + 0.25 + max(0.0, 2.0 * s * (L - math.log(2.0)))
     g_tol = float(np.logaddexp(0.0, math.log(tol) - edge - top - s * L))  # log1p(tol / U), U = e^(edge + top + sL)
     width = max(min(g_tol / 4.0, 1 / 16), 8.0 * math.ulp(abs(edge) + top))

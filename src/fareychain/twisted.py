@@ -25,7 +25,7 @@ import numpy as np
 
 from .rings import Params
 from .spinchain import _level_sums, _tree_stream
-from .transfer import Estimate, _character_pair, _operator_iterates, _require_leaf_n
+from .transfer import Estimate, _character_pair, _operator_iterates, _real_or_complex, _require_leaf_n
 
 SIEVE_CAP = 1 << 20  # the largest q or Q that phi, mu and the Dirichlet partials serve
 
@@ -143,7 +143,7 @@ def dirichlet_partial(m: int, s: float, Q: int) -> Tuple[float, float]:
     return total, tail
 
 
-def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transfer") -> List[Estimate]:
+def twisted_sums(n: int, s: complex, m: int, params: Params, method: str = "transfer") -> List[Estimate]:
     """[Z_1^(m)(s), ..., Z_n^(m)(s)], where Z_n^(m)(s) = sum over tree vertices of q^(-s) e^(2 pi i m p/q)
     (the vertex 1/1 contributes 1), each an :class:`transfer.Estimate` naming its route.
 
@@ -157,7 +157,7 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transf
     _require_leaf_n(n)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got s={s}")
-    r = params.as_float().r_float
+    s, r = _real_or_complex(s), params.as_float().r_float
     if method == "transfer":
         _character_pair(m)  # refuses a non-integer m
         # Z_k = 1 + (1/2) sum_{j<=k} T_j: the leading 1 and the k = 0 term e_m(1) = 1, halved
@@ -171,6 +171,6 @@ def twisted_sums(n: int, s: float, m: int, params: Params, method: str = "transf
         raise ValueError(f"unknown method {method!r}")
     two_pi_m = 2j * math.pi * m
     rows = _level_sums(_tree_stream, n - 1, Params.floating(r),
-                       lambda _level, x: complex(np.sum(x[1] ** (-float(s)) * np.exp(two_pi_m * (x[0] / x[1])))))
+                       lambda _level, x: complex(np.sum(x[1] ** (-s) * np.exp(two_pi_m * (x[0] / x[1])))))
     return [Estimate(z, None, route) for z in accumulate(rows, initial=1.0 + 0.0j)][1:]
 

@@ -29,12 +29,24 @@ def test_parse_values():
     assert parse_values("1:0:-0.5") == [1.0, 0.5, 0.0]
     assert parse_values("0.5:0.5:1") == [0.5]
     assert len(parse_values(f"1:{thermo.SWEEP_CAP}:1")) == thermo.SWEEP_CAP
+    # the last point is the last one not past stop: round(3.85) = 4 steps of 0.26 would reach 1.04
+    assert parse_values("0:1:0.26") == pytest.approx([0.0, 0.26, 0.52, 0.78])
+    assert parse_values("1:0:-0.26") == pytest.approx([1.0, 0.74, 0.48, 0.22])
+    # a span that rounds just below a whole number still reaches stop
+    for spec, count in (("0:1:0.1", 11), ("0:1:0.05", 21), ("0.1:0.7:0.2", 4), ("1000.1:1000.7:0.2", 4)):
+        grid = parse_values(spec)
+        assert len(grid) == count and grid[-1] == pytest.approx(float(spec.split(":")[1]), abs=1e-12), (spec, grid)
+    assert parse_values("0:1:0.1")[-1] == 1.0
 
 
 def test_parse_values_rejects_bad_grids_before_building():
-    for spec in ("0.5:0.1:0.1", "1:0:0.1", "0:1:-0.1", "0:1:0", "0:inf:1", "nan:1:0.1", "0:1:inf",
-                 "0:1e9:1", f"0:{thermo.SWEEP_CAP}:1", "-1e308:1e308:1e-300"):
+    for spec in ("0:1:0", "0:inf:1", "nan:1:0.1", "0:1:inf", "0:1e9:1", f"0:{thermo.SWEEP_CAP}:1",
+                 "-1e308:1e308:1e-300"):
         with pytest.raises(ValueError):
+            parse_values(spec)
+    # the sign is read before the rounding slack, which overflows here
+    for spec in ("0.5:0.1:0.1", "1:0:0.1", "0:1:-0.1", "1e308:-1e308:1"):
+        with pytest.raises(ValueError, match="leads away from stop"):
             parse_values(spec)
 
 

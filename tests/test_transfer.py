@@ -75,14 +75,17 @@ def test_character_matches_bruteforce():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.3), st.builds(complex, st.floats(-1.0, 2.5), st.floats(-1.5, 1.5)), st.integers(-5, 5),
        st.integers(1, 10), st.floats(0.0, 1.0))
+@example(0.0, -1 + 0j, 1, 9, 0.0)  # exactly 0, from 512 terms of total modulus 2^18: both routes read rounding
 def test_iterates_match_bruteforce_across_the_route_switch(r, s, m, n, x):
-    # the Chebyshev compression on r in [0, 1] with Re s >= 0, the leaf walk for r > 1 or Re s < 0
+    # the Chebyshev compression on r in [0, 1] with Re s >= 0, the leaf walk for r > 1 or Re s < 0; besides the
+    # relative 1e-11, either route may round by n eps times the total modulus of the terms, (P^n_(Re s) 1)(x)
     q = TransferQuery(s, r, n)
     route = "leaf walk (r > 1)" if r > 1 else "leaf walk (Re s < 0)" if s.real < 0 else "operator iterates, dim"
+    rounding = n * np.finfo(float).eps * abs(transfer.apply_bruteforce(lambda y: 1.0, x, TransferQuery(s.real, r, n)))
     for f, value in ((lambda y: 1.0, transfer.iterate_one(x, q)),
                      (lambda y: cmath.exp(2j * math.pi * m * y), transfer.iterate_character(x, q, m))):
         bf = transfer.apply_bruteforce(f, x, q)
-        assert abs(value - bf) <= 1e-11 * max(abs(bf), 1.0), (value, value.method, bf)
+        assert abs(value - bf) <= 1e-11 * max(abs(bf), 1.0) + rounding, (value, value.method, bf)
         assert value.method.startswith(route), value.method
 
 
@@ -417,7 +420,7 @@ def test_spectral_radius_at_the_farey_map():
         assert res.method.startswith("fixed point 0") and abs(res.value - 1.0) <= res.error <= 1e-10
     res = transfer.spectral_radius(0.75, 1.0)
     assert abs(res.value - transfer._collocation_lambda(0.75, 1.0, 384)) <= res.error + 1e-14
-    # toward it the weight e^(-eps m) cuts the tail early in the long tanh-sinh split (transfer._tail_rule)
+    # toward it the weight e^(-eps m) cuts the tail early in the long tanh-sinh split (transfer._return_operator)
     for r in (1.0 - 1e-6, 1.0 - 1e-10):
         assert abs(transfer.spectral_radius(0.9, r).value - transfer.spectral_radius(0.9, 1.0).value) <= 1e-5
 
@@ -470,7 +473,7 @@ def _dim16_log_lambda(s, r, tol):
     floor = 8.0 * math.ulp(abs(edge) + top)
     width = max(min(g_tol / 4.0, 1 / 16), floor)
 
-    g = lambda eps: _log_lambda16(transfer._return_operator(r, 16, *transfer._tail_rule(eps)), 2.0 * s, eps)
+    g = lambda eps: _log_lambda16(transfer._return_operator(r, 16, eps), 2.0 * s, eps)
     g_w = lambda w: g(edge + math.exp(w))
     lo, hi = math.log(width), math.log(top)
     g_lo = g_w(lo)
@@ -511,20 +514,28 @@ def test_return_operator_is_keyed_by_its_split(monkeypatch):
     # the eps cut of the tail rules enters the operator only through its split min(v*, cut), and v* = 0 for r <= 0.97
     # and at r = 1: there one spectral_radius call builds one operator per (dim, step) it uses, not one per cut, and
     # its value and error are those of building one per cut
+    def cut(eps):  # the tail rule of transfer._return_operator
+        x = (transfer.RETURN_DIRECT + 1) * eps
+        return math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
+
+    def step(eps):
+        return transfer.RETURN_STEP_EPS if eps else transfer.RETURN_STEP
+
     keyed = transfer._return_operator
     for r, s in ((0.5, 0.5), (1.0, 0.75)):
         uses = []
 
-        def record(r, dim, cut=math.inf, step=transfer.RETURN_STEP):
-            uses.append((dim, cut, step))
-            return keyed(r, dim, cut, step)
+        def record(r, dim, eps=0.0):
+            uses.append((dim, cut(eps), step(eps)))
+            return keyed(r, dim, eps)
 
         transfer._collocate_return.cache_clear()
         monkeypatch.setattr(transfer, "_return_operator", record)
         res = transfer.spectral_radius(s, r)
         builds = transfer._collocate_return.cache_info().misses
-        assert builds == len({(dim, step) for dim, _cut, step in uses}) < len(set(uses)), (r, s, uses)
-        monkeypatch.setattr(transfer, "_return_operator", transfer._collocate_return.__wrapped__)  # a build per call
+        assert builds == len({(dim, h) for dim, _cut, h in uses}) < len(set(uses)), (r, s, uses)
+        per_cut = lambda r, dim, eps=0.0: transfer._collocate_return.__wrapped__(r, dim, cut(eps), step(eps))
+        monkeypatch.setattr(transfer, "_return_operator", per_cut)  # a build per call, at its own cut
         assert transfer.spectral_radius(s, r) == res, (r, s)
 
 
@@ -542,8 +553,8 @@ def test_return_root_forms_match_independent_routes(r):
     L = math.log1p(1.0 - r)
     for s in (1.1, 1.5):
         for eps in (0.0, 0.01) + (((0.05 - s) * L,) if L else ()):  # s + eps / L = 1/20: the edge's exact terms count
-            cut, step = transfer._tail_rule(eps)
-            op = transfer._return_operator(r, 16, cut, step)
+            op = transfer._return_operator(r, 16, eps)
+            step = transfer.RETURN_STEP_EPS if eps else transfer.RETURN_STEP
             _log_lambda, d_log, mean, step_term = transfer.return_root(s, r, eps)
             a = s + eps / L if L else math.inf  # the steps stay well inside the distance a to the edge
             d_s = _central_difference(lambda x: _log_lambda16(op, x, eps), s, 2e-3 * min(0.5, a))
@@ -554,7 +565,7 @@ def test_return_root_forms_match_independent_routes(r):
                 assert abs(-d_eps - mean) <= 1e-7 * mean, (r, s, eps, -d_eps, mean)
             else:
                 assert mean == math.inf
-            coarse = transfer._return_operator(r, 16, cut, 2.0 * step)
+            coarse = transfer._collocate_return(r, 16, float(op.split), 2.0 * step)  # the same split at step 2h
             two = abs(_log_lambda16(coarse, s, eps) - _log_lambda16(op, s, eps))
             assert abs(step_term - two) <= 1e-14 + two**2, (r, s, eps, step_term, two)
             nodes = transfer._tail_nodes(float(op.split), step, 16)  # cached, so read-only
@@ -682,6 +693,41 @@ def test_query_validation():
     for s in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)):
         with pytest.raises(ValueError, match="s must be finite"):
             TransferQuery(s, 0.5, 3)
+
+
+def _entries(s, r):
+    """The value of every public entry that takes s, at s and r in [0, 1), n = 6, by name."""
+    from fareychain import twisted
+
+    q, p, f = TransferQuery(s, r, 6), Params.floating(r), lambda y: 1.0 + y * y
+    entries = {
+        "iterate_one": lambda: transfer.iterate_one(0.3, q),
+        "iterate_character": lambda: transfer.iterate_character(0.3, q, 2),
+        "iterate_general": lambda: transfer.iterate_general(f, 0.3, s, r, 5),
+        "apply_bruteforce": lambda: transfer.apply_bruteforce(f, 0.3, q),
+        "trace_power_bruteforce": lambda: transfer.trace_power_bruteforce(q, signed=True),
+        "periodic_sum_bruteforce": lambda: transfer.periodic_sum_bruteforce(q),
+        "trace_closed_n1": lambda: transfer.trace_closed_n1(s, r),
+        "trace_from_spectra": lambda: transfer.trace_from_spectra(s, r),
+    }
+    for method in ("series", "leaves"):
+        entries[f"trace_sums {method}"] = lambda method=method: transfer.trace_sums(6, s, r, True, method)
+        entries[f"periodic_sums_xi {method}"] = lambda method=method: transfer.periodic_sums_xi(6, s, r, method)
+    for method in ("transfer", "rows"):
+        entries[f"twisted_sums {method}"] = lambda method=method: twisted.twisted_sums(6, s, 1, p, method)
+    got = {name: call() for name, call in entries.items()}
+    return {name: [(complex(v), getattr(v, "error", None), getattr(v, "method", None))
+                   for v in (value if isinstance(value, list) else [value])] for name, value in got.items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-1.0, 3.0), st.floats(0.0, 0.99))
+def test_real_s_given_as_complex_takes_the_float_arithmetic(a, r):
+    # each entry decides the arithmetic of s where it enters: s = a + 0j is s = a, bit for bit, with the same error
+    # and route
+    real, as_complex = _entries(a, r), _entries(complex(a, 0.0), r)
+    for name, got in as_complex.items():
+        assert got == real[name], (name, got, real[name])
 
 
 def test_non_finite_s_and_z_rejected_before_work(monkeypatch):

@@ -199,3 +199,17 @@ def test_topped_out_ladder_falls_back_to_the_rows():
     values, rows = (twisted.twisted_sums(20, 18.0, 1, p, method) for method in ("transfer", "rows"))
     assert all(v.method == "tree-row sum (the operator ladder topped out at dim 384)" for v in values)
     assert values == rows and all(v.error is None for v in values)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0])
+@pytest.mark.parametrize("s", [1.5 + 0.5j, 2.4 - 1j])
+def test_twisted_routes_agree_at_complex_s(r, s):
+    # the tree rows read q^(-s) at complex s as well: the oracle of the operator route, within that route's error
+    p = Params.floating(r)
+    values, rows = (twisted.twisted_sums(14, s, 2, p, method) for method in ("transfer", "rows"))
+    for value, row in zip(values, rows):
+        assert value.method.startswith("operator iterates, dim") and row.method == "tree-row sum", value.method
+        assert abs(value - row) <= value.error, (value, row, value.error)
+    fallback = twisted.twisted_sums(14, s, 2, Params.floating(1.3))
+    assert all(value.method == "tree-row sum (r > 1)" for value in fallback)
+    assert fallback == twisted.twisted_sums(14, s, 2, Params.floating(1.3), "rows")
