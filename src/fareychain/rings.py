@@ -7,7 +7,7 @@ Three arithmetic modes back every computation:
   identities in rho, so this mode turns tolerance checks into exact
   equality checks.  The two-child kernel runs them as ints, each packed
   as its value at rho = 2^64, and decodes a table's coefficients from
-  the base-2^64 digits (:func:`spinchain._entries`).
+  the base-2^64 digits (:func:`spinchain._digits`).
 * ``"exact"`` -- :class:`fractions.Fraction` arithmetic at a rational
   value of r.
 * ``"float"`` -- plain ``float`` / numpy ``float64``, used for the large

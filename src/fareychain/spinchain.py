@@ -21,9 +21,9 @@ first half and B x in its second, for fixed child matrices (A, B) over
 the ring of the mode: float64, or ints, in exact mode level j scaled by
 D0 D^j, in symbolic mode each polynomial packed as its value at rho = 2^64
 (_integral); in flip order the second half is written reversed.  The exact
-tables divide once per entry, the symbolic ones decode each table's base-2^64
-digits to RhoPolys (_entries).  With L = [[1, 0], [r, rho]],
-R = [[1, rho], [0, rho]] and SR = [[r-1, rho], [r, rho]]:
+tables divide once per entry; the symbolic ones read each table's base-2^64
+digits (_digits) as RhoPolys (_entries), tree.row_records as texts.  With
+L = [[1, 0], [r, rho]], R = [[1, rho], [0, rho]], SR = [[r-1, rho], [r, rho]]:
 
     tree rows (p, q)    root (1, 2)         L, SR               flip
     extended rows       root (1, 1)         R, SR               branch
@@ -127,24 +127,29 @@ def _ring(matrices, params: Params):
 def _entries(rows, scale: int, params: Params):
     """A level's rows as the tables return them: float arrays as they are, others as lists, in
     exact mode of Fractions, the integer numerators over `scale` divided once per entry, in symbolic
-    mode of RhoPolys, one per distinct packed value, decoded from its base-2^64 digits at once."""
+    mode of RhoPolys, one per distinct packed value, built from its row of :func:`_digits`."""
     if params.mode == "float":
         return rows
     rows = rows.tolist()
     if params.mode == "exact":
         return [[Fraction(v, scale) for v in row] for row in rows]
     polys = dict.fromkeys(v for row in rows for v in row)
-    # every coefficient is in (-2^63, 2^63), so a value of bit length b has at most b // 64 + 1 digits;
-    # adding 2^63 to each digit makes them all nonnegative, uint64 bytes numpy reads in one pass
-    width = max(map(abs, polys)).bit_length() // 64 + 1
-    shift = _HALF_DIGIT * (_DIGIT**width - 1) // (_DIGIT - 1)
-    data = b"".join((v + shift).to_bytes(8 * width, "little") for v in polys)
-    digits = (np.frombuffer(data, np.uint64).reshape(-1, width) - np.uint64(_HALF_DIGIT)).view(np.int64)
-    lengths = width - np.argmax(digits[:, ::-1] != 0, axis=1)
+    digits = _digits(polys)
+    lengths = digits.shape[1] - np.argmax(digits[:, ::-1] != 0, axis=1)
     lengths[~digits.any(axis=1)] = 0
     for v, coeffs, n in zip(polys, digits.tolist(), lengths.tolist()):
         polys[v] = RhoPoly._stripped(tuple(coeffs[:n]))
     return [[polys[v] for v in row] for row in rows]
+
+
+def _digits(values) -> np.ndarray:
+    """The base-2^64 digits of packed symbolic values, one int64 row per value: its coefficients of rho^0, rho^1, ..."""
+    # every coefficient is in (-2^63, 2^63), so a value of bit length b has at most b // 64 + 1 digits;
+    # adding 2^63 to each digit makes them all nonnegative, uint64 bytes numpy reads in one pass
+    width = max(map(abs, values)).bit_length() // 64 + 1
+    shift = _HALF_DIGIT * (_DIGIT**width - 1) // (_DIGIT - 1)
+    data = b"".join((v + shift).to_bytes(8 * width, "little") for v in values)
+    return (np.frombuffer(data, np.uint64).reshape(-1, width) - np.uint64(_HALF_DIGIT)).view(np.int64)
 
 
 def _combine(row, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -180,17 +185,19 @@ def _step(x: np.ndarray, children, flip: bool) -> np.ndarray:
     return out
 
 
-def _walk(stream, depth: int, params: Params, width=None) -> Iterator[Tuple[int, np.ndarray]]:
+def _walk(stream, depth: int, params: Params, width=None, integral=None) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (level, block) for levels 0 .. depth of a stream, depth first, in the ring of :func:`_integral`.
 
     ``stream(params)`` gives (root, (A, B), flip).  A block of `width` (by default 2^_BLOCK_LEVELS) or more
     columns is split into its column halves before its step, and each half's subtree is walked before the next,
     so the stack holds one pending half per level; with width math.inf every level comes whole and in order.
     A level's blocks permute its columns, so sums over them change only by rounding.  The table cap of the mode
-    is checked before the first level; a yielded block is held no longer than its pending halves.
+    is checked before the first level, unless the caller, having checked it, hands over its own :func:`_integral`
+    of the stream as `integral`; a yielded block is held no longer than its pending halves.
     """
-    _check_cap(depth, params)
-    x, children, flip, _d0, _d = _integral(stream, params)
+    if integral is None:
+        _check_cap(depth, params)
+    x, children, flip, _d0, _d = integral or _integral(stream, params)
     width = width or 1 << _BLOCK_LEVELS
     yield 0, x
     stack = [(1, x)] if depth else []  # (level, the block of level - 1 that steps to it)
@@ -221,9 +228,9 @@ def _scaled_levels(stream, depth: int, params: Params, after=None, last=False) -
     :func:`_step` by them and is over D0 D^j D_a, D_a their scale.  The table cap and the packing bound, with that
     step, are checked before this returns."""
     _check_cap(depth, params)
-    d0, d = _integral(stream, params, after)[3:]
+    _root, _children, _flip, d0, d = integral = _integral(stream, params, after)
     after, da = _ring(after, params) if after else (None, 1)
-    levels = _walk(stream, depth, params, math.inf)
+    levels = _walk(stream, depth, params, math.inf, integral)
     return ((x if after is None else _step(x, after, True), d0 * d**j * da)
             for j, x in (islice(levels, depth, None) if last else levels))
 
@@ -285,11 +292,11 @@ def _cumulative(k: int, params: Params):
     if k < 1:
         raise ValueError("cumulative tables start at k = 1")
     _check_cap(k, params)
-    root, _children, _flip, d0, d = _integral(_tree_stream, params)
+    root, _children, _flip, d0, d = integral = _integral(_tree_stream, params)
     scale = d0 * d ** (k - 1)
     table = np.empty((2, 1 << k), dtype=root.dtype)
     table[:, 0] = 0, scale
-    for m, x in _walk(_tree_stream, k - 1, params, math.inf):
+    for m, x in _walk(_tree_stream, k - 1, params, math.inf, integral):
         j = k - 1 - m
         table[:, 1 << j :: 2 << j] = x if d == 1 else x * d**j  # level m is over D0 D^m
     return table, scale

@@ -15,7 +15,7 @@ also cover (1, infinity).
 
 The rows come from the two-child kernel of :mod:`spinchain`, where the
 reflection is one more step of each level; :func:`row_records` streams
-the ``tree`` records level by level, one str per distinct entry.
+the ``tree`` records in column blocks of each level, one str per distinct entry.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .rings import Params, RhoPoly
-from .spinchain import _entries, _generators, _reflection, _scaled_levels, _tree_stream
+from . import spinchain
+from .rings import Params, RhoPoly, _term_texts
+from .spinchain import _digits, _entries, _generators, _reflection, _scaled_levels, _tree_stream
 from .words import SpinWord, all_words, label
 
 # rho used only to order symbolic nodes; the order is the same for all
@@ -207,8 +208,8 @@ def extended_row(n: int, params: Params) -> TreeRow:
 def row_records(n: int, params: Params, extended: bool = False) -> Iterator[tuple]:
     """(level, sigma, p, q, value) for rows 1 .. n, one row at a time: a row's vertices in path order, then with
     `extended` their mirrors, last vertex first, sigma starred.  p and q are texts, one str per distinct entry of a
-    row; value is repr(p/q) from one array division (exact mode divides the kernel's integers, correctly rounded),
-    empty in symbolic mode.  The table cap is refused before this returns."""
+    block of the row (:func:`_level_records`); value is repr(p/q) from one array division (exact mode divides the
+    kernel's integers, correctly rounded), empty in symbolic mode.  The table cap is refused before this returns."""
     if n < 1:
         raise ValueError("rows start at n = 1")
     levels = _scaled_levels(_tree_stream, n - 1, params, _reflection(params) if extended else None)
@@ -216,15 +217,32 @@ def row_records(n: int, params: Params, extended: bool = False) -> Iterator[tupl
 
 
 def _level_records(j: int, x, scale: int, params: Params) -> Iterator[tuple]:
-    """The records of kernel level j (:func:`row_records`), possibly followed by its reflection."""
-    raw = x.tolist()
-    distinct = list(dict.fromkeys(raw[0] + raw[1]))
-    texts = dict(zip(distinct, map(str, _entries(np.array([distinct], dtype=x.dtype), scale, params)[0])))
-    sigmas = [label(i, j) for i in range(1 << j)]
-    if len(raw[0]) > len(sigmas):
-        sigmas += [sigma + "*" for sigma in reversed(sigmas)]
-    values = repeat("") if params.mode == "symbolic" else map(repr, (x[0] / x[1]).tolist())
-    return zip(repeat(j + 1), sigmas, map(texts.get, raw[0]), map(texts.get, raw[1]), values)
+    """The records of kernel level j (:func:`row_records`), possibly followed by its reflection, in blocks of
+    2^spinchain._BLOCK_LEVELS columns, each with one dedupe of its entries: symbolic texts come straight from the
+    packed digits (:func:`_rho_texts`), the others through :func:`spinchain._entries`."""
+    half, width = 1 << j, 1 << spinchain._BLOCK_LEVELS
+    for start in range(0, x.shape[1], width):
+        stop = min(start + width, x.shape[1])
+        block = x[:, start:stop]
+        raw = block.tolist()
+        distinct = list(dict.fromkeys(raw[0] + raw[1]))
+        texts = dict(zip(distinct, _rho_texts(_digits(distinct)) if params.mode == "symbolic"
+                         else map(str, _entries(np.array([distinct], dtype=x.dtype), scale, params)[0])))
+        sigmas = [label(i, j) if i < half else label(2 * half - 1 - i, j) + "*" for i in range(start, stop)]
+        values = repeat("") if params.mode == "symbolic" else map(repr, (block[0] / block[1]).tolist())
+        yield from zip(repeat(j + 1), sigmas, map(texts.get, raw[0]), map(texts.get, raw[1]), values)
+
+
+def _rho_texts(digits: np.ndarray) -> List[str]:
+    """str(RhoPoly(row)) for each row of coefficients (:func:`spinchain._digits`), one degree column at a time: each
+    distinct coefficient of a column makes its term " + c*rho^i" once, and the terms are added onto the texts."""
+    suffixes, units = _term_texts(digits.shape[1])
+    texts = np.full(len(digits), "", dtype=object)
+    for column, suffix, unit in zip(digits.T, suffixes, units):
+        coeffs, where = np.unique(column, return_inverse=True)
+        terms = [" + " + (unit if c == 1 else f"{c}{suffix}") if c else "" for c in coeffs.tolist()]
+        texts += np.array(terms, dtype=object)[where]
+    return [text[3:] or "0" for text in texts.tolist()]
 
 
 def tree_adjacency(records: Iterable[tuple]) -> dict:

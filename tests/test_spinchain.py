@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fareychain import spinchain, transfer
+from fareychain import spinchain, thermo, transfer, tree
 from fareychain.rings import ONE, RHO, Params, RhoPoly
 from fareychain.words import SpinWord, all_words, bit_reverse_index
 
@@ -341,3 +341,17 @@ def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
         with pytest.raises(ValueError, match="2\\^63"):
             list(spinchain._walk(lambda params: (root, (a, b), False), 1, SYM, math.inf))
     assert len(steps) == 7
+
+
+def test_each_table_sets_up_its_ring_once(monkeypatch):
+    """_scaled_levels and _cumulative hand their _integral to _walk: one ring set-up and one cap check per table."""
+    calls = []
+    for name in ("_integral", "_check_cap"):
+        counted = lambda *a, f=getattr(spinchain, name), name=name: calls.append(name) or f(*a)  # noqa: E731
+        monkeypatch.setattr(spinchain, name, counted)
+    third = Params.exact(Fraction(1, 3))
+    for table in (lambda: list(tree.row_records(11, SYM)), lambda: spinchain.q_hat_table(8, third),
+                  lambda: thermo.canonical_Z(8, 2, third, "cumulative")):
+        calls.clear()
+        table()
+        assert sorted(calls) == ["_check_cap", "_integral"]

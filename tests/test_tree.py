@@ -245,6 +245,43 @@ def test_symbolic_row_cap():
         treemod.build_rows(20, SYM)
 
 
+_coefficient = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-(2**63) + 1, 2**63 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(_coefficient, max_size=17), min_size=1, max_size=6))
+@example([[], [1], [-1], [0, 1], [1, 0, 0, -1], [2**63 - 1, 0, 0, 0, 1], [-(2**63) + 1] * 17])
+def test_texts_from_packed_digits_are_the_rhopoly_texts(coeffs):
+    """The texts made one degree column at a time from the packed digits are str(RhoPoly), the oracle: for the zero
+    polynomial, unit and interior zero coefficients, degrees 0..16 and values of different digit widths in one call."""
+    polys = [RhoPoly(c) for c in coeffs]
+    assert treemod._rho_texts(spinchain._digits([v(spinchain._DIGIT) for v in polys])) == list(map(str, polys))
+
+
+def _whole_level_records(n, params, extended):
+    """Rows 1 .. n, each kernel level decoded whole to table entries (spinchain._entries) and printed by str."""
+    after = spinchain._reflection(params) if extended else None
+    for j, (x, scale) in enumerate(spinchain._scaled_levels(spinchain._tree_stream, n - 1, params, after)):
+        p, q = spinchain._entries(x, scale, params)
+        words = ["".join(map(str, w)) for w in all_words(j)]
+        sigmas = words + [w + "*" for w in reversed(words)] if extended else words
+        for sigma, a, b in zip(sigmas, p, q, strict=True):
+            yield j + 1, sigma, str(a), str(b), "" if params.mode == "symbolic" else repr(float(a / b))
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("params", [SYM, Params.exact(Fraction(1, 3)), Params.floating(0.3)],
+                         ids=["symbolic", "exact", "float"])
+def test_records_in_column_blocks_equal_whole_levels(monkeypatch, params, extended):
+    """Records made in blocks of 2^_BLOCK_LEVELS columns of a level are the whole level's records."""
+    whole = list(treemod.row_records(9, params, extended))
+    monkeypatch.setattr(spinchain, "_BLOCK_LEVELS", 2)  # level 8 in 64 blocks of 4 columns, 128 if extended
+    blocks = list(treemod.row_records(9, params, extended))
+    assert blocks == whole
+    reference = list(_whole_level_records(8, params, extended))
+    assert blocks[: len(reference)] == reference and blocks[len(reference)][0] == 9
+
+
 def test_node_records_and_adjacency():
     recs = list(treemod.row_records(2, Params.floating(1.0), extended=True))
     assert [(level, sigma) for level, sigma, *_ in recs] == [
