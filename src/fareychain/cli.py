@@ -45,23 +45,26 @@ def _params(args) -> Params:
     return Params.exact(value) if mode == "exact" else Params.floating(value)
 
 
-def parse_values(spec: str, arg: str = "grid") -> List[float]:
-    """Parse '0.5', '0.5,1,2' or 'start:stop:step' given for `arg`: the last point is the last one not past
-    stop beyond the rounding of (stop - start) / step, 4 eps (|start| + |stop|) / |step|.  A list or grid that
-    is not finite, cannot reach stop or has over thermo.SWEEP_CAP points raises ValueError."""
+def parse_values(spec: str, arg: str = "grid", number=float) -> list:
+    """Parse '0.5', '0.5,1,2' or 'start:stop:step' given for `arg`, each entry read by `number`: float, or
+    Fraction for exact points, whose grid is counted exactly.  A float grid's last point is the last one not
+    past stop beyond the rounding of (stop - start) / step, 4 eps (|start| + |stop|) / |step|.  A list or grid
+    that is not finite, cannot reach stop or has over thermo.SWEEP_CAP points raises ValueError."""
+    finite = math.isfinite if number is float else (lambda v: True)
     if ":" in spec:
-        start, stop, step = (float(x) for x in spec.split(":"))
-        if not all(math.isfinite(v) for v in (start, stop, step)) or step == 0:
+        start, stop, step = (number(x) for x in spec.split(":"))
+        if not all(map(finite, (start, stop, step))) or step == 0:
             raise ValueError(f"{arg} {spec!r} needs finite bounds and a finite nonzero step")
         span = (stop - start) / step
         if span < 0:
             raise ValueError(f"{arg} {spec!r}: the step leads away from stop")
-        span += 4.0 * sys.float_info.epsilon * (abs(start) + abs(stop)) / abs(step)
+        if number is float:
+            span += 4.0 * sys.float_info.epsilon * (abs(start) + abs(stop)) / abs(step)
         if not span < thermo.SWEEP_CAP:  # floor(span) + 1 points; also refuses an overflowed span
             raise ValueError(f"{arg} {spec!r} has more than {thermo.SWEEP_CAP} points")
         return [start + i * step for i in range(math.floor(span) + 1)]
-    values = [float(x) for x in spec.split(",")]
-    if not all(math.isfinite(v) for v in values):
+    values = [number(x) for x in spec.split(",")]
+    if not all(map(finite, values)):
         raise ValueError(f"{arg} {spec!r} has an entry that is not finite")
     return values
 
@@ -149,18 +152,20 @@ def cmd_tree(args) -> int:
 
 def _require_path_args(args) -> None:
     """Refuse, before any work, what the path descent of `code` and `conjugacy` cannot take: symbolic mode,
-    whose vertices have no value to compare x with, and a --depth outside 1..63, the lengths of a SpinWord."""
+    whose vertices have no value to compare x with, and a --depth outside 1..63, past which h's truncation
+    error 2^(1-depth) is below a float's rounding near 1/2 and a code outgrows the path words of the tree."""
     if args.mode == "symbolic":
         raise ValueError(f"--mode symbolic has no vertex values to compare x with; {args.command} takes float or exact")
     if not 1 <= args.depth <= 63:
-        raise ValueError(f"--depth {args.depth} is outside 1..63, the lengths of a path word")
+        raise ValueError(f"--depth {args.depth} is outside 1..63; past 63 bits h's truncation error is below "
+                         "a float's rounding near 1/2")
 
 
 def cmd_code(args) -> int:
     _require_path_args(args)
     p = _params(args)
-    xs = parse_values(args.x, "--x")
-    records = [(repr(x), "".join(map(str, coding.encode_point(x, p, args.depth).bits))) for x in xs]
+    xs = parse_values(args.x, "--x", Fraction if args.mode == "exact" else float)
+    records = [(str(x), "".join(map(str, coding.encode_point(x, p, args.depth)))) for x in xs]
     emit(records, ["x", "code"], args)
     return 0
 
@@ -170,8 +175,8 @@ def cmd_conjugacy(args) -> int:
         raise ValueError(f"--grid {args.grid} gives {args.grid + 1} points, more than {thermo.SWEEP_CAP}")
     _require_path_args(args)
     p = _params(args)
-    xs = (i / args.grid for i in range(args.grid + 1))
-    records = ((repr(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs)
+    xs = (Fraction(i, args.grid) if args.mode == "exact" else i / args.grid for i in range(args.grid + 1))
+    records = ((str(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs)
     emit(records, ["x", "h", "depth"], args)
     return 0
 
@@ -198,23 +203,21 @@ def cmd_spin(args) -> int:
     return 0
 
 
-def _estimate_rows(head: tuple, values: List[transfer.Estimate]) -> List[tuple]:
-    """One record per n: head, n, the value as [re, im], its route and its error (None where the route has none)."""
-    return [(*head, n, [val.real, val.imag], val.method, val.error) for n, val in enumerate(values, 1)]
+# trace, xi and twisted: the library call on the parsed arguments, and the arguments heading each record
+_SERIES = {
+    "trace": (lambda a: transfer.trace_sums(a.n, a.s, a.r, signed=a.signed), ("r", "s")),
+    "xi": (lambda a: transfer.periodic_sums_xi(a.n, a.s, a.r), ("r", "s")),
+    "twisted": (lambda a: twisted.twisted_sums(a.n, a.s, a.m, Params.floating(a.r)), ("r", "s", "m")),
+}
 
 
 @_series_command
-def cmd_trace(args) -> int:
-    fields = ["r", "s", "n", "value", "method", "error_estimate"]
-    rows = _estimate_rows((args.r, args.s), transfer.trace_sums(args.n, args.s, args.r, signed=args.signed))
-    emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
-    return 0
-
-
-@_series_command
-def cmd_xi(args) -> int:
-    fields = ["r", "s", "n", "value", "method", "error_estimate"]
-    rows = _estimate_rows((args.r, args.s), transfer.periodic_sums_xi(args.n, args.s, args.r))
+def cmd_series(args) -> int:
+    """One record per n: head arguments, n, the value as [re, im], its route and its error (None if it has none)."""
+    call, head = _SERIES[args.command]
+    fields = [*head, "n", "value", "method", "error_estimate"]
+    rows = [(*(getattr(args, key) for key in head), n, [val.real, val.imag], val.method, val.error)
+            for n, val in enumerate(call(args), 1)]
     emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 
@@ -268,15 +271,6 @@ def cmd_phase(args) -> int:
     pts = [thermo.critical_line(Params.floating(r), tol=args.tol) for r in parse_values(args.r_grid, "--r-grid")]
     records = [(pt.r, repr(pt.s_cr), repr(pt.error), repr(pt.slope), pt.method) for pt in pts]
     emit(records, ["r", "s_cr", "error", "slope", "method"], args)
-    return 0
-
-
-@_series_command
-def cmd_twisted(args) -> int:
-    fields = ["r", "s", "m", "n", "value", "method", "error_estimate"]
-    values = twisted.twisted_sums(args.n, args.s, args.m, Params.floating(args.r))
-    rows = _estimate_rows((args.r, args.s, args.m), values)
-    emit(_require_finite(rows, fields), fields, args, default_format="jsonl")
     return 0
 
 
@@ -344,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_spin)
 
-    for name, fn, extra, what in (
-        ("trace", cmd_trace, ("signed",), "trace(P_s^n), r in [0, 1) (--signed: of the signed operator)"),
-        ("xi", cmd_xi, (), "Xi_n(s), the sum over period-n points of |(F^n)'|^(-s), r in [0, 1]"),
+    for name, extra, what in (
+        ("trace", ("signed",), "trace(P_s^n), r in [0, 1) (--signed: of the signed operator)"),
+        ("xi", (), "Xi_n(s), the sum over period-n points of |(F^n)'|^(-s), r in [0, 1]"),
     ):
         sp = sub.add_parser(
             name, help=f"{what}, for n = 1 .. N",
@@ -360,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "signed" in extra:
             sp.add_argument("--signed", action="store_true")
         _add_common(sp, mode=False, fmt=False)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("zeta", help="dynamical zeta/determinant, or mu^(m) tables with --m")
     sp.add_argument("--m", type=int, default=None, help="emit the twisted Moebius table instead")
@@ -413,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--r", type=float, required=True)
     _add_common(sp, mode=False, fmt=False)
-    sp.set_defaults(func=cmd_twisted)
+    sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("verify", help="run an invariant suite and report residuals")
     sp.add_argument("suite", choices=("tree", "spin", "transfer", "thermo", "zeta", "all"))

@@ -2,22 +2,22 @@
 
 Every point of [0, 1] is approached by a unique descending path from
 the root vertex 1/2; reading off the edge labels gives a binary code.
-Reinterpreting the code in the r = 0 (dyadic) tree defines a monotone
-homeomorphism h_r conjugating the map to the tent map; for r = 1 this
-is the classical question-mark function of Minkowski.  Tree vertices
-get the terminating code extended by 1 0 0 0 ... (one of the two legal
-conventions; the quotient by global bit complement removes the
-ambiguity).
+:func:`encode_point` walks that path on plain weighted mediants of the
+bracketing pair, in float or exact mode (the vertex objects of
+:mod:`tree` serve its oracles).  Reinterpreting the code in the r = 0
+(dyadic) tree defines a monotone homeomorphism h_r conjugating the map
+to the tent map; for r = 1 this is the classical question-mark function
+of Minkowski.  Tree vertices get the terminating code extended by
+1 0 0 0 ... (one of the two legal conventions; the quotient by global
+bit complement removes the ambiguity).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .maps import inverse_branch
 from .rings import Params
-from .tree import child_of_neighbours, root_endpoints
 from .words import SpinWord
 
 
@@ -45,53 +45,42 @@ def leaf_from_path(sigma: SpinWord, params: Params):
     return x
 
 
-@dataclass(frozen=True)
-class CodeStream:
-    """A finite prefix of the edge-label code of a point."""
+def encode_point(x, params: Params, depth: int) -> Tuple[int, ...]:
+    """The first `depth` edge labels of the tree path descending toward x, float or exact.
 
-    bits: Tuple[int, ...]
-
-    def binary_value(self) -> float:
-        """The dyadic value 0.b1 b2 ... of the prefix."""
-        acc = 0.0
-        for b in reversed(self.bits):
-            acc = (acc + b) / 2.0
-        return acc
-
-
-def encode_point(x, params: Params, depth: int) -> CodeStream:
-    """First `depth` edge labels of the tree path descending toward x.
-
-    The descent keeps the bracketing neighbour pair and steps to the
-    weighted mediant between them; a strict comparison at each vertex
-    realizes the 1 0 0 0... convention at tree vertices.  For r = 0 the
-    code is the binary expansion; for r = 1 it is the run-length
-    encoding of the continued fraction of x.
+    The descent keeps the bracketing neighbours as (p, q, rank) triples
+    and steps to their weighted mediant (p_b + rho^k p_a) / (q_b + rho^k q_a),
+    a the end of lower rank and k its rank gap; a strict comparison at
+    each vertex realizes the 1 0 0 0... convention at tree vertices.  For
+    r = 0 the code is the binary expansion; for r = 1 it is the
+    run-length encoding of the continued fraction of x.
     """
+    if params.mode == "symbolic":
+        raise ValueError("symbolic vertices have no value to compare x with; code in float or exact mode")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    lo, hi = root_endpoints(params)
-    v = child_of_neighbours(lo, hi, params)
+    one, rho = params.one, params.rho
+    lo, hi = (one - one, one, 0), (one, one, 0)
     bits = []
     for _ in range(depth):
-        if x < v.value():
-            bits.append(0)
-            lo, hi = lo, v
-        else:
-            bits.append(1)
-            lo, hi = v, hi
-        a, b = (lo, hi) if lo.rank <= hi.rank else (hi, lo)
-        v = child_of_neighbours(a, b, params, check=False)
-    return CodeStream(tuple(bits))
+        (pa, qa, ra), (pb, qb, rb) = (lo, hi) if lo[2] <= hi[2] else (hi, lo)
+        w = rho ** (rb - ra)
+        v = (pb + w * pa, qb + w * qa, rb + 1)
+        bits.append(0 if x < v[0] / v[1] else 1)
+        lo, hi = (v, hi) if bits[-1] else (lo, v)
+    return tuple(bits)
 
 
 def conjugacy_h(x, params: Params, depth: int) -> float:
-    """h_r(x) truncated at `depth` bits: the same-path point of the dyadic tree.
+    """h_r(x) truncated at `depth` bits: the same-path point of the dyadic tree, 0.b1 b2 ... as a float.
 
     h_r fixes 0, 1/2 and 1, is monotone nondecreasing, and satisfies
     the conjugacy h_r(F_r(x)) = F_0(h_r(x)) up to the truncation error
     2^(1-depth).
     """
-    return encode_point(x, params, depth).binary_value()
+    acc = 0.0
+    for b in reversed(encode_point(x, params, depth)):
+        acc = (acc + b) / 2.0
+    return acc

@@ -142,45 +142,29 @@ def full_tree(n: int, params: Params) -> List[FareyNode]:
     return nodes
 
 
-def child_of_neighbours(a: FareyNode, b: FareyNode, params: Params, check: bool = True) -> FareyNode:
-    """The unique next-level vertex between two neighbours.
+def child_of_neighbours(a: FareyNode, b: FareyNode, params: Params) -> FareyNode:
+    """The unique next-level vertex between two neighbours, in exact or symbolic mode.
 
     With a of lower rank and b of rank n, the child is the weighted
     mediant (p_b + rho^k p_a) / (q_b + rho^k q_a), k = n - rank(a);
     it lies strictly between a and b and has rank n + 1.  Neighbours
-    satisfy |p_b q_a - p_a q_b| = rho^rank(a), which is how
-    non-neighbour inputs are rejected (`check=False` skips this for
-    callers that maintain the bracket themselves; the cross product
-    cancels catastrophically at large depth in float mode).
+    satisfy |p_b q_a - p_a q_b| = rho^rank(a), checked exactly, which is
+    how non-neighbour inputs are rejected; the sign places a left or
+    right of b and so gives the child's path word.  Float mode is
+    refused: the identity cannot be checked there, and
+    :func:`coding.encode_point` walks float paths on plain mediants.
     """
+    if params.mode == "float":
+        raise ValueError("child_of_neighbours checks |p_b q_a - p_a q_b| = rho^rank(a) exactly: "
+                         "use exact or symbolic mode")
     if a.rank > b.rank:
         raise ValueError("first argument must be the lower-rank neighbour")
-    k = b.rank - a.rank
-    rho = params.rho
-    cross = b.p * a.q - a.p * b.q
-    expected = rho ** a.rank
-    if params.mode == "float":
-        slack = 1e-9 * expected + 1e-11 * (abs(b.p * a.q) + abs(a.p * b.q))
-        if check and not abs(abs(cross) - expected) <= slack:
-            raise ValueError("nodes are not neighbours")
-        a_left = cross > 0
-    else:
-        if cross == expected:
-            a_left = True
-        elif cross == -expected:
-            a_left = False
-        elif check:
-            raise ValueError("nodes are not neighbours")
-        else:
-            a_left = a.order_key() < b.order_key()
-    w = rho**k
-    p2 = b.p + w * a.p
-    q2 = b.q + w * a.q
-    if b.rank == 0:
-        path: Optional[SpinWord] = SpinWord(0, 0)
-    else:
-        path = b.path.append(0 if a_left else 1)
-    return FareyNode(p2, q2, b.rank + 1, path)
+    cross, expected = b.p * a.q - a.p * b.q, params.rho ** a.rank
+    if cross != expected and cross != -expected:
+        raise ValueError("nodes are not neighbours")
+    w = params.rho ** (b.rank - a.rank)
+    path = SpinWord(0, 0) if b.rank == 0 else b.path.append(0 if cross == expected else 1)
+    return FareyNode(b.p + w * a.p, b.q + w * a.q, b.rank + 1, path)
 
 
 def matrix_presentation(sigma: SpinWord, params: Params) -> Mat2:

@@ -220,6 +220,17 @@ def test_code_and_conjugacy(capsys):
     assert "0.5,0.5,30" in out
 
 
+def test_exact_mode_codes_exact_points(capsys):
+    # --x is read as Fractions: 0.3 is 3/10, not the binary float just below it (001101111111)
+    code, out = run(capsys, "code", "--mode", "exact", "--r", "1", "--x", "0.3,2/7", "--depth", "12")
+    assert code == 0 and out.splitlines()[-2:] == ["3/10,001110000000", "2/7,001100000000"]
+    code, out = run(capsys, "code", "--mode", "exact", "--r", "1", "--x", "0:1:1/3", "--depth", "4")
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()[-4:]] == ["0", "1/3", "2/3", "1"]
+    code, out = run(capsys, "conjugacy", "--mode", "exact", "--r", "1", "--grid", "3", "--depth", "30")
+    assert code == 0 and out.splitlines()[-4:] == ["0,0.0,30", "1/3,0.25,30", "2/3,0.75,30",
+                                                f"1,{1 - 2**-30!r},30"]
+
+
 def test_conjugacy_grid_capped_before_any_work(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(coding, "conjugacy_h", lambda *a: calls.append(a) or 0.5)

@@ -36,24 +36,24 @@ def test_leaf_from_path_deeper_word_second_parameter():
 
 def test_encode_tent_is_binary_expansion():
     p0 = Params.floating(0.0)
-    assert coding.encode_point(0.625, p0, 6).bits == (1, 0, 1, 0, 0, 0)
-    assert coding.encode_point(0.0, p0, 5).bits == (0,) * 5
-    assert coding.encode_point(1.0, p0, 5).bits == (1,) * 5
+    assert coding.encode_point(0.625, p0, 6) == (1, 0, 1, 0, 0, 0)
+    assert coding.encode_point(0.0, p0, 5) == (0,) * 5
+    assert coding.encode_point(1.0, p0, 5) == (1,) * 5
 
 
 def test_encode_root_convention():
     # tree vertices carry the terminating path extended by 1 0 0 0 ...
     for r in (0.0, 0.5, 1.0):
-        assert coding.encode_point(0.5, Params.floating(r), 5).bits == (1, 0, 0, 0, 0)
+        assert coding.encode_point(0.5, Params.floating(r), 5) == (1, 0, 0, 0, 0)
 
 
 def test_encode_farey_run_lengths():
     # x with continued fraction [a1, a2, ...] codes as 0^(a1-1) 1^(a2) 0^(a3) ...
     p1 = Params.floating(1.0)
     x = math.sqrt(2.0) - 1.0  # [2, 2, 2, ...]
-    assert coding.encode_point(x, p1, 12).bits == (0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0)
+    assert coding.encode_point(x, p1, 12) == (0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0)
     golden = (math.sqrt(5.0) - 1.0) / 2.0  # [1, 1, 1, ...]
-    assert coding.encode_point(golden, p1, 8).bits == (1, 0, 1, 0, 1, 0, 1, 0)
+    assert coding.encode_point(golden, p1, 8) == (1, 0, 1, 0, 1, 0, 1, 0)
 
 
 def test_encode_is_monotone():
@@ -62,8 +62,8 @@ def test_encode_is_monotone():
         p = Params.floating(r)
         for _ in range(1000):
             x, y = sorted((rng.random(), rng.random()))
-            cx = coding.encode_point(x, p, 18).bits
-            cy = coding.encode_point(y, p, 18).bits
+            cx = coding.encode_point(x, p, 18)
+            cy = coding.encode_point(y, p, 18)
             assert cx <= cy
 
 
@@ -74,8 +74,8 @@ def test_shift_property_up_to_complement():
         p = Params.floating(r)
         for _ in range(200):
             x = rng.random()
-            shifted = coding.encode_point(x, p, 21).bits[1:]
-            fx = coding.encode_point(maps.forward_map(x, p), p, 20).bits
+            shifted = coding.encode_point(x, p, 21)[1:]
+            fx = coding.encode_point(maps.forward_map(x, p), p, 20)
             assert shifted == fx or tuple(1 - b for b in shifted) == fx
 
 
@@ -130,3 +130,24 @@ def test_encode_validates_input():
         coding.encode_point(1.5, Params.floating(0.5), 4)
     with pytest.raises(ValueError):
         coding.encode_point(0.5, Params.floating(0.5), 0)
+    with pytest.raises(ValueError, match="float or exact"):
+        coding.encode_point(0.5, Params.symbolic(), 4)
+
+
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2)])
+def test_descent_reaches_every_kernel_vertex(r):
+    # the vertex with path word w codes as w 1 0 0 ..., and h sends it to the dyadic vertex 0.w1 = (2i + 1)/2^(k+1)
+    ex = Params.exact(r)
+    for k in range(9):
+        table = spinchain.pq_tables(k, ex)
+        for w in all_words(k):
+            x = Fraction(table.p[w.index], table.q[w.index])
+            assert coding.encode_point(x, ex, k + 6) == (*w.to_bits(), 1, 0, 0, 0, 0, 0)
+            assert coding.conjugacy_h(x, ex, k + 6) == Fraction(2 * w.index + 1, 2 ** (k + 1))
+
+
+def test_descent_has_no_depth_cap():
+    # no path word is built, so the library descends past 63 steps; its first 63 labels are the depth-63 code
+    p = Params.floating(0.5)
+    code = coding.encode_point(0.3, p, 70)
+    assert len(code) == 70 and code[:63] == coding.encode_point(0.3, p, 63)

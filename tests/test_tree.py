@@ -66,6 +66,13 @@ def test_non_neighbours_rejected():
         treemod.child_of_neighbours(grandchild, half, SYM)  # not adjacent in their row set
 
 
+def test_child_of_neighbours_refuses_float_mode():
+    # the neighbour identity is checked exactly; float paths are walked by coding.encode_point
+    zero, one = treemod.root_endpoints(Params.floating(0.5))
+    with pytest.raises(ValueError, match="exact or symbolic"):
+        treemod.child_of_neighbours(zero, one, Params.floating(0.5))
+
+
 def test_neighbour_determinant_exact_scan():
     # p' q - p q' = +- rho^(rank of the older vertex) across all of T_6
     for n in range(1, 7):

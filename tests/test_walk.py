@@ -143,7 +143,7 @@ _PATH_COMMANDS = (["code", "--r", "0.5", "--x", "0.3"], ["conjugacy", "--r", "0.
 @example(["zeta", "--m", "1", "--qmax=1048577"])  # one above the sieve cap 2^20
 @example(["zeta", "--qmax=50"])  # the determinant record has no q to bound
 @example(["zeta", "--m", "1", "--z=0.3"])  # the --m table takes no z, s, r or N
-@example([*_PATH_COMMANDS[0], "--depth=64"])  # a path word holds at most 63 steps
+@example([*_PATH_COMMANDS[0], "--depth=64"])  # one past the --depth cap 63
 @example([*_PATH_COMMANDS[1], "--depth=64"])
 @example([*_PATH_COMMANDS[0], "--mode=symbolic"])  # a symbolic vertex has no value to compare x with
 @example([*_PATH_COMMANDS[1], "--mode=symbolic"])
