@@ -196,7 +196,7 @@ def cmd_spin(args) -> int:
         values = map(str, spinchain.q_hat_table(k, p))
     else:  # interaction
         q_hat = spinchain.interaction_coefficients(k, p)
-        values = map(repr, (-q_hat).tolist())
+        values = map(repr, (0.0 - q_hat).tolist())  # 0.0 - x, not -x: an exact zero prints 0.0, not -0.0
         worst = spinchain.ferromagnetic_violation(q_hat)
         print(f"# ferromagnetic check: max Q^(t), t != 0 is {worst:.3e} (needs <= 1e-12)", file=sys.stderr)
     emit(zip((label(i, k) for i in range(1 << k)), values), ["t", "value"], args)

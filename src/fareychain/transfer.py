@@ -50,6 +50,8 @@ fast route, one independent oracle, and a check comparing the two (a
     s_cr(r)           thermo.critical_line collocation_spectrum     "s_cr: first-return operator vs Chebyshev compression (r <= 0.99)"
                       each rooted by Chandrupatla's bracketed search (:func:`_chandrupatla`) on
                       _search_log_lambda at SEARCH_DIM = 12, then one Newton step at RETURN_DIM = 16 (return_root)
+The three brute-force oracles (apply_bruteforce, trace_power_bruteforce, periodic_sum_bruteforce) read the 2^n
+branch words of one enumeration of their Moebius matrices, :func:`_branch_words`.
 
 The iterates of 1 and of characters, and the twisted sums of :mod:`twisted`, come on r in [0, 1] and x in
 [0, 1] from n products with the cached Chebyshev compression (:func:`_operator_iterates`, the loop
@@ -87,7 +89,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,8 +173,8 @@ def _matrix_stream(params: Params):
 def extended_pairs(n: int, params: Params) -> List[Tuple]:
     """The (p, q) pairs of the n-th extended row in the active ring.
 
-    n = 1 is the root pair (1, 1); used by cross-construction checks
-    against the reflected tree rows.
+    n = 1 is the root pair (1, 1); row n + 1 is, as a set, tree row n
+    with its mirrors, the oracle of the extended ``tree`` records.
     """
     (x, scale), = _scaled_levels(_pair_stream, n - 1, params, last=True)
     return list(zip(*_entries(x, scale, params)))
@@ -183,29 +185,33 @@ def extended_pairs(n: int, params: Params) -> List[Tuple]:
 # ---------------------------------------------------------------------------
 
 
-def apply_bruteforce(f: Callable, x: float, q: TransferQuery) -> complex:
-    """(P^n f)(x) summed directly over all 2^n inverse-branch words.
-
-    The independent oracle for every closed iterate formula: each word
-    contributes prod |Phi'|^s along the composition times f at the
-    composed point.
-    """
+def _branch_words(q: TransferQuery) -> Iterator[Tuple[bool, Tuple[float, float, float, float]]]:
+    """(odd, (a, b, c, d)) for each of the 2^n inverse-branch words Phi_(sigma_1) o ... o Phi_(sigma_n), word index
+    order with sigma_1 the most significant bit: x -> (a x + b) / (c x + d) is the composition, odd says whether it
+    takes an odd number of right branches, and |det| = rho^n.  The one enumeration every brute-force oracle reads;
+    ValueError for n over BRUTE_CAP before the first word."""
     if q.n > BRUTE_CAP:
         raise ValueError(f"n={q.n} exceeds the brute-force cap {BRUTE_CAP}")
-    r, rho, s, n = q.r, q.rho, q.s, q.n
-    terms = []
-    for word in range(1 << n):
-        y = x
-        log_weight = 0.0
-        for i in range(n):
-            bit = (word >> i) & 1
-            den = rho + r * y
-            log_weight += math.log(rho) - 2.0 * math.log(den)
-            y = y / den
-            if bit:
-                y = 1.0 - y
-        terms.append(cmath.exp(s * log_weight) * f(y))
-    return csum_complex(terms)
+    r, rho = q.r, q.rho
+    mats = ((1.0, 0.0, r, rho), (r - 1.0, rho, r, rho))  # Phi_0 x = x / (r x + rho), Phi_1 x = 1 - Phi_0 x
+    for word in range(1 << q.n):
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for i in range(q.n - 1, -1, -1):
+            ma, mb, mc, md = mats[(word >> i) & 1]
+            a, b, c, d = a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md
+        yield word.bit_count() % 2 == 1, (a, b, c, d)
+
+
+def apply_bruteforce(f: Callable, x: float, q: TransferQuery) -> complex:
+    """(P^n f)(x) summed directly over all 2^n inverse-branch words (:func:`_branch_words`).
+
+    The independent oracle for every closed iterate formula: a word
+    psi = (a x + b) / (c x + d) contributes |psi'(x)|^s f(psi(x)), with
+    |psi'(x)| = rho^n / (c x + d)^2.
+    """
+    n_log_rho = q.n * math.log(q.rho)
+    return csum_complex([cmath.exp(q.s * (n_log_rho - 2.0 * math.log(c * x + d))) * f((a * x + b) / (c * x + d))
+                         for _odd, (a, b, c, d) in _branch_words(q)])
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +391,6 @@ def periodic_sums_xi(n: int, s: complex, r: float, method: str = "series") -> Li
     return _series_estimates(r, head, [(sigma, 1, 1), (sigma + 1, -1, 1)])
 
 
-def _word_matrix(word: int, n: int, r: float) -> Tuple[float, float, float, float]:
-    rho = 2.0 - r
-    mats = (
-        (1.0, 0.0, 2.0 - rho, rho),  # left branch
-        (1.0 - rho, rho, 2.0 - rho, rho),  # right branch
-    )
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for i in range(n):
-        bit = (word >> (n - 1 - i)) & 1
-        ma, mb, mc, md = mats[bit]
-        a, b, c, d = a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md
-    return a, b, c, d
-
-
 def _branch_fixed_point(a: float, b: float, c: float, d: float) -> float:
     """The unique fixed point in [0, 1] of the Moebius contraction x -> (a x + b) / (c x + d), a root
     of c x^2 + (d - a) x - b = 0, taken without cancellation as -b/q or q/c,
@@ -412,14 +404,10 @@ def _branch_fixed_point(a: float, b: float, c: float, d: float) -> float:
 
 def _fixed_point_derivatives(q: TransferQuery):
     """(odd number of right branches?, psi'(x*)) for each of the 2^n branch
-    words psi, taken at its fixed point x* in [0, 1]."""
-    if q.n > BRUTE_CAP:
-        raise ValueError(f"n={q.n} exceeds the brute-force cap {BRUTE_CAP}")
+    words psi of :func:`_branch_words`, taken at its fixed point x* in [0, 1]."""
     rho_n = q.rho**q.n
-    for word in range(1 << q.n):
-        a, b, c, d = _word_matrix(word, q.n, q.r)
+    for odd, (a, b, c, d) in _branch_words(q):
         x = _branch_fixed_point(a, b, c, d)
-        odd = word.bit_count() % 2 == 1
         yield odd, (-rho_n if odd else rho_n) / (c * x + d) ** 2
 
 

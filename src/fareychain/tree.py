@@ -13,9 +13,12 @@ both of determinant rho.  The involution matrix S (det -1, S^2 = I)
 reflects the tree into the extended, Stern-Brocot-like tree whose rows
 also cover (1, infinity).
 
-The rows come from the two-child kernel of :mod:`spinchain`, where the
-reflection is one more step of each level; :func:`row_records` streams
-the ``tree`` records in column blocks of each level, one str per distinct entry.
+The rows come from the levels of the two-child kernel of :mod:`spinchain`,
+where the reflection is one more step of each level, and nowhere else:
+:func:`row_records` streams the ``tree`` records in column blocks of each
+level, one str per distinct entry; :func:`full_tree` is the one builder of
+FareyNodes, which the mediant-rule oracle :func:`child_of_neighbours` reads;
+one level alone is :func:`spinchain.pq_tables`.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from . import spinchain
 from .rings import Params, RhoPoly, _term_texts
 from .spinchain import _digits, _entries, _generators, _reflection, _scaled_levels, _tree_stream
-from .words import SpinWord, all_words, label
+from .words import SpinWord, label
 
 # rho used only to order symbolic nodes; the order is the same for all
 # interior parameter values.
@@ -80,15 +83,12 @@ class FareyNode:
 
     Rank-n vertices (n >= 1) carry the (n-1)-bit path word from the
     root 1/2; the endpoints 0/1 and 1/1 have rank 0 and no path.
-    Reflected vertices of the extended tree keep the path of their
-    mirror image and are flagged.
     """
 
     p: object
     q: object
     rank: int
     path: Optional[SpinWord] = None
-    reflected: bool = False
 
     def value(self):
         if isinstance(self.p, RhoPoly):
@@ -101,43 +101,14 @@ class FareyNode:
         return self.p(_ORDER_RHO) / self.q(_ORDER_RHO) if isinstance(self.p, RhoPoly) else self.value()
 
 
-@dataclass(frozen=True)
-class TreeRow:
-    level: int
-    nodes: Sequence[FareyNode]
-
-    def values(self):
-        return [n.value() for n in self.nodes]
-
-
-def root_endpoints(params: Params) -> List[FareyNode]:
-    one = params.one
-    zero = one - one
-    return [FareyNode(zero, one, 0), FareyNode(one, one, 0)]
-
-
-def build_rows(n: int, params: Params) -> List[TreeRow]:
-    """Rows 1 .. n of the tree, from one walk down the recursions."""
-    if n < 1:
-        return []
-    levels = _scaled_levels(_tree_stream, n - 1, params)
-    return [_tree_row(k + 1, *_entries(x, scale, params)) for k, (x, scale) in enumerate(levels)]
-
-
-def _tree_row(n: int, p: Sequence, q: Sequence) -> TreeRow:
-    """Row n from a decoded level: 2^(n-1) vertices in path order, then any further columns as their mirrors."""
-    words = list(all_words(n - 1))
-    nodes = [FareyNode(p[w.index], q[w.index], n, w) for w in words]
-    if len(p) > len(words):
-        nodes += [FareyNode(p[-1 - w.index], q[-1 - w.index], n, w, reflected=True) for w in reversed(words)]
-    return TreeRow(n, nodes)
-
-
 def full_tree(n: int, params: Params) -> List[FareyNode]:
-    """All vertices of T_n = endpoints plus rows 1..n, sorted in [0, 1]."""
-    nodes = root_endpoints(params)
-    for row in build_rows(n, params):
-        nodes.extend(row.nodes)
+    """All vertices of T_n = endpoints 0/1, 1/1 plus rows 1..n, sorted in [0, 1]: the one FareyNode builder,
+    row j + 1 decoded from kernel level j (:func:`spinchain._entries`), vertex i with path SpinWord(j, i)."""
+    one = params.one
+    nodes = [FareyNode(one - one, one, 0), FareyNode(one, one, 0)]
+    for j, (x, scale) in enumerate(_scaled_levels(_tree_stream, n - 1, params) if n > 0 else ()):
+        p, q = _entries(x, scale, params)
+        nodes += [FareyNode(p[i], q[i], j + 1, SpinWord(j, i)) for i in range(len(p))]
     nodes.sort(key=FareyNode.order_key)
     return nodes
 
@@ -178,15 +149,6 @@ def matrix_presentation(sigma: SpinWord, params: Params) -> Mat2:
     for bit in sigma:
         X = X @ (R if bit else L)
     return X
-
-
-def extended_row(n: int, params: Params) -> TreeRow:
-    """Row n of the extended tree: the tree row, then its reflection by the involution, mirror of the last vertex
-    first, with values in (1, infinity); for r = 1 the rows of the classical Stern-Brocot tree appear."""
-    if n < 1:
-        raise ValueError("rows start at n = 1")
-    (x, scale), = _scaled_levels(_tree_stream, n - 1, params, _reflection(params), last=True)
-    return _tree_row(n, *_entries(x, scale, params))
 
 
 def row_records(n: int, params: Params, extended: bool = False) -> Iterator[tuple]:

@@ -76,28 +76,21 @@ def suite_tree(seed: int = 0) -> List[CheckResult]:
     resid = 0.0
     for r in (0.0, 0.25, 0.5, 0.75, 1.0):
         p = Params.floating(r)
-        for n in range(1, 13):
-            vals = build_values(n, p)
-            if np.any(np.diff(vals) <= 0):
+        for k in range(12):
+            table = spinchain.pq_tables(k, p)
+            if np.any(np.diff(table.p / table.q) <= 0):
                 resid = 1.0
     out.append(CheckResult("tree", "rows strictly increasing (n<=12, r grid)", resid, 0.0))
 
     ok = True
     ex = Params.exact(Fraction(2, 5))
     for n in range(1, 9):
-        row = treemod.extended_row(n, ex)
-        pairs = {(pp, qq) for pp, qq in transfer.extended_pairs(n + 1, ex)}
-        row_pairs = {(node.p, node.q) for node in row.nodes}
-        if pairs != row_pairs:
+        row = sorted((p, q) for level, _sigma, p, q, _value in treemod.row_records(n, ex, extended=True) if level == n)
+        if row != sorted((str(p), str(q)) for p, q in transfer.extended_pairs(n + 1, ex)):
             ok = False
     out.append(CheckResult("tree", "extended row equals two-child pair recursion (n<=8, exact)", _exact(ok), 0.0))
 
     return out
-
-
-def build_values(n: int, p: Params) -> np.ndarray:
-    table = spinchain.pq_tables(n - 1, p)
-    return np.asarray(table.p) / np.asarray(table.q)
 
 
 def suite_spin(seed: int = 0) -> List[CheckResult]:
@@ -345,9 +338,11 @@ def suite_thermo(seed: int = 0) -> List[CheckResult]:
     ok = True
     pz = Params.exact(Fraction(0))
     for n in range(1, 12):
-        closed = (Fraction(2) ** 3 - 1 - Fraction(2) ** (n * (1 - 3))) / (Fraction(2) ** 3 - 2)
-        if thermo.canonical_Z(n, 3, pz) != closed:
-            ok = False
+        for s in (2, 3, 4):
+            closed = (Fraction(2) ** s - 1 - Fraction(2) ** (n * (1 - s))) / (Fraction(2) ** s - 2)
+            # rows reads the r = 0 shortcut of grand_Z, the closed form itself; the other two routes walk the kernel
+            if any(thermo.canonical_Z(n, s, pz, method) != closed for method in ("rows", "cumulative", "transfer")):
+                ok = False
     out.append(CheckResult("thermo", "tent-map canonical Z closed form (exact)", _exact(ok), 0.0))
 
     resid = 0.0

@@ -300,6 +300,17 @@ def test_spin_tables(capsys):
     assert Fraction(rows[0][1]) == sum(spinchain.pq_tables(3, Params.exact(Fraction(1, 3))).q) / 8
 
 
+def test_spin_interaction_table_prints_no_negative_zero(capsys):
+    # -Q^(t) vanishes exactly on the odd-weight words; negating that zero printed -0.0 on each of them
+    code, out = run(capsys, "spin", "--k", "8", "--r", "0.5", "--table", "interaction")
+    rows = list(csv.DictReader(l for l in out.splitlines() if not l.startswith("#")))
+    assert code == 0 and len(rows) == 256
+    odd = [row["value"] for row in rows if row["t"].count("1") % 2]
+    assert len(odd) == 128 and set(odd) == {"0.0"}
+    want = -spinchain.interaction_coefficients(8, Params.floating(0.5))
+    assert [float(row["value"]) for row in rows] == want.tolist()
+
+
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_verify_suite_exit_code(capsys, suite):
     assert main(["verify", suite]) == 0

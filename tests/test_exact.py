@@ -30,7 +30,7 @@ def _tree_levels(k, r):
     return levels
 
 
-def _extended_row(n, r):
+def _fraction_extended_pairs(n, r):
     """The (p, q) pairs of the n-th extended row: from (1, 1) by R and SR, appending a bit."""
     rho = 2 - r
     p, q = [Fraction(1)], [Fraction(1)]
@@ -73,11 +73,11 @@ def test_tables_equal_fraction_recursion(r, k):
     assert (cumulative.p, cumulative.q) == _cumulative(k + 1, levels)
     assert _all_fractions(cumulative.p, cumulative.q)
     pairs = transfer.extended_pairs(k + 1, params)
-    assert pairs == _extended_row(k + 1, r) and _all_fractions(*pairs)
-    rows = tree.build_rows(k + 1, params)
-    for (p, q), row in zip(levels, rows):
-        nodes = [(node.p, node.q) for node in row.nodes]
-        assert nodes == list(zip(p, q)) and _all_fractions(*nodes)
+    assert pairs == _fraction_extended_pairs(k + 1, r) and _all_fractions(*pairs)
+    nodes = tree.full_tree(k + 1, params)  # sorted in [0, 1], so each row in path order
+    for j, (p, q) in enumerate(levels[: k + 1]):
+        row = [(node.p, node.q) for node in nodes if node.rank == j + 1]
+        assert row == list(zip(p, q)) and _all_fractions(*row)
 
 
 @settings(max_examples=60, deadline=None)

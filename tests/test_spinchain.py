@@ -332,7 +332,7 @@ def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
     assert len(steps) == 2
     reflection = spinchain._reflection(SYM)  # I, and S with rows (1 - rho, rho), (2 - rho, rho - 1): sums 3 and 5
     assert spinchain._growth(reflection) == 5
-    list(spinchain._scaled_levels(spinchain._tree_stream, 2, SYM, reflection))  # the reflected rows: 2^33 * 5 < 2^63
+    list(spinchain._scaled_levels(spinchain._tree_stream, 2, SYM, reflection))  # the mirrored rows: 2^33 * 5 < 2^63
     assert len(steps) == 7  # two steps down, and a reflection step per level
     with pytest.raises(ValueError, match="2\\^63"):  # 2^33 (2^30 + 1) >= 2^63
         spinchain._scaled_levels(spinchain._tree_stream, 2, SYM, (reflection[0], ((2**30 * ONE, ONE), (ONE, ONE))))

@@ -27,10 +27,12 @@ def test_grand_level_zero():
 
 
 def test_tent_closed_form_exact():
+    # the rows route reads grand_Z's r = 0 shortcut, the closed form summed; cumulative and transfer walk the kernel
     p = Params.exact(Fraction(0))
     for n in range(1, 13):
-        for s in (2, 3, 5):
-            assert thermo.canonical_Z(n, s, p) == closed_tent_Z(n, s)
+        for s in (2, 3, 4, 5):
+            for method in ("rows", "cumulative", "transfer"):
+                assert thermo.canonical_Z(n, s, p, method) == closed_tent_Z(n, s), (n, s, method)
 
 
 def test_tent_grand_matches_closed_difference():

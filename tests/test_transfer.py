@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fareychain import transfer
+from fareychain import maps, transfer
 from fareychain.rings import Params
 from fareychain.transfer import TransferQuery
 
@@ -21,6 +21,31 @@ def test_bruteforce_tent_constant():
             assert transfer.apply_bruteforce(lambda y: 1.0, 0.3, q).real == pytest.approx(
                 2.0 ** (n * (1 - s)), rel=1e-13
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.0, exclude_max=True), st.integers(1, 8), st.floats(0.0, 1.0))
+@example(0.0, 8, 1.0)
+@example(1.0, 8, 0.0)
+@example(1.999, 8, 0.5)
+def test_branch_words_are_the_compositions_of_the_inverse_branches(r, n, y):
+    """Word i of _branch_words, bits sigma_1 .. sigma_n most significant first, maps y as
+    Phi_(sigma_1) o ... o Phi_(sigma_n) of maps.inverse_branch, and is odd iff it has an odd number of ones."""
+    params = Params.floating(r)
+    words = list(transfer._branch_words(TransferQuery(1.0, r, n)))
+    assert len(words) == 1 << n
+    for i, (odd, (a, b, c, d)) in enumerate(words):
+        bits = [(i >> (n - 1 - j)) & 1 for j in range(n)]
+        z = y
+        for bit in reversed(bits):
+            z = maps.inverse_branch(z, params, bit)
+        assert (a * y + b) / (c * y + d) == pytest.approx(z, rel=0.0, abs=1e-14), (i, bits)
+        assert odd == (sum(bits) % 2 == 1), (i, bits)
+
+
+def test_branch_words_refuse_n_over_the_cap_before_the_first_word():
+    with pytest.raises(ValueError, match="brute-force cap"):
+        next(transfer._branch_words(TransferQuery(1.0, 0.5, transfer.BRUTE_CAP + 1)))
 
 
 def test_single_step_closed_form():
@@ -105,8 +130,6 @@ def test_operator_iterate_error_covers_the_walk_toward_the_farey_map(r, s):
 
 def test_general_iterate_base_case_arguments():
     # k = 0 evaluates f exactly at the two inverse branches
-    from fareychain import maps
-
     r, s, x = 0.8, 1.1, 0.37
     p = Params.floating(r)
     seen = []

@@ -18,16 +18,16 @@ def poly(*coeffs):
 
 
 def test_row_two_polynomials():
-    row = treemod.build_rows(2, SYM)[-1]
-    assert [(n.p, n.q) for n in row.nodes] == [
+    table = spinchain.pq_tables(1, SYM)
+    assert list(zip(table.p, table.q)) == [
         (poly(1), poly(2, 1)),
         (poly(1, 1), poly(2, 1)),
     ]
 
 
 def test_row_three_polynomials():
-    row = treemod.build_rows(3, SYM)[-1]
-    assert [(n.p, n.q) for n in row.nodes] == [
+    table = spinchain.pq_tables(2, SYM)
+    assert list(zip(table.p, table.q)) == [
         (poly(1), poly(2, 1, 1)),
         (poly(1, 1), poly(2, 3)),
         (poly(1, 2), poly(2, 3)),
@@ -36,18 +36,19 @@ def test_row_three_polynomials():
 
 
 def test_row_four_tent_gives_odd_dyadics():
-    row = treemod.build_rows(4, Params.exact(Fraction(0)))[-1]
-    assert row.values() == [Fraction(k, 16) for k in range(1, 16, 2)]
+    table = spinchain.pq_tables(3, Params.exact(Fraction(0)))
+    assert [p / q for p, q in zip(table.p, table.q)] == [Fraction(k, 16) for k in range(1, 16, 2)]
 
 
 def test_row_nodes_have_positive_coefficients():
-    for n in range(1, 11):
-        for node in treemod.build_rows(n, SYM)[-1].nodes:
-            assert all(c >= 0 for c in node.p.coeffs + node.q.coeffs)
+    for k in range(10):
+        table = spinchain.pq_tables(k, SYM)
+        for p, q in zip(table.p, table.q):
+            assert all(c >= 0 for c in p.coeffs + q.coeffs)
 
 
 def test_child_of_root_pair_and_first_row():
-    zero, one = treemod.root_endpoints(SYM)
+    zero, one = treemod.full_tree(0, SYM)
     half = treemod.child_of_neighbours(zero, one, SYM)
     assert (half.p, half.q, half.rank) == (ONE, poly(2), 1)
     left = treemod.child_of_neighbours(zero, half, SYM)
@@ -58,7 +59,7 @@ def test_child_of_root_pair_and_first_row():
 
 
 def test_non_neighbours_rejected():
-    zero, one = treemod.root_endpoints(SYM)
+    zero, one = treemod.full_tree(0, SYM)
     half = treemod.child_of_neighbours(zero, one, SYM)
     left = treemod.child_of_neighbours(zero, half, SYM)
     grandchild = treemod.child_of_neighbours(zero, left, SYM)
@@ -68,7 +69,7 @@ def test_non_neighbours_rejected():
 
 def test_child_of_neighbours_refuses_float_mode():
     # the neighbour identity is checked exactly; float paths are walked by coding.encode_point
-    zero, one = treemod.root_endpoints(Params.floating(0.5))
+    zero, one = treemod.full_tree(0, Params.floating(0.5))
     with pytest.raises(ValueError, match="exact or symbolic"):
         treemod.child_of_neighbours(zero, one, Params.floating(0.5))
 
@@ -91,7 +92,7 @@ def test_child_rule_regenerates_next_row():
         for a, b in zip(nodes, nodes[1:]):
             lo, hi = (a, b) if a.rank <= b.rank else (b, a)
             children.append(treemod.child_of_neighbours(lo, hi, SYM))
-        expected = treemod.build_rows(n + 1, SYM)[-1].nodes
+        expected = [node for node in treemod.full_tree(n + 1, SYM) if node.rank == n + 1]
         got = sorted(children, key=treemod.FareyNode.order_key)
         assert [(c.p, c.q, c.path) for c in got] == [(e.p, e.q, e.path) for e in expected]
 
@@ -99,8 +100,9 @@ def test_child_rule_regenerates_next_row():
 def test_rows_strictly_increasing_float():
     for r in (0.0, 0.25, 0.5, 0.75, 1.0):
         p = Params.floating(r)
-        for n in range(1, 13):
-            vals = treemod.build_rows(n, p)[-1].values()
+        for k in range(12):
+            table = spinchain.pq_tables(k, p)
+            vals = table.p / table.q
             assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
@@ -109,9 +111,7 @@ def test_row_mesh_shrinks():
         p = Params.floating(r)
         prev = 1.0
         for n in range(1, 17):
-            vals = np.sort(np.concatenate([[0.0, 1.0]] + [
-                np.asarray(row.values()) for row in treemod.build_rows(n, p)
-            ]))
+            vals = np.array([node.value() for node in treemod.full_tree(n, p)])  # sorted, endpoints included
             mesh = float(np.max(np.diff(vals)))
             assert mesh <= prev + 1e-15
             prev = mesh
@@ -185,39 +185,51 @@ def test_trace_pair_farey_parent_form():
             assert {T0, T1} == {a.p + b.q, b.p + a.q}
 
 
+def _extended_level(n, params):
+    """(sigma, p, q) texts of level n of the extended ``tree`` records: the row in path order, then its mirrors."""
+    return [(sigma, p, q) for level, sigma, p, q, _ in treemod.row_records(n, params, extended=True) if level == n]
+
+
 def test_extended_row_farey_is_stern_brocot():
-    row = treemod.extended_row(1, Params.exact(Fraction(1)))
-    assert [(n.p, n.q) for n in row.nodes] == [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))]
-    row2 = treemod.extended_row(2, Params.exact(Fraction(1)))
-    assert [Fraction(n.p, n.q) for n in row2.nodes] == [
+    assert _extended_level(1, Params.exact(Fraction(1))) == [("", "1", "2"), ("*", "2", "1")]
+    row2 = _extended_level(2, Params.exact(Fraction(1)))
+    assert [sigma for sigma, *_ in row2] == ["0", "1", "1*", "0*"]
+    assert [Fraction(p) / Fraction(q) for _, p, q in row2] == [
         Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(3, 1)]
 
 
 def test_extended_row_general_r():
-    row = treemod.extended_row(1, SYM)
-    assert (row.nodes[0].p, row.nodes[0].q) == (ONE, poly(2))
-    assert (row.nodes[1].p, row.nodes[1].q) == (poly(1, 1), RHO)  # (3-r)/(2-r)
+    assert _extended_level(1, SYM) == [("", str(ONE), str(poly(2))), ("*", str(poly(1, 1)), str(RHO))]  # (3-r)/(2-r)
+
+
+def _parse_poly(text):
+    """The RhoPoly whose str is text, e.g. "2 + 3*rho + -1*rho^2"."""
+    coeffs = {}
+    for term in text.split(" + ") if text != "0" else []:
+        head, x, power = term.partition("rho")
+        coeffs[int(power[1:] or 1) if x else 0] = int(head.rstrip("*") or 1) if x else int(head)
+    return RhoPoly([coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1)])
 
 
 def test_reflection_preserves_descendant_denominator():
-    # r p' + rho q' = r p + rho q for the reflected vertex; at p/q = 1/2 both are 4 - r
+    # r p' + rho q' = r p + rho q for the mirror vertex; at p/q = 1/2 both are 4 - r
     r_sym, rho = SYM.r, SYM.rho
-    (half,) = treemod.extended_row(1, SYM).nodes[1:]
-    assert r_sym * half.p + rho * half.q == r_sym * ONE + rho * poly(2) == poly(2, 1)
+    (_, p, q), = _extended_level(1, SYM)[1:]
+    assert r_sym * _parse_poly(p) + rho * _parse_poly(q) == r_sym * ONE + rho * poly(2) == poly(2, 1)
     for n in range(1, 5):
-        nodes = treemod.extended_row(n, SYM).nodes
-        tree_half, reflected = nodes[: len(nodes) // 2], nodes[len(nodes) // 2 :]
-        assert all(m.reflected for m in reflected) and not any(node.reflected for node in tree_half)
-        for node, mirror in zip(tree_half, reversed(reflected)):
-            assert mirror.path == node.path and mirror.rank == node.rank == n
-            assert r_sym * mirror.p + rho * mirror.q == r_sym * node.p + rho * node.q
+        level = _extended_level(n, SYM)
+        tree_half, mirrors = level[: len(level) // 2], level[len(level) // 2 :]
+        for (sigma, p, q), (mirror_sigma, mp, mq) in zip(tree_half, reversed(mirrors), strict=True):
+            assert mirror_sigma == sigma + "*" and len(sigma) == n - 1
+            p, q, mp, mq = map(_parse_poly, (p, q, mp, mq))
+            assert r_sym * mp + rho * mq == r_sym * p + rho * q
 
 
 def test_extended_row_matches_pair_recursion_exact():
     ex = Params.exact(Fraction(3, 7))
     for n in range(1, 9):
-        row_pairs = sorted((node.p, node.q) for node in treemod.extended_row(n, ex).nodes)
-        rec_pairs = sorted(transfer.extended_pairs(n + 1, ex))
+        row_pairs = sorted((p, q) for _, p, q in _extended_level(n, ex))
+        rec_pairs = sorted((str(p), str(q)) for p, q in transfer.extended_pairs(n + 1, ex))
         assert row_pairs == rec_pairs
 
 
@@ -249,7 +261,7 @@ def test_kernel_reflection_is_the_involution_per_vertex(params, n):
 
 def test_symbolic_row_cap():
     with pytest.raises(ValueError):
-        treemod.build_rows(20, SYM)
+        treemod.full_tree(20, SYM)
 
 
 _coefficient = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-(2**63) + 1, 2**63 - 1))
