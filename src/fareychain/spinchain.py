@@ -13,7 +13,10 @@ starting from p_0 = 1, q_0 = 2.  Interpreting Q_k = log q_k as the
 energy of a chain of k binary spins, the Fourier coefficients of p_k
 and q_k over the hypercube have a closed product form indexed by a
 polymer decomposition of the frequency word, and the induced spin
-interaction -Q_k^ is ferromagnetic for r in [0, 1].
+interaction -Q_k^ is ferromagnetic for r in [0, 1].  The three logs
+(c0, c1, c2) of ising_constants weigh the word length, |psi(t)| and the
+polymer count in the exponential form of q_k^ (hat_q_ising), and give
+the fields and pair coupling of its chain form (hat_q_ising_abs).
 
 Every row in the package comes from one two-child kernel (_step): a
 level has one column per word, and the next level holds A x in its
@@ -70,6 +73,8 @@ _DIGIT, _HALF_DIGIT = 1 << 64, 1 << 63  # symbolic mode packs a RhoPoly as its v
 
 def _check_cap(k: int, p: Params) -> None:
     cap = FLOAT_TABLE_CAP if p.mode == "float" else EXACT_TABLE_CAP
+    if k < 0:
+        raise ValueError(f"k={k} is negative: the levels start at k = 0")
     if k > cap:
         raise ValueError(f"k={k} exceeds the {p.mode}-mode table cap {cap}")
 
@@ -243,7 +248,6 @@ class PQTable:
     they are numpy arrays, otherwise Python lists of exact scalars.
     """
 
-    k: int
     p: Sequence
     q: Sequence
 
@@ -251,7 +255,7 @@ class PQTable:
 def pq_tables(k: int, params: Params) -> PQTable:
     """Tables of p_k, q_k over all of (Z/2Z)^k via the two-term recursions."""
     (x, scale), = _scaled_levels(_tree_stream, k, params, last=True)
-    return PQTable(k, *_entries(x, scale, params))
+    return PQTable(*_entries(x, scale, params))
 
 
 def q_table(k: int, params: Params) -> Sequence:
@@ -265,6 +269,8 @@ def q_hat_table(k: int, params: Params) -> Sequence:
     numerators over their scale D0 D^k, so no entry is divided before the output."""
     if params.mode == "symbolic":
         raise ValueError("the transform divides by 2^k; use exact or float mode")
+    if k > FOURIER_CAP:  # before the walk: the float table cap admits a larger k
+        raise ValueError(f"k={k} exceeds the transform cap {FOURIER_CAP}")
     (x, scale), = _scaled_levels(_tree_stream, k, params, last=True)
     if params.mode != "exact":
         return fourier_transform(x[1], k)
@@ -284,7 +290,7 @@ def pc_qc_tables(k: int, params: Params) -> PQTable:
     the tree rows.  The canonical partition function at level n is the
     plain sum of qc_n(sigma)^(-s) over all n-bit words.
     """
-    return PQTable(k, *_entries(*_cumulative(k, params), params))
+    return PQTable(*_entries(*_cumulative(k, params), params))
 
 
 def _cumulative(k: int, params: Params):
@@ -421,52 +427,13 @@ def partial_sum_word(t: SpinWord) -> SpinWord:
     return SpinWord.from_bits(bits)
 
 
-@dataclass(frozen=True)
-class IsingConstants:
-    """Constants of the exponential rewriting of q_k^ and its chain form.
-
-    c0, c1, c2 weight the word statistics (length, |psi(t)|, polymer
-    count); c2_tilde = c2/4 < 0 is the nearest-neighbour constant of
-    the chain form in the spins sigma_i = (-1)^(psi(t)_i), which enters
-    the pair coupling with coefficient -c2_tilde and the two boundary
-    fields likewise.
-    """
-
-    r: float
-    c0: float
-    c1: float
-    c2: float
-
-    @property
-    def c2_tilde(self) -> float:
-        return self.c2 / 4.0
-
-    @property
-    def coupling(self) -> float:
-        return -self.c2 / 4.0
-
-    @property
-    def bulk_field(self) -> float:
-        return -self.c1 / 2.0
-
-    @property
-    def edge_field(self) -> float:
-        return -self.c2 / 4.0
-
-    def log_prefactor(self, k: int) -> float:
-        return self.c0 * k + self.c1 * k / 2.0 + self.c2 * (k + 1) / 4.0
-
-
-def ising_constants(params: Params) -> IsingConstants:
+def ising_constants(params: Params) -> Tuple[float, float, float]:
+    """(c0, c1, c2) = (log((4-r)/2), log((2-r)/(4-r)), log(r/(4-r))), the weights of the word length, |psi(t)|
+    and the polymer count n(t) in the exponential rewriting of q_k^ (:func:`hat_q_ising`); c2 < 0 for r in (0, 2)."""
     r = params.r_float
     if not 0 < r < 2:
         raise ValueError("the exponential form requires r in (0, 2)")
-    return IsingConstants(
-        r=r,
-        c0=math.log((4 - r) / 2),
-        c1=math.log((2 - r) / (4 - r)),
-        c2=math.log(r / (4 - r)),
-    )
+    return math.log((4 - r) / 2), math.log((2 - r) / (4 - r)), math.log(r / (4 - r))
 
 
 def hat_q_ising(t: SpinWord, params: Params):
@@ -492,23 +459,20 @@ def hat_q_ising(t: SpinWord, params: Params):
 
 
 def hat_q_ising_abs(t: SpinWord, params: Params) -> float:
-    """|q_k^(t)| via the nearest-neighbour chain form (|t| even).
-
-    The spins are sigma_i = (-1)^(psi(t)_i); the energy is a sum of a
-    bulk field, boundary fields on sigma_1 and sigma_k, and a
-    nearest-neighbour pair term, all built from c1 and c2.
-    """
+    """|q_k^(t)| via the nearest-neighbour chain form (|t| even): 2 exp(E) in the spins sigma_i = (-1)^(psi(t)_i),
+    E the sum, in the constants (c0, c1, c2) of :func:`ising_constants`, of the prefactor c0 k + c1 k/2 + c2 (k+1)/4,
+    the bulk field -c1/2 on each spin, the boundary fields -c2/4 on sigma_1 and sigma_k, and the pair coupling -c2/4
+    on each sigma_i sigma_(i+1)."""
     if t.weight() % 2 == 1:
         return 0.0
-    c = ising_constants(params)
-    s = partial_sum_word(t)
-    spins = [1.0 - 2.0 * b for b in s]
+    c0, c1, c2 = ising_constants(params)
+    spins = [1.0 - 2.0 * b for b in partial_sum_word(t)]
     k = t.k
-    expo = c.log_prefactor(k)
-    expo += c.bulk_field * sum(spins)
+    expo = c0 * k + c1 * k / 2.0 + c2 * (k + 1) / 4.0
+    expo += -c1 / 2.0 * sum(spins)
     if k:
-        expo += c.edge_field * (spins[0] + spins[-1])
-    expo += c.coupling * sum(spins[i] * spins[i + 1] for i in range(k - 1))
+        expo += -c2 / 4.0 * (spins[0] + spins[-1])
+    expo += -c2 / 4.0 * sum(spins[i] * spins[i + 1] for i in range(k - 1))
     return 2.0 * math.exp(expo)
 
 

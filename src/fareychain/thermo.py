@@ -90,11 +90,13 @@ def grand_Z(k: int, s, params: Params):
     """Grand-canonical row sum Z^G_k(s) = sum_sigma q_k(sigma)^(-s).
 
     At r = 0 every level-k denominator equals 2^(k+1), so the sum
-    collapses to 2^k 2^(-s(k+1)) and any k is admissible; otherwise the
+    collapses to 2^k 2^(-s(k+1)) and any k >= 0 is admissible; otherwise the
     level-k row is walked in bounded-memory blocks (float up to k = 26,
     exact up to 16).
     """
     s = _require_integer_exponent(s, params)
+    if k < 0:  # before the r = 0 closed form, which has a value there
+        raise ValueError(f"k={k} is negative: the levels start at k = 0")
     if params.r == 0:
         return params.one * 2**k * (2 * params.one) ** (-s * (k + 1))
     d0, d = _integral(_tree_stream, params)[3:]

@@ -11,7 +11,9 @@ the two generator matrices
 
 both of determinant rho.  The involution matrix S (det -1, S^2 = I)
 reflects the tree into the extended, Stern-Brocot-like tree whose rows
-also cover (1, infinity).
+also cover (1, infinity).  The matrices are the kernel's row tuples ((a, b), (c, d)) of
+:func:`spinchain._generators` and :func:`spinchain._reflection`, multiplied by :func:`_product`;
+the oracle :func:`matrix_presentation` builds a vertex's product.
 
 The rows come from the levels of the two-child kernel of :mod:`spinchain`,
 where the reflection is one more step of each level, and nowhere else:
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from typing import Iterable, Iterator, List, Optional
 
@@ -40,41 +43,10 @@ from .words import SpinWord, label
 _ORDER_RHO = Fraction(3, 2)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix over the active coefficient ring (row-major)."""
-
-    a: object
-    b: object
-    c: object
-    d: object
-
-    def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def image_of_one(self):
-        """The pair (p, q) with p/q the Moebius image of 1."""
-        return self.a + self.b, self.c + self.d
-
-
-def mat_L(params: Params) -> Mat2:
-    return Mat2(*sum(_generators(params)[0], ()))
-
-
-def mat_R(params: Params) -> Mat2:
-    return Mat2(*sum(_generators(params)[1], ()))
-
-
-def mat_S(params: Params) -> Mat2:
-    return Mat2(*sum(_reflection(params)[1], ()))
+def _product(X, Y):
+    """The product X Y of two 2x2 matrices ((a, b), (c, d)) of row tuples, over any ring."""
+    (e, f), (g, h) = Y
+    return tuple((a * e + b * g, a * f + b * h) for a, b in X)
 
 
 @dataclass(frozen=True)
@@ -138,17 +110,14 @@ def child_of_neighbours(a: FareyNode, b: FareyNode, params: Params) -> FareyNode
     return FareyNode(b.p + w * a.p, b.q + w * a.q, b.rank + 1, path)
 
 
-def matrix_presentation(sigma: SpinWord, params: Params) -> Mat2:
-    """The product X = L M_1 ... M_k with M_i = L or R as sigma_i = 0 or 1.
+def matrix_presentation(sigma: SpinWord, params: Params):
+    """The product X = L M_1 ... M_k with M_i = L or R as sigma_i = 0 or 1, as row tuples ((a, b), (c, d)).
 
-    The image of 1 under X is the vertex with path word sigma, and
-    det X = rho^(k+1).
+    L and R are :func:`spinchain._generators`, multiplied by :func:`_product`.  The image of 1 under X,
+    (a + b)/(c + d), is the vertex with path word sigma, and det X = ad - bc = rho^(k+1).
     """
-    X = mat_L(params)
-    L, R = mat_L(params), mat_R(params)
-    for bit in sigma:
-        X = X @ (R if bit else L)
-    return X
+    L, R, _SR = _generators(params)
+    return reduce(lambda X, bit: _product(X, R if bit else L), sigma, L)
 
 
 def row_records(n: int, params: Params, extended: bool = False) -> Iterator[tuple]:

@@ -65,11 +65,10 @@ def suite_tree(seed: int = 0) -> List[CheckResult]:
     for k in range(9):
         table = spinchain.pq_tables(k, sym)
         for w in all_words(k):
-            X = treemod.matrix_presentation(w, sym)
-            p, q = X.image_of_one()
-            if not (p == table.p[w.index] and q == table.q[w.index]):
+            (a, b), (c, d) = treemod.matrix_presentation(w, sym)
+            if not (a + b == table.p[w.index] and c + d == table.q[w.index]):
                 ok = False
-            if not X.det() == sym.rho ** (k + 1):
+            if not a * d - b * c == sym.rho ** (k + 1):
                 ok = False
     out.append(CheckResult("tree", "matrix presentation X(1)=p/q, det X = rho^(k+1) (k<=8)", _exact(ok), 0.0))
 

@@ -64,24 +64,25 @@ def test_criterion_1_exact_identity_suite():
             ok &= table.q[i] == table.q[bit_reverse_index(i, k)]
 
     # matrix presentation against the tables, sharing prefixes along the tree
-    L, R = treemod.mat_L(sym), treemod.mat_R(sym)
+    L, R, _SR = spinchain._generators(sym)
     for k in range(0, 13):
         table = spinchain.pq_tables(k, sym)
         stack = [(L, 0, 0)]
         while stack:
             X, depth, idx = stack.pop()
             if depth == k:
-                ok &= X.image_of_one() == (table.p[idx], table.q[idx])
-                ok &= X.det() == sym.rho ** (k + 1)
+                (a, b), (c, d) = X
+                ok &= (a + b, c + d) == (table.p[idx], table.q[idx])
+                ok &= a * d - b * c == sym.rho ** (k + 1)
             else:
-                stack.append((X @ L, depth + 1, idx << 1))
-                stack.append((X @ R, depth + 1, (idx << 1) | 1))
+                stack.append((treemod._product(X, L), depth + 1, idx << 1))
+                stack.append((treemod._product(X, R), depth + 1, (idx << 1) | 1))
     rng = random.Random(0)
     table12 = spinchain.pq_tables(12, sym)
     for _ in range(32):
         w = SpinWord(12, rng.getrandbits(12))
-        X = treemod.matrix_presentation(w, sym)
-        ok &= X.image_of_one() == (table12.p[w.index], table12.q[w.index])
+        (a, b), (c, d) = treemod.matrix_presentation(w, sym)
+        ok &= (a + b, c + d) == (table12.p[w.index], table12.q[w.index])
 
     elapsed = time.time() - t0
     ok &= elapsed < 60.0

@@ -207,9 +207,9 @@ def test_ising_rewrite_matches_closed_form():
 
 def test_ising_constants():
     for r in (0.1, 0.5, 1.0, 1.9):
-        c = spinchain.ising_constants(Params.floating(r))
-        assert c.c2_tilde == pytest.approx(-0.25 * math.log((4 - r) / r))
-        assert c.c2_tilde < 0
+        _c0, _c1, c2 = spinchain.ising_constants(Params.floating(r))
+        assert c2 / 4 == pytest.approx(-0.25 * math.log((4 - r) / r))
+        assert c2 / 4 < 0
     with pytest.raises(ValueError):
         spinchain.ising_constants(Params.floating(0.0))
 
@@ -245,6 +245,39 @@ def test_caps_enforced():
         spinchain.pq_tables(17, SYM)
     with pytest.raises(ValueError):
         spinchain.fourier_transform(list(range(8)), 2)
+
+
+def _count_steps(monkeypatch) -> list:
+    """The arguments of every spinchain._step call made after this, one entry per call."""
+    steps = []
+    step = spinchain._step
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(spinchain, "_step", counted_step)
+    return steps
+
+
+def test_transform_cap_refused_before_the_walk(monkeypatch):
+    steps = _count_steps(monkeypatch)
+    monkeypatch.setattr(spinchain, "FOURIER_CAP", 4)  # below the table caps, as 24 is below the float cap 26
+    for params in (Params.floating(0.5), Params.exact(Fraction(1, 2))):
+        with pytest.raises(ValueError, match="k=6 exceeds the transform cap 4"):
+            spinchain.q_hat_table(6, params)
+    assert not steps
+
+
+def test_negative_depth_refused_before_any_step(monkeypatch):
+    steps = _count_steps(monkeypatch)
+    calls = [lambda: thermo.grand_Z(-1, 2, Params.floating(0.0)), lambda: thermo.grand_Z(-1, 2, Params.floating(0.5))]
+    calls += [lambda f=f: f(-1, Params.floating(0.5)) for f in (spinchain.pq_tables, spinchain.q_table,
+                                                               spinchain.q_hat_table)]
+    for call in calls:
+        with pytest.raises(ValueError, match="k=-1 is negative"):
+            call()
+    assert not steps
 
 
 STREAMS = {
@@ -320,14 +353,7 @@ def test_packed_digits_decode_coefficients_up_to_2_63(root, a, b, flip):
 
 
 def test_stream_over_the_packing_bound_refused_before_any_step(monkeypatch):
-    steps = []
-    step = spinchain._step
-
-    def counted_step(*args):
-        steps.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(spinchain, "_step", counted_step)
+    steps = _count_steps(monkeypatch)
     list(spinchain._walk(spinchain._tree_stream, 2, SYM, math.inf))  # the tree stream's bound is 2 * 4^16 = 2^33
     assert len(steps) == 2
     reflection = spinchain._reflection(SYM)  # I, and S with rows (1 - rho, rho), (2 - rho, rho - 1): sums 3 and 5

@@ -117,21 +117,57 @@ def test_row_mesh_shrinks():
             prev = mesh
 
 
+def _det(X):
+    (a, b), (c, d) = X
+    return a * d - b * c
+
+
+def _at_one(X):
+    """(p, q) = (a + b, c + d): X sends 1 to p/q."""
+    (a, b), (c, d) = X
+    return a + b, c + d
+
+
 def test_generator_matrices():
-    L, R, S = treemod.mat_L(SYM), treemod.mat_R(SYM), treemod.mat_S(SYM)
-    assert L.det() == RHO and R.det() == RHO
-    assert S.det() == poly(-1)
-    assert (S @ S) == treemod.Mat2(ONE, poly(), poly(), ONE)
-    assert (L @ S) == (S @ R)  # the branch matrix I_1 = L S = S R
+    L, R, _SR = spinchain._generators(SYM)
+    S = spinchain._reflection(SYM)[1]
+    assert _det(L) == RHO and _det(R) == RHO
+    assert _det(S) == poly(-1)
+    assert treemod._product(S, S) == ((ONE, poly()), (poly(), ONE))
+    assert treemod._product(L, S) == treemod._product(S, R)  # the branch matrix I_1 = L S = S R
+
+
+def _moebius(X, x):
+    (a, b), (c, d) = X
+    return (a * x + b) / (c * x + d)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+# rational matrices whose denominator c x + d is positive on [0, 1], i.e. at both ends
+_MATRICES = st.tuples(st.tuples(_RATIONALS, _RATIONALS), st.tuples(_RATIONALS, _RATIONALS)).filter(
+    lambda X: X[1][1] > 0 and sum(X[1]) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRICES, _MATRICES, st.fractions(min_value=0, max_value=1, max_denominator=50))
+def test_product_composes_moebius_maps(X, Y, x):
+    XY = treemod._product(X, Y)
+    (_, _), (c, d) = X
+    y = _moebius(Y, x)
+    if c * y + d != 0:  # else X o Y is undefined at x, and so is X Y
+        assert _moebius(XY, x) == _moebius(X, y)
+    assert _det(XY) == _det(X) * _det(Y)
+    identity = ((1, 0), (0, 1))
+    assert treemod._product(X, identity) == X == treemod._product(identity, X)
 
 
 def test_presentation_examples():
     L = treemod.matrix_presentation(SpinWord(0, 0), SYM)
-    assert L.image_of_one() == (ONE, poly(2))
+    assert _at_one(L) == (ONE, poly(2))
     LL = treemod.matrix_presentation(SpinWord.from_bits((0,)), SYM)
-    assert LL.image_of_one() == (poly(1), poly(2, 1))
+    assert _at_one(LL) == (poly(1), poly(2, 1))
     LR = treemod.matrix_presentation(SpinWord.from_bits((1,)), SYM)
-    assert LR.image_of_one() == (poly(1, 1), poly(2, 1))
+    assert _at_one(LR) == (poly(1, 1), poly(2, 1))
 
 
 def test_presentation_matches_tables_and_determinant():
@@ -139,14 +175,15 @@ def test_presentation_matches_tables_and_determinant():
         table = spinchain.pq_tables(k, SYM)
         for w in all_words(k):
             X = treemod.matrix_presentation(w, SYM)
-            assert X.image_of_one() == (table.p[w.index], table.q[w.index])
-            assert X.det() == RHO ** (k + 1)
+            assert _at_one(X) == (table.p[w.index], table.q[w.index])
+            assert _det(X) == RHO ** (k + 1)
 
 
 def _trace_pair(X, params):
     """(T0, T1) = (trace X, trace XS) of a leaf matrix X."""
-    XS = X @ treemod.mat_S(params)
-    return X.a + X.d, XS.a + XS.d
+    (a, _), (_, d) = X
+    (e, _), (_, h) = treemod._product(X, spinchain._reflection(params)[1])
+    return a + d, e + h
 
 
 def test_trace_pair_left_powers():
@@ -163,7 +200,7 @@ def test_trace_pair_sum_identity():
     for k in range(0, 7):
         for w in all_words(k):
             X = treemod.matrix_presentation(w, SYM)
-            p, q = X.image_of_one()
+            p, q = _at_one(X)
             T0, T1 = _trace_pair(X, SYM)
             assert T0 + T1 == r_sym * p + RHO * q
     X = treemod.matrix_presentation(SpinWord(0, 0), SYM)
