@@ -63,15 +63,6 @@ def left_branch_power(x, p: Params, n: int):
     return 1 / (rho**n / x + r * geom)
 
 
-def map_derivative(x, p: Params):
-    """dF_r/dx, negative on the right branch."""
-    _check_unit_interval(x)
-    r, rho = p.r, p.rho
-    if 2 * x <= 1:
-        return rho / (1 - r * x) ** 2
-    return -rho / (1 - r * (1 - x)) ** 2
-
-
 def invariant_density(x, p: Params) -> float:
     """Density of the absolutely continuous invariant probability measure.
 

@@ -709,7 +709,7 @@ SEARCH_DIM = 3 * RETURN_DIM // 4  # the roots' bracketed search runs at 3 dim/4;
 SERIES_DIM = 24  # Chebyshev points of the first-return series of the traces and Xi_n; against 3 dim/4
 SERIES_CAP = 200  # the largest n of that series
 RETURN_DIRECT = 32  # M: the terms m < M are summed directly, the rest by Gregory's formula from an integral
-RETURN_STEP = 1.0 / 16  # step h of the double-exponential rules of that integral at eps = 0; checked against 2h
+RETURN_STEP = 1.0 / 16  # step h of the double-exponential rule of that integral at eps = 0; checked against 2h
 RETURN_STEP_EPS = 1.0 / 32  # the step at eps != 0 (spectral_radius): at 1/16 its 2h term reached 3.8e-9 at r = 1, s < 1
 
 
@@ -726,20 +726,15 @@ _POINT_WEIGHTS = np.concatenate([np.ones(RETURN_DIRECT - 1), _gregory_weights(16
 _POINT_M = np.arange(1.0, len(_POINT_WEIGHTS) + 1)
 
 
-@lru_cache(maxsize=8)  # at eps = 0 the split is 0 for r <= 0.97 and at r = 1: every such r shares one key per dim
-def _tail_nodes(split: float, h: float, dim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4)  # one node set per (h, dim): RETURN_STEP and RETURN_STEP_EPS at SEARCH_DIM and RETURN_DIM
+def _tail_nodes(h: float, dim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nodes v, weights, 2h multipliers (2 on even nodes, 0 on odd) of int_0^inf dv at step h, and e^(-p v), p < dim,
-    read-only, cached per (split, h, dim): tanh-sinh on [0, split] if split > 0, v = split + exp(tau - e^(-tau)) on
-    [split, inf) for integrands like e^(-a v), a >= 1/2; past the tau ranges the terms are below rounding."""
-    parts = []
-    if split > 0:
-        k = np.arange(-round(3.2 / h), round(3.2 / h) + 1)
-        u = np.pi / 2 * np.sinh(k * h)
-        parts.append((k, split / (1.0 + np.exp(-2.0 * u)), split * h * np.pi / 4 * np.cosh(k * h) / np.cosh(u) ** 2))
+    read-only, cached per (h, dim): the exp-decay double-exponential rule v = exp(tau - e^(-tau)), tau = k h
+    (Takahasi & Mori, Publ. RIMS 9 (1974)), for integrands like e^(-a v), a >= 1/2; past the tau range the terms
+    are below rounding."""
     k = np.arange(-round(3.6 / h), round(4.5 / h) + 1)
-    e = np.exp(k * h - np.exp(-k * h))
-    k, v, w = map(np.concatenate, zip(*parts, (k, split + e, h * (1.0 + np.exp(-k * h)) * e)))
-    return _read_only(v, w, 2.0 * (k % 2 == 0), np.exp(-np.outer(v, np.arange(dim))))
+    v = np.exp(k * h - np.exp(-k * h))
+    return _read_only(v, h * (1.0 + np.exp(-k * h)) * v, 2.0 * (k % 2 == 0), np.exp(-np.outer(v, np.arange(dim))))
 
 
 @lru_cache(maxsize=2)
@@ -848,14 +843,13 @@ def _series_estimates(r: float, head: np.ndarray, parts: Sequence[Tuple[complex,
 
 
 class _ReturnOperator(NamedTuple):
-    """The sigma-independent arrays of K_sigma collocated at one (r, dim, split, step); n points, P tail nodes."""
+    """The sigma-independent arrays of K_sigma collocated at one (r, dim, step); n points, P tail nodes."""
 
     log_d: np.ndarray  # (dim, n): log D_m(x_i), m = 1 .. n
     rows: np.ndarray  # (dim, n, dim): the basis at 1 - x_i/D_m
     vander: np.ndarray  # (dim, dim): t_i^p, t = x_i / D_M
     lam: np.ndarray  # (dim,)
     log_rho: np.ndarray  # (): L
-    split: np.ndarray  # (): min(v*, cut), :func:`_return_operator`
     v: np.ndarray  # (P,)
     weights: np.ndarray  # (P,): :func:`_tail_nodes`
     tail: np.ndarray  # (dim, P): node weights / (L + lam_i e^(-v))
@@ -866,40 +860,29 @@ class _ReturnOperator(NamedTuple):
 
 def _return_operator(r: float, dim: int, eps: float = 0.0) -> _ReturnOperator:
     """K_sigma collocated at dim Chebyshev points x_i of [1/2, 1] for the weight e^(-eps m), read-only, cached per
-    (r, dim, split, step), with the tail rules' cut and step h taken from eps: cut is the v past which e^(-eps m) < 1/e
-    at every x_i, log1p(1 / ((M + 1) eps)) rounded up to a half (m - M = expm1(v) / t while D_m grows linearly,
-    t <= 1 / (M + 1)), inf for eps <= 0; h is RETURN_STEP at eps = 0, where s_cr is rooted, and RETURN_STEP_EPS
-    otherwise.  Every cut >= the split v* shares the operator of cut = inf (all cuts for r <= 0.97, r = 1).
+    (r, dim, h), the tail rule's step h RETURN_STEP at eps = 0, where s_cr is rooted, and RETURN_STEP_EPS otherwise.
 
     With D_m = D_m(x_i), M = RETURN_DIRECT, t = x_i / D_M and L = log rho, the terms m < M + 16 enter
     one by one, Gregory's end weights from M on.  They stand in for the sum from M with the integral from
     M, which D(M + u) = D_M e^v turns into D_M^(-2 sigma) int_0^inf e^(-2 sigma v) f(1 - t e^(-v)) /
     (L + lam e^(-v)) dv, lam = r t L / (1 - r) (r t at r = 1).  Here f is a basis function; its Taylor
     polynomial in t e^(-v) is exact and, as t <= 1/(M + 1), well conditioned, so the integral needs only
-    the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i (:func:`_tail_nodes`).  They split at
-    v* = log(lam / L), where the integrand turns from e^(-(2 sigma - 1) v) / lam to e^(-2 sigma v) / L (v* = 0 if
-    lam <= L, and at r = 1, where the first form holds throughout), or at cut if that is lower: past it the weight
-    e^(-eps m) kills the integrand double-exponentially, faster than tanh-sinh resolves.
+    the moments of e^(-(2 sigma + p) v), on nodes shared by every x_i and every eps (:func:`_tail_nodes`).
     """
-    x = (RETURN_DIRECT + 1) * eps
-    cut = math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
-    step = RETURN_STEP_EPS if eps else RETURN_STEP
-    op = _collocate_return(r, dim, math.inf, step)
-    return op if op.split <= cut else _collocate_return(r, dim, cut, step)
+    return _collocate_return(r, dim, RETURN_STEP_EPS if eps else RETURN_STEP)
 
 
 @lru_cache(maxsize=4)
-def _collocate_return(r: float, dim: int, cut: float, step: float) -> _ReturnOperator:
-    """:func:`_return_operator` split at min(v*, cut), D_m and the basis rows from :func:`_return_blocks`."""
+def _collocate_return(r: float, dim: int, step: float) -> _ReturnOperator:
+    """:func:`_return_operator` at the tail rule's step, D_m and the basis rows from :func:`_return_blocks`."""
     x, D, rows = _return_blocks(r, dim, len(_POINT_WEIGHTS))
-    delta, L = 1.0 - r, math.log1p(1.0 - r)
+    L = math.log1p(1.0 - r)
     t = x / D[:, RETURN_DIRECT - 1]
-    lam = r * t * (L / delta if delta else 1.0)
-    split = min(math.log(r * t[dim // 2] / delta), cut) if r * t[dim // 2] > delta > 0 else 0.0
-    v, weights, even, powers = _tail_nodes(split, step, dim)
-    return _ReturnOperator(*_read_only(np.log(D), rows, np.vander(t, dim, increasing=True), lam, np.array(L),
-                                       np.array(split), v, weights, weights / (L + np.outer(lam, np.exp(-v))), even,
-                                       powers, _taylor_basis(dim)))
+    lam = r * t * (L / (1.0 - r) if r < 1 else 1.0)
+    v, weights, even, powers = _tail_nodes(step, dim)
+    return _ReturnOperator(*_read_only(np.log(D), rows, np.vander(t, dim, increasing=True), lam, np.array(L), v,
+                                       weights, weights / (L + np.outer(lam, np.exp(-v))), even, powers,
+                                       _taylor_basis(dim)))
 
 
 def _tail_m(op: _ReturnOperator) -> Tuple[np.ndarray, np.ndarray]:

@@ -443,7 +443,7 @@ def test_spectral_radius_at_the_farey_map():
         assert res.method.startswith("fixed point 0") and abs(res.value - 1.0) <= res.error <= 1e-10
     res = transfer.spectral_radius(0.75, 1.0)
     assert abs(res.value - transfer._collocation_lambda(0.75, 1.0, 384)) <= res.error + 1e-14
-    # toward it the weight e^(-eps m) cuts the tail early in the long tanh-sinh split (transfer._return_operator)
+    # toward it lambda tends to its value there, on the tail rule every r shares (transfer._tail_nodes)
     for r in (1.0 - 1e-6, 1.0 - 1e-10):
         assert abs(transfer.spectral_radius(0.9, r).value - transfer.spectral_radius(0.9, 1.0).value) <= 1e-5
 
@@ -469,6 +469,10 @@ def _compression_lambda(s, r):
 @example(1.0, 0.9999)
 @example(1.0, 0.99999)
 @example(1.0 - 2.0**-53, 1.0 - 2.0**-53)
+@example(0.98, 0.75)  # r in (0.97, 1), which the draws reach 3 % of the time
+@example(0.99, 2.0)
+@example(0.995, 0.5)
+@example(0.999, 1.5)
 def test_spectral_radius_matches_chebyshev_compression(r, s):
     # lambda >= mu_0 = rho^-s, the fixed point's eigenvalue; for s > 1 and 1 - r below about 1e-3 the compression
     # cannot resolve the eigenfunction at the near-neutral fixed point and falls up to 3e-5 below mu_0
@@ -513,6 +517,10 @@ def _dim16_log_lambda(s, r, tol):
 @example(1.0, 0.75, -10.0)
 @example(1.0, 0.9999, -10.0)
 @example(0.0, 4.0, -4.0)
+@example(0.99, 0.995, -10.0)  # r in (0.97, 1), which the draws reach 3 % of the time
+@example(1.0 - 1e-6, 0.9, -10.0)
+@example(0.98, 2.5, -8.0)
+@example(0.975, 0.25, -10.0)
 def test_newton_step_lands_on_the_dim16_lambda(r, s, log_tol):
     # the dim-12 search and one dim-16 Newton step in eps against the dim-16 search: within the reported error
     tol = 10.0**log_tol
@@ -533,33 +541,21 @@ def test_spectral_radius_eigen_budget(linalg_calls):
     assert res.method.startswith("fixed point 0") and linalg_calls == [("eigvals", (12, 12))] + finish
 
 
-def test_return_operator_is_keyed_by_its_split(monkeypatch):
-    # the eps cut of the tail rules enters the operator only through its split min(v*, cut), and v* = 0 for r <= 0.97
-    # and at r = 1: there one spectral_radius call builds one operator per (dim, step) it uses, not one per cut, and
-    # its value and error are those of building one per cut
-    def cut(eps):  # the tail rule of transfer._return_operator
-        x = (transfer.RETURN_DIRECT + 1) * eps
-        return math.ceil(2.0 * (math.log1p(x) - math.log(x))) / 2.0 if eps > 0 else math.inf
-
-    def step(eps):
-        return transfer.RETURN_STEP_EPS if eps else transfer.RETURN_STEP
-
+def test_spectral_radius_builds_one_operator_per_dim_and_step(monkeypatch):
+    # the tail rule depends on the step alone, not on r or eps: one spectral_radius call builds one operator per
+    # (dim, step) it uses, near the Farey map as well as at r = 0.5
     keyed = transfer._return_operator
-    for r, s in ((0.5, 0.5), (1.0, 0.75)):
-        uses = []
+    for r, s in ((0.5, 0.5), (0.99, 0.5), (1.0 - 1e-6, 0.75), (1.0, 0.75)):
+        uses = set()
 
         def record(r, dim, eps=0.0):
-            uses.append((dim, cut(eps), step(eps)))
+            uses.add((dim, transfer.RETURN_STEP_EPS if eps else transfer.RETURN_STEP))
             return keyed(r, dim, eps)
 
         transfer._collocate_return.cache_clear()
         monkeypatch.setattr(transfer, "_return_operator", record)
-        res = transfer.spectral_radius(s, r)
-        builds = transfer._collocate_return.cache_info().misses
-        assert builds == len({(dim, h) for dim, _cut, h in uses}) < len(set(uses)), (r, s, uses)
-        per_cut = lambda r, dim, eps=0.0: transfer._collocate_return.__wrapped__(r, dim, cut(eps), step(eps))
-        monkeypatch.setattr(transfer, "_return_operator", per_cut)  # a build per call, at its own cut
-        assert transfer.spectral_radius(s, r) == res, (r, s)
+        transfer.spectral_radius(s, r)
+        assert transfer._collocate_return.cache_info().misses == len(uses), (r, s, uses)
 
 
 def _central_difference(f, x, h):
@@ -588,10 +584,10 @@ def test_return_root_forms_match_independent_routes(r):
                 assert abs(-d_eps - mean) <= 1e-7 * mean, (r, s, eps, -d_eps, mean)
             else:
                 assert mean == math.inf
-            coarse = transfer._collocate_return(r, 16, float(op.split), 2.0 * step)  # the same split at step 2h
+            coarse = transfer._collocate_return(r, 16, 2.0 * step)
             two = abs(_log_lambda16(coarse, s, eps) - _log_lambda16(op, s, eps))
             assert abs(step_term - two) <= 1e-14 + two**2, (r, s, eps, step_term, two)
-            nodes = transfer._tail_nodes(float(op.split), step, 16)  # cached, so read-only
+            nodes = transfer._tail_nodes(step, 16)  # cached, so read-only
             assert nodes[3] is op.powers and not any(arr.flags.writeable for arr in (*op, *nodes))
 
 
