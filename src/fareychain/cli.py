@@ -19,11 +19,12 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, coding, spinchain, thermo, transfer, twisted, verify
+from . import __version__, spinchain, thermo, transfer, twisted
 from . import tree as treemod
 from .rings import Params
 from .words import label
@@ -113,20 +114,44 @@ def _require_finite(rows: List[Sequence], fieldnames: Sequence[str]) -> List[Seq
 _series_command = np.errstate(all="ignore")
 
 
+# rows joined per write: on short rows a write per row costs more than csv.writer, and a block holds its
+# lines and its text at once (256 rows held a whole thermo sweep's twice)
+_CSV_BLOCK = 16
+_to_json = json.JSONEncoder(allow_nan=False).encode
+
+
+def _joined_csv(block: List[Sequence]) -> Optional[str]:
+    """`block` as csv.writer writes it, made by joining; None if csv.writer writes it differently: where a cell
+    is None (taken to be wherever the text None is), holds a '"', ',', '\\r' or '\\n', or is a row's one empty cell."""
+    lines = [",".join(map(str, row)) for row in block]
+    text = "\r\n".join(lines) + "\r\n"
+    n = len(lines)
+    plain = not ('"' in text or "None" in text or "" in lines) and text.count("\r") == text.count("\n") == n
+    return text if plain and text.count(",") == sum(map(len, block)) - n else None
+
+
 def emit(rows: Iterable[Sequence], fieldnames: Sequence[str], args, default_format: str = "csv") -> None:
     """Write the metadata header, then `rows` (tuples in `fieldnames` order) as CSV, where None is an
     empty cell, or as JSON lines keyed by `fieldnames`, where None is null: in the --format given,
-    else in `default_format`."""
+    else in `default_format`.  CSV rows stream in blocks of _CSV_BLOCK rows, each written as comma-joined
+    lines unless csv.writer would write it differently (_joined_csv): then csv.writer writes the block.
+    Of the subcommands' tables, only a thermo block with an overflowed ZC (a None cell) goes that way."""
     meta = _meta(args, getattr(args, "mode", "float"))
     with _open_out(getattr(args, "out", None)) as fh:
         if (getattr(args, "format", None) or default_format) == "csv":
             fh.writelines(f"# {key}: {val}\n" for key, val in meta.items())
             writer = csv.writer(fh)
             writer.writerow(fieldnames)
-            writer.writerows(rows)
+            rows = iter(rows)
+            while block := list(islice(rows, _CSV_BLOCK)):
+                text = _joined_csv(block)
+                if text is None:
+                    writer.writerows(block)
+                else:
+                    fh.write(text)
         else:
-            fh.write(json.dumps({"meta": meta}, allow_nan=False) + "\n")
-            fh.writelines(json.dumps(dict(zip(fieldnames, row)), allow_nan=False) + "\n" for row in rows)
+            fh.write(_to_json({"meta": meta}) + "\n")
+            fh.writelines(_to_json(dict(zip(fieldnames, row))) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +187,7 @@ def _require_path_args(args) -> None:
 
 
 def cmd_code(args) -> int:
+    from . import coding  # here and in cmd_conjugacy, as verify in cmd_verify: no other command loads them
     _require_path_args(args)
     p = _params(args)
     xs = parse_values(args.x, "--x", Fraction if args.mode == "exact" else float)
@@ -174,6 +200,7 @@ def cmd_conjugacy(args) -> int:
     if args.grid >= thermo.SWEEP_CAP:
         raise ValueError(f"--grid {args.grid} gives {args.grid + 1} points, more than {thermo.SWEEP_CAP}")
     _require_path_args(args)
+    from . import coding
     p = _params(args)
     xs = (Fraction(i, args.grid) if args.mode == "exact" else i / args.grid for i in range(args.grid + 1))
     records = ((str(x), repr(coding.conjugacy_h(x, p, args.depth)), args.depth) for x in xs)
@@ -275,6 +302,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     results = verify.run_suite(args.suite, seed=args.seed)
     width = max(len(c.name) for c in results)
     failures = 0

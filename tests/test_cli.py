@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import csv
 import inspect
+import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fareychain import __version__, cli, coding, spinchain, thermo, transfer, verify
 from fareychain.cli import main, parse_values
@@ -494,3 +499,82 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0 and capsys.readouterr().out == f"fareychain {__version__}\n"
+
+
+@st.composite
+def _tables(draw):
+    """Rows of one width with cells of a few drawn kinds, so that some tables hold no cell csv.writer writes
+    differently from its str(): None, a text with ',', '"', '\\r' or '\\n', or a lone empty cell."""
+    quoted = sorted(draw(st.sets(st.sampled_from([",", '"', "\r", "\n"]))))
+    texts = st.text(st.sampled_from(["a", "1", ".", "-", " ", *quoted]), max_size=6) | st.sampled_from(["", "None"])
+    floats = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308])
+    kinds = draw(st.lists(st.sampled_from([st.none(), st.integers(), st.booleans(), floats, st.fractions(), texts]),
+                          min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(*[st.one_of(kinds)] * draw(st.integers(1, 6))), max_size=12))
+
+
+def _text_bytes(write) -> bytes:
+    """What `write(fh)` puts on a text stream like sys.stdout's, which writes '\\n' as os.linesep."""
+    fh = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    write(fh)
+    fh.flush()
+    return fh.buffer.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(), st.sampled_from([1, 50]))
+@example([(1, "a,b")], 1)
+@example([('say "x"', 2.5)], 1)
+@example([("a\rb",), ("c",)], 1)
+@example([(Fraction(1, 3), "a\nb")], 1)
+@example([("",), ("x",)], 50)
+@example([(None, 1.0), (2, 3.0)], 50)
+def test_emit_csv_bytes_are_csv_writers(tmp_path_factory, rows, copies):
+    """emit's CSV equals csv.writer's to the byte, on stdout and through --out, over one block and several."""
+    rows = rows * copies  # 50 copies of up to 12 rows span blocks, some with a row only csv.writer writes right
+    fields = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    path, ref_path = (tmp_path_factory.getbasetemp() / name for name in ("emit.csv", "csv_writer.csv"))
+    with open(ref_path, "w", newline="") as fh:  # as emit opens --out
+        csv.writer(fh).writerows([fields, *rows])
+    cli.emit(iter(rows), fields, argparse.Namespace(format="csv", out=str(path)))
+
+    def to_stdout(fh):
+        with contextlib.redirect_stdout(fh):
+            cli.emit(iter(rows), fields, argparse.Namespace(format="csv", out=None))
+
+    for got, want in ((_text_bytes(to_stdout), _text_bytes(lambda fh: csv.writer(fh).writerows([fields, *rows]))),
+                      (path.read_bytes(), ref_path.read_bytes())):
+        head, _, body = got.partition(b"# mode: float\n")
+        assert head.startswith(b"# tool: fareychain") and body == want
+
+
+_json_cells = st.one_of(st.none(), st.integers(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+                        st.text(max_size=6), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_json_cells, _json_cells), max_size=8), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_emit_json_lines_are_json_dumps(rows, bad):
+    """Each JSON line is json.dumps(..., allow_nan=False) of its record; a nan or inf is refused."""
+    args = argparse.Namespace(format="jsonl")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(rows, ["a", "b"], args)
+    want = [json.dumps({"meta": cli._meta(args, "float")}, allow_nan=False)]
+    want += [json.dumps({"a": a, "b": b}, allow_nan=False) for a, b in rows]
+    assert out.getvalue() == "".join(line + "\n" for line in want)
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(ValueError):
+        cli.emit([*rows, (bad, 0)], ["a", "b"], args)
+
+
+def test_cli_import_leaves_the_path_and_verify_modules_unloaded():
+    """A fresh `import fareychain.cli` loads the seven layer modules, which the benchmark's tracer reads from
+    sys.modules, and not coding or verify, which only code, conjugacy and verify import."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, fareychain.cli; "
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('fareychain.'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                                check=True).stdout.split())
+    layers = {f"fareychain.{name}" for name in ("cli", "thermo", "spinchain", "transfer", "twisted", "tree", "rings")}
+    assert layers <= loaded and not loaded & {"fareychain.coding", "fareychain.verify"}, loaded
