@@ -218,7 +218,7 @@ def cmd_spin(args) -> int:
     p = _params(args)
     k = args.k
     if args.table == "q":
-        values = map(str, spinchain.q_table(k, p))
+        values = treemod.q_texts(k) if p.mode == "symbolic" else map(str, spinchain.q_table(k, p))
     elif args.table == "qhat":
         values = map(str, spinchain.q_hat_table(k, p))
     else:  # interaction

@@ -207,28 +207,29 @@ class Params:
         return Params.floating(self.r_float)
 
 
-def _add(x, y):
-    """x + y for fractions as (numerator, denominator) pairs of ints, by Fraction's two-gcd rule."""
-    (na, da), (nb, db) = x, y
-    g = math.gcd(da, db)
-    if g == 1:
-        return na * db + da * nb, da * db
-    t = na * (db // g) + nb * (da // g)
-    g2 = math.gcd(t, g)
-    return t // g2, da // g * (db // g2)
-
-
 def power_sum(values, s: int):
     """sum of v^(-s) over nonzero ints, exactly: a Fraction for s > 0, the int sum of v^|s| for s <= 0.
-    Equal values are raised once (at level 10 a tree row has 267 distinct denominators in 1024),
-    and the terms count / v^s are added as int pairs in a balanced tree, one Fraction made at the end."""
+
+    Equal values are raised once (at level 10 a tree row has 267 distinct denominators in 1024).
+    For s > 0 the terms are merged in a balanced pair tree whose nodes are int pairs (N, M) worth
+    N / M^s, M the lcm of the node's values and a leaf (count, v).  Two nodes merge by
+    g = gcd(M1, M2), a = M1/g, b = M2/g into (N1 b^s + N2 a^s, a M2), exact for any signs.  Only
+    the cofactors a, b are raised, nothing is reduced on the way, and the one Fraction(N, M^s)
+    at the end normalizes: so every gcd but that last one runs on lcms of the values, about 1/s
+    the bits of the powers' denominators that a Fraction sum would reduce at every merge."""
     counts = Counter(values)
     if s <= 0:
         return sum(c * v**-s for v, c in counts.items())
-    terms = [(c, v**s) for v, c in counts.items()] or [(0, 1)]
+    terms = [(c, v) for v, c in counts.items()] or [(0, 1)]
     while len(terms) > 1:  # an odd last term waits for the next round
-        terms = [_add(x, y) for x, y in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
-    return Fraction(*terms[0])
+        merged = []
+        for (n1, m1), (n2, m2) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(m1, m2)
+            a, b = m1 // g, m2 // g
+            merged.append((n1 * b**s + n2 * a**s, a * m2))
+        terms = merged + terms[len(terms) & ~1 :]
+    n, m = terms[0]
+    return Fraction(n, m**s)
 
 
 def csum_complex(values) -> complex:

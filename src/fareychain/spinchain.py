@@ -25,7 +25,7 @@ the ring of the mode: float64, or ints, in exact mode level j scaled by
 D0 D^j, in symbolic mode each polynomial packed as its value at rho = 2^64
 (_integral); in flip order the second half is written reversed.  The exact
 tables divide once per entry; the symbolic ones read each table's base-2^64
-digits (_digits) as RhoPolys (_entries), tree.row_records as texts.  With
+digits (_digits) as RhoPolys (_entries), tree.row_records and tree.q_texts as texts.  With
 L = [[1, 0], [r, rho]], R = [[1, rho], [0, rho]], SR = [[r-1, rho], [r, rho]]:
 
     tree rows (p, q)    root (1, 2)         L, SR               flip

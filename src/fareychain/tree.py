@@ -20,7 +20,7 @@ where the reflection is one more step of each level, and nowhere else:
 :func:`row_records` streams the ``tree`` records in column blocks of each
 level, one str per distinct entry; :func:`full_tree` is the one builder of
 FareyNodes, which the mediant-rule oracle :func:`child_of_neighbours` reads;
-one level alone is :func:`spinchain.pq_tables`.
+one level alone is :func:`spinchain.pq_tables`, and the texts of its q row :func:`q_texts`.
 """
 
 from __future__ import annotations
@@ -158,6 +158,15 @@ def _rho_texts(digits: np.ndarray) -> List[str]:
         terms = [" + " + (unit if c == 1 else f"{c}{suffix}") if c else "" for c in coeffs.tolist()]
         texts += np.array(terms, dtype=object)[where]
     return [text[3:] or "0" for text in texts.tolist()]
+
+
+def q_texts(k: int) -> List[str]:
+    """map(str, spinchain.q_table(k, Params.symbolic())) from the packed digits of kernel level k, as the tree rows
+    make theirs: each distinct value decoded once (:func:`_rho_texts`), no RhoPoly built."""
+    (x, _scale), = _scaled_levels(_tree_stream, k, Params.symbolic(), last=True)
+    row = x[1].tolist()
+    distinct = list(dict.fromkeys(row))
+    return list(map(dict(zip(distinct, _rho_texts(_digits(distinct)))).get, row))
 
 
 def tree_adjacency(records: Iterable[tuple]) -> dict:

@@ -107,9 +107,26 @@ def test_exact_row_sum_matches_fraction_sum():
         assert thermo.grand_Z(6, s, params) == sum(Fraction(1) / v**s for v in q)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-30, 30).filter(bool), max_size=40), st.integers(-3, 6))
+# small ints, which collide often, and values that share many factors, where each merge's gcd is large, next to
+# large ints that share few
+_smooth = st.tuples(st.sampled_from((1, -1)), *[st.integers(0, 12)] * 4).map(
+    lambda t: t[0] * 2**t[1] * 3**t[2] * 5**t[3] * 7**t[4])
+_pools = st.lists(st.one_of(_smooth, st.integers(-2**62, 2**62).filter(bool)), min_size=1, max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(-30, 30).filter(bool), max_size=40),
+                 _pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=60))),
+       st.integers(-3, 8))
+@example([2**5 * 3**7 * 5] * 9, 6)  # all equal
+@example([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31], 8)  # pairwise coprime
+@example([-2**12 * 7**12], 5)  # one value
+@example([6, 0, 10, 15], 3)  # a zero
 def test_power_sum_equals_fraction_sum(values, s):
+    if 0 in values:  # only in an @example, with s > 0: a zero has no reciprocal power
+        with pytest.raises(ZeroDivisionError):
+            power_sum(values, s)
+        return
     total = power_sum(values, s)
     assert total == sum((Fraction(1) / Fraction(v) ** s for v in values), Fraction(0))
     assert type(total) is (Fraction if s > 0 else int)

@@ -314,6 +314,15 @@ def test_texts_from_packed_digits_are_the_rhopoly_texts(coeffs):
     assert treemod._rho_texts(spinchain._digits([v(spinchain._DIGIT) for v in polys])) == list(map(str, polys))
 
 
+def test_q_texts_are_the_q_table_texts():
+    """spin --table q's symbolic texts, decoded from the packed digits once per distinct value, are str of q_table's
+    RhoPolys word by word, up to k = 11; the table cap is refused before the walk, as q_table refuses it."""
+    for k in range(12):
+        assert treemod.q_texts(k) == list(map(str, spinchain.q_table(k, SYM)))
+    with pytest.raises(ValueError, match="cap"):
+        treemod.q_texts(spinchain.EXACT_TABLE_CAP + 1)
+
+
 def _whole_level_records(n, params, extended):
     """Rows 1 .. n, each kernel level decoded whole to table entries (spinchain._entries) and printed by str."""
     after = spinchain._reflection(params) if extended else None
