@@ -304,11 +304,10 @@ def cmd_phase(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
     results = verify.run_suite(args.suite, seed=args.seed)
-    width = max(len(c.name) for c in results)
     failures = 0
-    for c in results:
+    for c in results:  # the name last, so no line's layout depends on the other checks
         status = "pass" if c.passed else "FAIL"
-        print(f"[{status}] {c.suite:<9} {c.name:<{width}}  residual {c.residual:.3e}  tol {c.tol:.1e}")
+        print(f"[{status}] {c.suite:<9} residual {c.residual:.3e}  tol {c.tol:.1e}  {c.name}")
         failures += 0 if c.passed else 1
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0

@@ -560,10 +560,18 @@ def _fixed_point_term(s: complex, r: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, made read-only: each is cached, so shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)  # the SWEEP_DIMS, their 3 dim/4 reruns and the first-return dims
 def _chebyshev_nodes(dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The dim Chebyshev points of [0, 1] and their barycentric weights."""
+    """The dim Chebyshev points of [0, 1] and their barycentric weights, read-only, cached per dim."""
     theta = np.pi * (np.arange(dim) + 0.5) / dim
-    return 0.5 * (1.0 - np.cos(theta)), (-1.0) ** np.arange(dim) * np.sin(theta)
+    return _read_only(0.5 * (1.0 - np.cos(theta)), (-1.0) ** np.arange(dim) * np.sin(theta))
 
 
 def _barycentric(x: np.ndarray, w: np.ndarray, y) -> np.ndarray:
@@ -580,13 +588,6 @@ def _barycentric(x: np.ndarray, w: np.ndarray, y) -> np.ndarray:
     if on_node.any():
         B[on_node] = np.isnan(B[on_node])
     return B
-
-
-def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The arrays, made read-only: each is cached, so shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @lru_cache(maxsize=8)
@@ -627,20 +628,23 @@ def _log_iterates(sigma: np.ndarray, start: Callable[[np.ndarray], np.ndarray], 
     from the first divisor that is not positive and finite on), and values[k] is f_k(x) over the divisors up to
     k - 1.  If `shared`, values has one more column, sum_j |ell_j(x)| |f_k,0(x_j)| over the same divisors (ell the
     interpolation row): the magnitude that the rounding of column 0's read-out scales with where it varies steeply
-    across the nodes."""
+    across the nodes, formed after the loop from column 0 of each f_k as it stood before its division."""
     C, log_w = _collocation_operator(float(r), dim)
     nodes, w = _chebyshev_nodes(dim)
     at_x = _barycentric(nodes, w, x)
     weights = np.exp(np.outer(log_w - math.log(2.0 - r), sigma))
     f = start(nodes)
     values = np.ones((n, len(sigma) + shared), dtype=weights.dtype)
-    reads, divisors, spread = values[:, :len(sigma)], values[:, :1].real if shared else values, np.abs(at_x)
+    reads, divisors = values[:, :len(sigma)], values[:, :1].real if shared else values
+    column = np.empty((n, dim)) if shared else None  # column 0 is real, as its divisors take it
     for k in range(1, n):
         f = weights * (C @ f)
         reads[k] = at_x @ f
         if shared:
-            values[k, -1] = spread @ np.abs(f[:, 0])
+            column[k] = f[:, 0].real
         f /= divisors[k]
+    if shared:
+        values[1:, -1] = np.vecdot(np.abs(column[1:]), np.abs(at_x))  # one dot per row, rounded as one per step
     logs = np.log(divisors)
     np.copyto(logs, np.nan, where=~np.isfinite(logs))
     return np.cumsum(logs, axis=0), values
@@ -792,7 +796,8 @@ def _block_traces(sigma: complex, r: float, n: int) -> np.ndarray:
     return np.exp(sigma * log_mu - np.log1p(np.exp(log_mu)))
 
 
-def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+def _return_series(sigma: complex, r: float, sign: int, dim: int, traces: np.ndarray,
+                   diagonal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(c, a): c_k = k [z^k] (-sign log det(I - sign B_sigma(z))), k = 1 .. n, and a_k the sum of the moduli of
     its terms, for B_sigma(z) = sum_m z^m b_m with the blocks b_m = rho^(m sigma) K_(sigma,m) of
     :func:`_series_blocks` at dim points, m <= n only: the coefficient of z^k needs no other, so no tail enters.
@@ -800,7 +805,9 @@ def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tup
     z d/dz of that log det is tr((I - sign B)^(-1) z B'(z)); with the series R_0 = I, R_k = sign sum_(m<=k) b_m
     R_(k-m) of (I - sign B)^(-1), c_k = sum_(m<=k) m tr(R_(k-m) b_m): n - 1 products of dim x k dim by k dim x dim
     matrices, then one product for every tr(R_j b_m); on float64 for real sigma.  The one-block terms m tr(b_m),
-    which enter c_m with + for either sign, are the exact ones of :func:`_block_traces`."""
+    which enter c_m with + for either sign, are the exact ones of :func:`_block_traces`, passed in as traces (n of them)
+    since they do not depend on dim, as is the n-only index diagonal that sums the terms into c."""
+    n = len(traces)
     log_d, rows = _series_blocks(r, dim, n)
     m = np.arange(1, n + 1)
     b = np.exp(sigma * (math.log1p(1.0 - r) * m - 2.0 * log_d))[:, :, None] * rows  # b[i, m-1, j] = b_m[i, j]
@@ -810,10 +817,10 @@ def _return_series(sigma: complex, r: float, n: int, sign: int, dim: int) -> Tup
     for k in range(1, n):
         lo = (n - k) * dim
         np.matmul(across[:, :k * dim], R[lo:], out=R[lo - dim:lo])
+    del across  # the sign's copy of b, as large as b's transposed copy below: not both at once
     # terms[p, m-1] = m tr(R_(n-1-p) b_m); c_k sums those with m - 1 - p = k - n, a diagonal of terms
     terms = (R.reshape(n, dim * dim) @ b.transpose(1, 2, 0).reshape(n, dim * dim).T) * m
-    terms[-1] = m * _block_traces(sigma, r, n)  # R_0 = I: the row of the one-block terms
-    diagonal = (np.subtract.outer(m, m).T + n - 1).ravel()  # k - 1 = m - 1 - p + n - 1; k > n where m - 1 > p
+    terms[-1] = m * traces  # R_0 = I: the row of the one-block terms
 
     def diagonal_sums(w: np.ndarray) -> np.ndarray:
         return np.bincount(diagonal, w.ravel(), 2 * n - 1)[:n]
@@ -827,11 +834,15 @@ def _series_estimates(r: float, head: np.ndarray, parts: Sequence[Tuple[complex,
     :func:`_return_series` at SERIES_DIM points: the error is the change from the 3 dim/4 rerun, floored at
     (k + 1) dim eps times |head_k| plus the moduli of the terms."""
     n = len(head)
+    m = np.arange(1, n + 1)
+    # terms[p, m-1] of _return_series enters c_k at k - 1 = m - 1 - p + n - 1; k > n where m - 1 > p
+    diagonal = (np.subtract.outer(m, m).T + n - 1).ravel()
+    traces = [_block_traces(sigma, r, n) for sigma, _sign, _factor in parts]  # the same at every dim
 
     def run(dim: int) -> Tuple[np.ndarray, np.ndarray]:
         value, scale = head, np.abs(head)
-        for sigma, sign, factor in parts:
-            c, a = _return_series(sigma, r, n, sign, dim)
+        for (sigma, sign, factor), tr in zip(parts, traces):
+            c, a = _return_series(sigma, r, sign, dim, tr, diagonal)
             value, scale = value + factor * c, scale + a
         return value, scale
 

@@ -323,6 +323,19 @@ def test_verify_suite_exit_code(capsys, suite):
     assert "checks passed" in out
 
 
+def test_verify_lines_do_not_depend_on_the_other_checks(capsys, monkeypatch):
+    # one more check with a longer name than any other leaves every other line of the report as it was
+    shared = [verify.CheckResult("tree", "short", 1e-16, 1e-12), verify.CheckResult("tree", "a longer name", 0.0, 0.0)]
+    longest = verify.CheckResult("tree", "a check whose name is longer than every other check's " * 2, 3e-13, 1e-12)
+    lines = []
+    for results in (shared, [shared[0], longest, shared[1]]):
+        monkeypatch.setitem(verify.SUITES, "tree", lambda seed, results=results: list(results))
+        assert main(["verify", "tree"]) == 0
+        lines.append(capsys.readouterr().out.splitlines())
+    assert lines[0][-1] == "2/2 checks passed" and lines[1][-1] == "3/3 checks passed"
+    assert lines[1][:-1] == [lines[0][0], lines[1][1], lines[0][1]] and longest.name in lines[1][1]
+
+
 def test_cap_violations_reported(capsys, monkeypatch):
     levels = []
     step = spinchain._step

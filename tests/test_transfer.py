@@ -310,6 +310,21 @@ def test_block_traces_match_collocated_traces_at_dim_64(r, re_sigma, im_sigma, n
     assert np.all(np.abs(exact - diagonal.sum(axis=0)) <= bound), (exact, diagonal.sum(axis=0), bound)
 
 
+def test_series_take_the_block_traces_once_per_part(monkeypatch):
+    # the one-block traces do not depend on dim, so one _block_traces call per part of _series_estimates serves both
+    # the SERIES_DIM run and its 3 dim/4 rerun: one part for the traces, two (sigma and sigma + 1) for Xi_n
+    calls = []
+    block_traces = transfer._block_traces
+    monkeypatch.setattr(transfer, "_block_traces", lambda *args: calls.append(args) or block_traces(*args))
+    for series, parts in ((lambda: transfer.trace_sums(18, 1.1, 0.6), 1),
+                          (lambda: transfer.trace_sums(18, 1.1 + 0.5j, 0.6, signed=True), 1),
+                          (lambda: transfer.periodic_sums_xi(18, 1.1, 0.6), 2),
+                          (lambda: transfer.periodic_sums_xi(18, 1.1 + 0.5j, 1.0), 2)):
+        calls.clear()
+        series()
+        assert len(calls) == parts, calls
+
+
 def test_series_at_large_s_match_fixed_point_oracle():
     # the roots carry rho^(n/2), so neither rho^(ns) nor m_j^(2s-1) leaves the float range on its own
     s, r = 400.0, 0.5
@@ -589,6 +604,9 @@ def test_return_root_forms_match_independent_routes(r):
             assert abs(step_term - two) <= 1e-14 + two**2, (r, s, eps, step_term, two)
             nodes = transfer._tail_nodes(step, 16)  # cached, so read-only
             assert nodes[3] is op.powers and not any(arr.flags.writeable for arr in (*op, *nodes))
+            cheb = transfer._chebyshev_nodes(16)  # cached per dim, so read-only: a repeat call returns the same arrays
+            assert all(a is b for a, b in zip(cheb, transfer._chebyshev_nodes(16)))
+            assert not any(arr.flags.writeable for arr in cheb)
 
 
 def test_compression_maps_chebyshev_polynomials():
@@ -691,6 +709,35 @@ def test_iterates_positive():
     for _ in range(20):
         q = TransferQuery(rng.uniform(0.2, 3.0), rng.uniform(0.0, 1.1), rng.randint(1, 10))
         assert transfer.iterate_one(rng.random(), q).real > 0.0
+
+
+def _magnitude_step_by_step(sigma, start, r, n, dim, x):
+    """The magnitude column of _log_iterates(shared=True) as a loop would form it: sum_j |ell_j(x)| |f_k,0(x_j)| at
+    each step k, before f_k is divided by its column 0's value at x."""
+    C, log_w = transfer._collocation_operator(r, dim)
+    nodes, w = transfer._chebyshev_nodes(dim)
+    at_x = transfer._barycentric(nodes, w, x)
+    weights = np.exp(np.outer(log_w - math.log(2.0 - r), sigma))
+    f, column = start(nodes), [1.0]
+    for _ in range(1, n):
+        f = weights * (C @ f)
+        column.append(np.abs(at_x) @ np.abs(f[:, 0]))
+        f = f / (at_x @ f[:, 0]).real
+    return np.array(column)
+
+
+@pytest.mark.parametrize("sigma", [np.array([0.55]), np.array([1.2, 1.2 + 0.7j]), np.array([0.8, 0.8 - 2.0j])])
+def test_log_iterates_magnitude_matches_step_by_step(sigma):
+    # formed after the loop from the undivided columns 0, it equals the per-step sums to rounding: dim positive terms
+    two_pi_m = np.array([0.0, 2.0 * math.pi * 3][:len(sigma)])
+    start = lambda y: np.cos(np.outer(y, two_pi_m))
+    for r in (0.0, 0.3, 0.9, 1.0):
+        for dim in (36, 48, 96):
+            for x in (0.1, 0.37, 0.5, 0.9):
+                _logs, values = transfer._log_iterates(sigma, start, r, 21, dim, x, shared=True)
+                want = _magnitude_step_by_step(sigma, start, r, 21, dim, x)
+                assert values.shape == (21, len(sigma) + 1) and np.all(values[:, -1].imag == 0.0)
+                assert np.allclose(values[:, -1].real, want, rtol=dim * np.finfo(float).eps, atol=0), (r, dim, x)
 
 
 def test_involution_residual():
